@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +31,7 @@ OMEGA_CAP = 1e8
 
 
 class SolverError(RuntimeError):
-    """Iterative solver failed to reach the requested residual."""
+    """An estimator produced a non-finite estimate."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,6 @@ class EstimatorConfig:
     beta: float | None = None
     omega: float | None = None
     grid_k: ReconstructionGrid | None = None
-    solver: str = "auto"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -93,8 +93,6 @@ class EstimatorConfig:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"{name} must be positive when given")
-        if self.solver not in ("auto", "direct", "cg"):
-            raise ValueError("solver must be auto, direct or cg")
 
 
 @dataclass(frozen=True)
@@ -131,13 +129,29 @@ def relaxation_delta(sigma2: float, sigma_z2: float, pilots: PilotSequence) -> f
     return float((sigma2 + sigma_z2) * np.sum(np.abs(p) ** -2.0))
 
 
-def _dd_atoms(pl: PilotPlacement, cells, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _dd_atoms(M: int, N: int, cells, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Symplectic-DFT atoms (1/sqrt(NM)) e^{-2j pi (n l / N - m k / M)} at the given TF cells."""
-    M, N = pl.M, pl.N
     ls = np.array([c[0] for c in cells])
     ks = np.array([c[1] for c in cells])
     phase = -2j * np.pi * (np.outer(cols, ls) / N - np.outer(rows, ks) / M)
     return np.exp(phase) / np.sqrt(N * M)
+
+
+def _read_only(*arrays: np.ndarray):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=4)
+def _lmmse_operator(M: int, N: int, pilot_indices: tuple, grid_k: ReconstructionGrid):
+    """Atoms at the pilots C, their Gram matrix C^H C, and the atoms on the whole frame."""
+    cells = grid_k.cells()
+    pr, pc = np.array(pilot_indices, dtype=int).reshape(-1, 2).T
+    C = _dd_atoms(M, N, cells, pr, pc)
+    mm, nn = np.meshgrid(np.arange(M), np.arange(N), indexing="ij")
+    C_full = _dd_atoms(M, N, cells, mm.reshape(-1), nn.reshape(-1))
+    return _read_only(C, C.conj().T @ C, C_full)
 
 
 def lmmse_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
@@ -145,26 +159,25 @@ def lmmse_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
     """Ridge-regularized least-squares fit on the delay-Doppler reconstruction grid.
 
     Solves (C^H C + sigma2 I) H = C^H h_pilot for the grid coefficients and
-    maps them back to the TF domain.
+    maps them back to the TF domain. The atom matrices depend only on the
+    placement and the grid, so they are built once and reused; a call solves
+    one K x K system for the K grid cells.
     """
     if cfg.grid_k is None:
         raise ValueError("lmmse requires a reconstruction grid (grid_k)")
     cfg.grid_k.validate(pl.M, pl.N)
-    cells = cfg.grid_k.cells()
-    if len(cells) > pl.P:
+    K = len(cfg.grid_k.cells())
+    if K > pl.P:
         warnings.warn(
-            f"reconstruction grid has {len(cells)} cells but only {pl.P} pilots; "
+            f"reconstruction grid has {K} cells but only {pl.P} pilots; "
             "the fit is underdetermined and relies on the ridge term",
             stacklevel=2,
         )
-    pr, pc = pl.pilot_array_indices()
-    C = _dd_atoms(pl, cells, pr, pc)
-    G = C.conj().T @ C + cfg.sigma2 * np.eye(len(cells))
-    H = np.linalg.solve(G, C.conj().T @ np.asarray(h_pilot))
-    mm, nn = np.meshgrid(np.arange(pl.M), np.arange(pl.N), indexing="ij")
-    C_full = _dd_atoms(pl, cells, mm.reshape(-1), nn.reshape(-1))
+    C, gram, C_full = _lmmse_operator(pl.M, pl.N, pl.pilot_indices, cfg.grid_k)
+    h_pilot = np.asarray(h_pilot)
+    H = np.linalg.solve(gram + cfg.sigma2 * np.eye(K), C.conj().T @ h_pilot)
     h_tilde = (C_full @ H).reshape(pl.M, pl.N)
-    residual = float(np.sum(np.abs(np.asarray(h_pilot) - C @ H) ** 2))
+    residual = float(np.sum(np.abs(h_pilot - C @ H) ** 2))
     return CMDEstimate(h_tilde=h_tilde, residual=residual)
 
 
@@ -249,6 +262,56 @@ def _resolve_srh_params(pl: PilotPlacement, cfg: EstimatorConfig):
     return alpha, beta, omega
 
 
+def _real_matvec(R: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """R @ z for real R and complex z, without a complex copy of R."""
+    out = R @ np.stack([z.real, z.imag], axis=-1)
+    return out[:, 0] + 1j * out[:, 1]
+
+
+@lru_cache(maxsize=4)
+def _srh_operator(M: int, N: int, pilot_indices: tuple, alpha: float, beta: float):
+    """The SRH minimizer as a linear map of the pilot samples: (E, V, lam).
+
+    For fixed pilot cells and curvature weights, eliminating the free cells
+    leaves the P x P Schur complement S = V diag(lam) V^T of the Hessian
+    operator on the pilots. For any omega the pilot values of the minimizer
+    are h_p = V diag(omega / (lam + omega)) V^T h_pilot, and the whole
+    (M+2)(N+2) extension is E h_p with E = [I; -A_ff^-1 A_fp] (rows of the
+    inactive border cells are zero).
+    """
+    nvar = (M + 2) * (N + 2)
+    phi_tt, phi_ff, phi_tf = hessian_kernels()
+    A = sp.csr_matrix((nvar, nvar))
+    for kern, w in ((phi_ff, alpha**4), (phi_tt, beta**4), (phi_tf, 2 * alpha**2 * beta**2)):
+        D = _conv_operator(kern, M, N)
+        A = A + w * (D.T @ D)
+
+    pr, pc = np.array(pilot_indices, dtype=int).reshape(-1, 2).T
+    pvar = (pr + 1) * (N + 2) + (pc + 1)
+    P = len(pvar)
+    # border cells untouched by any stencil carry no information and stay 0;
+    # the remaining non-pilot cells are eliminated
+    free = A.diagonal() > 0
+    free[pvar] = False
+    free = np.flatnonzero(free)
+    A = A.tocsc()
+    A_fp = A[free][:, pvar].tocsc()
+    # A_ff is symmetric positive definite: symmetric ordering, no pivoting
+    lu = spla.splu(A[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0, options=dict(SymmetricMode=True))
+    E = np.zeros((nvar, P))
+    E[pvar, np.arange(P)] = 1.0
+    S = A[pvar][:, pvar].toarray()
+    for j in range(0, P, 32):  # column blocks keep the dense right-hand sides small
+        X = -lu.solve(A_fp[:, j:j + 32].toarray())
+        E[free, j:j + 32] = X
+        S[:, j:j + 32] += A_fp.T @ X
+    # S is PSD; its null space (affine fields at the pilots) may come out
+    # slightly negative
+    lam, V = np.linalg.eigh(0.5 * (S + S.T))
+    return _read_only(E, V, np.maximum(lam, 0.0))
+
+
 def srh_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
                  cfg: EstimatorConfig) -> CMDEstimate:
     """Smoothness-regularized CMD estimate in the TF domain.
@@ -257,63 +320,22 @@ def srh_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
     h_ex[pilot_s]|^2 over the (M+2) x (N+2) extension of the frame; the
     one-cell border consists of free variables rather than padding, and the
     returned estimate is the interior M x N block.
+
+    The minimizer is linear in h_pilot. Its operator is factored once per
+    (placement, alpha, beta) and reused, so a call costs O(P^2 + (M+2)(N+2) P)
+    for any omega.
     """
     h_pilot = np.asarray(h_pilot, dtype=complex)
     if h_pilot.shape != (pl.P,):
         raise ValueError("pilot sample vector does not match the placement")
     alpha, beta, omega = _resolve_srh_params(pl, cfg)
     M, N = pl.M, pl.N
-    nvar = (M + 2) * (N + 2)
-
-    phi_tt, phi_ff, phi_tf = hessian_kernels()
-    A = sp.csr_matrix((nvar, nvar))
-    for kern, w in ((phi_ff, alpha**4), (phi_tt, beta**4), (phi_tf, 2 * alpha**2 * beta**2)):
-        D = _conv_operator(kern, M, N)
-        A = A + w * (D.T @ D)
-
-    pr, pc = pl.pilot_array_indices()
-    pvar = (pr + 1) * (N + 2) + (pc + 1)
-    fid = sp.csr_matrix((np.full(pl.P, omega), (pvar, pvar)), shape=(nvar, nvar))
-    A = (A + fid).tocsc()
-    rhs = np.zeros(nvar, dtype=complex)
-    np.add.at(rhs, pvar, omega * h_pilot)
-
-    # border cells untouched by any stencil or pilot carry no information;
-    # drop them so the reduced system is positive definite
-    active = A.diagonal() > 0
-    A_red = A[active][:, active]
-    rhs_red = rhs[active]
-
-    if cfg.solver == "direct" or (cfg.solver == "auto" and nvar < 66 * 66):
-        lu = spla.splu(A_red.tocsc())
-        sol_red = lu.solve(rhs_red.real) + 1j * lu.solve(rhs_red.imag)
-    else:
-        sol_red = _cg_solve(A_red, rhs_red, nvar)
-
-    sol = np.zeros(nvar, dtype=complex)
-    sol[active] = sol_red
-    h_ex = sol.reshape(M + 2, N + 2)
-    h_tilde = h_ex[1:M + 1, 1:N + 1]
-    residual = float(np.sum(np.abs(h_pilot - h_ex[pr + 1, pc + 1]) ** 2))
-    return CMDEstimate(h_tilde=h_tilde.copy(), residual=residual, h_extended=h_ex)
-
-
-def _cg_solve(A: sp.spmatrix, rhs: np.ndarray, nvar: int) -> np.ndarray:
-    """Diagonally preconditioned CG on the real and imaginary parts."""
-    diag = A.diagonal()
-    precond = spla.LinearOperator(A.shape, matvec=lambda v: v / diag)
-    maxiter = 10 * nvar
-    parts = []
-    for part in (rhs.real, rhs.imag):
-        sol, info = spla.cg(A, part, rtol=1e-8, atol=0.0, maxiter=maxiter, M=precond)
-        if info != 0:
-            res = np.linalg.norm(A @ sol - part) / max(np.linalg.norm(part), 1e-300)
-            raise SolverError(
-                f"conjugate gradient did not converge after {maxiter} iterations "
-                f"(relative residual {res:.3e})"
-            )
-        parts.append(sol)
-    return parts[0] + 1j * parts[1]
+    E, V, lam = _srh_operator(M, N, pl.pilot_indices, alpha, beta)
+    h_p = _real_matvec(V, omega / (lam + omega) * _real_matvec(V.T, h_pilot))
+    h_ex = _real_matvec(E, h_p).reshape(M + 2, N + 2)
+    residual = float(np.sum(np.abs(h_pilot - h_p) ** 2))
+    return CMDEstimate(h_tilde=h_ex[1:M + 1, 1:N + 1].copy(), residual=residual,
+                       h_extended=h_ex)
 
 
 def estimate(h_pilot: np.ndarray, pl: PilotPlacement,

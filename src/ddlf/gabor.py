@@ -134,18 +134,6 @@ def gaussian_prototype(grid: GaborGrid, spread: float = 1.0) -> Pulse:
     return Pulse(samples=vals.astype(complex))
 
 
-def _shifted_pulse_matrix(samples: np.ndarray, grid: GaborGrid) -> np.ndarray:
-    """L x N matrix whose column n is the pulse cyclically delayed by n*a samples."""
-    idx = (np.arange(grid.L)[:, None] - grid.time_shift * np.arange(grid.N)[None, :]) % grid.L
-    return samples[idx]
-
-
-def _modulation_matrix(grid: GaborGrid) -> np.ndarray:
-    """L x M matrix whose column m is the modulation exp(2j*pi*m*b*k/L)."""
-    k = np.arange(grid.L)
-    return np.exp(2j * np.pi * grid.freq_shift * np.outer(k, np.arange(grid.M)) / grid.L)
-
-
 def tight_orthogonalize(prototype: Pulse, grid: GaborGrid,
                         cond_limit: float = 1e12) -> Pulse:
     """Orthogonalize a prototype so its lattice translates/modulates are orthonormal.
@@ -186,30 +174,44 @@ def tight_orthogonalize(prototype: Pulse, grid: GaborGrid,
 
 
 def synthesize(x: np.ndarray, g_tx: Pulse, grid: GaborGrid) -> np.ndarray:
-    """Build the length-L transmit signal sum_{m,n} x[m,n] g(t - nT) e^{2j pi m F t}."""
+    """Build the length-L transmit signal sum_{m,n} x[m,n] g(t - nT) e^{2j pi m F t}.
+
+    Per time slot n, the modulated sum over m is an unnormalized inverse
+    L-point DFT of a spectrum holding x[:, n] at bins m*b; it is windowed by
+    the pulse delayed by n*a samples.
+    """
     x = np.asarray(x)
     if x.shape != (grid.M, grid.N):
         raise ValueError(f"frame shape {x.shape} does not match grid ({grid.M}, {grid.N})")
     if len(g_tx.samples) != grid.L:
         raise ValueError("pulse length does not match grid")
-    mod = _modulation_matrix(grid) @ x          # L x N
-    rolled = _shifted_pulse_matrix(g_tx.samples, grid)
-    return np.sum(mod * rolled, axis=1)
+    bins = grid.freq_shift * np.arange(grid.M)
+    spectrum = np.zeros(grid.L, dtype=complex)
+    out = np.zeros(grid.L, dtype=complex)
+    for n in range(grid.N):
+        spectrum[bins] = x[:, n]
+        out += np.fft.ifft(spectrum, norm="forward") * np.roll(g_tx.samples, n * grid.time_shift)
+    return out
 
 
 def analyze(f: np.ndarray, g_rx: Pulse, grid: GaborGrid) -> np.ndarray:
     """Project a length-L signal onto the Gabor atoms of the receive pulse.
 
-    Returns the M x N frame of inner products y[m, n] = <f, g_{m,n}>.
+    Returns the M x N frame of inner products y[m, n] = <f, g_{m,n}>: per
+    time slot n, the L-point DFT of f times the conjugate pulse delayed by
+    n*a samples, read at bins m*b.
     """
     f = np.asarray(f)
     if f.shape != (grid.L,):
         raise ValueError(f"signal length {f.shape} does not match grid L = {grid.L}")
     if len(g_rx.samples) != grid.L:
         raise ValueError("pulse length does not match grid")
-    rolled = _shifted_pulse_matrix(g_rx.samples, grid)
-    windowed = rolled.conj() * f[:, None]       # L x N
-    return _modulation_matrix(grid).conj().T @ windowed
+    bins = grid.freq_shift * np.arange(grid.M)
+    g_conj = g_rx.samples.conj()
+    out = np.empty((grid.M, grid.N), dtype=complex)
+    for n in range(grid.N):
+        out[:, n] = np.fft.fft(f * np.roll(g_conj, n * grid.time_shift))[bins]
+    return out
 
 
 def fractional_shift(samples: np.ndarray, delay_samples: float) -> np.ndarray:

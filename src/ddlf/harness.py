@@ -120,10 +120,22 @@ def _tight_pulse(grid: gabor.GaborGrid, spread: float) -> gabor.Pulse:
     return gabor.tight_orthogonalize(gabor.gaussian_prototype(grid, spread), grid)
 
 
+@lru_cache(maxsize=8)
+def _placement(m_data: int, n_data: int, pilots_per_row: int) -> piloting.PilotPlacement:
+    if pilots_per_row == 0:
+        return piloting.all_data_placement(m_data, n_data)
+    return piloting.accordion_placement(m_data, n_data, pilots_per_row)
+
+
 def build_placement(cfg: ExperimentConfig) -> piloting.PilotPlacement:
-    if cfg.pilots_per_row == 0:
-        return piloting.all_data_placement(cfg.m_data, cfg.n_data)
-    return piloting.accordion_placement(cfg.m_data, cfg.n_data, cfg.pilots_per_row)
+    return _placement(cfg.m_data, cfg.n_data, cfg.pilots_per_row)
+
+
+# one entry: a paper-scale random precoder holds a 3968 x 3968 complex matrix
+@lru_cache(maxsize=1)
+def _precoder(kind: str, shape: tuple[int, int], subframes: int,
+              seed: int) -> transforms.Precoder:
+    return transforms.Precoder(kind=kind, shape=shape, subframes=subframes, seed=seed)
 
 
 def build_grid(cfg: ExperimentConfig, pl: piloting.PilotPlacement) -> gabor.GaborGrid:
@@ -160,18 +172,24 @@ def _estimator_config(name: str, cfg: ExperimentConfig, grid: gabor.GaborGrid,
     )
 
 
+def _point_operators(cfg: ExperimentConfig):
+    """Placement, grid, tight pulse and precoder of a sweep point, each built
+    once per process and shared by its trials."""
+    pl = build_placement(cfg)
+    grid = build_grid(cfg, pl)
+    pulse = _tight_pulse(grid, cfg.pulse_spread)
+    precoder = _precoder(cfg.precoder, (pl.M_data, pl.N_data), cfg.subframes,
+                         cfg.precoder_seed)
+    return pl, grid, pulse, precoder
+
+
 def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
               ) -> dict[str, link.FrameMetrics]:
     """Run one seeded trial and evaluate every configured estimator on the
     same bits, channel and noise realization."""
     rng = np.random.default_rng((cfg.seed, trial_index))
-    pl = build_placement(cfg)
-    grid = build_grid(cfg, pl)
-    pulse = _tight_pulse(grid, cfg.pulse_spread)
+    pl, grid, pulse, precoder = _point_operators(cfg)
     tau_max, nu_max = resolve_spreads(cfg, grid)
-
-    precoder = transforms.Precoder(kind=cfg.precoder, shape=(pl.M_data, pl.N_data),
-                                   subframes=cfg.subframes, seed=cfg.precoder_seed)
 
     n_symbols = pl.M_data * pl.N_data
     if cfg.coding:
@@ -246,6 +264,7 @@ def run_point(cfg: ExperimentConfig, snr_db: float
         for i in range(cfg.trials):
             per_trial[i] = run_trial(cfg, snr_db, i)
     else:
+        _point_operators(cfg)  # forked workers inherit them
         jobs = [(cfg, snr_db, i) for i in range(cfg.trials)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, res in pool.map(_trial_worker, jobs):

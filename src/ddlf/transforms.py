@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 KINDS = ("none", "dsft2d", "fft1d", "fft2d", "fwht1d", "fwht2d", "random")
 SUBFRAME_CHOICES = (1, 2, 4, 8)
@@ -48,9 +49,17 @@ def fwht(v: np.ndarray) -> np.ndarray:
 
 
 def _random_unitary(n: int, seed: int) -> np.ndarray:
+    """Q factor of a seeded complex Gaussian matrix.
+
+    The Gaussian matrix is drawn into one Fortran-ordered buffer that the QR
+    overwrites, which keeps the build's peak memory to about two n x n
+    matrices instead of the five that np.linalg.qr holds at once.
+    """
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, _ = np.linalg.qr(A)
+    A = np.empty((n, n), dtype=complex, order="F")
+    A.real = rng.standard_normal((n, n))
+    A.imag = rng.standard_normal((n, n))
+    Q, _ = scipy.linalg.qr(A, mode="economic", overwrite_a=True, check_finite=False)
     return Q
 
 

@@ -4,9 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ddlf.channel import DDChannel, Scatterer, true_cmd
 from ddlf.estimation import (
+    OMEGA_CAP,
     CMDEstimate,
     EstimatorConfig,
     ReconstructionGrid,
@@ -39,6 +42,43 @@ def full_pilot_placement(M, N):
 def sample_at_pilots(field, pl):
     pr, pc = pl.pilot_array_indices()
     return field[pr, pc]
+
+
+def srh_reference(h_pilot, pl, alpha, beta, omega):
+    """Direct sparse solve of the full (M+2)(N+2) SRH normal equations.
+
+    Cells no stencil reaches are pinned to zero, as srh_estimate leaves them.
+    Large omega makes the system ill-conditioned, so the LU solve is followed
+    by two steps of iterative refinement.
+    """
+    M, N = pl.M, pl.N
+    nvar = (M + 2) * (N + 2)
+    A = sp.csr_matrix((nvar, nvar))
+    phi_tt, phi_ff, phi_tf = hessian_kernels()
+    for kern, w in ((phi_ff, alpha**4), (phi_tt, beta**4), (phi_tf, 2 * alpha**2 * beta**2)):
+        D = sp.lil_matrix((M * N, nvar))
+        for m in range(M):
+            for n in range(N):
+                for i in range(3):
+                    for j in range(3):
+                        if kern[i, j]:
+                            D[m * N + n, (m + 2 - i) * (N + 2) + (n + 2 - j)] = kern[i, j]
+        A = A + w * (D.T @ D)
+    pr, pc = pl.pilot_array_indices()
+    pvar = (pr + 1) * (N + 2) + (pc + 1)
+    A = A + sp.csr_matrix((np.full(pl.P, omega), (pvar, pvar)), shape=(nvar, nvar))
+    rhs = np.zeros(nvar, dtype=complex)
+    rhs[pvar] = omega * h_pilot
+    active = A.diagonal() > 0
+    A, rhs = A[active][:, active].tocsc(), rhs[active]
+    lu = spla.splu(A)
+    x = np.zeros_like(rhs)
+    for _ in range(3):
+        r = rhs - A @ x
+        x = x + lu.solve(r.real) + 1j * lu.solve(r.imag)
+    sol = np.zeros(nvar, dtype=complex)
+    sol[active] = x
+    return sol.reshape(M + 2, N + 2)
 
 
 class TestPartialCmd:
@@ -301,15 +341,31 @@ class TestSrh:
         for lo, hi in zip(residuals[1:], residuals[:-1]):
             assert lo <= hi * (1 + 1e-9)
 
-    def test_cg_matches_direct(self):
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.5, 0.4)])
+    def test_matches_full_normal_equations(self, alpha, beta):
         pl = accordion_placement(16, 14, 2)
         rng = np.random.default_rng(9)
         h_pilot = rng.standard_normal(pl.P) + 1j * rng.standard_normal(pl.P)
-        direct = srh_estimate(h_pilot, pl, EstimatorConfig(variant="srh", omega=0.1,
-                                                           solver="direct")).h_tilde
-        cg = srh_estimate(h_pilot, pl, EstimatorConfig(variant="srh", omega=0.1,
-                                                       solver="cg")).h_tilde
-        assert np.abs(direct - cg).max() < 1e-6
+        for omega in (1e-4, 1e-2, 1.0, 1e2, 1e4, OMEGA_CAP):
+            out = srh_estimate(h_pilot, pl, EstimatorConfig(variant="srh-ma", alpha=alpha,
+                                                            beta=beta, omega=omega))
+            ref = srh_reference(h_pilot, pl, alpha, beta, omega)
+            assert np.abs(out.h_extended - ref).max() < 1e-8 * np.abs(ref).max()
+
+    def test_operators_not_shared_between_placements_or_weights(self):
+        # interleave two placements and two weight pairs so that a cache keyed
+        # on too little would hand one case the other's operator
+        rng = np.random.default_rng(12)
+        cases = [(pl, alpha, beta)
+                 for pl in (accordion_placement(16, 14, 2), accordion_placement(16, 13, 3))
+                 for alpha, beta in ((1.0, 1.0), (2.0, 0.5))]
+        for _ in range(2):
+            for pl, alpha, beta in cases:
+                h_pilot = rng.standard_normal(pl.P) + 1j * rng.standard_normal(pl.P)
+                out = srh_estimate(h_pilot, pl, EstimatorConfig(
+                    variant="srh-ma", alpha=alpha, beta=beta, omega=0.1))
+                ref = srh_reference(h_pilot, pl, alpha, beta, 0.1)
+                assert np.abs(out.h_extended - ref).max() < 1e-8 * np.abs(ref).max()
 
     def test_noise_aware_uses_delta(self):
         # with sigma2 = sigma_z2 = 0 the fidelity weight hits the cap and the

@@ -24,6 +24,18 @@ def tight_pulse(M, N, tf=1.25, spread=1.0):
     return grid, tight_orthogonalize(gaussian_prototype(grid, spread), grid)
 
 
+def dense_atoms(g, grid):
+    """L x (M*N) matrix of the Gabor atoms g(t - nT) e^{2j pi m F t}, column m*N + n."""
+    a, b, L = grid.time_shift, grid.freq_shift, grid.L
+    k = np.arange(L)
+    atoms = np.empty((L, grid.M * grid.N), dtype=complex)
+    for m in range(grid.M):
+        for n in range(grid.N):
+            atoms[:, m * grid.N + n] = (np.roll(g.samples, n * a)
+                                        * np.exp(2j * np.pi * m * b * k / L))
+    return atoms
+
+
 class TestGrid:
     def test_paper_scale_parameters(self):
         grid = make_grid(64, 64, 1.25, bandwidth=5e6)
@@ -87,13 +99,7 @@ class TestTightOrthogonalize:
     def test_full_gram_identity(self):
         # oracle: assemble every atom and check the pairwise Gram directly
         grid, g = tight_pulse(8, 8)
-        a, b, L = grid.time_shift, grid.freq_shift, grid.L
-        atoms = np.empty((L, grid.M * grid.N), dtype=complex)
-        k = np.arange(L)
-        for m in range(grid.M):
-            for n in range(grid.N):
-                atoms[:, m * grid.N + n] = (
-                    np.roll(g.samples, n * a) * np.exp(2j * np.pi * b * m * k / L))
+        atoms = dense_atoms(g, grid)
         gram = atoms.conj().T @ atoms
         assert np.abs(gram - np.eye(grid.M * grid.N)).max() < 1e-9
 
@@ -119,6 +125,20 @@ class TestTightOrthogonalize:
 
 
 class TestFilterbank:
+    @pytest.mark.parametrize("M, N", [(8, 8), (16, 17)])
+    def test_matches_dense_atom_reference(self, M, N):
+        # (8, 8) tiles the band (M*b = L); (16, 17) leaves a gap (M*b < L)
+        grid = make_grid(M, N, 1.25)
+        assert (grid.M * grid.freq_shift == grid.L) == (M == N)
+        g = gaussian_prototype(grid)
+        atoms = dense_atoms(g, grid)
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
+        f = rng.standard_normal(grid.L) + 1j * rng.standard_normal(grid.L)
+        assert np.abs(synthesize(x, g, grid) - atoms @ x.reshape(-1)).max() < 1e-12
+        y_ref = (atoms.conj().T @ f).reshape(M, N)
+        assert np.abs(analyze(f, g, grid) - y_ref).max() < 1e-12
+
     def test_zero_frame(self):
         grid, g = tight_pulse(8, 8)
         assert not np.any(synthesize(np.zeros((8, 8)), g, grid))
