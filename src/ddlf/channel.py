@@ -2,7 +2,7 @@
 
 Synthetic WSSUS generation, time-varying cyclic convolution, channel
 main-diagonal (CMD) ground truth, delay-Doppler leakage response, noise
-injection and self-interference calibration.
+injection and the self-interference residual.
 
 The channel acts on one frame with a block cyclic prefix: delays wrap
 cyclically while the per-path Doppler ramp runs over absolute frame time.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import GaborGrid, Pulse, analyze, cross_ambiguity, synthesize
+from .gabor import GaborGrid, Pulse, cross_ambiguity
 
 
 class ChannelError(ValueError):
@@ -222,17 +222,13 @@ def channel_from_csv(text: str, tau_max: float, nu_max: float) -> DDChannel:
     return DDChannel(scatterers=tuple(scatterers), tau_max=tau_max, nu_max=nu_max)
 
 
-def self_interference_power(x: np.ndarray, ch: DDChannel, gamma: Pulse, g: Pulse,
-                            grid: GaborGrid) -> float:
+def self_interference_power(y_clean: np.ndarray, x: np.ndarray,
+                            h_true: np.ndarray) -> float:
     """Empirical per-symbol power of the off-diagonal distortion.
 
-    Runs the noiseless chain and measures mean |y - x * h_true|^2, the
-    residual not explained by the channel main diagonal. Used to calibrate
-    the noise-aware estimator relaxation.
+    mean |y_clean - x * h_true|^2 for the noiseless analyzed frame y_clean of
+    the transmit frame x: the residual not explained by the channel main
+    diagonal h_true. Used to calibrate the noise-aware estimator relaxation.
     """
-    x = np.asarray(x)
-    if not np.any(x):
-        return 0.0
-    y_clean = analyze(apply_channel(synthesize(x, gamma, grid), ch, grid), g, grid)
-    z = y_clean - x * true_cmd(ch, gamma, g, grid)
+    z = np.asarray(y_clean) - np.asarray(x) * h_true
     return float(np.mean(np.abs(z) ** 2))

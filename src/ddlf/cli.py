@@ -17,31 +17,6 @@ import numpy as np
 
 from . import gabor, harness, piloting
 
-CONFIG_KEYS = """
-data-shape        M'xN' data frame, e.g. 16x15        (default 16x15)
-pilots-per-row    pilots inserted per frame row; 0 = no pilots (default 1)
-tf-product        grid T*F product                    (default 1.25)
-bandwidth         sampled bandwidth in Hz             (default 5e6)
-pulse-spread      Gaussian prototype width factor     (default 1.0)
-precoder          none|dsft2d|fft1d|fft2d|fwht1d|fwht2d|random
-subframes         1|2|4|8 independent time blocks     (default 1)
-precoder-seed     seed for the random precoder        (default 2024)
-scatterers        channel path count                  (default 8)
-tau-max           delay spread in seconds, or auto
-nu-max            Doppler spread in Hz, or auto
-velocity          relative speed in km/h (overrides nu-max)
-power-profile     exponential delay-decay rate 1/s, or auto
-fractional        true|false off-grid channel shifts  (default true)
-estimator         comma list: lmmse,srh,srh-na,srh-ma,srh-mna,perfect
-omega             SRH fidelity weight, or auto (1/P)
-Q | W | Wn        LMMSE reconstruction-grid extents
-sigma-z2          self-interference power, or auto
-snr               comma list of SNR points in dB      (default 15)
-trials            Monte-Carlo trials per point        (default 200)
-seed              master seed                         (default 1)
-coding            true|false rate-1/3 convolutional   (default false)
-"""
-
 
 def _parse_bool(s: str) -> bool:
     if s.lower() in ("true", "1", "yes", "on"):
@@ -62,6 +37,58 @@ def _auto_or_float(s: str) -> float | None:
     return None if s.lower() == "auto" else float(s)
 
 
+def _show(v) -> str:
+    if isinstance(v, tuple):
+        return ",".join(map(_show, v))
+    if isinstance(v, bool):
+        return str(v).lower()
+    return format(v, "g") if isinstance(v, float) else str(v)
+
+
+# key (case-insensitive), ExperimentConfig field(s), value parser (a tuple for
+# several fields), help; defaults come from the ExperimentConfig fields
+CONFIG_KEYS = (
+    ("data-shape", ("m_data", "n_data"), _parse_shape, "M'xN' data frame, e.g. 16x15"),
+    ("pilots-per-row", ("pilots_per_row",), int, "pilots inserted per frame row; 0 = no pilots"),
+    ("tf-product", ("tf_product",), float, "grid T*F product"),
+    ("bandwidth", ("bandwidth",), float, "sampled bandwidth in Hz"),
+    ("pulse-spread", ("pulse_spread",), float, "Gaussian prototype width factor"),
+    ("precoder", ("precoder",), str, "none|dsft2d|fft1d|fft2d|fwht1d|fwht2d|random"),
+    ("subframes", ("subframes",), int, "1|2|4|8 independent time blocks"),
+    ("precoder-seed", ("precoder_seed",), int, "seed for the random precoder"),
+    ("scatterers", ("scatterers",), int, "channel path count"),
+    ("tau-max", ("tau_max",), _auto_or_float, "delay spread in seconds, or auto"),
+    ("nu-max", ("nu_max",), _auto_or_float, "Doppler spread in Hz, or auto"),
+    ("velocity", ("velocity",), float, "relative speed in km/h (overrides nu-max)"),
+    ("power-profile", ("power_profile",), _auto_or_float,
+     "exponential delay-decay rate 1/s, or auto"),
+    ("fractional", ("fractional",), _parse_bool, "true|false off-grid channel shifts"),
+    ("estimator", ("estimators",),
+     lambda s: tuple(e.strip() for e in s.split(",") if e.strip()),
+     "comma list: lmmse,srh,srh-na,srh-ma,srh-mna,perfect"),
+    ("omega", ("omega",), _auto_or_float, "SRH fidelity weight, or auto (1/P)"),
+    ("Q", ("recon_q",), int, "LMMSE reconstruction-grid Doppler extent"),
+    ("W", ("recon_w",), int, "LMMSE reconstruction-grid delay guard"),
+    ("Wn", ("recon_wn",), int, "LMMSE reconstruction-grid delay extent"),
+    ("sigma-z2", ("sigma_z2",), lambda s: "auto" if s.lower() == "auto" else float(s),
+     "self-interference power, or auto"),
+    ("snr", ("snr_db",), lambda s: tuple(float(v) for v in s.split(",")),
+     "comma list of SNR points in dB"),
+    ("trials", ("trials",), int, "Monte-Carlo trials per point"),
+    ("seed", ("seed",), int, "master seed"),
+    ("coding", ("coding",), _parse_bool, "true|false rate-1/3 convolutional"),
+)
+_BY_NAME = {k[0].lower(): k for k in CONFIG_KEYS}
+
+
+def _apply_key(fields: dict, key: str, val: str):
+    if key.lower() not in _BY_NAME:
+        raise ValueError(f"unknown config key {key!r}")
+    _, names, parse, _ = _BY_NAME[key.lower()]
+    value = parse(val)
+    fields.update(zip(names, value if len(names) > 1 else (value,)))
+
+
 def load_config(path: str | None, overrides: dict | None = None) -> harness.ExperimentConfig:
     """Build an ExperimentConfig from a flat key=value file plus overrides."""
     fields: dict = {}
@@ -74,64 +101,26 @@ def load_config(path: str | None, overrides: dict | None = None) -> harness.Expe
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key = value")
                 key, val = (part.strip() for part in line.split("=", 1))
-                _apply_key(fields, key, val)
+                try:
+                    _apply_key(fields, key, val)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     if overrides:
         fields.update(overrides)
     return harness.ExperimentConfig(**fields)
 
 
-def _apply_key(fields: dict, key: str, val: str):
-    key = key.lower()
-    if key == "data-shape":
-        fields["m_data"], fields["n_data"] = _parse_shape(val)
-    elif key == "pilots-per-row":
-        fields["pilots_per_row"] = int(val)
-    elif key == "tf-product":
-        fields["tf_product"] = float(val)
-    elif key == "bandwidth":
-        fields["bandwidth"] = float(val)
-    elif key == "pulse-spread":
-        fields["pulse_spread"] = float(val)
-    elif key == "precoder":
-        fields["precoder"] = val
-    elif key == "subframes":
-        fields["subframes"] = int(val)
-    elif key == "precoder-seed":
-        fields["precoder_seed"] = int(val)
-    elif key == "scatterers":
-        fields["scatterers"] = int(val)
-    elif key == "tau-max":
-        fields["tau_max"] = _auto_or_float(val)
-    elif key == "nu-max":
-        fields["nu_max"] = _auto_or_float(val)
-    elif key == "velocity":
-        fields["velocity"] = float(val)
-    elif key == "power-profile":
-        fields["power_profile"] = _auto_or_float(val)
-    elif key == "fractional":
-        fields["fractional"] = _parse_bool(val)
-    elif key == "estimator":
-        fields["estimators"] = tuple(e.strip() for e in val.split(",") if e.strip())
-    elif key == "omega":
-        fields["omega"] = _auto_or_float(val)
-    elif key == "q":
-        fields["recon_q"] = int(val)
-    elif key == "w":
-        fields["recon_w"] = int(val)
-    elif key == "wn":
-        fields["recon_wn"] = int(val)
-    elif key == "sigma-z2":
-        fields["sigma_z2"] = "auto" if val.lower() == "auto" else float(val)
-    elif key == "snr":
-        fields["snr_db"] = tuple(float(v) for v in val.split(","))
-    elif key == "trials":
-        fields["trials"] = int(val)
-    elif key == "seed":
-        fields["seed"] = int(val)
-    elif key == "coding":
-        fields["coding"] = _parse_bool(val)
-    else:
-        raise ValueError(f"unknown config key {key!r}")
+def _epilog() -> str:
+    defaults = {f.name: f.default for f in dataclasses.fields(harness.ExperimentConfig)}
+    lines = ["config keys:"]
+    for key, names, parse, text in CONFIG_KEYS:
+        values = [defaults[n] for n in names]
+        if values == [None]:
+            shown = "auto" if parse is _auto_or_float else "unset"
+        else:
+            shown = "x".join(map(_show, values))
+        lines.append(f"{key:<17} {text:<52} (default {shown})")
+    return "\n".join(lines)
 
 
 PAPER_SCALE = {"m_data": 64, "n_data": 62, "pilots_per_row": 2,
@@ -206,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ddlf",
         description="Link-level simulator for pulse-shaped multicarrier systems "
                     "over doubly-dispersive channels",
-        epilog="config keys:" + CONFIG_KEYS,
+        epilog=_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)

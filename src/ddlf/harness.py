@@ -29,13 +29,6 @@ LIGHT_SPEED = 299792458.0
 
 ESTIMATOR_CHOICES = est.VARIANTS + ("perfect",)
 
-CSV_COLUMNS = (
-    "snr_db", "velocity_kmh", "pilots", "estimator", "precoder", "subframes",
-    "trials", "mse_db_mean", "mse_db_std", "uncoded_ber_mean", "uncoded_ber_std",
-    "uncoded_ber_db", "nmsed_db_mean", "nmsed_db_std",
-    "coded_ber_mean", "coded_ber_std", "coded_ber_db",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -108,6 +101,9 @@ class ResultRow:
     coded_ber_mean: float | None = None
     coded_ber_std: float | None = None
     coded_ber_db: float | None = None
+
+
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
 
 
 def velocity_to_nu_max(velocity_kmh: float, carrier_hz: float = CARRIER_HZ) -> float:
@@ -191,16 +187,15 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
     pl, grid, pulse, precoder = _point_operators(cfg)
     tau_max, nu_max = resolve_spreads(cfg, grid)
 
-    n_symbols = pl.M_data * pl.N_data
+    n_bits = 2 * pl.M_data * pl.N_data
     if cfg.coding:
-        n_info = (2 * n_symbols - 18) // 3
-        info_bits = rng.integers(0, 2, size=n_info).astype(np.int8)
+        info_bits = rng.integers(0, 2, size=link.conv_info_bits(n_bits)).astype(np.int8)
         coded = link.conv_code_encode(info_bits)
-        pad = 2 * n_symbols - len(coded)
-        bits_tx = np.concatenate([coded, np.zeros(pad, dtype=np.int8)])
+        bits_tx = np.zeros(n_bits, dtype=np.int8)
+        bits_tx[:len(coded)] = coded
     else:
         info_bits = None
-        bits_tx = rng.integers(0, 2, size=2 * n_symbols).astype(np.int8)
+        bits_tx = rng.integers(0, 2, size=n_bits).astype(np.int8)
 
     pilots = piloting.qpsk_pilot_sequence(pl.P, seed=int(rng.integers(2**32)))
     ch_cfg = chan.ChannelConfig(R=cfg.scatterers, tau_max=tau_max, nu_max=nu_max,
@@ -212,16 +207,17 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
     frame_tx = piloting.multiplex(transforms.encode(X, precoder), pilots, pl)
     sig = gabor.synthesize(frame_tx, pulse, grid)
     sigma2 = float(10.0 ** (-snr_db / 10.0))
-    rx = chan.add_noise(chan.apply_channel(sig, ch, grid), sigma2, rng)
-    y = gabor.analyze(rx, pulse, grid)
+    rx_clean = chan.apply_channel(sig, ch, grid)
+    y = gabor.analyze(chan.add_noise(rx_clean, sigma2, rng), pulse, grid)
 
     h_true = chan.true_cmd(ch, pulse, pulse, grid)
-    needs_sigma_z = any(e in ("srh-na", "srh-mna") for e in cfg.estimators)
-    if isinstance(cfg.sigma_z2, str):
-        sigma_z2 = chan.self_interference_power(frame_tx, ch, pulse, pulse, grid) \
-            if needs_sigma_z else 0.0
-    else:
+    if not isinstance(cfg.sigma_z2, str):
         sigma_z2 = float(cfg.sigma_z2)
+    elif any(e in ("srh-na", "srh-mna") for e in cfg.estimators):
+        sigma_z2 = chan.self_interference_power(gabor.analyze(rx_clean, pulse, grid),
+                                                frame_tx, h_true)
+    else:
+        sigma_z2 = 0.0
 
     h_pilot = None
     if pl.P:
@@ -239,8 +235,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
         bits_rx = link.frame_to_bits(X_hat)
         info_rx = None
         if cfg.coding:
-            n_coded = 3 * (len(info_bits) + link.CONV_K - 1)
-            info_rx = link.conv_code_decode_hard(bits_rx[:n_coded])
+            info_rx = link.conv_code_decode_hard(bits_rx[:len(coded)])
         results[name] = link.compute_metrics(X_hat, X, bits_tx, bits_rx,
                                              info_bits, info_rx)
     return results
@@ -281,20 +276,18 @@ def _aggregate(cfg: ExperimentConfig, snr_db: float, estimator: str,
     mse_m, mse_s = stats([m.rel_symbol_mse_db for m in metrics])
     ber_m, ber_s = stats([m.uncoded_ber for m in metrics])
     nms_m, nms_s = stats([m.nmsed_db for m in metrics])
-    n_sym = cfg.m_data * cfg.n_data
-    total_bits = 2 * n_sym * cfg.trials
+    n_bits = 2 * cfg.m_data * cfg.n_data
     coded_m = coded_s = coded_db = None
     if metrics[0].coded_ber is not None:
         coded_m, coded_s = stats([m.coded_ber for m in metrics])
-        n_info = (2 * n_sym - 18) // 3
-        coded_db = link.ber_to_db(coded_m, n_info * cfg.trials)
+        coded_db = link.ber_to_db(coded_m, link.conv_info_bits(n_bits) * cfg.trials)
     return ResultRow(
         snr_db=snr_db, velocity_kmh=cfg.velocity,
         pilots=pilots, estimator=estimator,
         precoder=cfg.precoder, subframes=cfg.subframes, trials=cfg.trials,
         mse_db_mean=mse_m, mse_db_std=mse_s,
         uncoded_ber_mean=ber_m, uncoded_ber_std=ber_s,
-        uncoded_ber_db=link.ber_to_db(ber_m, total_bits),
+        uncoded_ber_db=link.ber_to_db(ber_m, n_bits * cfg.trials),
         nmsed_db_mean=nms_m, nmsed_db_std=nms_s,
         coded_ber_mean=coded_m, coded_ber_std=coded_s, coded_ber_db=coded_db,
     )

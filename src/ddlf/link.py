@@ -111,6 +111,18 @@ def conv_code_encode(bits: np.ndarray) -> np.ndarray:
     return coded
 
 
+def conv_info_bits(n_bits: int) -> int:
+    """Info bits whose zero-tail codeword fits in n_bits channel bits.
+
+    The codeword takes 3 * (n_info + CONV_K - 1) bits; the rest of the frame,
+    fewer than 3 bits, is zero pad.
+    """
+    n_info = n_bits // 3 - (CONV_K - 1)
+    if n_info < 1:
+        raise ValueError(f"{n_bits} channel bits cannot carry a zero-tail codeword")
+    return n_info
+
+
 def conv_code_decode_hard(coded: np.ndarray) -> np.ndarray:
     """Hard-decision Viterbi decoding of a zero-tail terminated codeword."""
     coded = np.asarray(coded).astype(np.int8).reshape(-1)

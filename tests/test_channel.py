@@ -233,18 +233,28 @@ class TestChannelDump:
             channel_from_csv("x,y\n0,1\n", 1e-6, 1e3)
 
 
+def clean_frame(x, ch, pulse, grid):
+    """Noiseless received frame: synthesize, channel, analyze."""
+    return analyze(apply_channel(synthesize(x, pulse, grid), ch, grid), pulse, grid)
+
+
+def si_power(x, ch, pulse, grid):
+    return self_interference_power(clean_frame(x, ch, pulse, grid), x,
+                                   true_cmd(ch, pulse, pulse, grid))
+
+
 class TestSelfInterference:
     def test_identity_channel_vanishes(self, desk):
         grid, pulse = desk
         rng = np.random.default_rng(17)
         x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         ch = single_path(0.0, 0.0, 1.0, 1e-6, 1e3)
-        assert self_interference_power(x, ch, pulse, pulse, grid) < 1e-12
+        assert si_power(x, ch, pulse, grid) < 1e-12
 
     def test_zero_frame(self, desk):
         grid, pulse = desk
         ch = single_path(0.1e-6, 500.0, 1.0, 1e-6, 1e3)
-        assert self_interference_power(np.zeros((8, 8)), ch, pulse, pulse, grid) == 0.0
+        assert si_power(np.zeros((8, 8)), ch, pulse, grid) == 0.0
 
     def test_grows_with_doppler_spread(self, desk):
         grid, pulse = desk
@@ -257,8 +267,7 @@ class TestSelfInterference:
             for seed in range(20):
                 cfg = ChannelConfig(R=4, tau_max=0.5 / (grid.M * grid.F),
                                     nu_max=nu_max, seed=seed)
-                acc += self_interference_power(x, generate_channel(cfg, grid),
-                                               pulse, pulse, grid)
+                acc += si_power(x, generate_channel(cfg, grid), pulse, grid)
             levels.append(acc / 20)
         assert levels[0] < levels[1] < levels[2]
 

@@ -1,9 +1,12 @@
 """Tests for the command-line interface and config parsing."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ddlf.cli import load_config, main
+from ddlf.cli import CONFIG_KEYS, load_config, main
 
 
 class TestConfigFile:
@@ -53,6 +56,32 @@ class TestConfigFile:
         path.write_text("bandwith = 5e6\n")
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(str(path))
+
+    def test_bad_value_names_file_line_and_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("seed = 3\ntrials = abc\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: trials:")):
+            load_config(str(path))
+
+    def test_keys_case_insensitive(self, tmp_path):
+        path = tmp_path / "case.cfg"
+        path.write_text("q = 3\nWN = 5\nTrials = 4\n")
+        cfg = load_config(str(path))
+        assert (cfg.recon_q, cfg.recon_wn, cfg.trials) == (3, 5, 4)
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        para = readme[readme.index("Config files are flat"):]
+        para = para[:para.index("\n\n")]
+        missing = [k[0] for k in CONFIG_KEYS if f"`{k[0]}`" not in para]
+        assert not missing
+
+    def test_help_lists_every_key(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        for key, *_ in CONFIG_KEYS:
+            assert re.search(rf"^{re.escape(key)} .*\(default \S+\)$", out, re.M), key
 
     def test_overrides(self, tmp_path):
         path = tmp_path / "exp.cfg"

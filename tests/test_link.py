@@ -8,6 +8,7 @@ from ddlf.link import (
     compute_metrics,
     conv_code_decode_hard,
     conv_code_encode,
+    conv_info_bits,
     demodulate,
     frame_to_bits,
     bits_to_frame,
@@ -115,6 +116,17 @@ class TestConvCode:
         coded = conv_code_encode(bits)
         coded[30:33] ^= 1
         assert np.array_equal(conv_code_decode_hard(coded), bits)
+
+    def test_info_bits_fill_frame(self):
+        # the codeword plus a pad of under 3 bits fills the QPSK frame exactly
+        for n_symbols in range(11, 300):
+            n_bits = 2 * n_symbols
+            coded = conv_code_encode(np.zeros(conv_info_bits(n_bits), dtype=np.int8))
+            assert 0 <= n_bits - len(coded) < 3
+
+    def test_info_bits_rejects_tiny_frame(self):
+        with pytest.raises(ValueError, match="cannot carry"):
+            conv_info_bits(20)
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
