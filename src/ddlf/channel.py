@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import GaborGrid, Pulse, cross_ambiguity
+from .gabor import SHIFT_BLOCK, GaborGrid, Pulse, _phasors, cross_ambiguity
 
 
 class ChannelError(ValueError):
@@ -113,15 +113,12 @@ def generate_channel(cfg: ChannelConfig, grid: GaborGrid | None = None) -> DDCha
     return DDChannel(scatterers=scatterers, tau_max=cfg.tau_max, nu_max=cfg.nu_max)
 
 
-def _delay_signal(f: np.ndarray, delay_samples: float) -> np.ndarray:
-    """Cyclic fractional delay of the frame signal.
-
-    The transmit band occupies [0, fs), so the delay phase ramp runs over the
-    one-sided DFT bins: subcarrier m is rotated by exactly e^{-2j pi m F tau}.
-    """
-    L = len(f)
-    ramp = np.exp(-2j * np.pi * np.arange(L) * delay_samples / L)
-    return np.fft.ifft(np.fft.fft(f) * ramp)
+def _paths(ch: DDChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delays, Dopplers and gains of the scatterers as arrays."""
+    sc = ch.scatterers
+    return (np.array([s.tau for s in sc], dtype=float),
+            np.array([s.nu for s in sc], dtype=float),
+            np.array([s.eta for s in sc], dtype=complex))
 
 
 def apply_channel(f: np.ndarray, ch: DDChannel, grid: GaborGrid) -> np.ndarray:
@@ -129,16 +126,25 @@ def apply_channel(f: np.ndarray, ch: DDChannel, grid: GaborGrid) -> np.ndarray:
 
     Fractional delays are band-limited cyclic shifts (the block cyclic prefix
     makes delays circular); the Doppler ramp runs over absolute frame time.
+    The transmit band occupies [0, fs), so the delay phase ramp runs over the
+    one-sided DFT bins: subcarrier m is rotated by exactly e^{-2j pi m F tau}.
+    One forward FFT serves every path; paths go SHIFT_BLOCK at a time through
+    a batched inverse FFT.
     """
     f = np.asarray(f)
     if f.shape != (grid.L,):
         raise ValueError(f"signal length {f.shape} does not match grid L = {grid.L}")
-    t = np.arange(grid.L) / grid.fs
-    out = np.zeros(grid.L, dtype=complex)
-    for s in ch.scatterers:
-        if s.tau >= grid.duration:
-            raise ChannelError(f"delay {s.tau} exceeds the frame duration {grid.duration}")
-        out += s.eta * _delay_signal(f, s.tau * grid.fs) * np.exp(2j * np.pi * s.nu * t)
+    taus, nus, etas = _paths(ch)
+    late = taus >= grid.duration
+    if late.any():
+        raise ChannelError(f"delay {taus[late][0]} exceeds the frame duration {grid.duration}")
+    L = grid.L
+    spectrum = np.fft.fft(f)
+    out = np.zeros(L, dtype=complex)
+    for i in range(0, len(taus), SHIFT_BLOCK):
+        blk = slice(i, i + SHIFT_BLOCK)
+        delayed = np.fft.ifft(spectrum * _phasors(-taus[blk] * grid.fs / L, L))
+        out += etas[blk] @ (delayed * _phasors(nus[blk] / grid.fs, L))
     return out
 
 
@@ -164,14 +170,11 @@ def true_cmd(ch: DDChannel, gamma: Pulse, g: Pulse, grid: GaborGrid) -> np.ndarr
     the superposition of one low-frequency 2D complex exponential per path
     weighted by the pulse cross-ambiguity at the path's shift.
     """
-    m_phase = np.arange(grid.M)
-    n_phase = np.arange(grid.N)
-    h = np.zeros((grid.M, grid.N), dtype=complex)
-    for s in ch.scatterers:
-        amp = s.eta * cross_ambiguity(gamma, g, s.tau, s.nu, grid)
-        h += amp * np.outer(np.exp(-2j * np.pi * grid.F * s.tau * m_phase),
-                            np.exp(2j * np.pi * grid.T * s.nu * n_phase))
-    return h
+    taus, nus, etas = _paths(ch)
+    amp = etas * cross_ambiguity(gamma, g, taus, nus, grid)
+    delay = np.exp(-2j * np.pi * grid.F * taus * np.arange(grid.M)[:, None])
+    doppler = np.exp(2j * np.pi * grid.T * nus[:, None] * np.arange(grid.N))
+    return (delay * amp) @ doppler
 
 
 def dirichlet_kernel(K: int, t: np.ndarray | float) -> np.ndarray:

@@ -177,12 +177,12 @@ def cmd_ambiguity(args) -> int:
     pulse = gabor.tight_orthogonalize(gabor.gaussian_prototype(grid, args.spread), grid)
     taus = np.linspace(-args.tau_span * grid.T, args.tau_span * grid.T, args.steps)
     nus = np.linspace(-args.nu_span * grid.F, args.nu_span * grid.F, args.steps)
+    raster = gabor.cross_ambiguity(pulse, pulse, taus[:, None], nus[None, :], grid)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["tau_s", "nu_hz", "abs", "re", "im"])
-        for tau in taus:
-            for nu in nus:
-                a = gabor.cross_ambiguity(pulse, pulse, tau, nu, grid)
+        for tau, row in zip(taus, raster):
+            for nu, a in zip(nus, row.tolist()):
                 writer.writerow([format(tau, ".12g"), format(nu, ".12g"),
                                  format(abs(a), ".12g"), format(a.real, ".12g"),
                                  format(a.imag, ".12g")])

@@ -12,6 +12,7 @@ across its full support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,34 +142,41 @@ def tight_orthogonalize(prototype: Pulse, grid: GaborGrid,
     Applies the inverse square root of the frame operator of the adjoint
     lattice (time shifts of M samples, frequency shifts of N bins), which by
     lattice duality renders the original-lattice Gabor family orthonormal.
-    The operator block-diagonalizes over residues modulo the time shift a, so
-    only a dense N x N eigenproblem per residue is needed.
+    The operator block-diagonalizes over residues r modulo the time shift a
+    into N x N blocks. With d = gcd(a, M) and a*s = d (mod M), the block of
+    residue r + d is the block of residue r with both indices cyclically
+    shifted by s (the adjoint shifts p*M run over all of Z_L since M*b = L),
+    so only d dense eigenproblems are solved.
     """
-    a, b, L, N = grid.time_shift, grid.freq_shift, grid.L, grid.N
-    if grid.M * b != L:
+    a, b, L, M, N = grid.time_shift, grid.freq_shift, grid.L, grid.M, grid.N
+    if M * b != L:
         raise FrameError(
             "tight orthogonalization requires the M frequency channels to tile "
-            f"the band exactly (M*b = L), got M*b = {grid.M * b}, L = {L}"
+            f"the band exactly (M*b = L), got M*b = {M * b}, L = {L}"
         )
     g0 = prototype.samples
-    out = np.empty(L, dtype=complex)
-    lo, hi = np.inf, 0.0
-    for r in range(a):
-        idx = (r + a * np.arange(N)) % L
-        # V[p, u] = g0[(a*u + r - p*M) mod L] over the b adjoint time shifts
-        V = g0[(idx[None, :] - (np.arange(b) * grid.M)[:, None]) % L]
-        B = a * (V.T @ V.conj())
-        w, U = np.linalg.eigh(B)
-        lo, hi = min(lo, float(w[0])), max(hi, float(w[-1]))
-        if w[0] <= 0:
-            raise FrameError("frame operator not positive definite; "
-                             "prototype does not generate a frame on this grid")
-        inv_sqrt = (U * w**-0.5) @ U.conj().T
-        out[idx] = inv_sqrt @ g0[idx]
+    d = math.gcd(a, M)
+    s = pow(a // d, -1, M // d)
+    u = np.arange(N)
+    # V[r, p, u] = g0[(a*u + r - p*M) mod L] for the d distinct residues r < d
+    V = g0[(a * u + np.arange(d)[:, None, None] - (np.arange(b) * M)[:, None]) % L]
+    B = a * (V.transpose(0, 2, 1) @ V.conj())
+    w, U = np.linalg.eigh(B)
+    lo, hi = float(w[:, 0].min()), float(w[:, -1].max())
+    if lo <= 0:
+        raise FrameError("frame operator not positive definite; "
+                         "prototype does not generate a frame on this grid")
     if hi / lo > cond_limit:
         raise FrameError(
             f"frame operator ill-conditioned (cond {hi / lo:.3g} > {cond_limit:.1e})"
         )
+    inv_sqrt = (U * w[:, None, :] ** -0.5) @ U.conj().transpose(0, 2, 1)
+    # residue r = r0 + j*d seen in coordinates rotated by j*s: sample
+    # idx[j, r0, v] = r + a*((v - j*s) mod N) meets block r0 at position v
+    j = np.arange(a // d)[:, None, None]
+    idx = j * d + np.arange(d)[:, None] + a * ((u - j * s) % N)
+    out = np.empty(L, dtype=complex)
+    out[idx] = (inv_sqrt @ g0[idx][..., None])[..., 0]
     out /= np.linalg.norm(out)
     return Pulse(samples=out)
 
@@ -214,6 +222,29 @@ def analyze(f: np.ndarray, g_rx: Pulse, grid: GaborGrid) -> np.ndarray:
     return out
 
 
+# shifts per batched inverse FFT in cross_ambiguity and channel.apply_channel:
+# a (SHIFT_BLOCK, L) complex block is 0.66 MB at paper scale (L = 5120), so
+# the working set stays in cache and no (paths, L) array is ever alive
+SHIFT_BLOCK = 8
+
+
+def _phasors(rate: np.ndarray, L: int, signed: bool = False) -> np.ndarray:
+    """Rows e^{2j pi rate_i k} for the sample indices k = 0 .. L-1, shape (len(rate), L).
+
+    signed=True uses the centered index k - L for k >= ceil(L/2), the order of
+    np.fft.fftfreq(L) * L and of centered_times. Each row is the outer product
+    of a coarse and a fine table of about sqrt(L) exponentials.
+    """
+    K = math.isqrt(L - 1) + 1
+    rate = np.asarray(rate, dtype=float)[:, None]
+    coarse = np.exp(2j * np.pi * rate * (K * np.arange(-(-L // K))))
+    fine = np.exp(2j * np.pi * rate * np.arange(K))
+    out = (coarse[:, :, None] * fine[:, None, :]).reshape(len(rate), -1)[:, :L]
+    if signed:
+        out[:, (L + 1) // 2:] *= np.exp(-2j * np.pi * rate * L)
+    return out
+
+
 def fractional_shift(samples: np.ndarray, delay_samples: float) -> np.ndarray:
     """Cyclic band-limited delay by a (possibly fractional) number of samples."""
     L = len(samples)
@@ -221,18 +252,30 @@ def fractional_shift(samples: np.ndarray, delay_samples: float) -> np.ndarray:
     return np.fft.ifft(spectrum * np.exp(-2j * np.pi * np.fft.fftfreq(L) * delay_samples))
 
 
-def cross_ambiguity(gamma: Pulse, g: Pulse, tau: float, nu: float,
-                    grid: GaborGrid) -> complex:
+def cross_ambiguity(gamma: Pulse, g: Pulse, tau: float | np.ndarray, nu: float | np.ndarray,
+                    grid: GaborGrid) -> complex | np.ndarray:
     """Correlation of two pulses under joint time shift tau and frequency shift nu.
 
     A(tau, nu) = sum_t g*(t) gamma(t - tau) e^{2j pi nu t}, with fractional tau
     realized in the DFT domain and t running over centered representatives.
     A(0, 0) equals the inner product <gamma, g> (= 1 for gamma = g unit-norm).
+    tau and nu broadcast against each other: scalars give a complex, arrays
+    an array of A over the broadcast shape, from one FFT of gamma and one
+    inverse FFT per (tau, nu) pair, SHIFT_BLOCK pairs at a time.
     """
     if len(gamma.samples) != len(g.samples):
         raise ValueError("pulses must share the sample grid")
-    if abs(tau) >= grid.duration:
-        raise ValueError(f"|tau| = {abs(tau)} exceeds the frame duration {grid.duration}")
-    shifted = fractional_shift(gamma.samples, tau * grid.fs)
-    ramp = np.exp(2j * np.pi * nu * centered_times(grid))
-    return complex(np.vdot(g.samples, shifted * ramp))
+    tau, nu = np.broadcast_arrays(np.asarray(tau, dtype=float), np.asarray(nu, dtype=float))
+    if np.any(np.abs(tau) >= grid.duration):
+        raise ValueError(f"|tau| = {np.abs(tau).max()} exceeds the frame duration {grid.duration}")
+    L = grid.L
+    spectrum = np.fft.fft(gamma.samples)
+    g_conj = g.samples.conj()
+    taus, nus = tau.ravel(), nu.ravel()
+    out = np.empty(taus.shape, dtype=complex)
+    for i in range(0, len(out), SHIFT_BLOCK):
+        blk = slice(i, i + SHIFT_BLOCK)
+        # delay ramp over the two-sided DFT bins, Doppler over centered times
+        shifted = np.fft.ifft(spectrum * _phasors(-taus[blk] * grid.fs / L, L, signed=True))
+        out[blk] = (shifted * _phasors(nus[blk] / grid.fs, L, signed=True)) @ g_conj
+    return complex(out[0]) if tau.ndim == 0 else out.reshape(tau.shape)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,14 +50,22 @@ class PilotPlacement:
 
     def pilot_array_indices(self):
         """Index arrays (rows, cols) selecting pilot cells in kappa_p order."""
-        if not self.pilot_indices:
-            return np.array([], dtype=int), np.array([], dtype=int)
-        arr = np.array(self.pilot_indices)
-        return arr[:, 0], arr[:, 1]
+        return self._index_arrays[0]
 
     def data_array_indices(self):
-        arr = np.array(self.data_indices)
-        return arr[:, 0], arr[:, 1]
+        """Index arrays (rows, cols) selecting data cells in kappa_d order."""
+        return self._index_arrays[1]
+
+    @cached_property
+    def _index_arrays(self):
+        return _read_only_rc(self.pilot_indices), _read_only_rc(self.data_indices)
+
+
+def _read_only_rc(cells: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of the cells, built once and locked against writes."""
+    rc = np.array(cells, dtype=int).reshape(-1, 2).T.copy()
+    rc.flags.writeable = False
+    return rc[0], rc[1]
 
 
 @dataclass(frozen=True)

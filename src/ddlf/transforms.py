@@ -124,7 +124,8 @@ class Precoder:
             return np.fft.ifft2(Y, norm="ortho")
         if self.kind in ("fwht1d", "fwht2d"):
             return self._encode_block(Y)
-        return (self._matrix.conj().T @ Y.reshape(-1)).reshape(Y.shape)
+        # Q^H y as conj(Q^T conj(y)): the transpose is a view, Q^H would be an n x n copy
+        return (self._matrix.T @ Y.reshape(-1).conj()).conj().reshape(Y.shape)
 
     def _blocks(self, X):
         return np.split(np.asarray(X, dtype=complex), self.subframes, axis=1)

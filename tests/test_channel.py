@@ -16,8 +16,8 @@ from ddlf.channel import (
     self_interference_power,
     true_cmd,
 )
-from ddlf.gabor import analyze, cross_ambiguity, gaussian_prototype, make_grid, \
-    synthesize, tight_orthogonalize
+from ddlf.gabor import SHIFT_BLOCK, analyze, cross_ambiguity, fractional_shift, \
+    centered_times, gaussian_prototype, make_grid, synthesize, tight_orthogonalize
 from ddlf.transforms import dsft2d
 
 
@@ -31,6 +31,40 @@ def desk():
 def single_path(tau, nu, eta, tau_max, nu_max):
     return DDChannel(scatterers=(Scatterer(tau, nu, eta),),
                      tau_max=tau_max, nu_max=nu_max)
+
+
+def per_path_apply(f, ch, grid):
+    """Reference: one FFT pair and two length-L exp ramps per path."""
+    L = grid.L
+    t = np.arange(L) / grid.fs
+    out = np.zeros(L, dtype=complex)
+    for s in ch.scatterers:
+        ramp = np.exp(-2j * np.pi * np.arange(L) * (s.tau * grid.fs) / L)
+        out += s.eta * np.fft.ifft(np.fft.fft(f) * ramp) * np.exp(2j * np.pi * s.nu * t)
+    return out
+
+
+def per_path_cmd(ch, gamma, g, grid):
+    """Reference: one scalar cross-ambiguity and one outer product per path."""
+    h = np.zeros((grid.M, grid.N), dtype=complex)
+    for s in ch.scatterers:
+        shifted = fractional_shift(gamma.samples, s.tau * grid.fs)
+        amb = np.vdot(g.samples, shifted * np.exp(2j * np.pi * s.nu * centered_times(grid)))
+        h += s.eta * amb * np.outer(np.exp(-2j * np.pi * grid.F * s.tau * np.arange(grid.M)),
+                                    np.exp(2j * np.pi * grid.T * s.nu * np.arange(grid.N)))
+    return h
+
+
+def mixed_channel(R, grid, seed):
+    """R paths alternating fractional and on-grid draws; for R > 1 one has zero delay and Doppler."""
+    tau_max, nu_max = 4 / (grid.M * grid.F), 2 / (grid.N * grid.T)
+    frac = generate_channel(ChannelConfig(R=R, tau_max=tau_max, nu_max=nu_max, seed=seed), grid)
+    grid_ch = generate_channel(ChannelConfig(R=R, tau_max=tau_max, nu_max=nu_max,
+                                             seed=seed + 1, fractional=False), grid)
+    paths = [grid_ch.scatterers[r] if r % 2 else frac.scatterers[r] for r in range(R)]
+    if R > 1:
+        paths[R // 2] = Scatterer(0.0, 0.0, paths[R // 2].eta)
+    return DDChannel(scatterers=tuple(paths), tau_max=tau_max, nu_max=nu_max)
 
 
 class TestGenerateChannel:
@@ -111,6 +145,26 @@ class TestApplyChannel:
         with pytest.raises(ChannelError):
             apply_channel(np.zeros(grid.L, dtype=complex), ch, grid)
 
+    @pytest.mark.parametrize("R", [1, SHIFT_BLOCK, SHIFT_BLOCK + 1, 58])
+    def test_matches_per_path_reference(self, R):
+        grid = make_grid(16, 16)
+        ch = mixed_channel(R, grid, seed=40 + R)
+        rng = np.random.default_rng(R)
+        f = rng.standard_normal(grid.L) + 1j * rng.standard_normal(grid.L)
+        want = per_path_apply(f, ch, grid)
+        assert np.abs(apply_channel(f, ch, grid) - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_late_path_in_any_block_rejected(self, desk):
+        grid, _ = desk
+        ok = Scatterer(0.0, 0.0, 1.0)
+        late = Scatterer(grid.duration, 0.0, 1.0)
+        for k in (0, SHIFT_BLOCK, SHIFT_BLOCK + 2):
+            paths = [ok] * (SHIFT_BLOCK + 3)
+            paths[k] = late
+            ch = DDChannel(scatterers=tuple(paths), tau_max=grid.duration, nu_max=1.0)
+            with pytest.raises(ChannelError, match="exceeds the frame duration"):
+                apply_channel(np.zeros(grid.L, dtype=complex), ch, grid)
+
 
 class TestAddNoise:
     def test_zero_variance_identity(self, desk):
@@ -172,6 +226,15 @@ class TestTrueCmd:
                     oracle[m, n] += amp * np.exp(
                         2j * np.pi * (n * grid.T * s.nu - m * grid.F * s.tau))
         assert np.abs(h - oracle).max() < 1e-12
+
+    @pytest.mark.parametrize("R", [1, SHIFT_BLOCK, SHIFT_BLOCK + 1, 58])
+    def test_matches_per_path_reference(self, R):
+        grid = make_grid(16, 16)
+        pulse = tight_orthogonalize(gaussian_prototype(grid), grid)
+        ch = mixed_channel(R, grid, seed=70 + R)
+        want = per_path_cmd(ch, pulse, pulse, grid)
+        got = true_cmd(ch, pulse, pulse, grid)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestLeakage:

@@ -1,9 +1,12 @@
 """Tests for the Gabor signaling module."""
 
+import math
+
 import numpy as np
 import pytest
 
 from ddlf.gabor import (
+    SHIFT_BLOCK,
     FrameError,
     GaborGrid,
     GridError,
@@ -34,6 +37,26 @@ def dense_atoms(g, grid):
             atoms[:, m * grid.N + n] = (np.roll(g.samples, n * a)
                                         * np.exp(2j * np.pi * m * b * k / L))
     return atoms
+
+
+def per_residue_tight(prototype, grid):
+    """Reference: one N x N frame-operator eigenproblem for each of the a residues."""
+    a, b, L, N = grid.time_shift, grid.freq_shift, grid.L, grid.N
+    g0 = prototype.samples
+    out = np.empty(L, dtype=complex)
+    for r in range(a):
+        idx = (r + a * np.arange(N)) % L
+        V = g0[(idx[None, :] - (np.arange(b) * grid.M)[:, None]) % L]
+        w, U = np.linalg.eigh(a * (V.T @ V.conj()))
+        out[idx] = ((U * w**-0.5) @ U.conj().T) @ g0[idx]
+    return out / np.linalg.norm(out)
+
+
+def scalar_ambiguity(gamma, g, tau, nu, grid):
+    """Reference: A(tau, nu) from one fractional shift and a per-sample exp ramp."""
+    shifted = fractional_shift(gamma.samples, tau * grid.fs)
+    ramp = np.exp(2j * np.pi * nu * centered_times(grid))
+    return complex(np.vdot(g.samples, shifted * ramp))
 
 
 class TestGrid:
@@ -116,6 +139,37 @@ class TestTightOrthogonalize:
         grid = make_grid(16, 17, 1.25)
         with pytest.raises(FrameError):
             tight_orthogonalize(gaussian_prototype(grid), grid)
+
+    @pytest.mark.parametrize("M, N, tf, d", [
+        (4, 4, 1.25, 1),    # a = 5: gcd(a, M) = 1, every residue its own rotation
+        (12, 20, 1.25, 3),  # a = 15: 1 < d < M
+        (8, 8, 2.0, 8),     # a = 16: d = M, s = 0
+        (16, 16, 1.25, 4),  # a = 20
+    ])
+    @pytest.mark.parametrize("spread", [0.6, 1.0, 1.7])
+    def test_matches_per_residue_reference(self, M, N, tf, d, spread):
+        grid = make_grid(M, N, tf)
+        assert math.gcd(grid.time_shift, grid.M) == d
+        proto = gaussian_prototype(grid, spread)
+        want = per_residue_tight(proto, grid)
+        assert np.abs(tight_orthogonalize(proto, grid).samples - want).max() <= 1e-12
+
+    def test_matches_per_residue_reference_unsymmetric(self):
+        # a complex, asymmetric prototype exercises the index rotation fully
+        grid = make_grid(12, 20)
+        rng = np.random.default_rng(21)
+        g = gaussian_prototype(grid).samples * (1 + 0.3 * rng.standard_normal(grid.L)
+                                                + 0.3j * rng.standard_normal(grid.L))
+        proto = Pulse(samples=g / np.linalg.norm(g))
+        want = per_residue_tight(proto, grid)
+        assert np.abs(tight_orthogonalize(proto, grid).samples - want).max() <= 1e-12
+
+    def test_rejects_ill_conditioned(self):
+        grid = make_grid(8, 8)
+        proto = gaussian_prototype(grid, spread=0.35)
+        tight_orthogonalize(proto, grid)
+        with pytest.raises(FrameError, match="ill-conditioned"):
+            tight_orthogonalize(proto, grid, cond_limit=1.0)
 
     def test_rejects_degenerate_prototype(self):
         # a near-delta prototype cannot span the lattice
@@ -223,6 +277,44 @@ class TestCrossAmbiguity:
         grid, g = tight_pulse(8, 8)
         with pytest.raises(ValueError):
             cross_ambiguity(g, g, grid.duration * 1.5, 0.0, grid)
+
+    def test_array_matches_scalar_reference(self):
+        grid, g = tight_pulse(8, 8)
+        gamma = Pulse(samples=np.roll(g.samples, 3))
+        rng = np.random.default_rng(11)
+        shape = (3, SHIFT_BLOCK + 1)
+        tau = rng.uniform(-0.9, 0.9, shape) * grid.duration
+        nu = rng.uniform(-3, 3, shape) * grid.F
+        tau[0, 0], nu[0, 0] = 0.0, 0.0
+        tau[1, :4] = np.arange(4) * grid.T  # on-grid delays
+        got = cross_ambiguity(gamma, g, tau, nu, grid)
+        assert got.shape == shape
+        want = np.vectorize(lambda t, n: scalar_ambiguity(gamma, g, t, n, grid))(tau, nu)
+        assert np.abs(got - want).max() <= 1e-12
+        for i, j in np.ndindex(shape):
+            val = cross_ambiguity(gamma, g, tau[i, j], nu[i, j], grid)
+            assert type(val) is complex
+            assert abs(val - got[i, j]) <= 1e-14
+
+    def test_array_broadcasts(self):
+        grid, g = tight_pulse(8, 8)
+        taus = np.linspace(-grid.T, grid.T, 5)
+        nus = np.linspace(-grid.F, grid.F, 4)
+        raster = cross_ambiguity(g, g, taus[:, None], nus[None, :], grid)
+        assert raster.shape == (5, 4)
+        for i, tau in enumerate(taus):
+            for j, nu in enumerate(nus):
+                assert abs(raster[i, j] - scalar_ambiguity(g, g, tau, nu, grid)) <= 1e-12
+        assert cross_ambiguity(g, g, np.zeros(0), 0.0, grid).shape == (0,)
+
+    def test_array_rejects_any_out_of_range_delay(self):
+        grid, g = tight_pulse(8, 8)
+        tau = np.zeros(2 * SHIFT_BLOCK + 3)
+        for k in (0, SHIFT_BLOCK + 1, len(tau) - 1):
+            bad = tau.copy()
+            bad[k] = -grid.duration
+            with pytest.raises(ValueError, match="exceeds the frame duration"):
+                cross_ambiguity(g, g, bad, 0.0, grid)
 
 
 class TestFractionalShift:

@@ -133,6 +133,21 @@ class TestPlacementType:
             PilotPlacement(M=1, N=2, M_data=1, N_data=1,
                            pilot_indices=((0, 0),), data_indices=((0, 0),))
 
+    def test_index_arrays_built_once_and_read_only(self):
+        pl = accordion_placement(8, 6, 2)
+        pr, pc = pl.pilot_array_indices()
+        dr, dc = pl.data_array_indices()
+        again = pl.pilot_array_indices() + pl.data_array_indices()
+        assert all(x is y for x, y in zip(again, (pr, pc, dr, dc)))
+        for arr in (pr, pc, dr, dc):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert list(zip(pr.tolist(), pc.tolist())) == list(pl.pilot_indices)
+        assert list(zip(dr.tolist(), dc.tolist())) == list(pl.data_indices)
+        empty_r, empty_c = all_data_placement(2, 2).pilot_array_indices()
+        assert empty_r.shape == empty_c.shape == (0,) and empty_r.dtype.kind == "i"
+
     def test_all_data(self):
         pl = all_data_placement(4, 4)
         assert pl.P == 0 and len(pl.data_indices) == 16

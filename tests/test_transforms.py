@@ -1,5 +1,7 @@
 """Tests for the orthogonal precoding module."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,19 @@ class TestPrecoder:
         assert np.array_equal(encode(X, a), encode(X, b))
         c = Precoder(kind="random", shape=(8, 8), seed=4)
         assert not np.allclose(encode(X, a), encode(X, c))
+
+    def test_random_decode_copies_no_matrix(self):
+        p = Precoder(kind="random", shape=(16, 16), seed=5)  # one 256 x 256 block
+        Y = encode(rand_frame((16, 16), 18), p)
+        decode(Y, p)
+        tracemalloc.start()
+        try:
+            X = decode(Y, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p._matrix.nbytes / 8
+        assert np.abs(encode(X, p) - Y).max() < 1e-12
 
     def test_fwht_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
