@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .piloting import PilotPlacement, PilotSequence
 
@@ -268,6 +268,15 @@ def _real_matvec(R: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out[:, 0] + 1j * out[:, 1]
 
 
+def _upper_band(A: sp.spmatrix) -> np.ndarray:
+    """LAPACK upper band storage, band[u + i - j, j] = A[i, j], of a symmetric matrix."""
+    A = sp.triu(A, format="coo")
+    u = int((A.col - A.row).max())
+    band = np.zeros((u + 1, A.shape[0]))
+    band[u + A.row - A.col, A.col] = A.data
+    return band
+
+
 @lru_cache(maxsize=4)
 def _srh_operator(M: int, N: int, pilot_indices: tuple, alpha: float, beta: float):
     """The SRH minimizer as a linear map of the pilot samples: (E, V, lam).
@@ -296,14 +305,15 @@ def _srh_operator(M: int, N: int, pilot_indices: tuple, alpha: float, beta: floa
     free = np.flatnonzero(free)
     A = A.tocsc()
     A_fp = A[free][:, pvar].tocsc()
-    # A_ff is symmetric positive definite: symmetric ordering, no pivoting
-    lu = spla.splu(A[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0, options=dict(SymmetricMode=True))
+    # A_ff is symmetric positive definite and banded in row-major order (the
+    # 5x5 reach of D^T D spans about 2(N+2) columns)
+    chol = (sla.cholesky_banded(_upper_band(A[free][:, free]), overwrite_ab=True,
+                                check_finite=False), False)
     E = np.zeros((nvar, P))
     E[pvar, np.arange(P)] = 1.0
     S = A[pvar][:, pvar].toarray()
     for j in range(0, P, 32):  # column blocks keep the dense right-hand sides small
-        X = -lu.solve(A_fp[:, j:j + 32].toarray())
+        X = -sla.cho_solve_banded(chol, A_fp[:, j:j + 32].toarray(), check_finite=False)
         E[free, j:j + 32] = X
         S[:, j:j + 32] += A_fp.T @ X
     # S is PSD; its null space (affine fields at the pilots) may come out

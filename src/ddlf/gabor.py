@@ -181,45 +181,67 @@ def tight_orthogonalize(prototype: Pulse, grid: GaborGrid,
     return Pulse(samples=out)
 
 
+def _fold(grid: GaborGrid) -> tuple[int, np.ndarray]:
+    """Fold length K = L / gcd(L, b) and the K-point DFT bins m*b/gcd(L, b).
+
+    Bin m*b of an L-point DFT is bin m*b/gcd(L, b) of the K-point DFT of the
+    signal summed over its L/K blocks of length K (folded mod K); K = M when
+    the M channels tile the band (M*b = L).
+    """
+    b = grid.freq_shift
+    g = math.gcd(grid.L, b)
+    return grid.L // g, (b // g) * np.arange(grid.M)
+
+
 def synthesize(x: np.ndarray, g_tx: Pulse, grid: GaborGrid) -> np.ndarray:
     """Build the length-L transmit signal sum_{m,n} x[m,n] g(t - nT) e^{2j pi m F t}.
 
-    Per time slot n, the modulated sum over m is an unnormalized inverse
-    L-point DFT of a spectrum holding x[:, n] at bins m*b; it is windowed by
-    the pulse delayed by n*a samples.
+    The modulated sum over m of time slot n repeats every K = L / gcd(L, b)
+    samples: it is the unnormalized inverse K-point DFT of x[:, n] placed at
+    bins m*b/gcd(L, b), tiled L/K times, and one batched inverse FFT gives all
+    N slots. Each slot is then windowed by the pulse delayed by n*a samples and
+    added in, one slot at a time, so the working set stays O(L).
     """
     x = np.asarray(x)
     if x.shape != (grid.M, grid.N):
         raise ValueError(f"frame shape {x.shape} does not match grid ({grid.M}, {grid.N})")
     if len(g_tx.samples) != grid.L:
         raise ValueError("pulse length does not match grid")
-    bins = grid.freq_shift * np.arange(grid.M)
-    spectrum = np.zeros(grid.L, dtype=complex)
-    out = np.zeros(grid.L, dtype=complex)
+    L, a = grid.L, grid.time_shift
+    K, bins = _fold(grid)
+    spectrum = np.zeros((grid.N, K), dtype=complex)
+    spectrum[:, bins] = x.T
+    slots = np.fft.ifft(spectrum, axis=1, norm="forward")
+    win = np.tile(g_tx.samples, 2)  # win[L - s:2L - s] is the pulse delayed by s
+    out = np.zeros(L, dtype=complex)
+    folded, prod = out.reshape(L // K, K), np.empty((L // K, K), dtype=complex)
     for n in range(grid.N):
-        spectrum[bins] = x[:, n]
-        out += np.fft.ifft(spectrum, norm="forward") * np.roll(g_tx.samples, n * grid.time_shift)
+        folded += np.multiply(win[L - n * a:2 * L - n * a].reshape(L // K, K), slots[n], out=prod)
     return out
 
 
 def analyze(f: np.ndarray, g_rx: Pulse, grid: GaborGrid) -> np.ndarray:
     """Project a length-L signal onto the Gabor atoms of the receive pulse.
 
-    Returns the M x N frame of inner products y[m, n] = <f, g_{m,n}>: per
-    time slot n, the L-point DFT of f times the conjugate pulse delayed by
-    n*a samples, read at bins m*b.
+    Returns the M x N frame of inner products y[m, n] = <f, g_{m,n}>: the
+    L-point DFT of f times the conjugate pulse delayed by n*a samples, read
+    at bins m*b. Each windowed slot is folded mod K = L / gcd(L, b), and one
+    batched K-point FFT of the N folded slots gives every bin that is read.
     """
     f = np.asarray(f)
     if f.shape != (grid.L,):
         raise ValueError(f"signal length {f.shape} does not match grid L = {grid.L}")
     if len(g_rx.samples) != grid.L:
         raise ValueError("pulse length does not match grid")
-    bins = grid.freq_shift * np.arange(grid.M)
-    g_conj = g_rx.samples.conj()
-    out = np.empty((grid.M, grid.N), dtype=complex)
+    L, a = grid.L, grid.time_shift
+    K, bins = _fold(grid)
+    win = np.tile(g_rx.samples.conj(), 2)  # win[L - s:2L - s] is g* delayed by s
+    folded = np.empty((grid.N, K), dtype=complex)
+    prod = np.empty(L, dtype=complex)
     for n in range(grid.N):
-        out[:, n] = np.fft.fft(f * np.roll(g_conj, n * grid.time_shift))[bins]
-    return out
+        np.multiply(f, win[L - n * a:2 * L - n * a], out=prod)
+        prod.reshape(L // K, K).sum(axis=0, out=folded[n])
+    return np.ascontiguousarray(np.fft.fft(folded, axis=1)[:, bins].T)
 
 
 # shifts per batched inverse FFT in cross_ambiguity and channel.apply_channel:
@@ -261,7 +283,8 @@ def cross_ambiguity(gamma: Pulse, g: Pulse, tau: float | np.ndarray, nu: float |
     A(0, 0) equals the inner product <gamma, g> (= 1 for gamma = g unit-norm).
     tau and nu broadcast against each other: scalars give a complex, arrays
     an array of A over the broadcast shape, from one FFT of gamma and one
-    inverse FFT per (tau, nu) pair, SHIFT_BLOCK pairs at a time.
+    inverse FFT per distinct tau, SHIFT_BLOCK delays at a time; each pair then
+    costs one Doppler ramp and one dot product.
     """
     if len(gamma.samples) != len(g.samples):
         raise ValueError("pulses must share the sample grid")
@@ -271,11 +294,19 @@ def cross_ambiguity(gamma: Pulse, g: Pulse, tau: float | np.ndarray, nu: float |
     L = grid.L
     spectrum = np.fft.fft(gamma.samples)
     g_conj = g.samples.conj()
-    taus, nus = tau.ravel(), nu.ravel()
-    out = np.empty(taus.shape, dtype=complex)
-    for i in range(0, len(out), SHIFT_BLOCK):
-        blk = slice(i, i + SHIFT_BLOCK)
+    nus = nu.ravel()
+    delays, which = np.unique(tau.ravel(), return_inverse=True)
+    order = np.argsort(which, kind="stable")  # pairs grouped by delay
+    starts = np.searchsorted(which[order], np.arange(0, len(delays) + SHIFT_BLOCK, SHIFT_BLOCK))
+    out = np.empty(nus.shape, dtype=complex)
+    for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
         # delay ramp over the two-sided DFT bins, Doppler over centered times
-        shifted = np.fft.ifft(spectrum * _phasors(-taus[blk] * grid.fs / L, L, signed=True))
-        out[blk] = (shifted * _phasors(nus[blk] / grid.fs, L, signed=True)) @ g_conj
+        blk = delays[i * SHIFT_BLOCK:(i + 1) * SHIFT_BLOCK]
+        shifted = np.fft.ifft(spectrum * _phasors(-blk * grid.fs / L, L, signed=True))
+        for j in range(lo, hi, SHIFT_BLOCK):
+            pairs = order[j:min(j + SHIFT_BLOCK, hi)]
+            ramps = _phasors(nus[pairs] / grid.fs, L, signed=True)
+            ramps *= g_conj
+            # row by row: gathering the shifted rows costs more than the dots
+            out[pairs] = [r @ shifted[k] for r, k in zip(ramps, which[pairs] - i * SHIFT_BLOCK)]
     return complex(out[0]) if tau.ndim == 0 else out.reshape(tau.shape)

@@ -150,6 +150,22 @@ def resolve_spreads(cfg: ExperimentConfig, grid: gabor.GaborGrid) -> tuple[float
     return tau_max, nu_max
 
 
+def validate_point(cfg: ExperimentConfig):
+    """Check a sweep point's placement, grid and channel spreads without
+    building its pulse or precoder; a ValueError names the offending key."""
+    pl = build_placement(cfg)
+    grid = build_grid(cfg, pl)
+    tau_max, nu_max = resolve_spreads(cfg, grid)
+    if tau_max >= grid.duration:
+        raise ValueError(f"tau_max: {tau_max:.6g} s is not below the frame duration "
+                         f"{grid.duration:.6g} s")
+    if 2.0 * tau_max * nu_max >= 0.1:
+        doppler_key = "velocity" if cfg.velocity is not None else "nu_max"
+        raise ValueError(f"tau_max, {doppler_key}: 2*tau_max*nu_max = "
+                         f"{2.0 * tau_max * nu_max:.3g} >= 0.1 (tau_max = {tau_max:.6g} s, "
+                         f"nu_max = {nu_max:.6g} Hz); the channel is not underspread")
+
+
 def _estimator_config(name: str, cfg: ExperimentConfig, grid: gabor.GaborGrid,
                       sigma2: float, sigma_z2: float,
                       tau_max: float, nu_max: float) -> est.EstimatorConfig:
@@ -311,11 +327,14 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values) -> list[ResultRow]:
     """Cross-product execution over the axis values and configured estimators.
 
     The pilots axis keeps the transmit frame fixed and trades data cells for
-    pilot cells; velocity values are km/h; snr values are dB.
+    pilot cells; velocity values are km/h; snr values are dB. Every point is
+    validated before the first trial runs.
     """
+    points = [_sweep_config(cfg, axis, value) for value in values]
+    for point_cfg, _ in points:
+        validate_point(point_cfg)
     rows = []
-    for value in values:
-        point_cfg, snr = _sweep_config(cfg, axis, value)
+    for point_cfg, snr in points:
         point = run_point(point_cfg, snr)
         for name in point_cfg.estimators:
             rows.append(_aggregate(point_cfg, snr, name, point[name],

@@ -1,9 +1,12 @@
 """Tests for the Gabor signaling module."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlf.gabor import (
     SHIFT_BLOCK,
@@ -179,11 +182,12 @@ class TestTightOrthogonalize:
 
 
 class TestFilterbank:
-    @pytest.mark.parametrize("M, N", [(8, 8), (16, 17)])
+    @pytest.mark.parametrize("M, N", [(8, 8), (16, 17), (16, 18), (12, 20)])
     def test_matches_dense_atom_reference(self, M, N):
-        # (8, 8) tiles the band (M*b = L); (16, 17) leaves a gap (M*b < L)
+        # (8, 8) and (12, 20) tile the band (M*b = L, fold length K = M);
+        # (16, 17) and (16, 18) leave a gap (M*b < L) with K = L and K = L/2
         grid = make_grid(M, N, 1.25)
-        assert (grid.M * grid.freq_shift == grid.L) == (M == N)
+        assert (grid.M * grid.freq_shift == grid.L) == (N * 1.25).is_integer()
         g = gaussian_prototype(grid)
         atoms = dense_atoms(g, grid)
         rng = np.random.default_rng(10)
@@ -237,6 +241,68 @@ class TestFilterbank:
             synthesize(np.zeros((4, 8)), g, grid)
         with pytest.raises(ValueError):
             analyze(np.zeros(grid.L + 1, dtype=complex), g, grid)
+
+
+@lru_cache(maxsize=None)
+def property_grid(M, N):
+    """Grid, Gaussian prototype and (on tiling grids) tight pulse for the property tests."""
+    grid = make_grid(M, N, 1.25)
+    proto = gaussian_prototype(grid, 0.8)
+    tight = (tight_orthogonalize(proto, grid) if grid.M * grid.freq_shift == grid.L
+             else None)
+    return grid, proto, tight
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# (4, 4), (8, 8) and (12, 20) tile the band (K = M, with M = N and M != N);
+# (16, 18) folds mod K = L/2 and (16, 17) mod K = L
+PROPERTY_GRIDS = [(4, 4), (8, 8), (12, 20), (16, 18), (16, 17)]
+TILING_GRIDS = [(4, 4), (8, 8), (12, 20)]
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestFilterbankProperties:
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(shape=st.sampled_from(PROPERTY_GRIDS), seed=seeds, generic=st.booleans())
+    def test_adjoint(self, shape, seed, generic):
+        # <synthesize(x), f> = <x, analyze(f)>, also for a pulse with no symmetry
+        grid, proto, _ = property_grid(*shape)
+        rng = np.random.default_rng(seed)
+        g = proto
+        if generic:
+            p = complex_normal(rng, grid.L)
+            g = Pulse(samples=p / np.linalg.norm(p))
+        x = complex_normal(rng, (grid.M, grid.N))
+        f = complex_normal(rng, grid.L)
+        lhs = np.vdot(f, synthesize(x, g, grid))
+        rhs = np.vdot(analyze(f, g, grid), x)
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(f)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(shape=st.sampled_from(PROPERTY_GRIDS), seed=seeds,
+           c=st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False))
+    def test_linear(self, shape, seed, c):
+        grid, g, _ = property_grid(*shape)
+        rng = np.random.default_rng(seed)
+        x1, x2 = complex_normal(rng, (2, grid.M, grid.N))
+        f1, f2 = complex_normal(rng, (2, grid.L))
+        tol = 1e-12 * (1 + abs(c))
+        syn = synthesize(x1 + c * x2, g, grid)
+        assert np.abs(syn - synthesize(x1, g, grid) - c * synthesize(x2, g, grid)).max() \
+            <= tol * np.abs(syn).max()
+        ana = analyze(f1 + c * f2, g, grid)
+        assert np.abs(ana - analyze(f1, g, grid) - c * analyze(f2, g, grid)).max() \
+            <= tol * np.abs(ana).max()
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(shape=st.sampled_from(TILING_GRIDS), seed=seeds)
+    def test_tight_pulse_reconstructs(self, shape, seed):
+        grid, _, g = property_grid(*shape)
+        x = complex_normal(np.random.default_rng(seed), (grid.M, grid.N))
+        assert np.abs(analyze(synthesize(x, g, grid), g, grid) - x).max() <= 1e-9
 
 
 class TestCrossAmbiguity:
@@ -315,6 +381,39 @@ class TestCrossAmbiguity:
             bad[k] = -grid.duration
             with pytest.raises(ValueError, match="exceeds the frame duration"):
                 cross_ambiguity(g, g, bad, 0.0, grid)
+
+    def test_repeated_delays_match_scalar_calls(self):
+        grid, g = tight_pulse(8, 8)
+        gamma = Pulse(samples=np.roll(g.samples, 5))
+        rng = np.random.default_rng(12)
+        # 11 distinct delays (two delay blocks), each shared by 6 to 14 pairs
+        delays = rng.uniform(-0.9, 0.9, 11) * grid.duration
+        tau = rng.choice(delays, size=(6, 2 * SHIFT_BLOCK + 1))
+        nu = rng.uniform(-3, 3, tau.shape) * grid.F
+        got = cross_ambiguity(gamma, g, tau, nu, grid)
+        for i, j in np.ndindex(tau.shape):
+            assert abs(got[i, j] - cross_ambiguity(gamma, g, tau[i, j], nu[i, j], grid)) <= 1e-12
+        assert np.abs(got - np.vectorize(
+            lambda t, n: scalar_ambiguity(gamma, g, t, n, grid))(tau, nu)).max() <= 1e-12
+        bad = tau.copy()
+        bad[-1, -1] = grid.duration
+        with pytest.raises(ValueError, match="exceeds the frame duration"):
+            cross_ambiguity(gamma, g, bad, nu, grid)
+
+    def test_one_inverse_fft_per_distinct_delay(self, monkeypatch):
+        grid, g = tight_pulse(8, 8)
+        rows = []
+        ifft = np.fft.ifft
+
+        def counting_ifft(a, *args, **kw):
+            rows.append(np.shape(a)[0] if np.ndim(a) > 1 else 1)
+            return ifft(a, *args, **kw)
+
+        monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+        taus = np.linspace(-2 * grid.T, 2 * grid.T, 33)
+        nus = np.linspace(-2 * grid.F, 2 * grid.F, 33)
+        cross_ambiguity(g, g, taus[:, None], nus[None, :], grid)
+        assert sum(rows) == 33
 
 
 class TestFractionalShift:

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ddlf import harness
 from ddlf.harness import (
     ExperimentConfig,
     build_grid,
@@ -107,6 +108,39 @@ class TestSweep:
     def test_unknown_axis(self):
         with pytest.raises(ValueError):
             run_sweep(quiet_cfg(), "temperature", [1.0])
+
+
+class TestSweepValidation:
+    """A bad sweep point fails before any trial of any point runs."""
+
+    @pytest.fixture
+    def no_trials(self, monkeypatch):
+        monkeypatch.delenv("DDLF_THREADS", raising=False)
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
+        return calls
+
+    def test_velocity_past_underspread(self, no_trials):
+        # desk tau_max is 0.9 us, so 2*tau_max*nu_max >= 0.1 above ~10^4 km/h
+        with pytest.raises(ValueError, match=r"velocity.*not underspread"):
+            run_sweep(quiet_cfg(), "velocity", [50.0, 100.0, 20000.0])
+        assert no_trials == []
+
+    def test_nu_max_past_underspread(self, no_trials):
+        with pytest.raises(ValueError, match=r"tau_max, nu_max:.*>= 0.1"):
+            run_sweep(quiet_cfg(tau_max=1e-6, nu_max=6e4), "snr", [10.0, 15.0])
+        assert no_trials == []
+
+    def test_tau_max_past_frame_duration(self, no_trials):
+        # the 16x16 desk frame lasts 64 us
+        with pytest.raises(ValueError, match="tau_max: .* frame duration"):
+            run_sweep(quiet_cfg(tau_max=64e-6, nu_max=0.0), "snr", [15.0])
+        assert no_trials == []
+
+    def test_bad_pilot_count_on_a_later_point(self, no_trials):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            run_sweep(quiet_cfg(), "pilots", [1, 2, 17])
+        assert no_trials == []
 
 
 class TestDeterminism:
