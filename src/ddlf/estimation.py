@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .piloting import PilotPlacement, PilotSequence
 
@@ -227,25 +227,6 @@ def srh_objective(h_ex: np.ndarray, h_pilot: np.ndarray, pl: PilotPlacement,
     return weighted_hessian_energy(h_ex, alpha, beta) + omega * float(fid)
 
 
-def _conv_operator(kernel: np.ndarray, M: int, N: int) -> sp.csr_matrix:
-    """Sparse matrix of the valid convolution, mapping (M+2)(N+2) -> M*N."""
-    ncols = N + 2
-    mm, nn = np.meshgrid(np.arange(M), np.arange(N), indexing="ij")
-    out_idx = (mm * N + nn).reshape(-1)
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            if kernel[i, j]:
-                src = ((mm + 2 - i) * ncols + (nn + 2 - j)).reshape(-1)
-                rows.append(out_idx)
-                cols.append(src)
-                vals.append(np.full(out_idx.shape, kernel[i, j]))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(M * N, (M + 2) * (N + 2)),
-    )
-
-
 def _resolve_srh_params(pl: PilotPlacement, cfg: EstimatorConfig):
     if cfg.variant in ("srh-ma", "srh-mna"):
         if cfg.alpha is None or cfg.beta is None:
@@ -268,54 +249,61 @@ def _real_matvec(R: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out[:, 0] + 1j * out[:, 1]
 
 
-def _upper_band(A: sp.spmatrix) -> np.ndarray:
-    """LAPACK upper band storage, band[u + i - j, j] = A[i, j], of a symmetric matrix."""
-    A = sp.triu(A, format="coo")
-    u = int((A.col - A.row).max())
-    band = np.zeros((u + 1, A.shape[0]))
-    band[u + A.row - A.col, A.col] = A.data
-    return band
-
-
 @lru_cache(maxsize=4)
 def _srh_operator(M: int, N: int, pilot_indices: tuple, alpha: float, beta: float):
     """The SRH minimizer as a linear map of the pilot samples: (E, V, lam).
 
     For fixed pilot cells and curvature weights, eliminating the free cells
     leaves the P x P Schur complement S = V diag(lam) V^T of the Hessian
-    operator on the pilots. For any omega the pilot values of the minimizer
-    are h_p = V diag(omega / (lam + omega)) V^T h_pilot, and the whole
-    (M+2)(N+2) extension is E h_p with E = [I; -A_ff^-1 A_fp] (rows of the
-    inactive border cells are zero).
+    operator A = sum_k w_k D_k^T D_k on the pilots. For any omega the pilot
+    values of the minimizer are h_p = V diag(omega / (lam + omega)) V^T h_pilot,
+    and the whole (M+2)(N+2) extension is E h_p with E = [I; -A_ff^-1 A_fp]
+    (rows of the border cells no stencil reaches are zero).
+
+    A is banded in row-major order: a stencil tap at kernel[i, j] reads cell
+    out - s with s = i (N+2) + j, so each tap pair of a kernel adds one
+    diagonal of A within half-bandwidth u = 2(N+2) + 2. It is assembled in
+    LAPACK upper band storage, band[u + r - c, c] = A[r, c]. The pilot columns
+    move to a dense right-hand side, and the pilots and unreached cells get a
+    unit diagonal, so one banded Cholesky A_ff = U^T U covers the free cells
+    in place. Then Z = U^-T A_fp gives S = A_pp - Z^T Z and E_free = -U^-1 Z.
     """
-    nvar = (M + 2) * (N + 2)
+    w = N + 2
+    u = 2 * w + 2
+    nvar = (M + 2) * w
+    out = (np.arange(2, M + 2)[:, None] * w + np.arange(2, N + 2)).reshape(-1)
+    band = np.zeros((u + 1, nvar))
     phi_tt, phi_ff, phi_tf = hessian_kernels()
-    A = sp.csr_matrix((nvar, nvar))
-    for kern, w in ((phi_ff, alpha**4), (phi_tt, beta**4), (phi_tf, 2 * alpha**2 * beta**2)):
-        D = _conv_operator(kern, M, N)
-        A = A + w * (D.T @ D)
+    for kern, wk in ((phi_ff, alpha**4), (phi_tt, beta**4), (phi_tf, 2 * alpha**2 * beta**2)):
+        taps = [(i * w + j, kern[i, j]) for i, j in zip(*np.nonzero(kern))]
+        for s1, k1 in taps:
+            for s2, k2 in taps:
+                if s1 >= s2:  # entry (out - s1, out - s2) of the upper triangle
+                    band[u - s1 + s2, out - s2] += wk * k1 * k2
 
     pr, pc = np.array(pilot_indices, dtype=int).reshape(-1, 2).T
-    pvar = (pr + 1) * (N + 2) + (pc + 1)
+    pvar = (pr + 1) * w + (pc + 1)
     P = len(pvar)
-    # border cells untouched by any stencil carry no information and stay 0;
-    # the remaining non-pilot cells are eliminated
-    free = A.diagonal() > 0
-    free[pvar] = False
-    free = np.flatnonzero(free)
-    A = A.tocsc()
-    A_fp = A[free][:, pvar].tocsc()
-    # A_ff is symmetric positive definite and banded in row-major order (the
-    # 5x5 reach of D^T D spans about 2(N+2) columns)
-    chol = (sla.cholesky_banded(_upper_band(A[free][:, free]), overwrite_ab=True,
-                                check_finite=False), False)
-    E = np.zeros((nvar, P))
+    d = np.arange(u + 1)[:, None]
+    rows = np.concatenate([pvar - d, pvar + d])  # rows of A in the pilot columns
+    cols = np.broadcast_to(np.arange(P), rows.shape)
+    inside = (rows >= 0) & (rows < nvar)
+    rows, cols = rows[inside], cols[inside]
+    c = pvar[cols]
+    at = (u - np.abs(rows - c), np.maximum(rows, c))  # A[r, c] = A[c, r] sits here
+    B = np.zeros((nvar, P), order="F")
+    B[rows, cols] = band[at]
+    band[at] = 0.0
+    band[u, band[u] == 0.0] = 1.0  # pilots and unreached border cells
+    S = B[pvar]  # A_pp; the rest of B is A_fp
+    B[pvar] = 0.0
+    U = sla.cholesky_banded(band, overwrite_ab=True, check_finite=False)
+    Z, info_t = lapack.dtbtrs(U, B, trans="T", overwrite_b=True)
+    S -= Z.T @ Z
+    E, info_n = lapack.dtbtrs(U, np.negative(Z, out=Z), overwrite_b=True)
+    if info_t or info_n:
+        raise np.linalg.LinAlgError(f"banded triangular solve failed (info {info_t}, {info_n})")
     E[pvar, np.arange(P)] = 1.0
-    S = A[pvar][:, pvar].toarray()
-    for j in range(0, P, 32):  # column blocks keep the dense right-hand sides small
-        X = -sla.cho_solve_banded(chol, A_fp[:, j:j + 32].toarray(), check_finite=False)
-        E[free, j:j + 32] = X
-        S[:, j:j + 32] += A_fp.T @ X
     # S is PSD; its null space (affine fields at the pilots) may come out
     # slightly negative
     lam, V = np.linalg.eigh(0.5 * (S + S.T))

@@ -15,6 +15,7 @@ import dataclasses
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,8 +77,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.pilots_per_row == 0 and set(self.estimators) != {"perfect"}:
             raise ValueError("a pilot-free frame supports only the 'perfect' estimator")
-        if isinstance(self.sigma_z2, str) and self.sigma_z2 != "auto":
-            raise ValueError("sigma_z2 must be 'auto' or a number")
+        if self.sigma_z2 != "auto" if isinstance(self.sigma_z2, str) else self.sigma_z2 < 0:
+            raise ValueError("sigma_z2 must be 'auto' or a nonnegative number")
 
 
 @dataclass(frozen=True)
@@ -150,20 +151,47 @@ def resolve_spreads(cfg: ExperimentConfig, grid: gabor.GaborGrid) -> tuple[float
     return tau_max, nu_max
 
 
+@contextmanager
+def _config_key(key: str):
+    """Prefix an error raised inside the block with the config key(s) it comes from."""
+    try:
+        yield
+    except (ValueError, gabor.FrameError) as e:
+        raise type(e)(f"{key}: {e}") from e
+
+
 def validate_point(cfg: ExperimentConfig):
-    """Check a sweep point's placement, grid and channel spreads without
-    building its pulse or precoder; a ValueError names the offending key."""
+    """Check a sweep point before any trial runs, by building what a trial
+    builds except the precoder: placement, grid, spreads, channel config,
+    tight pulse, reconstruction grid and every estimator config. Each uses its
+    own checks, and an error names the offending key. The tight pulse is
+    cached, so the trials reuse it."""
     pl = build_placement(cfg)
     grid = build_grid(cfg, pl)
     tau_max, nu_max = resolve_spreads(cfg, grid)
+    doppler_key = "velocity" if cfg.velocity is not None else "nu_max"
+    if tau_max < 0 or nu_max < 0:
+        raise ValueError(f"tau_max, {doppler_key}: spreads must be nonnegative "
+                         f"(tau_max = {tau_max:.6g} s, nu_max = {nu_max:.6g} Hz)")
     if tau_max >= grid.duration:
         raise ValueError(f"tau_max: {tau_max:.6g} s is not below the frame duration "
                          f"{grid.duration:.6g} s")
     if 2.0 * tau_max * nu_max >= 0.1:
-        doppler_key = "velocity" if cfg.velocity is not None else "nu_max"
         raise ValueError(f"tau_max, {doppler_key}: 2*tau_max*nu_max = "
                          f"{2.0 * tau_max * nu_max:.3g} >= 0.1 (tau_max = {tau_max:.6g} s, "
                          f"nu_max = {nu_max:.6g} Hz); the channel is not underspread")
+    with _config_key("scatterers"):
+        chan.ChannelConfig(R=cfg.scatterers, tau_max=tau_max, nu_max=nu_max)
+    with _config_key("pulse_spread"):
+        _tight_pulse(grid, cfg.pulse_spread)
+    with _config_key("recon_q, recon_w, recon_wn"):
+        grid_k = est.ReconstructionGrid(Q=cfg.recon_q, W=cfg.recon_w, Wn=cfg.recon_wn)
+        if "lmmse" in cfg.estimators:
+            grid_k.validate(pl.M, pl.N)
+    with _config_key("omega"):
+        for name in cfg.estimators:
+            if name != "perfect":
+                _estimator_config(name, cfg, grid, 0.0, 0.0, tau_max, nu_max)
 
 
 def _estimator_config(name: str, cfg: ExperimentConfig, grid: gabor.GaborGrid,

@@ -75,7 +75,7 @@ class Precoder:
     shape: tuple[int, int]
     subframes: int = 1
     seed: int = 0
-    _matrix: np.ndarray | None = field(default=None, repr=False)
+    _matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:

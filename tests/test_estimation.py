@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlf.channel import DDChannel, Scatterer, true_cmd
 from ddlf.estimation import (
@@ -42,6 +44,10 @@ def full_pilot_placement(M, N):
 def sample_at_pilots(field, pl):
     pr, pc = pl.pilot_array_indices()
     return field[pr, pc]
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def srh_reference(h_pilot, pl, alpha, beta, omega):
@@ -398,6 +404,39 @@ class TestSrh:
                                              omega=0.1)).h_tilde
         assert np.abs(iso - aniso).max() > 1e-6
 
+
+# non-square frames: 12 x 20 and 20 x 12; (12, 17, 3) and (20, 8, 4) put
+# pilots in both the first and the last column, (20, 10, 2) only in the first
+SRH_PLACEMENTS = [(12, 17, 3), (20, 10, 2), (20, 8, 4)]
+srh_weights = st.floats(0.25, 4.0)
+srh_log_omega = st.floats(-4.0, 4.0)
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestSrhProperties:
+    @settings(max_examples=30)
+    @given(shape=st.sampled_from(SRH_PLACEMENTS), alpha=srh_weights, beta=srh_weights,
+           log_omega=srh_log_omega, seed=seeds)
+    def test_exact_on_affine_fields(self, shape, alpha, beta, log_omega, seed):
+        pl = accordion_placement(*shape)
+        a, b, c = complex_normal(np.random.default_rng(seed), 3)
+        m, n = np.meshgrid(np.arange(pl.M), np.arange(pl.N), indexing="ij")
+        field = a * m + b * n + c
+        out = srh_estimate(sample_at_pilots(field, pl), pl, EstimatorConfig(
+            variant="srh-ma", alpha=alpha, beta=beta, omega=10.0**log_omega))
+        assert np.abs(out.h_tilde - field).max() <= 1e-6 * np.abs(field).max()
+
+    @settings(max_examples=20)
+    @given(shape=st.sampled_from(SRH_PLACEMENTS), alpha=srh_weights, beta=srh_weights,
+           log_omega=srh_log_omega, seed=seeds)
+    def test_matches_full_normal_equations(self, shape, alpha, beta, log_omega, seed):
+        pl = accordion_placement(*shape)
+        h_pilot = complex_normal(np.random.default_rng(seed), pl.P)
+        omega = 10.0**log_omega
+        out = srh_estimate(h_pilot, pl, EstimatorConfig(variant="srh-ma", alpha=alpha,
+                                                        beta=beta, omega=omega))
+        ref = srh_reference(h_pilot, pl, alpha, beta, omega)
+        assert np.abs(out.h_extended - ref).max() <= 1e-8 * np.abs(ref).max()
 
 class TestEstimatorConfig:
     def test_rejects_unknown_variant(self):

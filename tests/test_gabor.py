@@ -265,7 +265,7 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 class TestFilterbankProperties:
-    @settings(derandomize=True, max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(shape=st.sampled_from(PROPERTY_GRIDS), seed=seeds, generic=st.booleans())
     def test_adjoint(self, shape, seed, generic):
         # <synthesize(x), f> = <x, analyze(f)>, also for a pulse with no symmetry
@@ -281,7 +281,7 @@ class TestFilterbankProperties:
         rhs = np.vdot(analyze(f, g, grid), x)
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(f)
 
-    @settings(derandomize=True, max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(shape=st.sampled_from(PROPERTY_GRIDS), seed=seeds,
            c=st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False))
     def test_linear(self, shape, seed, c):
@@ -297,7 +297,7 @@ class TestFilterbankProperties:
         assert np.abs(ana - analyze(f1, g, grid) - c * analyze(f2, g, grid)).max() \
             <= tol * np.abs(ana).max()
 
-    @settings(derandomize=True, max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(shape=st.sampled_from(TILING_GRIDS), seed=seeds)
     def test_tight_pulse_reconstructs(self, shape, seed):
         grid, _, g = property_grid(*shape)

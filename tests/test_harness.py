@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ddlf import harness
+from ddlf.gabor import FrameError
 from ddlf.harness import (
     ExperimentConfig,
     build_grid,
@@ -34,6 +35,10 @@ class TestConfig:
     def test_rejects_pilot_free_with_estimation(self):
         with pytest.raises(ValueError):
             quiet_cfg(pilots_per_row=0, n_data=16, estimators=("srh",))
+
+    def test_rejects_negative_sigma_z2(self):
+        with pytest.raises(ValueError, match="sigma_z2"):
+            quiet_cfg(sigma_z2=-1.0)
 
     def test_velocity_mapping(self):
         # 200 km/h at 5.9 GHz
@@ -142,6 +147,22 @@ class TestSweepValidation:
             run_sweep(quiet_cfg(), "pilots", [1, 2, 17])
         assert no_trials == []
 
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("omega", dict(omega=-1.0)),
+        ("recon_q", dict(recon_q=-1)),
+        ("recon_wn", dict(recon_wn=40, estimators=("lmmse",))),
+        ("scatterers", dict(scatterers=0)),
+        ("pulse_spread", dict(pulse_spread=0.0)),
+        ("pulse_spread", dict(pulse_spread=20.0)),
+        ("tau_max", dict(tau_max=-1e-6)),
+        ("velocity", dict(velocity=-50.0)),
+    ])
+    def test_bad_value_names_its_key(self, no_trials, key, overrides):
+        with pytest.raises((ValueError, FrameError)) as info:
+            run_sweep(quiet_cfg(**overrides), "snr", [15.0])
+        assert key in str(info.value).split(": ")[0]
+        assert no_trials == []
 
 class TestDeterminism:
     def test_csv_byte_identical(self):

@@ -1,5 +1,6 @@
 """Tests for the orthogonal precoding module."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -123,6 +124,14 @@ class TestPrecoder:
         assert np.array_equal(encode(X, a), encode(X, b))
         c = Precoder(kind="random", shape=(8, 8), seed=4)
         assert not np.allclose(encode(X, a), encode(X, c))
+
+    def test_random_matrix_is_not_a_parameter(self):
+        # the unitary is derived from (kind, shape, subframes, seed), so it is
+        # neither a constructor argument nor part of equality
+        assert "_matrix" not in inspect.signature(Precoder).parameters
+        a = Precoder("random", (8, 8), seed=1)
+        assert a == Precoder("random", (8, 8), seed=1)
+        assert a != Precoder("random", (8, 8), seed=2)
 
     def test_random_decode_copies_no_matrix(self):
         p = Precoder(kind="random", shape=(16, 16), seed=5)  # one 256 x 256 block
