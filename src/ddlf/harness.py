@@ -162,10 +162,10 @@ def _config_key(key: str):
 
 def validate_point(cfg: ExperimentConfig):
     """Check a sweep point before any trial runs, by building what a trial
-    builds except the precoder: placement, grid, spreads, channel config,
-    tight pulse, reconstruction grid and every estimator config. Each uses its
-    own checks, and an error names the offending key. The tight pulse is
-    cached, so the trials reuse it."""
+    builds: placement, grid, spreads, channel config, tight pulse,
+    reconstruction grid, every estimator config and the precoder (without the
+    random kind's QR). Each uses its own checks, and an error names the
+    offending key. The tight pulse is cached, so the trials reuse it."""
     pl = build_placement(cfg)
     grid = build_grid(cfg, pl)
     tau_max, nu_max = resolve_spreads(cfg, grid)
@@ -184,6 +184,9 @@ def validate_point(cfg: ExperimentConfig):
         chan.ChannelConfig(R=cfg.scatterers, tau_max=tau_max, nu_max=nu_max)
     with _config_key("pulse_spread"):
         _tight_pulse(grid, cfg.pulse_spread)
+    with _config_key("precoder, subframes"):
+        transforms.Precoder(kind=cfg.precoder, shape=(pl.M_data, pl.N_data),
+                            subframes=cfg.subframes, seed=cfg.precoder_seed)
     with _config_key("recon_q, recon_w, recon_wn"):
         grid_k = est.ReconstructionGrid(Q=cfg.recon_q, W=cfg.recon_w, Wn=cfg.recon_wn)
         if "lmmse" in cfg.estimators:
@@ -214,12 +217,15 @@ def _estimator_config(name: str, cfg: ExperimentConfig, grid: gabor.GaborGrid,
 
 def _point_operators(cfg: ExperimentConfig):
     """Placement, grid, tight pulse and precoder of a sweep point, each built
-    once per process and shared by its trials."""
+    once per process and shared by its trials. A random precoder's matrix is
+    built here too, so that forked pool workers inherit it."""
     pl = build_placement(cfg)
     grid = build_grid(cfg, pl)
     pulse = _tight_pulse(grid, cfg.pulse_spread)
     precoder = _precoder(cfg.precoder, (pl.M_data, pl.N_data), cfg.subframes,
                          cfg.precoder_seed)
+    if precoder.kind == "random":
+        precoder.matrix
     return pl, grid, pulse, precoder
 
 
@@ -267,7 +273,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
     if pl.P:
         h_pilot = est.partial_cmd(piloting.extract_pilots(y, pl), pilots)
 
-    results: dict[str, link.FrameMetrics] = {}
+    frames: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name in cfg.estimators:
         if name == "perfect":
             h_tilde = h_true
@@ -276,13 +282,14 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
             h_tilde = est.estimate(h_pilot, pl, ecfg).h_tilde
         x_eq = link.mmse_equalize(y, h_tilde, sigma2)
         X_hat = transforms.decode(piloting.demultiplex(x_eq, pl), precoder)
-        bits_rx = link.frame_to_bits(X_hat)
-        info_rx = None
-        if cfg.coding:
-            info_rx = link.conv_code_decode_hard(bits_rx[:len(coded)])
-        results[name] = link.compute_metrics(X_hat, X, bits_tx, bits_rx,
-                                             info_bits, info_rx)
-    return results
+        frames[name] = X_hat, link.frame_to_bits(X_hat)
+
+    info_rx = [None] * len(frames)
+    if cfg.coding:  # every estimator's codeword in one trellis pass
+        info_rx = link.conv_code_decode_hard(
+            np.stack([bits_rx[:len(coded)] for _, bits_rx in frames.values()]))
+    return {name: link.compute_metrics(X_hat, X, bits_tx, bits_rx, info_bits, info)
+            for (name, (X_hat, bits_rx)), info in zip(frames.items(), info_rx)}
 
 
 def _trial_worker(args):

@@ -77,26 +77,24 @@ def mmse_equalize(y: np.ndarray, h_tilde: np.ndarray, sigma2: float) -> np.ndarr
     return np.conj(h_tilde) * y / denom
 
 
-def _conv_output_table():
-    """Per-state next-state and 3-bit output tables for input bits 0 and 1."""
-    states = np.arange(_N_STATES)
-    nxt = np.empty((_N_STATES, 2), dtype=np.int64)
-    out = np.empty((_N_STATES, 2), dtype=np.int64)
-    for bit in (0, 1):
-        reg = (bit << (CONV_K - 1)) | states
-        nxt[:, bit] = reg >> 1
-        sym = np.zeros(_N_STATES, dtype=np.int64)
-        for g in CONV_GENERATORS:
-            taps = reg & g
-            parity = np.zeros(_N_STATES, dtype=np.int64)
-            for shift in range(CONV_K):
-                parity ^= (taps >> shift) & 1
-            sym = (sym << 1) | parity
-        out[:, bit] = sym
-    return nxt, out
+def _branch_distances():
+    """Hamming distance from each received 3-bit symbol r to every trellis
+    branch output, indexed [r, lsb, bit, j]: the branch that leaves state
+    2j + lsb on input bit and enters state bit * 32 + j."""
+    lsb, bit, j = np.ix_((0, 1), (0, 1), np.arange(_N_STATES // 2))
+    reg = (bit << (CONV_K - 1)) | (2 * j + lsb)  # input bit on top of the state
+    out = np.zeros(reg.shape, dtype=np.int64)
+    for g in CONV_GENERATORS:
+        parity = np.zeros_like(out)
+        for shift in range(CONV_K):
+            parity ^= ((reg & g) >> shift) & 1
+        out = (out << 1) | parity
+    pop = np.array([bin(i).count("1") for i in range(8)], dtype=np.int32)
+    return pop[np.arange(8)[:, None, None, None] ^ out]
 
 
-_NEXT_STATE, _OUT_SYM = _conv_output_table()
+_BRANCH_DIST = _branch_distances()
+_ACS_CHUNK = 16  # trellis steps whose branch distances are looked up at once
 
 
 def conv_code_encode(bits: np.ndarray) -> np.ndarray:
@@ -124,40 +122,55 @@ def conv_info_bits(n_bits: int) -> int:
 
 
 def conv_code_decode_hard(coded: np.ndarray) -> np.ndarray:
-    """Hard-decision Viterbi decoding of a zero-tail terminated codeword."""
-    coded = np.asarray(coded).astype(np.int8).reshape(-1)
-    if len(coded) % 3 or len(coded) // 3 < CONV_K - 1:
+    """Hard-decision Viterbi decoding of zero-tail terminated codewords.
+
+    ``coded`` is one codeword of shape (n,) or a stack of B codewords of shape
+    (B, n), with n = 3 * (payload + 6); the result is the payload of shape
+    (n/3 - 6,) or (B, n/3 - 6). One add-compare-select per trellis step serves
+    all B codewords: next state (bit, j) = bit * 32 + j is reached from states
+    2j and 2j + 1, so its two candidate metrics come from the even and odd
+    views of the path metrics, plus branch distances looked up by received
+    symbol. On a tie the even predecessor wins.
+    """
+    coded = np.asarray(coded).astype(np.int8)
+    if coded.ndim not in (1, 2):
+        raise ValueError("coded bits must be one codeword (n,) or a stack (B, n)")
+    stack = coded.reshape(-1, coded.shape[-1])
+    n_cw, n = stack.shape
+    if n % 3 or n // 3 < CONV_K - 1:
         raise ValueError("coded length must be 3*(payload + 6) for the zero-tail code")
-    n_steps = len(coded) // 3
-    syms = (coded[0::3].astype(np.int64) << 2) | (coded[1::3] << 1) | coded[2::3]
+    n_steps = n // 3
+    triples = stack.reshape(n_cw, n_steps, 3)
+    syms = ((triples[..., 0] << 2) | (triples[..., 1] << 1) | triples[..., 2]).T.copy()
 
-    # hamming distance lookup between the 8 possible branch outputs and each symbol
-    pop = np.array([bin(i).count("1") for i in range(8)])
-    big = 1 << 30
-    pm = np.full(_N_STATES, big, dtype=np.int64)
-    pm[0] = 0
-    choice = np.empty((n_steps, _N_STATES), dtype=np.uint8)
+    half = _N_STATES // 2
+    pm = np.full((n_cw, _N_STATES), 1 << 20, dtype=np.int32)  # unreached states
+    pm[:, 0] = 0
+    pred = pm.reshape(n_cw, half, 2).transpose(0, 2, 1)[:, :, None, :]  # [b, lsb, -, j]
+    nxt = pm.reshape(n_cw, 2, half)                                     # [b, bit, j]
+    cand = np.empty((n_cw, 2, 2, half), dtype=np.int32)                 # [b, lsb, bit, j]
+    cand0, cand1 = cand[:, 0], cand[:, 1]
+    choice = np.empty((n_steps, n_cw, 2, half), dtype=bool)  # odd predecessor taken
+    for t0 in range(0, n_steps, _ACS_CHUNK):
+        steps = slice(t0, t0 + _ACS_CHUNK)
+        for dist, take1 in zip(_BRANCH_DIST[syms[steps]], choice[steps]):
+            np.add(pred, dist, out=cand)
+            np.less(cand1, cand0, out=take1)
+            np.minimum(cand0, cand1, out=nxt)
 
-    ns = np.arange(_N_STATES)
-    in_bit = ns >> (CONV_K - 2)           # bit that produced each next-state
-    pred0 = (ns << 1) & (_N_STATES - 1)   # predecessor with old LSB 0
-    pred1 = pred0 | 1
-    bd0 = _OUT_SYM[pred0, in_bit]
-    bd1 = _OUT_SYM[pred1, in_bit]
-    for t in range(n_steps):
-        dist = pop[np.bitwise_xor([bd0, bd1], syms[t])]
-        cand0 = pm[pred0] + dist[0]
-        cand1 = pm[pred1] + dist[1]
-        take1 = cand1 < cand0
-        pm = np.where(take1, cand1, cand0)
-        choice[t] = take1
-
-    state = 0  # zero tail ends in state 0
-    decoded = np.empty(n_steps, dtype=np.int8)
-    for t in range(n_steps - 1, -1, -1):
-        decoded[t] = state >> (CONV_K - 2)
-        state = int(pred1[state] if choice[t, state] else pred0[state])
-    return decoded[:n_steps - (CONV_K - 1)]
+    # bit s of words[b][t] is the choice of codeword b's state s at step t
+    words = np.packbits(choice.reshape(n_steps, n_cw, _N_STATES), axis=-1, bitorder="little")
+    words = words.view("<u8")[..., 0].T.tolist()
+    decoded = np.empty((n_cw, n_steps), dtype=np.int8)
+    for row, word in zip(decoded, words):
+        bits = [0] * n_steps
+        state = 0  # zero tail ends in state 0
+        for t in range(n_steps - 1, -1, -1):
+            bits[t] = state >> (CONV_K - 2)
+            state = ((state & (half - 1)) << 1) | (word[t] >> state & 1)
+        row[:] = bits
+    decoded = decoded[:, :n_steps - (CONV_K - 1)]
+    return decoded[0] if coded.ndim == 1 else decoded
 
 
 def ber_to_db(ber: float, total_bits: int) -> float:

@@ -90,8 +90,15 @@ class Precoder:
             raise ValueError("fwht1d needs a power-of-two block size")
         if self.kind == "fwht2d" and ((bm & (bm - 1)) or (bn & (bn - 1))):
             raise ValueError("fwht2d needs power-of-two block dimensions")
-        if self.kind == "random":
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The random kind's block unitary, built by a QR on first use, so
+        that constructing a Precoder only checks its parameters."""
+        if self._matrix is None:
+            bm, bn = self.block_shape
             self._matrix = _random_unitary(bm * bn, self.seed)
+        return self._matrix
 
     @property
     def block_shape(self) -> tuple[int, int]:
@@ -111,7 +118,7 @@ class Precoder:
             return fwht(X.reshape(-1)).reshape(X.shape)
         if self.kind == "fwht2d":
             return np.apply_along_axis(fwht, 0, np.apply_along_axis(fwht, 1, X))
-        return (self._matrix @ X.reshape(-1)).reshape(X.shape)
+        return (self.matrix @ X.reshape(-1)).reshape(X.shape)
 
     def _decode_block(self, Y):
         if self.kind == "none":
@@ -125,7 +132,7 @@ class Precoder:
         if self.kind in ("fwht1d", "fwht2d"):
             return self._encode_block(Y)
         # Q^H y as conj(Q^T conj(y)): the transpose is a view, Q^H would be an n x n copy
-        return (self._matrix.T @ Y.reshape(-1).conj()).conj().reshape(Y.shape)
+        return (self.matrix.T @ Y.reshape(-1).conj()).conj().reshape(Y.shape)
 
     def _blocks(self, X):
         return np.split(np.asarray(X, dtype=complex), self.subframes, axis=1)

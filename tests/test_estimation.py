@@ -61,14 +61,14 @@ def srh_reference(h_pilot, pl, alpha, beta, omega):
     nvar = (M + 2) * (N + 2)
     A = sp.csr_matrix((nvar, nvar))
     phi_tt, phi_ff, phi_tf = hessian_kernels()
+    # stencil matrix D: row m*N + n holds kern[i, j] at column (m+2-i)(N+2) + n+2-j
+    m, n = np.indices((M, N)).reshape(2, -1, 1)
     for kern, w in ((phi_ff, alpha**4), (phi_tt, beta**4), (phi_tf, 2 * alpha**2 * beta**2)):
-        D = sp.lil_matrix((M * N, nvar))
-        for m in range(M):
-            for n in range(N):
-                for i in range(3):
-                    for j in range(3):
-                        if kern[i, j]:
-                            D[m * N + n, (m + 2 - i) * (N + 2) + (n + 2 - j)] = kern[i, j]
+        i, j = np.nonzero(kern)
+        rows = np.broadcast_to(m * N + n, (M * N, len(i)))
+        cols = (m + 2 - i) * (N + 2) + (n + 2 - j)
+        vals = np.broadcast_to(kern[i, j], rows.shape)
+        D = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(M * N, nvar))
         A = A + w * (D.T @ D)
     pr, pc = pl.pilot_array_indices()
     pvar = (pr + 1) * (N + 2) + (pc + 1)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ddlf import harness
+from ddlf import harness, transforms
 from ddlf.gabor import FrameError
 from ddlf.harness import (
     ExperimentConfig,
@@ -157,12 +157,31 @@ class TestSweepValidation:
         ("pulse_spread", dict(pulse_spread=20.0)),
         ("tau_max", dict(tau_max=-1e-6)),
         ("velocity", dict(velocity=-50.0)),
+        ("precoder", dict(precoder="bogus")),
+        ("precoder", dict(precoder="fwht1d")),  # the 16 x 15 data block is 240 cells
+        ("subframes", dict(subframes=4)),  # 15 data columns
     ])
     def test_bad_value_names_its_key(self, no_trials, key, overrides):
         with pytest.raises((ValueError, FrameError)) as info:
             run_sweep(quiet_cfg(**overrides), "snr", [15.0])
         assert key in str(info.value).split(": ")[0]
         assert no_trials == []
+
+    def test_random_precoder_validated_without_its_qr(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(transforms, "_random_unitary", lambda *a: built.append(a))
+        harness.validate_point(quiet_cfg(precoder="random"))
+        assert built == []
+
+
+class TestPointOperators:
+    def test_random_precoder_matrix_built_in_parent(self):
+        # forked pool workers inherit the matrix instead of each redoing the QR
+        harness._precoder.cache_clear()
+        *_, precoder = harness._point_operators(quiet_cfg(precoder="random"))
+        assert precoder._matrix is not None
+        assert precoder._matrix.shape == (16 * 15, 16 * 15)
+
 
 class TestDeterminism:
     def test_csv_byte_identical(self):

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlf.link import (
+    CONV_GENERATORS,
+    CONV_K,
     ber_to_db,
     compute_metrics,
     conv_code_decode_hard,
@@ -15,6 +19,50 @@ from ddlf.link import (
     mmse_equalize,
     modulate,
 )
+
+
+def scalar_viterbi(coded):
+    """Reference decoder for one codeword: a gather of both predecessors per
+    next state, the even one kept on a tie, and a scalar traceback."""
+    n_states = 1 << (CONV_K - 1)
+    states = np.arange(n_states)
+    out = np.empty((n_states, 2), dtype=np.int64)
+    for bit in (0, 1):
+        reg = (bit << (CONV_K - 1)) | states
+        sym = np.zeros(n_states, dtype=np.int64)
+        for g in CONV_GENERATORS:
+            taps = reg & g
+            parity = np.zeros(n_states, dtype=np.int64)
+            for shift in range(CONV_K):
+                parity ^= (taps >> shift) & 1
+            sym = (sym << 1) | parity
+        out[:, bit] = sym
+
+    coded = np.asarray(coded).astype(np.int8).reshape(-1)
+    n_steps = len(coded) // 3
+    syms = (coded[0::3].astype(np.int64) << 2) | (coded[1::3] << 1) | coded[2::3]
+    pop = np.array([bin(i).count("1") for i in range(8)])
+    pm = np.full(n_states, 1 << 30, dtype=np.int64)
+    pm[0] = 0
+    choice = np.empty((n_steps, n_states), dtype=np.uint8)
+    in_bit = states >> (CONV_K - 2)
+    pred0 = (states << 1) & (n_states - 1)
+    pred1 = pred0 | 1
+    bd0 = out[pred0, in_bit]
+    bd1 = out[pred1, in_bit]
+    for t in range(n_steps):
+        dist = pop[np.bitwise_xor([bd0, bd1], syms[t])]
+        cand0 = pm[pred0] + dist[0]
+        cand1 = pm[pred1] + dist[1]
+        take1 = cand1 < cand0
+        pm = np.where(take1, cand1, cand0)
+        choice[t] = take1
+    state = 0
+    decoded = np.empty(n_steps, dtype=np.int8)
+    for t in range(n_steps - 1, -1, -1):
+        decoded[t] = state >> (CONV_K - 2)
+        state = int(pred1[state] if choice[t, state] else pred0[state])
+    return decoded[:n_steps - (CONV_K - 1)]
 
 
 class TestQpsk:
@@ -131,6 +179,31 @@ class TestConvCode:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             conv_code_decode_hard(np.zeros(32, dtype=np.int8))
+
+    def test_stack_rejects_bad_shape(self):
+        with pytest.raises(ValueError):
+            conv_code_decode_hard(np.zeros((3, 32), dtype=np.int8))
+        with pytest.raises(ValueError):
+            conv_code_decode_hard(np.zeros((2, 3, 21), dtype=np.int8))
+
+    def test_one_codeword_stays_one_dimensional(self):
+        bits = np.array([1, 0, 1, 1], dtype=np.int8)
+        coded = conv_code_encode(bits)
+        assert conv_code_decode_hard(coded).shape == (4,)
+        assert conv_code_decode_hard(coded[None]).shape == (1, 4)
+
+    @settings(max_examples=40)
+    @given(n_cw=st.sampled_from((1, 2, 7)), payload=st.integers(1, 4096),
+           flip=st.floats(0.0, 0.3), seed=st.integers(0, 2**32 - 1))
+    def test_stack_matches_scalar_oracle(self, n_cw, payload, flip, seed):
+        # at high flip rates path metrics tie, so this also pins the tie-break
+        rng = np.random.default_rng(seed)
+        coded = np.stack([conv_code_encode(rng.integers(0, 2, payload)) for _ in range(n_cw)])
+        coded ^= (rng.random(coded.shape) < flip).astype(np.int8)
+        got = conv_code_decode_hard(coded)
+        assert got.shape == (n_cw, payload)
+        for row, cw in zip(got, coded):
+            assert np.array_equal(row, scalar_viterbi(cw))
 
 
 class TestMetrics:

@@ -5,8 +5,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddlf.transforms import KINDS, Precoder, decode, dsft2d, encode, fwht
+from ddlf.transforms import (
+    KINDS,
+    SUBFRAME_CHOICES,
+    Precoder,
+    decode,
+    dsft2d,
+    encode,
+    fwht,
+)
 
 
 def rand_frame(shape, seed=0):
@@ -125,6 +135,12 @@ class TestPrecoder:
         c = Precoder(kind="random", shape=(8, 8), seed=4)
         assert not np.allclose(encode(X, a), encode(X, c))
 
+    def test_random_matrix_built_on_first_use(self):
+        p = Precoder("random", (8, 8), seed=1)
+        assert p._matrix is None
+        encode(rand_frame((8, 8), 19), p)
+        assert p._matrix.shape == (64, 64)
+
     def test_random_matrix_is_not_a_parameter(self):
         # the unitary is derived from (kind, shape, subframes, seed), so it is
         # neither a constructor argument nor part of equality
@@ -162,3 +178,32 @@ class TestPrecoder:
         p = Precoder(kind="dsft2d", shape=(8, 8))
         with pytest.raises(ValueError):
             encode(rand_frame((4, 8), 17), p)
+
+
+@st.composite
+def precoded_frames(draw):
+    """A precoder kind, subframe count and data-frame shape it accepts."""
+    kind = draw(st.sampled_from(KINDS))
+    subframes = draw(st.sampled_from(SUBFRAME_CHOICES))
+    if kind.startswith("fwht"):
+        rows = 2 ** draw(st.integers(0, 4))
+        block_cols = 2 ** draw(st.integers(0, 3))
+    else:
+        rows = draw(st.integers(1, 12))
+        block_cols = draw(st.integers(1, 8))
+    return kind, subframes, (rows, subframes * block_cols), draw(st.integers(0, 2**32 - 1))
+
+
+class TestPrecoderProperties:
+    @settings(max_examples=60)
+    @given(case=precoded_frames())
+    def test_isometry_and_perfect_reconstruction(self, case):
+        kind, subframes, shape, seed = case
+        p = Precoder(kind=kind, shape=shape, subframes=subframes, seed=seed % 1000)
+        X1, X2 = rand_frame(shape, seed), rand_frame(shape, seed + 1)
+        Y1, Y2 = encode(X1, p), encode(X2, p)
+        assert Y1.shape == shape
+        # encode keeps inner products, so it is an isometry on every frame
+        assert np.vdot(Y1, Y2) == pytest.approx(np.vdot(X1, X2), rel=1e-10, abs=1e-10)
+        assert np.linalg.norm(Y1) == pytest.approx(np.linalg.norm(X1), rel=1e-10)
+        assert np.abs(decode(Y1, p) - X1).max() <= 1e-10 * np.abs(X1).max()
