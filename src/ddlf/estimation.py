@@ -129,14 +129,6 @@ def relaxation_delta(sigma2: float, sigma_z2: float, pilots: PilotSequence) -> f
     return float((sigma2 + sigma_z2) * np.sum(np.abs(p) ** -2.0))
 
 
-def _dd_atoms(M: int, N: int, cells, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Symplectic-DFT atoms (1/sqrt(NM)) e^{-2j pi (n l / N - m k / M)} at the given TF cells."""
-    ls = np.array([c[0] for c in cells])
-    ks = np.array([c[1] for c in cells])
-    phase = -2j * np.pi * (np.outer(cols, ls) / N - np.outer(rows, ks) / M)
-    return np.exp(phase) / np.sqrt(N * M)
-
-
 def _read_only(*arrays: np.ndarray):
     for a in arrays:
         a.setflags(write=False)
@@ -145,13 +137,21 @@ def _read_only(*arrays: np.ndarray):
 
 @lru_cache(maxsize=4)
 def _lmmse_operator(M: int, N: int, pilot_indices: tuple, grid_k: ReconstructionGrid):
-    """Atoms at the pilots C, their Gram matrix C^H C, and the atoms on the whole frame."""
-    cells = grid_k.cells()
+    """Atoms at the pilots C, their Gram matrix C^H C, and the separable frame factors.
+
+    The symplectic-DFT atom of cell (l, k), (1/sqrt(NM)) e^{-2j pi (n l / N - m k / M)},
+    is the product of a delay factor e^{2j pi m k / M} / sqrt(NM) and a Doppler
+    factor e^{-2j pi n l / N}. So the grid coefficients H, laid out (l, k) as in
+    grid_k.cells(), map to the frame as delay @ H^T @ doppler, with delay
+    M x (W+Wn+1) and doppler (2Q+1) x N, and C samples the same product at the pilots.
+    """
+    ks = np.arange(-grid_k.Wn, grid_k.W + 1)
+    ls = np.arange(-grid_k.Q, grid_k.Q + 1)
+    delay = np.exp(2j * np.pi * np.outer(np.arange(M), ks) / M) / np.sqrt(N * M)
+    doppler = np.exp(-2j * np.pi * np.outer(ls, np.arange(N)) / N)
     pr, pc = np.array(pilot_indices, dtype=int).reshape(-1, 2).T
-    C = _dd_atoms(M, N, cells, pr, pc)
-    mm, nn = np.meshgrid(np.arange(M), np.arange(N), indexing="ij")
-    C_full = _dd_atoms(M, N, cells, mm.reshape(-1), nn.reshape(-1))
-    return _read_only(C, C.conj().T @ C, C_full)
+    C = (doppler[:, pc].T[:, :, None] * delay[pr][:, None, :]).reshape(len(pr), -1)
+    return _read_only(C, C.conj().T @ C, delay, doppler)
 
 
 def lmmse_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
@@ -161,7 +161,8 @@ def lmmse_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
     Solves (C^H C + sigma2 I) H = C^H h_pilot for the grid coefficients and
     maps them back to the TF domain. The atom matrices depend only on the
     placement and the grid, so they are built once and reused; a call solves
-    one K x K system for the K grid cells.
+    one K x K system for the K grid cells and maps H back with two small
+    matrix products through the separable delay and Doppler factors.
     """
     if cfg.grid_k is None:
         raise ValueError("lmmse requires a reconstruction grid (grid_k)")
@@ -173,10 +174,10 @@ def lmmse_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
             "the fit is underdetermined and relies on the ridge term",
             stacklevel=2,
         )
-    C, gram, C_full = _lmmse_operator(pl.M, pl.N, pl.pilot_indices, cfg.grid_k)
+    C, gram, delay, doppler = _lmmse_operator(pl.M, pl.N, pl.pilot_indices, cfg.grid_k)
     h_pilot = np.asarray(h_pilot)
     H = np.linalg.solve(gram + cfg.sigma2 * np.eye(K), C.conj().T @ h_pilot)
-    h_tilde = (C_full @ H).reshape(pl.M, pl.N)
+    h_tilde = delay @ H.reshape(len(doppler), -1).T @ doppler
     residual = float(np.sum(np.abs(h_pilot - C @ H) ** 2))
     return CMDEstimate(h_tilde=h_tilde, residual=residual)
 
@@ -243,22 +244,20 @@ def _resolve_srh_params(pl: PilotPlacement, cfg: EstimatorConfig):
     return alpha, beta, omega
 
 
-def _real_matvec(R: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """R @ z for real R and complex z, without a complex copy of R."""
-    out = R @ np.stack([z.real, z.imag], axis=-1)
-    return out[:, 0] + 1j * out[:, 1]
+# pilot columns per forward solve on the trailing band of U
+_BLOCK = 16
 
 
 @lru_cache(maxsize=4)
 def _srh_operator(M: int, N: int, pilot_indices: tuple, alpha: float, beta: float):
-    """The SRH minimizer as a linear map of the pilot samples: (E, V, lam).
+    """The SRH minimizer as a linear map of the pilot samples: (U, Z, pvar, V, lam).
 
     For fixed pilot cells and curvature weights, eliminating the free cells
     leaves the P x P Schur complement S = V diag(lam) V^T of the Hessian
     operator A = sum_k w_k D_k^T D_k on the pilots. For any omega the pilot
     values of the minimizer are h_p = V diag(omega / (lam + omega)) V^T h_pilot,
-    and the whole (M+2)(N+2) extension is E h_p with E = [I; -A_ff^-1 A_fp]
-    (rows of the border cells no stencil reaches are zero).
+    and the free cells of the (M+2)(N+2) extension are -A_ff^-1 A_fp h_p
+    (the border cells no stencil reaches stay zero).
 
     A is banded in row-major order: a stencil tap at kernel[i, j] reads cell
     out - s with s = i (N+2) + j, so each tap pair of a kernel adds one
@@ -266,13 +265,18 @@ def _srh_operator(M: int, N: int, pilot_indices: tuple, alpha: float, beta: floa
     LAPACK upper band storage, band[u + r - c, c] = A[r, c]. The pilot columns
     move to a dense right-hand side, and the pilots and unreached cells get a
     unit diagonal, so one banded Cholesky A_ff = U^T U covers the free cells
-    in place. Then Z = U^-T A_fp gives S = A_pp - Z^T Z and E_free = -U^-1 Z.
+    in place, with pvar the pilot cells' indices. One forward solve
+    Z = U^-T A_fp gives S = A_pp - Z^T Z, and a call finishes with one
+    backward solve U^-1 (Z h_p). Column j of A_fp, and so of Z, is zero above
+    row pvar_j - u; the columns are taken in order of that row, _BLOCK at a
+    time, each block solved on the trailing band U[:, s:] below its first row
+    s, which skips about half of the full solve.
     """
     w = N + 2
     u = 2 * w + 2
     nvar = (M + 2) * w
     out = (np.arange(2, M + 2)[:, None] * w + np.arange(2, N + 2)).reshape(-1)
-    band = np.zeros((u + 1, nvar))
+    band = np.zeros((u + 1, nvar), order="F")
     phi_tt, phi_ff, phi_tf = hessian_kernels()
     for kern, wk in ((phi_ff, alpha**4), (phi_tt, beta**4), (phi_tf, 2 * alpha**2 * beta**2)):
         taps = [(i * w + j, kern[i, j]) for i, j in zip(*np.nonzero(kern))]
@@ -291,23 +295,25 @@ def _srh_operator(M: int, N: int, pilot_indices: tuple, alpha: float, beta: floa
     rows, cols = rows[inside], cols[inside]
     c = pvar[cols]
     at = (u - np.abs(rows - c), np.maximum(rows, c))  # A[r, c] = A[c, r] sits here
-    B = np.zeros((nvar, P), order="F")
-    B[rows, cols] = band[at]
+    Z = np.zeros((nvar, P), order="F")
+    Z[rows, cols] = band[at]
     band[at] = 0.0
     band[u, band[u] == 0.0] = 1.0  # pilots and unreached border cells
-    S = B[pvar]  # A_pp; the rest of B is A_fp
-    B[pvar] = 0.0
+    S = Z[pvar]  # A_pp; the rest of Z is A_fp until it is solved in place
+    Z[pvar] = 0.0
     U = sla.cholesky_banded(band, overwrite_ab=True, check_finite=False)
-    Z, info_t = lapack.dtbtrs(U, B, trans="T", overwrite_b=True)
+    order = np.argsort(pvar, kind="stable")
+    for b in range(0, P, _BLOCK):
+        blk = order[b:b + _BLOCK]
+        s = max(pvar[blk[0]] - u, 0)
+        Z[s:, blk], info = lapack.dtbtrs(U[:, s:], Z[s:, blk], trans="T", overwrite_b=True)
+        if info:
+            raise np.linalg.LinAlgError(f"banded triangular solve failed (info {info})")
     S -= Z.T @ Z
-    E, info_n = lapack.dtbtrs(U, np.negative(Z, out=Z), overwrite_b=True)
-    if info_t or info_n:
-        raise np.linalg.LinAlgError(f"banded triangular solve failed (info {info_t}, {info_n})")
-    E[pvar, np.arange(P)] = 1.0
     # S is PSD; its null space (affine fields at the pilots) may come out
     # slightly negative
     lam, V = np.linalg.eigh(0.5 * (S + S.T))
-    return _read_only(E, V, np.maximum(lam, 0.0))
+    return _read_only(U, Z, pvar, V, np.maximum(lam, 0.0))
 
 
 def srh_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
@@ -320,18 +326,27 @@ def srh_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
     returned estimate is the interior M x N block.
 
     The minimizer is linear in h_pilot. Its operator is factored once per
-    (placement, alpha, beta) and reused, so a call costs O(P^2 + (M+2)(N+2) P)
-    for any omega.
+    (placement, alpha, beta) and reused for any omega. A call works on the
+    real and imaginary parts as the two columns of one real right-hand side:
+    two P x P products give the pilot values h_p, then h_free = -U^-1 (Z h_p)
+    is one (M+2)(N+2) x P product and one backward banded solve of
+    half-bandwidth 2(N+2) + 2, so it costs O(P^2 + (M+2)(N+2)(P + N)).
     """
     h_pilot = np.asarray(h_pilot, dtype=complex)
     if h_pilot.shape != (pl.P,):
         raise ValueError("pilot sample vector does not match the placement")
     alpha, beta, omega = _resolve_srh_params(pl, cfg)
     M, N = pl.M, pl.N
-    E, V, lam = _srh_operator(M, N, pl.pilot_indices, alpha, beta)
-    h_p = _real_matvec(V, omega / (lam + omega) * _real_matvec(V.T, h_pilot))
-    h_ex = _real_matvec(E, h_p).reshape(M + 2, N + 2)
-    residual = float(np.sum(np.abs(h_pilot - h_p) ** 2))
+    U, Z, pvar, V, lam = _srh_operator(M, N, pl.pilot_indices, alpha, beta)
+    h2 = np.stack([h_pilot.real, h_pilot.imag], axis=-1)
+    h_p = V @ ((omega / (lam + omega))[:, None] * (V.T @ h2))
+    # (-h_p^T Z^T)^T is -Z h_p as a Fortran-ordered (nvar, 2) array, solved in place
+    x, info = lapack.dtbtrs(U, (-h_p.T @ Z.T).T, overwrite_b=True)
+    if info:
+        raise np.linalg.LinAlgError(f"banded triangular solve failed (info {info})")
+    x[pvar] = h_p
+    h_ex = (x[:, 0] + 1j * x[:, 1]).reshape(M + 2, N + 2)
+    residual = float(np.sum((h2 - h_p) ** 2))
     return CMDEstimate(h_tilde=h_ex[1:M + 1, 1:N + 1].copy(), residual=residual,
                        h_extended=h_ex)
 

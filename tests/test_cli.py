@@ -159,3 +159,17 @@ class TestSimulateAndSweep:
         assert len(lines) == 3
         pilots = [int(ln.split(",")[2]) for ln in lines[1:]]
         assert pilots == [16, 32]
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("line, key", [("precoder = bogus", "precoder"),
+                                           ("omega = -1", "omega")])
+    def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, line, key):
+        cfgf = tmp_path / "bad.cfg"
+        cfgf.write_text(f"trials = 1\nsnr = 15\n{line}\n")
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--config", str(cfgf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.search(rf"^ddlf: .*\b{key}\b.*:", err, re.M)
+        assert not out.exists()

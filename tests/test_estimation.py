@@ -1,6 +1,7 @@
 """Tests for LMMSE and smoothness-regularized CMD estimation."""
 
 import dataclasses
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -182,11 +183,15 @@ class TestWeightedHessianEnergy:
         assert e2 == pytest.approx(16 * e1, rel=1e-12)
 
 
+@lru_cache(maxsize=None)
+def tight_pulse(M, N):
+    grid = make_grid(M, N)
+    return grid, tight_orthogonalize(gaussian_prototype(grid), grid)
+
+
 @pytest.fixture(scope="module")
 def desk16():
-    grid = make_grid(16, 16)
-    pulse = tight_orthogonalize(gaussian_prototype(grid), grid)
-    return grid, pulse
+    return tight_pulse(16, 16)
 
 
 class TestLmmse:
@@ -268,6 +273,34 @@ class TestLmmse:
         cfg = EstimatorConfig(variant="lmmse", grid_k=ReconstructionGrid(Q=9, W=1, Wn=1))
         with pytest.raises(ValueError):
             lmmse_estimate(np.zeros(pl.P, dtype=complex), pl, cfg)
+
+
+# full pilots on 12 x 20 and 16 x 16 frames, three pilots per row on 16 x 16
+# and 20 x 12 frames; every one keeps the restricted atom matrix well conditioned
+LMMSE_PLACEMENTS = [full_pilot_placement(12, 20), full_pilot_placement(16, 16),
+                    accordion_placement(16, 13, 3), accordion_placement(20, 9, 3)]
+LMMSE_GRID = ReconstructionGrid(Q=2, W=1, Wn=4)
+
+
+class TestLmmseProperties:
+    @settings(max_examples=30)
+    @given(pl=st.sampled_from(LMMSE_PLACEMENTS),
+           bins=st.lists(st.tuples(st.integers(0, LMMSE_GRID.Wn),
+                                   st.integers(-LMMSE_GRID.Q, LMMSE_GRID.Q)),
+                         min_size=1, max_size=2, unique=True),
+           gains=st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.0, 2 * np.pi)),
+                          min_size=2, max_size=2))
+    def test_exact_on_grid_channels(self, pl, bins, gains):
+        # delay bin k and Doppler bin l land on grid cell (-l, -k), inside Q and Wn
+        grid, pulse = tight_pulse(pl.M, pl.N)
+        dtau, dnu = 1 / (grid.M * grid.F), 1 / (grid.N * grid.T)
+        ch = DDChannel(scatterers=tuple(Scatterer(k * dtau, l * dnu, r * np.exp(1j * phi))
+                                        for (k, l), (r, phi) in zip(bins, gains)),
+                       tau_max=LMMSE_GRID.Wn * dtau, nu_max=LMMSE_GRID.Q * dnu)
+        h = true_cmd(ch, pulse, pulse, grid)
+        out = lmmse_estimate(sample_at_pilots(h, pl), pl, EstimatorConfig(
+            variant="lmmse", sigma2=1e-12, grid_k=LMMSE_GRID))
+        assert np.abs(out.h_tilde - h).max() <= 1e-6 * np.abs(h).max()
 
 
 class TestSrh:
@@ -372,6 +405,28 @@ class TestSrh:
                     variant="srh-ma", alpha=alpha, beta=beta, omega=0.1))
                 ref = srh_reference(h_pilot, pl, alpha, beta, 0.1)
                 assert np.abs(out.h_extended - ref).max() < 1e-8 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.3, 1 / 1.3)])
+    def test_matches_full_normal_equations_paper_scale(self, alpha, beta):
+        # P = 128 pilots: eight column blocks of the forward solve
+        pl = accordion_placement(64, 62, 2)
+        h_pilot = complex_normal(np.random.default_rng(13), pl.P)
+        for omega in (1e-2, 1.0, OMEGA_CAP):
+            out = srh_estimate(h_pilot, pl, EstimatorConfig(variant="srh-ma", alpha=alpha,
+                                                            beta=beta, omega=omega))
+            ref = srh_reference(h_pilot, pl, alpha, beta, omega)
+            assert np.abs(out.h_extended - ref).max() < 1e-8 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("shape", [(16, 14, 2), (64, 62, 2)])
+    def test_pilot_order_does_not_matter(self, shape):
+        # pilot cells listed bottom row first give the same extension
+        pl = accordion_placement(*shape)
+        rev = dataclasses.replace(pl, pilot_indices=pl.pilot_indices[::-1])
+        h_pilot = complex_normal(np.random.default_rng(14), pl.P)
+        cfg = EstimatorConfig(variant="srh", omega=0.5)
+        fwd = srh_estimate(h_pilot, pl, cfg).h_extended
+        back = srh_estimate(h_pilot[::-1], rev, cfg).h_extended
+        assert np.abs(back - fwd).max() < 1e-10 * np.abs(fwd).max()
 
     def test_noise_aware_uses_delta(self):
         # with sigma2 = sigma_z2 = 0 the fidelity weight hits the cap and the
