@@ -146,7 +146,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, _common_overrides(args))
-    values = [float(v) for v in args.values.split(",")]
+    try:  # name the flag, as a config error names its key
+        values = [float(v) for v in args.values.split(",")]
+        harness.sweep_points(cfg, args.axis, values)
+    except ValueError as exc:
+        raise ValueError(f"--values: {exc}") from None
     rows = harness.run_sweep(cfg, args.axis, values)
     harness.write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -155,14 +155,15 @@ def _lmmse_operator(M: int, N: int, pilot_indices: tuple, grid_k: Reconstruction
 
 
 def lmmse_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
-                   cfg: EstimatorConfig) -> CMDEstimate:
+                   cfg: EstimatorConfig, op: tuple | None = None) -> CMDEstimate:
     """Ridge-regularized least-squares fit on the delay-Doppler reconstruction grid.
 
     Solves (C^H C + sigma2 I) H = C^H h_pilot for the grid coefficients and
     maps them back to the TF domain. The atom matrices depend only on the
     placement and the grid, so they are built once and reused; a call solves
     one K x K system for the K grid cells and maps H back with two small
-    matrix products through the separable delay and Doppler factors.
+    matrix products through the separable delay and Doppler factors. op, if
+    given, is operator(pl, cfg), built beforehand.
     """
     if cfg.grid_k is None:
         raise ValueError("lmmse requires a reconstruction grid (grid_k)")
@@ -174,7 +175,7 @@ def lmmse_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
             "the fit is underdetermined and relies on the ridge term",
             stacklevel=2,
         )
-    C, gram, delay, doppler = _lmmse_operator(pl.M, pl.N, pl.pilot_indices, cfg.grid_k)
+    C, gram, delay, doppler = op or operator(pl, cfg)
     h_pilot = np.asarray(h_pilot)
     H = np.linalg.solve(gram + cfg.sigma2 * np.eye(K), C.conj().T @ h_pilot)
     h_tilde = delay @ H.reshape(len(doppler), -1).T @ doppler
@@ -317,7 +318,7 @@ def _srh_operator(M: int, N: int, pilot_indices: tuple, alpha: float, beta: floa
 
 
 def srh_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
-                 cfg: EstimatorConfig) -> CMDEstimate:
+                 cfg: EstimatorConfig, op: tuple | None = None) -> CMDEstimate:
     """Smoothness-regularized CMD estimate in the TF domain.
 
     Minimizes weighted_hessian_energy(h_ex) + omega * sum_s |h_pilot_s -
@@ -331,13 +332,14 @@ def srh_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
     two P x P products give the pilot values h_p, then h_free = -U^-1 (Z h_p)
     is one (M+2)(N+2) x P product and one backward banded solve of
     half-bandwidth 2(N+2) + 2, so it costs O(P^2 + (M+2)(N+2)(P + N)).
+    op, if given, is operator(pl, cfg), built beforehand.
     """
     h_pilot = np.asarray(h_pilot, dtype=complex)
     if h_pilot.shape != (pl.P,):
         raise ValueError("pilot sample vector does not match the placement")
-    alpha, beta, omega = _resolve_srh_params(pl, cfg)
+    omega = _resolve_srh_params(pl, cfg)[2]
     M, N = pl.M, pl.N
-    U, Z, pvar, V, lam = _srh_operator(M, N, pl.pilot_indices, alpha, beta)
+    U, Z, pvar, V, lam = op or operator(pl, cfg)
     h2 = np.stack([h_pilot.real, h_pilot.imag], axis=-1)
     h_p = V @ ((omega / (lam + omega))[:, None] * (V.T @ h2))
     # (-h_p^T Z^T)^T is -Z h_p as a Fortran-ordered (nvar, 2) array, solved in place
@@ -351,9 +353,21 @@ def srh_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
                        h_extended=h_ex)
 
 
-def estimate(h_pilot: np.ndarray, pl: PilotPlacement,
-             cfg: EstimatorConfig) -> CMDEstimate:
-    """Dispatch to the configured estimator variant."""
+def operator(pl: PilotPlacement, cfg: EstimatorConfig) -> tuple:
+    """The estimator's linear map of the pilot samples on this placement: the
+    LMMSE atom matrices, or the SRH operator of the variant's (alpha, beta).
+    Neither depends on the noise powers or on omega; each is built once per
+    process and kept in a small cache."""
     if cfg.variant == "lmmse":
-        return lmmse_estimate(h_pilot, pl, cfg)
-    return srh_estimate(h_pilot, pl, cfg)
+        return _lmmse_operator(pl.M, pl.N, pl.pilot_indices, cfg.grid_k)
+    alpha, beta, _ = _resolve_srh_params(pl, cfg)
+    return _srh_operator(pl.M, pl.N, pl.pilot_indices, alpha, beta)
+
+
+def estimate(h_pilot: np.ndarray, pl: PilotPlacement,
+             cfg: EstimatorConfig, op: tuple | None = None) -> CMDEstimate:
+    """Dispatch to the configured estimator variant. op, if given, is
+    operator(pl, cfg), built beforehand."""
+    if cfg.variant == "lmmse":
+        return lmmse_estimate(h_pilot, pl, cfg, op)
+    return srh_estimate(h_pilot, pl, cfg, op)

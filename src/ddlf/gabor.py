@@ -267,13 +267,6 @@ def _phasors(rate: np.ndarray, L: int, signed: bool = False) -> np.ndarray:
     return out
 
 
-def fractional_shift(samples: np.ndarray, delay_samples: float) -> np.ndarray:
-    """Cyclic band-limited delay by a (possibly fractional) number of samples."""
-    L = len(samples)
-    spectrum = np.fft.fft(samples)
-    return np.fft.ifft(spectrum * np.exp(-2j * np.pi * np.fft.fftfreq(L) * delay_samples))
-
-
 def cross_ambiguity(gamma: Pulse, g: Pulse, tau: float | np.ndarray, nu: float | np.ndarray,
                     grid: GaborGrid) -> complex | np.ndarray:
     """Correlation of two pulses under joint time shift tau and frequency shift nu.

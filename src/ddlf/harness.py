@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -128,11 +129,10 @@ def build_placement(cfg: ExperimentConfig) -> piloting.PilotPlacement:
     return _placement(cfg.m_data, cfg.n_data, cfg.pilots_per_row)
 
 
-# one entry: a paper-scale random precoder holds a 3968 x 3968 complex matrix
-@lru_cache(maxsize=1)
-def _precoder(kind: str, shape: tuple[int, int], subframes: int,
-              seed: int) -> transforms.Precoder:
-    return transforms.Precoder(kind=kind, shape=shape, subframes=subframes, seed=seed)
+def _precoder(cfg: ExperimentConfig) -> transforms.Precoder:
+    """The point's precoder, unbuilt: a random kind's matrix waits for first use."""
+    return transforms.Precoder(kind=cfg.precoder, shape=(cfg.m_data, cfg.n_data),
+                               subframes=cfg.subframes, seed=cfg.precoder_seed)
 
 
 def build_grid(cfg: ExperimentConfig, pl: piloting.PilotPlacement) -> gabor.GaborGrid:
@@ -185,8 +185,7 @@ def validate_point(cfg: ExperimentConfig):
     with _config_key("pulse_spread"):
         _tight_pulse(grid, cfg.pulse_spread)
     with _config_key("precoder, subframes"):
-        transforms.Precoder(kind=cfg.precoder, shape=(pl.M_data, pl.N_data),
-                            subframes=cfg.subframes, seed=cfg.precoder_seed)
+        _precoder(cfg)
     with _config_key("recon_q, recon_w, recon_wn"):
         grid_k = est.ReconstructionGrid(Q=cfg.recon_q, W=cfg.recon_w, Wn=cfg.recon_wn)
         if "lmmse" in cfg.estimators:
@@ -215,27 +214,79 @@ def _estimator_config(name: str, cfg: ExperimentConfig, grid: gabor.GaborGrid,
     )
 
 
-def _point_operators(cfg: ExperimentConfig):
-    """Placement, grid, tight pulse and precoder of a sweep point, each built
-    once per process and shared by its trials. A random precoder's matrix is
-    built here too, so that forked pool workers inherit it."""
+@dataclass(frozen=True, eq=False)
+class Point:
+    """What every trial of a sweep point shares; prepare() builds it."""
+
+    pl: piloting.PilotPlacement
+    grid: gabor.GaborGrid
+    pulse: gabor.Pulse
+    precoder: transforms.Precoder
+    tau_max: float
+    nu_max: float
+    operators: dict  # estimator name -> its linear map (estimation.operator)
+
+
+def prepare(cfg: ExperimentConfig, precoder: transforms.Precoder | None = None) -> Point:
+    """Build the part of a sweep point that no trial changes.
+
+    That is the placement with its index arrays, the grid, the tight pulse,
+    the spreads, the precoder with a random kind's matrix, and every
+    estimator's operator: one SRH operator per (alpha, beta) and the LMMSE
+    operator. A given precoder equal to the point's is used as it is, so
+    points that share one build its matrix once. The placement and the tight
+    pulse come from the caches that validate_point fills.
+    """
     pl = build_placement(cfg)
+    pl.pilot_array_indices(), pl.data_array_indices()  # cached on pl from here on
     grid = build_grid(cfg, pl)
-    pulse = _tight_pulse(grid, cfg.pulse_spread)
-    precoder = _precoder(cfg.precoder, (pl.M_data, pl.N_data), cfg.subframes,
-                         cfg.precoder_seed)
+    tau_max, nu_max = resolve_spreads(cfg, grid)
+    own = _precoder(cfg)
+    precoder = precoder if precoder == own else own
     if precoder.kind == "random":
         precoder.matrix
-    return pl, grid, pulse, precoder
+    operators = {name: est.operator(pl, _estimator_config(name, cfg, grid, 0.0, 0.0,
+                                                          tau_max, nu_max))
+                 for name in cfg.estimators if name != "perfect"}
+    return Point(pl, grid, _tight_pulse(grid, cfg.pulse_spread), precoder,
+                 tau_max, nu_max, operators)
+
+
+# the prepared points of the running pool, or else the last point a trial used
+_points: dict[ExperimentConfig, Point] = {}
+
+
+def _prepare(cfgs: list[ExperimentConfig]):
+    """Replace the cached points with the prepared points of cfgs.
+
+    Equal precoders are built once and shared, also with the points the cache
+    held. The cache lets go of every other precoder before anything is built.
+    """
+    needed = [_precoder(cfg) for cfg in cfgs]
+    shared = [p.precoder for p in _points.values() if p.precoder in needed]
+    _points.clear()
+    for cfg, precoder in zip(cfgs, needed):
+        precoder = next((p for p in shared if p == precoder), precoder)
+        _points[cfg] = prepare(cfg, precoder)
+        shared.append(precoder)
+
+
+def _point(cfg: ExperimentConfig) -> Point:
+    if cfg not in _points:
+        _prepare([cfg])
+    return _points[cfg]
 
 
 def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
               ) -> dict[str, link.FrameMetrics]:
     """Run one seeded trial and evaluate every configured estimator on the
-    same bits, channel and noise realization."""
+    same bits, channel and noise realization. The sweep point comes from the
+    cache of prepared points; a miss prepares it in place of what the cache
+    held."""
     rng = np.random.default_rng((cfg.seed, trial_index))
-    pl, grid, pulse, precoder = _point_operators(cfg)
-    tau_max, nu_max = resolve_spreads(cfg, grid)
+    point = _point(cfg)
+    pl, grid, pulse, precoder = point.pl, point.grid, point.pulse, point.precoder
+    tau_max, nu_max = point.tau_max, point.nu_max
 
     n_bits = 2 * pl.M_data * pl.N_data
     if cfg.coding:
@@ -279,7 +330,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
             h_tilde = h_true
         else:
             ecfg = _estimator_config(name, cfg, grid, sigma2, sigma_z2, tau_max, nu_max)
-            h_tilde = est.estimate(h_pilot, pl, ecfg).h_tilde
+            h_tilde = est.estimate(h_pilot, pl, ecfg, point.operators[name]).h_tilde
         x_eq = link.mmse_equalize(y, h_tilde, sigma2)
         X_hat = transforms.decode(piloting.demultiplex(x_eq, pl), precoder)
         frames[name] = X_hat, link.frame_to_bits(X_hat)
@@ -301,21 +352,38 @@ def _max_workers() -> int:
     return max(1, int(os.environ.get("DDLF_THREADS", "1")))
 
 
+def _run_points(points: list) -> list[dict[str, list[link.FrameMetrics]]]:
+    """Every trial of the (config, snr) points; per point, each estimator's
+    metrics in trial order.
+
+    Serially (DDLF_THREADS = 1, or one trial in all) this is a plain loop,
+    and each trial prepares its point on a cache miss. Otherwise this
+    process prepares the points and one process pool runs all of their
+    trials; forked workers inherit every point and build nothing.
+    """
+    workers = _max_workers()
+    if workers == 1 or sum(cfg.trials for cfg, _ in points) == 1:
+        trials = [[run_trial(cfg, snr, i) for i in range(cfg.trials)] for cfg, snr in points]
+    else:
+        trials = []
+        # consecutive points that share a random precoder (or have none) share a
+        # pool, so one random matrix at a time is alive
+        for _, run in groupby(points, lambda p: p[0].precoder == "random" and _precoder(p[0])):
+            run = list(run)
+            _prepare([cfg for cfg, _ in run])
+            jobs = [(cfg, snr, i) for cfg, snr in run for i in range(cfg.trials)]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                done = (res for _, res in pool.map(_trial_worker, jobs))
+                trials += [[next(done) for _ in range(cfg.trials)] for cfg, _ in run]
+    return [{name: [t[name] for t in per_trial] for name in cfg.estimators}
+            for (cfg, _), per_trial in zip(points, trials)]
+
+
 def run_point(cfg: ExperimentConfig, snr_db: float
               ) -> dict[str, list[link.FrameMetrics]]:
-    """All trials for one sweep point; per-estimator metric lists in trial order."""
-    workers = _max_workers()
-    per_trial: list[dict[str, link.FrameMetrics]] = [None] * cfg.trials
-    if workers == 1 or cfg.trials == 1:
-        for i in range(cfg.trials):
-            per_trial[i] = run_trial(cfg, snr_db, i)
-    else:
-        _point_operators(cfg)  # forked workers inherit them
-        jobs = [(cfg, snr_db, i) for i in range(cfg.trials)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, res in pool.map(_trial_worker, jobs):
-                per_trial[i] = res
-    return {name: [t[name] for t in per_trial] for name in cfg.estimators}
+    """All trials for one sweep point, as a one-point sweep (see run_sweep);
+    per-estimator metric lists in trial order."""
+    return _run_points([(cfg, snr_db)])[0]
 
 
 def _aggregate(cfg: ExperimentConfig, snr_db: float, estimator: str,
@@ -353,9 +421,16 @@ def _sweep_config(cfg: ExperimentConfig, axis: str, value: float) -> tuple[Exper
         return dataclasses.replace(cfg, velocity=float(value), nu_max=None), snr
     if axis == "pilots":
         ppr = int(value)
+        if ppr != value:
+            raise ValueError(f"pilots per row must be a whole number, got {value:g}")
         frame_n = cfg.n_data + cfg.pilots_per_row
         return dataclasses.replace(cfg, pilots_per_row=ppr, n_data=frame_n - ppr), snr
     raise ValueError(f"unknown sweep axis {axis!r}")
+
+
+def sweep_points(cfg: ExperimentConfig, axis: str, values) -> list[tuple[ExperimentConfig, float]]:
+    """Config variant and SNR of each sweep value on the given axis."""
+    return [_sweep_config(cfg, axis, value) for value in values]
 
 
 def run_sweep(cfg: ExperimentConfig, axis: str, values) -> list[ResultRow]:
@@ -364,15 +439,24 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values) -> list[ResultRow]:
     The pilots axis keeps the transmit frame fixed and trades data cells for
     pilot cells; velocity values are km/h; snr values are dB. Every point is
     validated before the first trial runs.
+
+    Where things are built: with DDLF_THREADS = 1, or a sweep of one trial,
+    the trials run in this process, one after another, and the first trial
+    of each point prepares it (see prepare); no pool is opened. Otherwise
+    this process prepares every point before it forks, and one process pool
+    runs every trial of the sweep, so the workers inherit the pulse,
+    placement, precoder and estimator operators and build none of them. A
+    point whose random precoder differs from the last one (the pilots axis
+    with precoder = random) starts a new pool, so one random matrix at a
+    time is alive.
     """
-    points = [_sweep_config(cfg, axis, value) for value in values]
+    points = sweep_points(cfg, axis, values)
     for point_cfg, _ in points:
         validate_point(point_cfg)
     rows = []
-    for point_cfg, snr in points:
-        point = run_point(point_cfg, snr)
+    for (point_cfg, snr), metrics in zip(points, _run_points(points)):
         for name in point_cfg.estimators:
-            rows.append(_aggregate(point_cfg, snr, name, point[name],
+            rows.append(_aggregate(point_cfg, snr, name, metrics[name],
                                    build_placement(point_cfg).P))
     return rows
 

@@ -16,9 +16,11 @@ from ddlf.channel import (
     self_interference_power,
     true_cmd,
 )
-from ddlf.gabor import SHIFT_BLOCK, analyze, cross_ambiguity, fractional_shift, \
-    centered_times, gaussian_prototype, make_grid, synthesize, tight_orthogonalize
+from ddlf.gabor import SHIFT_BLOCK, analyze, cross_ambiguity, centered_times, \
+    gaussian_prototype, make_grid, synthesize, tight_orthogonalize
 from ddlf.transforms import dsft2d
+
+from oracles import fractional_shift
 
 
 @pytest.fixture(scope="module")

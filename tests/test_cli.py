@@ -173,3 +173,15 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert re.search(rf"^ddlf: .*\b{key}\b.*:", err, re.M)
         assert not out.exists()
+
+    @pytest.mark.parametrize("axis, values", [("pilots", "1,1.5"), ("snr", "10,abc")])
+    def test_bad_sweep_value_exits_2_naming_values(self, tmp_path, capsys, axis, values):
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("trials = 1\nsnr = 15\nestimator = srh\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfgf), "--axis", axis,
+                     "--values", values, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.search(r"^ddlf: --values: ", err, re.M)
+        assert not out.exists()

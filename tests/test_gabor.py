@@ -17,12 +17,13 @@ from ddlf.gabor import (
     analyze,
     centered_times,
     cross_ambiguity,
-    fractional_shift,
     gaussian_prototype,
     make_grid,
     synthesize,
     tight_orthogonalize,
 )
+
+from oracles import fractional_shift
 
 
 def tight_pulse(M, N, tf=1.25, spread=1.0):
@@ -417,6 +418,8 @@ class TestCrossAmbiguity:
 
 
 class TestFractionalShift:
+    """The test-local delay oracle that scalar_ambiguity and per_path_cmd use."""
+
     def test_integer_shift_matches_roll(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)

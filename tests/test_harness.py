@@ -1,11 +1,12 @@
 """Tests for the Monte-Carlo harness."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
-from ddlf import harness, transforms
+from ddlf import estimation, gabor, harness, transforms
 from ddlf.gabor import FrameError
 from ddlf.harness import (
     ExperimentConfig,
@@ -110,6 +111,10 @@ class TestSweep:
         rows = run_sweep(cfg, "velocity", [50.0, 100.0])
         assert [r.velocity_kmh for r in rows] == [50.0, 100.0]
 
+    def test_pilots_value_must_be_whole(self):
+        with pytest.raises(ValueError, match="whole number, got 1.5"):
+            run_sweep(quiet_cfg(), "pilots", [1, 1.5])
+
     def test_unknown_axis(self):
         with pytest.raises(ValueError):
             run_sweep(quiet_cfg(), "temperature", [1.0])
@@ -177,10 +182,109 @@ class TestSweepValidation:
 class TestPointOperators:
     def test_random_precoder_matrix_built_in_parent(self):
         # forked pool workers inherit the matrix instead of each redoing the QR
-        harness._precoder.cache_clear()
-        *_, precoder = harness._point_operators(quiet_cfg(precoder="random"))
-        assert precoder._matrix is not None
-        assert precoder._matrix.shape == (16 * 15, 16 * 15)
+        point = harness.prepare(quiet_cfg(precoder="random"))
+        assert point.precoder._matrix is not None
+        assert point.precoder._matrix.shape == (16 * 15, 16 * 15)
+
+    def test_operators_are_the_estimators_maps(self):
+        cfg = quiet_cfg(estimators=("lmmse", "srh", "srh-ma", "perfect"), velocity=300.0)
+        point = harness.prepare(cfg)
+        assert set(point.operators) == {"lmmse", "srh", "srh-ma"}
+        for name, op in point.operators.items():
+            ecfg = harness._estimator_config(name, cfg, point.grid, 0.0, 0.0,
+                                             point.tau_max, point.nu_max)
+            assert op is estimation.operator(point.pl, ecfg)
+        assert point.operators["srh"] is not point.operators["srh-ma"]
+
+    def test_consecutive_points_share_the_precoder(self):
+        cfgs = [quiet_cfg(precoder="random", velocity=v) for v in (100.0, 200.0)]
+        first = harness._point(cfgs[0])
+        second = harness._point(cfgs[1])
+        assert second.precoder is first.precoder
+        assert list(harness._points) == [cfgs[1]]  # one point kept between trials
+        harness._prepare(cfgs)
+        assert harness._points[cfgs[0]].precoder is first.precoder
+        assert harness._points[cfgs[1]].precoder is first.precoder
+
+    def test_a_different_precoder_is_not_shared(self):
+        a = harness._point(quiet_cfg(precoder="random"))
+        b = harness._point(quiet_cfg(precoder="random", precoder_seed=7))
+        assert b.precoder is not a.precoder
+        assert not np.allclose(b.precoder.matrix, a.precoder.matrix)
+
+
+class TestSweepPool:
+    """A sweep runs its trials in one process pool, and the workers build nothing."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        opened = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        return opened
+
+    def test_one_pool_per_sweep(self, pools, monkeypatch):
+        monkeypatch.setenv("DDLF_THREADS", "2")
+        run_sweep(quiet_cfg(), "velocity", [50.0, 100.0, 150.0])
+        assert pools == [2]
+
+    def test_random_pilots_sweep_one_pool_per_matrix(self, pools, monkeypatch):
+        monkeypatch.setenv("DDLF_THREADS", "2")
+        run_sweep(quiet_cfg(precoder="random"), "pilots", [1, 2])
+        assert pools == [2, 2]
+        pools.clear()
+        run_sweep(quiet_cfg(), "pilots", [1, 2])
+        assert pools == [2]
+
+    def test_serial_and_single_trial_sweeps_open_none(self, pools, monkeypatch):
+        monkeypatch.setenv("DDLF_THREADS", "1")
+        run_sweep(quiet_cfg(), "velocity", [50.0, 100.0, 150.0])
+        monkeypatch.setenv("DDLF_THREADS", "2")
+        run_sweep(quiet_cfg(trials=1), "velocity", [50.0])
+        assert pools == []
+
+    def test_workers_build_nothing(self, monkeypatch):
+        parent, built = os.getpid(), []
+
+        def in_parent_only(owner, attr):
+            fn = getattr(owner, attr)
+
+            def guarded(*args, **kwargs):
+                if os.getpid() != parent:
+                    raise AssertionError(f"{attr} ran in a pool worker")
+                built.append(attr)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, guarded)
+
+        in_parent_only(transforms, "_random_unitary")
+        in_parent_only(gabor, "tight_orthogonalize")
+        in_parent_only(estimation.sla, "cholesky_banded")
+        for cache in (harness._tight_pulse, estimation._srh_operator,
+                      estimation._lmmse_operator):
+            cache.cache_clear()
+        harness._points.clear()
+        monkeypatch.setenv("DDLF_THREADS", "2")
+        cfg = quiet_cfg(precoder="random", estimators=("srh", "srh-ma", "lmmse"), trials=3)
+        run_sweep(cfg, "velocity", [50.0, 100.0, 150.0])
+        # one QR, one pulse, and the (1, 1) plus three mode-aware SRH operators
+        assert sorted(built) == ["_random_unitary"] + ["cholesky_banded"] * 4 \
+            + ["tight_orthogonalize"]
+
+    @pytest.mark.parametrize("axis, values", [("velocity", [50.0, 100.0, 150.0]),
+                                              ("pilots", [1, 2, 3])])
+    def test_csv_identical_across_threads(self, monkeypatch, axis, values):
+        cfg = quiet_cfg(precoder="random", estimators=("srh-ma", "lmmse"), trials=3)
+        csv = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DDLF_THREADS", threads)
+            csv[threads] = rows_to_csv(run_sweep(cfg, axis, values))
+        assert csv["1"] == csv["2"]
 
 
 class TestDeterminism:
