@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -33,8 +34,15 @@ def _parse_shape(s: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _finite(s: str) -> float:
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {s.strip()!r}")
+    return value
+
+
 def _auto_or_float(s: str) -> float | None:
-    return None if s.lower() == "auto" else float(s)
+    return None if s.lower() == "auto" else _finite(s)
 
 
 def _show(v) -> str:
@@ -50,16 +58,16 @@ def _show(v) -> str:
 CONFIG_KEYS = (
     ("data-shape", ("m_data", "n_data"), _parse_shape, "M'xN' data frame, e.g. 16x15"),
     ("pilots-per-row", ("pilots_per_row",), int, "pilots inserted per frame row; 0 = no pilots"),
-    ("tf-product", ("tf_product",), float, "grid T*F product"),
-    ("bandwidth", ("bandwidth",), float, "sampled bandwidth in Hz"),
-    ("pulse-spread", ("pulse_spread",), float, "Gaussian prototype width factor"),
+    ("tf-product", ("tf_product",), _finite, "grid T*F product"),
+    ("bandwidth", ("bandwidth",), _finite, "sampled bandwidth in Hz"),
+    ("pulse-spread", ("pulse_spread",), _finite, "Gaussian prototype width factor"),
     ("precoder", ("precoder",), str, "none|dsft2d|fft1d|fft2d|fwht1d|fwht2d|random"),
     ("subframes", ("subframes",), int, "1|2|4|8 independent time blocks"),
     ("precoder-seed", ("precoder_seed",), int, "seed for the random precoder"),
     ("scatterers", ("scatterers",), int, "channel path count"),
     ("tau-max", ("tau_max",), _auto_or_float, "delay spread in seconds, or auto"),
     ("nu-max", ("nu_max",), _auto_or_float, "Doppler spread in Hz, or auto"),
-    ("velocity", ("velocity",), float, "relative speed in km/h (overrides nu-max)"),
+    ("velocity", ("velocity",), _finite, "relative speed in km/h (overrides nu-max)"),
     ("power-profile", ("power_profile",), _auto_or_float,
      "exponential delay-decay rate 1/s, or auto"),
     ("fractional", ("fractional",), _parse_bool, "true|false off-grid channel shifts"),
@@ -70,9 +78,9 @@ CONFIG_KEYS = (
     ("Q", ("recon_q",), int, "LMMSE reconstruction-grid Doppler extent"),
     ("W", ("recon_w",), int, "LMMSE reconstruction-grid delay guard"),
     ("Wn", ("recon_wn",), int, "LMMSE reconstruction-grid delay extent"),
-    ("sigma-z2", ("sigma_z2",), lambda s: "auto" if s.lower() == "auto" else float(s),
+    ("sigma-z2", ("sigma_z2",), lambda s: "auto" if s.lower() == "auto" else _finite(s),
      "self-interference power, or auto"),
-    ("snr", ("snr_db",), lambda s: tuple(float(v) for v in s.split(",")),
+    ("snr", ("snr_db",), lambda s: tuple(map(_finite, s.split(","))),
      "comma list of SNR points in dB"),
     ("trials", ("trials",), int, "Monte-Carlo trials per point"),
     ("seed", ("seed",), int, "master seed"),
@@ -147,7 +155,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, _common_overrides(args))
     try:  # name the flag, as a config error names its key
-        values = [float(v) for v in args.values.split(",")]
+        values = [_finite(v) for v in args.values.split(",")]
         harness.sweep_points(cfg, args.axis, values)
     except ValueError as exc:
         raise ValueError(f"--values: {exc}") from None

@@ -118,21 +118,10 @@ def _tight_pulse(grid: gabor.GaborGrid, spread: float) -> gabor.Pulse:
     return gabor.tight_orthogonalize(gabor.gaussian_prototype(grid, spread), grid)
 
 
-@lru_cache(maxsize=8)
-def _placement(m_data: int, n_data: int, pilots_per_row: int) -> piloting.PilotPlacement:
-    if pilots_per_row == 0:
-        return piloting.all_data_placement(m_data, n_data)
-    return piloting.accordion_placement(m_data, n_data, pilots_per_row)
-
-
 def build_placement(cfg: ExperimentConfig) -> piloting.PilotPlacement:
-    return _placement(cfg.m_data, cfg.n_data, cfg.pilots_per_row)
-
-
-def _precoder(cfg: ExperimentConfig) -> transforms.Precoder:
-    """The point's precoder, unbuilt: a random kind's matrix waits for first use."""
-    return transforms.Precoder(kind=cfg.precoder, shape=(cfg.m_data, cfg.n_data),
-                               subframes=cfg.subframes, seed=cfg.precoder_seed)
+    if cfg.pilots_per_row == 0:
+        return piloting.all_data_placement(cfg.m_data, cfg.n_data)
+    return piloting.accordion_placement(cfg.m_data, cfg.n_data, cfg.pilots_per_row)
 
 
 def build_grid(cfg: ExperimentConfig, pl: piloting.PilotPlacement) -> gabor.GaborGrid:
@@ -160,12 +149,27 @@ def _config_key(key: str):
         raise type(e)(f"{key}: {e}") from e
 
 
-def validate_point(cfg: ExperimentConfig):
-    """Check a sweep point before any trial runs, by building what a trial
-    builds: placement, grid, spreads, channel config, tight pulse,
-    reconstruction grid, every estimator config and the precoder (without the
-    random kind's QR). Each uses its own checks, and an error names the
-    offending key. The tight pulse is cached, so the trials reuse it."""
+@dataclass(frozen=True, eq=False)
+class Point:
+    """What every trial of a sweep point shares: validate_point() builds it,
+    prepare() adds the random matrix and the estimator operators."""
+
+    cfg: ExperimentConfig
+    pl: piloting.PilotPlacement
+    grid: gabor.GaborGrid
+    pulse: gabor.Pulse
+    precoder: transforms.Precoder
+    tau_max: float
+    nu_max: float
+    operators: dict  # estimator name -> its linear map (estimation.operator)
+
+
+def validate_point(cfg: ExperimentConfig) -> Point:
+    """Check a sweep point before any trial runs, and return its unprepared
+    Point. This builds the placement, grid, spreads, channel config, tight
+    pulse, reconstruction grid, every estimator config and the precoder
+    (without the random kind's QR). Each uses its own checks, and an error
+    names the offending key."""
     pl = build_placement(cfg)
     grid = build_grid(cfg, pl)
     tau_max, nu_max = resolve_spreads(cfg, grid)
@@ -183,9 +187,10 @@ def validate_point(cfg: ExperimentConfig):
     with _config_key("scatterers"):
         chan.ChannelConfig(R=cfg.scatterers, tau_max=tau_max, nu_max=nu_max)
     with _config_key("pulse_spread"):
-        _tight_pulse(grid, cfg.pulse_spread)
+        pulse = _tight_pulse(grid, cfg.pulse_spread)
     with _config_key("precoder, subframes"):
-        _precoder(cfg)
+        precoder = transforms.Precoder(kind=cfg.precoder, shape=(cfg.m_data, cfg.n_data),
+                                       subframes=cfg.subframes, seed=cfg.precoder_seed)
     with _config_key("recon_q, recon_w, recon_wn"):
         grid_k = est.ReconstructionGrid(Q=cfg.recon_q, W=cfg.recon_w, Wn=cfg.recon_wn)
         if "lmmse" in cfg.estimators:
@@ -194,6 +199,7 @@ def validate_point(cfg: ExperimentConfig):
         for name in cfg.estimators:
             if name != "perfect":
                 _estimator_config(name, cfg, grid, 0.0, 0.0, tau_max, nu_max)
+    return Point(cfg, pl, grid, pulse, precoder, tau_max, nu_max, {})
 
 
 def _estimator_config(name: str, cfg: ExperimentConfig, grid: gabor.GaborGrid,
@@ -214,77 +220,57 @@ def _estimator_config(name: str, cfg: ExperimentConfig, grid: gabor.GaborGrid,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Point:
-    """What every trial of a sweep point shares; prepare() builds it."""
+def prepare(point: Point, precoder: transforms.Precoder | None = None) -> Point:
+    """Complete a validated point with what validation leaves out: the
+    placement's index arrays, a random kind's matrix, and every estimator's
+    operator (one SRH operator per (alpha, beta), the LMMSE operator).
 
-    pl: piloting.PilotPlacement
-    grid: gabor.GaborGrid
-    pulse: gabor.Pulse
-    precoder: transforms.Precoder
-    tau_max: float
-    nu_max: float
-    operators: dict  # estimator name -> its linear map (estimation.operator)
-
-
-def prepare(cfg: ExperimentConfig, precoder: transforms.Precoder | None = None) -> Point:
-    """Build the part of a sweep point that no trial changes.
-
-    That is the placement with its index arrays, the grid, the tight pulse,
-    the spreads, the precoder with a random kind's matrix, and every
-    estimator's operator: one SRH operator per (alpha, beta) and the LMMSE
-    operator. A given precoder equal to the point's is used as it is, so
-    points that share one build its matrix once. The placement and the tight
-    pulse come from the caches that validate_point fills.
+    A given precoder equal to the point's is used as it is, so points that
+    share one build its matrix once. Otherwise the matrix goes into a copy of
+    the point's precoder, so the validated point never holds one.
     """
-    pl = build_placement(cfg)
+    cfg, pl = point.cfg, point.pl
     pl.pilot_array_indices(), pl.data_array_indices()  # cached on pl from here on
-    grid = build_grid(cfg, pl)
-    tau_max, nu_max = resolve_spreads(cfg, grid)
-    own = _precoder(cfg)
-    precoder = precoder if precoder == own else own
+    if precoder != point.precoder:
+        precoder = dataclasses.replace(point.precoder)
     if precoder.kind == "random":
         precoder.matrix
-    operators = {name: est.operator(pl, _estimator_config(name, cfg, grid, 0.0, 0.0,
-                                                          tau_max, nu_max))
+    operators = {name: est.operator(pl, _estimator_config(name, cfg, point.grid, 0.0, 0.0,
+                                                          point.tau_max, point.nu_max))
                  for name in cfg.estimators if name != "perfect"}
-    return Point(pl, grid, _tight_pulse(grid, cfg.pulse_spread), precoder,
-                 tau_max, nu_max, operators)
+    return dataclasses.replace(point, precoder=precoder, operators=operators)
 
 
-# the prepared points of the running pool, or else the last point a trial used
+# the prepared points of the run of points in progress, or else the last point
+# a trial used
 _points: dict[ExperimentConfig, Point] = {}
 
 
-def _prepare(cfgs: list[ExperimentConfig]):
-    """Replace the cached points with the prepared points of cfgs.
+def _prepare(points: list[Point]):
+    """Replace the cached points with the prepared points (each distinct one once).
 
     Equal precoders are built once and shared, also with the points the cache
     held. The cache lets go of every other precoder before anything is built.
     """
-    needed = [_precoder(cfg) for cfg in cfgs]
+    needed = [point.precoder for point in points]
     shared = [p.precoder for p in _points.values() if p.precoder in needed]
     _points.clear()
-    for cfg, precoder in zip(cfgs, needed):
-        precoder = next((p for p in shared if p == precoder), precoder)
-        _points[cfg] = prepare(cfg, precoder)
-        shared.append(precoder)
-
-
-def _point(cfg: ExperimentConfig) -> Point:
-    if cfg not in _points:
-        _prepare([cfg])
-    return _points[cfg]
+    for point in dict.fromkeys(points):
+        precoder = next((p for p in shared if p == point.precoder), None)
+        _points[point.cfg] = prepare(point, precoder)
+        shared.append(_points[point.cfg].precoder)
 
 
 def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
               ) -> dict[str, link.FrameMetrics]:
     """Run one seeded trial and evaluate every configured estimator on the
     same bits, channel and noise realization. The sweep point comes from the
-    cache of prepared points; a miss prepares it in place of what the cache
-    held."""
+    cache of prepared points; a miss validates and prepares it in place of
+    what the cache held."""
     rng = np.random.default_rng((cfg.seed, trial_index))
-    point = _point(cfg)
+    if cfg not in _points:
+        _prepare([validate_point(cfg)])
+    point = _points[cfg]
     pl, grid, pulse, precoder = point.pl, point.grid, point.pulse, point.precoder
     tau_max, nu_max = point.tau_max, point.nu_max
 
@@ -352,38 +338,39 @@ def _max_workers() -> int:
     return max(1, int(os.environ.get("DDLF_THREADS", "1")))
 
 
-def _run_points(points: list) -> list[dict[str, list[link.FrameMetrics]]]:
-    """Every trial of the (config, snr) points; per point, each estimator's
-    metrics in trial order.
+def _run_points(points: list[tuple[Point, float]]) -> list[dict[str, list[link.FrameMetrics]]]:
+    """Every trial of the (validated point, snr) pairs; per pair, each
+    estimator's metrics in trial order.
 
-    Serially (DDLF_THREADS = 1, or one trial in all) this is a plain loop,
-    and each trial prepares its point on a cache miss. Otherwise this
-    process prepares the points and one process pool runs all of their
-    trials; forked workers inherit every point and build nothing.
+    Consecutive points that share a random precoder (or have none) form a
+    run, and each run is prepared at once in this process, so one random
+    matrix at a time is alive. Serially (DDLF_THREADS = 1, or one trial in
+    all) the run's trials then follow in a plain loop. Otherwise one process
+    pool per run executes them; its forked workers inherit every prepared
+    point and build nothing.
     """
-    workers = _max_workers()
-    if workers == 1 or sum(cfg.trials for cfg, _ in points) == 1:
-        trials = [[run_trial(cfg, snr, i) for i in range(cfg.trials)] for cfg, snr in points]
-    else:
-        trials = []
-        # consecutive points that share a random precoder (or have none) share a
-        # pool, so one random matrix at a time is alive
-        for _, run in groupby(points, lambda p: p[0].precoder == "random" and _precoder(p[0])):
-            run = list(run)
-            _prepare([cfg for cfg, _ in run])
-            jobs = [(cfg, snr, i) for cfg, snr in run for i in range(cfg.trials)]
+    workers = _max_workers() if sum(point.cfg.trials for point, _ in points) > 1 else 1
+    results = []
+    for _, run in groupby(points, lambda p: p[0].precoder.kind == "random" and p[0].precoder):
+        run = list(run)
+        _prepare([point for point, _ in run])
+        jobs = [(point.cfg, snr, i) for point, snr in run for i in range(point.cfg.trials)]
+        if workers == 1:
+            results += [run_trial(*job) for job in jobs]
+        else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                done = (res for _, res in pool.map(_trial_worker, jobs))
-                trials += [[next(done) for _ in range(cfg.trials)] for cfg, _ in run]
-    return [{name: [t[name] for t in per_trial] for name in cfg.estimators}
-            for (cfg, _), per_trial in zip(points, trials)]
+                results += [res for _, res in pool.map(_trial_worker, jobs)]
+    done = iter(results)
+    trials = [[next(done) for _ in range(point.cfg.trials)] for point, _ in points]
+    return [{name: [t[name] for t in per_trial] for name in point.cfg.estimators}
+            for (point, _), per_trial in zip(points, trials)]
 
 
 def run_point(cfg: ExperimentConfig, snr_db: float
               ) -> dict[str, list[link.FrameMetrics]]:
     """All trials for one sweep point, as a one-point sweep (see run_sweep);
     per-estimator metric lists in trial order."""
-    return _run_points([(cfg, snr_db)])[0]
+    return _run_points([(validate_point(cfg), snr_db)])[0]
 
 
 def _aggregate(cfg: ExperimentConfig, snr_db: float, estimator: str,
@@ -440,24 +427,24 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values) -> list[ResultRow]:
     pilot cells; velocity values are km/h; snr values are dB. Every point is
     validated before the first trial runs.
 
-    Where things are built: with DDLF_THREADS = 1, or a sweep of one trial,
-    the trials run in this process, one after another, and the first trial
-    of each point prepares it (see prepare); no pool is opened. Otherwise
-    this process prepares every point before it forks, and one process pool
-    runs every trial of the sweep, so the workers inherit the pulse,
-    placement, precoder and estimator operators and build none of them. A
-    point whose random precoder differs from the last one (the pilots axis
-    with precoder = random) starts a new pool, so one random matrix at a
-    time is alive.
+    Where things are built: validate_point builds each distinct config's
+    Point once, before any trial. Then each run of consecutive points that
+    share a random precoder (or have none) is prepared in this process: the
+    random matrix and the estimator operators (see prepare). With
+    DDLF_THREADS = 1, or a sweep of one trial, the trials run here, one
+    after another, and no pool is opened. Otherwise one process pool per run
+    executes its trials, so the workers inherit the pulse, placement,
+    precoder and estimator operators and build none of them. Only a change of
+    random precoder (the pilots axis with precoder = random) starts a new
+    run, so one random matrix at a time is alive.
     """
     points = sweep_points(cfg, axis, values)
-    for point_cfg, _ in points:
-        validate_point(point_cfg)
+    validated = {c: validate_point(c) for c in dict.fromkeys(c for c, _ in points)}
+    points = [(validated[c], snr) for c, snr in points]
     rows = []
-    for (point_cfg, snr), metrics in zip(points, _run_points(points)):
-        for name in point_cfg.estimators:
-            rows.append(_aggregate(point_cfg, snr, name, metrics[name],
-                                   build_placement(point_cfg).P))
+    for (point, snr), metrics in zip(points, _run_points(points)):
+        for name in point.cfg.estimators:
+            rows.append(_aggregate(point.cfg, snr, name, metrics[name], point.pl.P))
     return rows
 
 

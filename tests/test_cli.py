@@ -57,10 +57,17 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(str(path))
 
-    def test_bad_value_names_file_line_and_key(self, tmp_path):
+    @pytest.mark.parametrize("key, value", [
+        ("trials", "abc"),
+        # a non-finite number would fail only inside a trial
+        ("snr", "nan"), ("snr", "10,inf"), ("velocity", "nan"), ("tau-max", "nan"),
+        ("nu-max", "nan"), ("omega", "nan"), ("sigma-z2", "nan"), ("power-profile", "nan"),
+        ("bandwidth", "inf"),
+    ])
+    def test_bad_value_names_file_line_and_key(self, tmp_path, key, value):
         path = tmp_path / "bad.cfg"
-        path.write_text("seed = 3\ntrials = abc\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}:2: trials:")):
+        path.write_text(f"seed = 3\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {key}:")):
             load_config(str(path))
 
     def test_keys_case_insensitive(self, tmp_path):
@@ -174,7 +181,8 @@ class TestConfigErrors:
         assert re.search(rf"^ddlf: .*\b{key}\b.*:", err, re.M)
         assert not out.exists()
 
-    @pytest.mark.parametrize("axis, values", [("pilots", "1,1.5"), ("snr", "10,abc")])
+    @pytest.mark.parametrize("axis, values", [("pilots", "1,1.5"), ("snr", "10,abc"),
+                                              ("snr", "10,inf"), ("velocity", "100,nan")])
     def test_bad_sweep_value_exits_2_naming_values(self, tmp_path, capsys, axis, values):
         cfgf = tmp_path / "run.cfg"
         cfgf.write_text("trials = 1\nsnr = 15\nestimator = srh\n")

@@ -1,10 +1,13 @@
-"""Pinned desk-scale results: every run must reproduce tests/data/golden_desk.csv.
+"""Pinned results: every run must reproduce the CSV files in tests/data/.
 
-The file covers all six estimators (the srh-na/srh-mna rows pin the
-self-interference calibration), the none/dsft2d/random precoders and one coded
-point. Key columns must match exactly; numeric cells within rel 1e-6 / abs
-1e-9, the tolerance of the benchmark's reference gate. Regenerate it only for
-a change that is meant to alter results:
+golden_desk.csv covers `simulate` at desk scale: all six estimators (the
+srh-na/srh-mna rows pin the self-interference calibration), the
+none/dsft2d/random precoders and one coded point. golden_sweeps.csv covers the
+sweep paths: a desk velocity and a desk pilots sweep with the random precoder,
+and one paper-scale point (64x62 data, 2 pilots per row, 58 paths). Key
+columns must match exactly; numeric cells within rel 1e-6 / abs 1e-9, the
+tolerance of the benchmark's reference gate. Regenerate them only for a change
+that is meant to alter results:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,9 +17,10 @@ import io
 import math
 from pathlib import Path
 
-from ddlf.harness import ExperimentConfig, rows_to_csv, simulate
+from ddlf.harness import ExperimentConfig, rows_to_csv, run_sweep, simulate
 
 GOLDEN = Path(__file__).parent / "data" / "golden_desk.csv"
+GOLDEN_SWEEPS = Path(__file__).parent / "data" / "golden_sweeps.csv"
 ESTIMATORS = ("lmmse", "srh", "srh-na", "srh-ma", "srh-mna", "perfect")
 KEY_COLUMNS = ("snr_db", "velocity_kmh", "pilots", "estimator", "precoder",
                "subframes", "trials")
@@ -32,13 +36,23 @@ def golden_csv() -> str:
     return rows_to_csv(rows)
 
 
+def golden_sweeps_csv() -> str:
+    cfg = ExperimentConfig(precoder="random", estimators=("srh-ma", "lmmse"), trials=2)
+    rows = run_sweep(cfg, "velocity", [100.0, 250.0, 500.0])
+    rows += run_sweep(cfg, "pilots", [1, 2, 3])
+    rows += simulate(ExperimentConfig(m_data=64, n_data=62, pilots_per_row=2, scatterers=58,
+                                      estimators=("lmmse", "srh-mna", "perfect"),
+                                      trials=2, snr_db=(15.0,)))
+    return rows_to_csv(rows)
+
+
 def _parse(text: str) -> list[dict[str, str]]:
     return list(csv.DictReader(io.StringIO(text)))
 
 
-def test_matches_golden():
-    want = _parse(GOLDEN.read_text())
-    got = _parse(golden_csv())
+def _assert_matches(golden: Path, text: str):
+    want = _parse(golden.read_text())
+    got = _parse(text)
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         assert list(g) == list(w), "CSV header changed"
@@ -51,6 +65,15 @@ def test_matches_golden():
                     f"row {i} column {col}: {g[col]} != {w[col]}"
 
 
+def test_matches_golden():
+    _assert_matches(GOLDEN, golden_csv())
+
+
+def test_sweeps_match_golden():
+    _assert_matches(GOLDEN_SWEEPS, golden_sweeps_csv())
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(golden_csv())
-    print(f"wrote {GOLDEN}")
+    for path, make in ((GOLDEN, golden_csv), (GOLDEN_SWEEPS, golden_sweeps_csv)):
+        path.write_text(make())
+        print(f"wrote {path}")

@@ -1,7 +1,9 @@
 """Tests for the Monte-Carlo harness."""
 
 import dataclasses
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -180,15 +182,24 @@ class TestSweepValidation:
 
 
 class TestPointOperators:
+    @staticmethod
+    def cached_point(cfg):
+        run_trial(cfg, 15.0, 0)  # a cache miss validates and prepares the point
+        return harness._points[cfg]
+
     def test_random_precoder_matrix_built_in_parent(self):
         # forked pool workers inherit the matrix instead of each redoing the QR
-        point = harness.prepare(quiet_cfg(precoder="random"))
+        validated = harness.validate_point(quiet_cfg(precoder="random"))
+        point = harness.prepare(validated)
         assert point.precoder._matrix is not None
         assert point.precoder._matrix.shape == (16 * 15, 16 * 15)
+        assert validated.precoder._matrix is None  # a sweep's list of points holds no matrix
 
     def test_operators_are_the_estimators_maps(self):
         cfg = quiet_cfg(estimators=("lmmse", "srh", "srh-ma", "perfect"), velocity=300.0)
-        point = harness.prepare(cfg)
+        validated = harness.validate_point(cfg)
+        assert validated.operators == {}
+        point = harness.prepare(validated)
         assert set(point.operators) == {"lmmse", "srh", "srh-ma"}
         for name, op in point.operators.items():
             ecfg = harness._estimator_config(name, cfg, point.grid, 0.0, 0.0,
@@ -198,17 +209,17 @@ class TestPointOperators:
 
     def test_consecutive_points_share_the_precoder(self):
         cfgs = [quiet_cfg(precoder="random", velocity=v) for v in (100.0, 200.0)]
-        first = harness._point(cfgs[0])
-        second = harness._point(cfgs[1])
+        first = self.cached_point(cfgs[0])
+        second = self.cached_point(cfgs[1])
         assert second.precoder is first.precoder
         assert list(harness._points) == [cfgs[1]]  # one point kept between trials
-        harness._prepare(cfgs)
+        harness._prepare([harness.validate_point(cfg) for cfg in cfgs])
         assert harness._points[cfgs[0]].precoder is first.precoder
         assert harness._points[cfgs[1]].precoder is first.precoder
 
     def test_a_different_precoder_is_not_shared(self):
-        a = harness._point(quiet_cfg(precoder="random"))
-        b = harness._point(quiet_cfg(precoder="random", precoder_seed=7))
+        a = self.cached_point(quiet_cfg(precoder="random"))
+        b = self.cached_point(quiet_cfg(precoder="random", precoder_seed=7))
         assert b.precoder is not a.precoder
         assert not np.allclose(b.precoder.matrix, a.precoder.matrix)
 
@@ -285,6 +296,39 @@ class TestSweepPool:
             monkeypatch.setenv("DDLF_THREADS", threads)
             csv[threads] = rows_to_csv(run_sweep(cfg, axis, values))
         assert csv["1"] == csv["2"]
+
+
+class TestBuildOnce:
+    """A sweep builds each distinct config once and one random matrix at a time."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("axis, values, configs", [("snr", [10.0, 15.0, 20.0], 1),
+                                                       ("velocity", [50.0, 100.0, 150.0], 3),
+                                                       ("pilots", [1, 2, 3], 3)],
+                             ids=["snr", "velocity", "pilots"])
+    def test_each_config_built_once(self, monkeypatch, threads, axis, values, configs):
+        grids, make_grid = [], gabor.make_grid
+        monkeypatch.setattr(gabor, "make_grid", lambda *a: grids.append(a) or make_grid(*a))
+        monkeypatch.setenv("DDLF_THREADS", threads)
+        run_sweep(quiet_cfg(), axis, values)
+        assert len(grids) == configs
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_one_random_matrix_alive(self, monkeypatch, threads):
+        built, random_unitary = [], transforms._random_unitary
+
+        def tracked(*args):
+            gc.collect()
+            assert all(ref() is None for ref in built), "an earlier random matrix is alive"
+            matrix = random_unitary(*args)
+            built.append(weakref.ref(matrix))
+            return matrix
+
+        monkeypatch.setattr(transforms, "_random_unitary", tracked)
+        monkeypatch.setenv("DDLF_THREADS", threads)
+        harness._points.clear()
+        run_sweep(quiet_cfg(precoder="random"), "pilots", [1, 2, 3])
+        assert len(built) == 3
 
 
 class TestDeterminism:
