@@ -90,8 +90,6 @@ def generate_channel(cfg: ChannelConfig, grid: GaborGrid | None = None) -> DDCha
     exp(-tau * power_profile), renormalized so the realized total power
     sum |eta_r|^2 is exactly 1. Deterministic for a given seed.
     """
-    if 2.0 * cfg.tau_max * cfg.nu_max >= 0.1:
-        raise ChannelError("configuration violates the underspread requirement")
     rate = cfg.power_profile if cfg.power_profile is not None else default_power_profile(cfg.tau_max)
     rng = np.random.default_rng(cfg.seed)
     taus = rng.uniform(0.0, cfg.tau_max, size=cfg.R)

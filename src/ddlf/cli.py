@@ -237,11 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     amb = sub.add_parser("ambiguity", help="dump |A(tau, nu)| over a raster")
     amb.add_argument("--frame", default="16x16", help="grid MxN")
-    amb.add_argument("--tf-product", type=float, default=1.25)
-    amb.add_argument("--bandwidth", type=float, default=5.0e6)
-    amb.add_argument("--spread", type=float, default=1.0)
-    amb.add_argument("--tau-span", type=float, default=2.0, help="raster half-width in T")
-    amb.add_argument("--nu-span", type=float, default=2.0, help="raster half-width in F")
+    amb.add_argument("--tf-product", type=_finite, default=1.25)
+    amb.add_argument("--bandwidth", type=_finite, default=5.0e6)
+    amb.add_argument("--spread", type=_finite, default=1.0)
+    amb.add_argument("--tau-span", type=_finite, default=2.0, help="raster half-width in T")
+    amb.add_argument("--nu-span", type=_finite, default=2.0, help="raster half-width in F")
     amb.add_argument("--steps", type=int, default=33)
     amb.add_argument("--out", default="ambiguity.csv")
     amb.set_defaults(func=cmd_ambiguity)

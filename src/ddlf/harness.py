@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -69,6 +70,14 @@ class ExperimentConfig:
     coding: bool = False
 
     def __post_init__(self):
+        # tuples also when given lists, so that a config can be a dict key
+        object.__setattr__(self, "estimators", tuple(self.estimators))
+        object.__setattr__(self, "snr_db", tuple(self.snr_db))
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"{f.name}: expected a finite number, got {v!r}")
         for e in self.estimators:
             if e not in ESTIMATOR_CHOICES:
                 raise ValueError(f"unknown estimator {e!r}; choose from {ESTIMATOR_CHOICES}")
@@ -151,8 +160,9 @@ def _config_key(key: str):
 
 @dataclass(frozen=True, eq=False)
 class Point:
-    """What every trial of a sweep point shares: validate_point() builds it,
-    prepare() adds the random matrix and the estimator operators."""
+    """What every trial of a sweep point shares: validate_point() builds it
+    with every estimator's zero-noise config, and prepare() adds the
+    estimators' operators."""
 
     cfg: ExperimentConfig
     pl: piloting.PilotPlacement
@@ -161,15 +171,16 @@ class Point:
     precoder: transforms.Precoder
     tau_max: float
     nu_max: float
+    estimators: dict  # estimator name -> its zero-noise estimation.EstimatorConfig
     operators: dict  # estimator name -> its linear map (estimation.operator)
 
 
 def validate_point(cfg: ExperimentConfig) -> Point:
     """Check a sweep point before any trial runs, and return its unprepared
     Point. This builds the placement, grid, spreads, channel config, tight
-    pulse, reconstruction grid, every estimator config and the precoder
-    (without the random kind's QR). Each uses its own checks, and an error
-    names the offending key."""
+    pulse, reconstruction grid, every estimator config (kept in the Point)
+    and the precoder (without the random kind's QR). Each uses its own
+    checks, and an error names the offending key."""
     pl = build_placement(cfg)
     grid = build_grid(cfg, pl)
     tau_max, nu_max = resolve_spreads(cfg, grid)
@@ -195,16 +206,6 @@ def validate_point(cfg: ExperimentConfig) -> Point:
         grid_k = est.ReconstructionGrid(Q=cfg.recon_q, W=cfg.recon_w, Wn=cfg.recon_wn)
         if "lmmse" in cfg.estimators:
             grid_k.validate(pl.M, pl.N)
-    with _config_key("omega"):
-        for name in cfg.estimators:
-            if name != "perfect":
-                _estimator_config(name, cfg, grid, 0.0, 0.0, tau_max, nu_max)
-    return Point(cfg, pl, grid, pulse, precoder, tau_max, nu_max, {})
-
-
-def _estimator_config(name: str, cfg: ExperimentConfig, grid: gabor.GaborGrid,
-                      sigma2: float, sigma_z2: float,
-                      tau_max: float, nu_max: float) -> est.EstimatorConfig:
     # mode weights in grid-step units so the three curvature channels balance,
     # ratio-normalized so the omega default keeps its meaning across channels
     scale = np.sqrt(nu_max * grid.T * tau_max * grid.F)
@@ -213,32 +214,25 @@ def _estimator_config(name: str, cfg: ExperimentConfig, grid: gabor.GaborGrid,
         beta = tau_max * grid.F / scale
     else:
         alpha = beta = 1.0
-    return est.EstimatorConfig(
-        variant=name, sigma2=sigma2, sigma_z2=sigma_z2,
-        alpha=alpha, beta=beta, omega=cfg.omega,
-        grid_k=est.ReconstructionGrid(Q=cfg.recon_q, W=cfg.recon_w, Wn=cfg.recon_wn),
-    )
+    with _config_key("omega"):
+        estimators = {name: est.EstimatorConfig(variant=name, alpha=alpha, beta=beta,
+                                                omega=cfg.omega, grid_k=grid_k)
+                      for name in cfg.estimators if name != "perfect"}
+    return Point(cfg, pl, grid, pulse, precoder, tau_max, nu_max, estimators, {})
 
 
-def prepare(point: Point, precoder: transforms.Precoder | None = None) -> Point:
+def prepare(point: Point) -> Point:
     """Complete a validated point with what validation leaves out: the
-    placement's index arrays, a random kind's matrix, and every estimator's
-    operator (one SRH operator per (alpha, beta), the LMMSE operator).
-
-    A given precoder equal to the point's is used as it is, so points that
-    share one build its matrix once. Otherwise the matrix goes into a copy of
-    the point's precoder, so the validated point never holds one.
-    """
-    cfg, pl = point.cfg, point.pl
+    placement's index arrays, a random kind's matrix (held by transforms, one
+    at a time), and then every estimator's operator (one SRH operator per
+    (alpha, beta), the LMMSE operator). The operators come after the matrix,
+    so that none of them is alive during its QR."""
+    pl = point.pl
     pl.pilot_array_indices(), pl.data_array_indices()  # cached on pl from here on
-    if precoder != point.precoder:
-        precoder = dataclasses.replace(point.precoder)
-    if precoder.kind == "random":
-        precoder.matrix
-    operators = {name: est.operator(pl, _estimator_config(name, cfg, point.grid, 0.0, 0.0,
-                                                          point.tau_max, point.nu_max))
-                 for name in cfg.estimators if name != "perfect"}
-    return dataclasses.replace(point, precoder=precoder, operators=operators)
+    if point.precoder.kind == "random":
+        point.precoder.matrix
+    operators = {name: est.operator(pl, ecfg) for name, ecfg in point.estimators.items()}
+    return dataclasses.replace(point, operators=operators)
 
 
 # the prepared points of the run of points in progress, or else the last point
@@ -247,18 +241,10 @@ _points: dict[ExperimentConfig, Point] = {}
 
 
 def _prepare(points: list[Point]):
-    """Replace the cached points with the prepared points (each distinct one once).
-
-    Equal precoders are built once and shared, also with the points the cache
-    held. The cache lets go of every other precoder before anything is built.
-    """
-    needed = [point.precoder for point in points]
-    shared = [p.precoder for p in _points.values() if p.precoder in needed]
+    """Replace the cached points with the prepared points (each distinct one once)."""
     _points.clear()
     for point in dict.fromkeys(points):
-        precoder = next((p for p in shared if p == point.precoder), None)
-        _points[point.cfg] = prepare(point, precoder)
-        shared.append(_points[point.cfg].precoder)
+        _points[point.cfg] = prepare(point)
 
 
 def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
@@ -315,7 +301,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
         if name == "perfect":
             h_tilde = h_true
         else:
-            ecfg = _estimator_config(name, cfg, grid, sigma2, sigma_z2, tau_max, nu_max)
+            ecfg = dataclasses.replace(point.estimators[name], sigma2=sigma2, sigma_z2=sigma_z2)
             h_tilde = est.estimate(h_pilot, pl, ecfg, point.operators[name]).h_tilde
         x_eq = link.mmse_equalize(y, h_tilde, sigma2)
         X_hat = transforms.decode(piloting.demultiplex(x_eq, pl), precoder)
@@ -343,11 +329,11 @@ def _run_points(points: list[tuple[Point, float]]) -> list[dict[str, list[link.F
     estimator's metrics in trial order.
 
     Consecutive points that share a random precoder (or have none) form a
-    run, and each run is prepared at once in this process, so one random
-    matrix at a time is alive. Serially (DDLF_THREADS = 1, or one trial in
-    all) the run's trials then follow in a plain loop. Otherwise one process
-    pool per run executes them; its forked workers inherit every prepared
-    point and build nothing.
+    run, and each run is prepared at once in this process, so its one random
+    matrix is built before its trials start. Serially (DDLF_THREADS = 1, or
+    one trial in all) the run's trials then follow in a plain loop. Otherwise
+    one process pool per run executes them; its forked workers inherit every
+    prepared point and the random matrix, and build nothing.
     """
     workers = _max_workers() if sum(point.cfg.trials for point, _ in points) > 1 else 1
     results = []
@@ -401,6 +387,8 @@ def _aggregate(cfg: ExperimentConfig, snr_db: float, estimator: str,
 
 def _sweep_config(cfg: ExperimentConfig, axis: str, value: float) -> tuple[ExperimentConfig, float]:
     """Config variant and SNR for one sweep value on the given axis."""
+    if not math.isfinite(value):
+        raise ValueError(f"{axis}: expected a finite number, got {value!r}")
     if axis == "snr":
         return cfg, float(value)
     snr = cfg.snr_db[0]
@@ -428,15 +416,16 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values) -> list[ResultRow]:
     validated before the first trial runs.
 
     Where things are built: validate_point builds each distinct config's
-    Point once, before any trial. Then each run of consecutive points that
-    share a random precoder (or have none) is prepared in this process: the
-    random matrix and the estimator operators (see prepare). With
+    Point once, before any trial, with its estimator configs. Then each run
+    of consecutive points that share a random precoder (or have none) is
+    prepared in this process: the random matrix, which transforms keeps one
+    at a time, and the estimator operators (see prepare). With
     DDLF_THREADS = 1, or a sweep of one trial, the trials run here, one
     after another, and no pool is opened. Otherwise one process pool per run
-    executes its trials, so the workers inherit the pulse, placement,
-    precoder and estimator operators and build none of them. Only a change of
+    executes its trials, so the workers inherit the pulse, placement, random
+    matrix and estimator operators and build none of them. Only a change of
     random precoder (the pilots axis with precoder = random) starts a new
-    run, so one random matrix at a time is alive.
+    run, and with it a new pool whose workers inherit the new matrix.
     """
     points = sweep_points(cfg, axis, values)
     validated = {c: validate_point(c) for c in dict.fromkeys(c for c, _ in points)}

@@ -8,7 +8,7 @@ blocks that are each precoded separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -63,7 +63,12 @@ def _random_unitary(n: int, seed: int) -> np.ndarray:
     return Q
 
 
-@dataclass
+# the random kind's block unitary, keyed by (block size, seed); it holds one at
+# most, and a miss empties it before the QR, so two are never alive at once
+_random_matrix: dict[tuple[int, int], np.ndarray] = {}
+
+
+@dataclass(frozen=True)
 class Precoder:
     """Energy-preserving precoder description, bound to a data-frame shape.
 
@@ -75,7 +80,6 @@ class Precoder:
     shape: tuple[int, int]
     subframes: int = 1
     seed: int = 0
-    _matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -94,11 +98,14 @@ class Precoder:
     @property
     def matrix(self) -> np.ndarray:
         """The random kind's block unitary, built by a QR on first use, so
-        that constructing a Precoder only checks its parameters."""
-        if self._matrix is None:
-            bm, bn = self.block_shape
-            self._matrix = _random_unitary(bm * bn, self.seed)
-        return self._matrix
+        that constructing a Precoder only checks its parameters. Equal
+        precoders share one; the last one built is kept."""
+        bm, bn = self.block_shape
+        key = (bm * bn, self.seed)
+        if key not in _random_matrix:
+            _random_matrix.clear()
+            _random_matrix[key] = _random_unitary(*key)
+        return _random_matrix[key]
 
     @property
     def block_shape(self) -> tuple[int, int]:

@@ -134,6 +134,19 @@ class TestAmbiguity:
         mags = [float(ln.split(",")[2]) for ln in lines[1:]]
         assert max(mags) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("flag", ["--tf-product", "--bandwidth", "--spread",
+                                      "--tau-span", "--nu-span"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flag_exits_2_naming_it(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "amb.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["ambiguity", "--frame", "8x8", "--steps", "5", flag, value,
+                  "--out", str(out)])
+        assert info.value.code == 2
+        assert re.search(rf"^ddlf ambiguity: error: argument {flag}: ", capsys.readouterr().err,
+                         re.M)
+        assert not out.exists()
+
 
 class TestSimulateAndSweep:
     def test_simulate_end_to_end(self, tmp_path):

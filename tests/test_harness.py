@@ -43,6 +43,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="sigma_z2"):
             quiet_cfg(sigma_z2=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["tf_product", "bandwidth", "pulse_spread", "tau_max",
+                                       "nu_max", "velocity", "power_profile", "omega",
+                                       "sigma_z2", "snr_db"])
+    def test_rejects_non_finite_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: expected a finite number"):
+            quiet_cfg(**{field: (15.0, value) if field == "snr_db" else value})
+
+    def test_list_config_runs_as_the_tuple_config(self):
+        lists = quiet_cfg(estimators=["srh", "lmmse"], snr_db=[10.0, 15.0], trials=1)
+        tuples = quiet_cfg(estimators=("srh", "lmmse"), snr_db=(10.0, 15.0), trials=1)
+        assert lists == tuples and hash(lists) == hash(tuples)
+        assert rows_to_csv(simulate(lists)) == rows_to_csv(simulate(tuples))
+
     def test_velocity_mapping(self):
         # 200 km/h at 5.9 GHz
         assert velocity_to_nu_max(200.0) == pytest.approx(1093.2, rel=1e-3)
@@ -117,6 +131,11 @@ class TestSweep:
         with pytest.raises(ValueError, match="whole number, got 1.5"):
             run_sweep(quiet_cfg(), "pilots", [1, 1.5])
 
+    @pytest.mark.parametrize("axis", ["snr", "velocity", "pilots"])
+    def test_non_finite_value_rejected(self, axis):
+        with pytest.raises(ValueError, match=f"^{axis}: expected a finite number"):
+            run_sweep(quiet_cfg(), axis, [1.0, float("nan")])
+
     def test_unknown_axis(self):
         with pytest.raises(ValueError):
             run_sweep(quiet_cfg(), "temperature", [1.0])
@@ -187,35 +206,49 @@ class TestPointOperators:
         run_trial(cfg, 15.0, 0)  # a cache miss validates and prepares the point
         return harness._points[cfg]
 
-    def test_random_precoder_matrix_built_in_parent(self):
+    def test_random_precoder_matrix_built_in_parent(self, qrs):
         # forked pool workers inherit the matrix instead of each redoing the QR
         validated = harness.validate_point(quiet_cfg(precoder="random"))
+        assert qrs == []
         point = harness.prepare(validated)
-        assert point.precoder._matrix is not None
-        assert point.precoder._matrix.shape == (16 * 15, 16 * 15)
-        assert validated.precoder._matrix is None  # a sweep's list of points holds no matrix
+        assert qrs == [(16 * 15, 2024)]
+        assert point.precoder.matrix.shape == (16 * 15, 16 * 15)
+        assert qrs == [(16 * 15, 2024)]
+        # a Point holds no matrix: its precoder is a plain value
+        assert all(not isinstance(v, np.ndarray) for v in vars(validated.precoder).values())
+
+    def test_prepare_keeps_the_validated_precoder(self):
+        validated = harness.validate_point(quiet_cfg(precoder="random"))
+        assert harness.prepare(validated).precoder is validated.precoder
 
     def test_operators_are_the_estimators_maps(self):
         cfg = quiet_cfg(estimators=("lmmse", "srh", "srh-ma", "perfect"), velocity=300.0)
         validated = harness.validate_point(cfg)
         assert validated.operators == {}
+        assert set(validated.estimators) == {"lmmse", "srh", "srh-ma"}
         point = harness.prepare(validated)
+        assert point.estimators is validated.estimators
         assert set(point.operators) == {"lmmse", "srh", "srh-ma"}
         for name, op in point.operators.items():
-            ecfg = harness._estimator_config(name, cfg, point.grid, 0.0, 0.0,
-                                             point.tau_max, point.nu_max)
+            ecfg = point.estimators[name]
+            assert (ecfg.variant, ecfg.sigma2, ecfg.sigma_z2) == (name, 0.0, 0.0)
+            assert ecfg.alpha * ecfg.beta == pytest.approx(1.0)
+            assert ecfg.grid_k == estimation.ReconstructionGrid(cfg.recon_q, cfg.recon_w,
+                                                                cfg.recon_wn)
             assert op is estimation.operator(point.pl, ecfg)
         assert point.operators["srh"] is not point.operators["srh-ma"]
 
-    def test_consecutive_points_share_the_precoder(self):
+    def test_consecutive_points_share_the_precoder(self, qrs):
         cfgs = [quiet_cfg(precoder="random", velocity=v) for v in (100.0, 200.0)]
         first = self.cached_point(cfgs[0])
         second = self.cached_point(cfgs[1])
-        assert second.precoder is first.precoder
+        assert second.precoder == first.precoder
+        assert second.precoder.matrix is first.precoder.matrix
         assert list(harness._points) == [cfgs[1]]  # one point kept between trials
         harness._prepare([harness.validate_point(cfg) for cfg in cfgs])
-        assert harness._points[cfgs[0]].precoder is first.precoder
-        assert harness._points[cfgs[1]].precoder is first.precoder
+        assert harness._points[cfgs[0]].precoder.matrix is first.precoder.matrix
+        assert harness._points[cfgs[1]].precoder.matrix is first.precoder.matrix
+        assert qrs == [(16 * 15, 2024)]  # one QR for both points
 
     def test_a_different_precoder_is_not_shared(self):
         a = self.cached_point(quiet_cfg(precoder="random"))

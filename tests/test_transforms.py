@@ -1,5 +1,6 @@
 """Tests for the orthogonal precoding module."""
 
+import dataclasses
 import inspect
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddlf import transforms
 from ddlf.transforms import (
     KINDS,
     SUBFRAME_CHOICES,
@@ -135,11 +137,34 @@ class TestPrecoder:
         c = Precoder(kind="random", shape=(8, 8), seed=4)
         assert not np.allclose(encode(X, a), encode(X, c))
 
-    def test_random_matrix_built_on_first_use(self):
+    def test_random_matrix_built_on_first_use(self, qrs):
         p = Precoder("random", (8, 8), seed=1)
-        assert p._matrix is None
+        assert qrs == []
         encode(rand_frame((8, 8), 19), p)
-        assert p._matrix.shape == (64, 64)
+        assert qrs == [(64, 1)]
+        assert p.matrix.shape == (64, 64)
+
+    def test_equal_random_precoders_share_one_matrix(self, qrs):
+        a = Precoder("random", (8, 8), seed=1)
+        b = Precoder("random", (8, 8), seed=1)
+        assert a.matrix is b.matrix
+        assert qrs == [(64, 1)]
+
+    def test_another_random_matrix_replaces_the_first(self, qrs):
+        a = Precoder("random", (8, 8), seed=1)
+        first = a.matrix
+        Precoder("random", (8, 8), seed=2).matrix
+        assert list(transforms._random_matrix) == [(64, 2)]
+        assert a.matrix is not first  # rebuilt, equal to the first
+        assert np.array_equal(a.matrix, first)
+        assert qrs == [(64, 1), (64, 2), (64, 1)]
+
+    def test_precoder_is_a_frozen_hashable_value(self):
+        a = Precoder("random", (8, 8), seed=1)
+        assert {a: 1}[Precoder("random", (8, 8), seed=1)] == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.seed = 2
+        assert all(f.name != "_matrix" for f in dataclasses.fields(Precoder))
 
     def test_random_matrix_is_not_a_parameter(self):
         # the unitary is derived from (kind, shape, subframes, seed), so it is
@@ -159,7 +184,7 @@ class TestPrecoder:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < p._matrix.nbytes / 8
+        assert peak < p.matrix.nbytes / 8
         assert np.abs(encode(X, p) - Y).max() < 1e-12
 
     def test_fwht_rejects_bad_shapes(self):
