@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import gabor, harness, piloting
+from . import gabor, harness, piloting, transforms
 
 
 def _parse_bool(s: str) -> bool:
@@ -31,7 +31,10 @@ def _parse_shape(s: str) -> tuple[int, int]:
     parts = s.lower().split("x")
     if len(parts) != 2:
         raise ValueError(f"expected MxN, got {s!r}")
-    return int(parts[0]), int(parts[1])
+    m, n = int(parts[0]), int(parts[1])
+    if m < 1 or n < 1:
+        raise ValueError(f"expected positive M and N, got {s!r}")
+    return m, n
 
 
 def _finite(s: str) -> float:
@@ -43,6 +46,24 @@ def _finite(s: str) -> float:
 
 def _auto_or_float(s: str) -> float | None:
     return None if s.lower() == "auto" else _finite(s)
+
+
+def _positive_int(s: str) -> int:
+    value = int(s)
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {s.strip()!r}")
+    return value
+
+
+def _flag(parse):
+    """parse as an argparse type: its ValueError becomes an ArgumentTypeError,
+    so that argparse exits 2 with 'argument <flag>: <reason>'."""
+    def parse_flag(s: str):
+        try:
+            return parse(s)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse_flag
 
 
 def _show(v) -> str:
@@ -61,8 +82,9 @@ CONFIG_KEYS = (
     ("tf-product", ("tf_product",), _finite, "grid T*F product"),
     ("bandwidth", ("bandwidth",), _finite, "sampled bandwidth in Hz"),
     ("pulse-spread", ("pulse_spread",), _finite, "Gaussian prototype width factor"),
-    ("precoder", ("precoder",), str, "none|dsft2d|fft1d|fft2d|fwht1d|fwht2d|random"),
-    ("subframes", ("subframes",), int, "1|2|4|8 independent time blocks"),
+    ("precoder", ("precoder",), str, "|".join(transforms.KINDS)),
+    ("subframes", ("subframes",), int,
+     "|".join(map(str, transforms.SUBFRAME_CHOICES)) + " independent time blocks"),
     ("precoder-seed", ("precoder_seed",), int, "seed for the random precoder"),
     ("scatterers", ("scatterers",), int, "channel path count"),
     ("tau-max", ("tau_max",), _auto_or_float, "delay spread in seconds, or auto"),
@@ -73,7 +95,7 @@ CONFIG_KEYS = (
     ("fractional", ("fractional",), _parse_bool, "true|false off-grid channel shifts"),
     ("estimator", ("estimators",),
      lambda s: tuple(e.strip() for e in s.split(",") if e.strip()),
-     "comma list: lmmse,srh,srh-na,srh-ma,srh-mna,perfect"),
+     "comma list: " + ",".join(harness.ESTIMATOR_CHOICES)),
     ("omega", ("omega",), _auto_or_float, "SRH fidelity weight, or auto (1/P)"),
     ("Q", ("recon_q",), int, "LMMSE reconstruction-grid Doppler extent"),
     ("W", ("recon_w",), int, "LMMSE reconstruction-grid delay guard"),
@@ -166,8 +188,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_place_pilots(args) -> int:
-    m_data, n_data = _parse_shape(args.data_shape)
-    pl = piloting.accordion_placement(m_data, n_data, args.pilots_per_row)
+    pl = piloting.accordion_placement(*args.data_shape, args.pilots_per_row)
     pilot_order = {cell: s for s, cell in enumerate(pl.pilot_indices)}
     data_order = {cell: i for i, cell in enumerate(pl.data_indices)}
     with open(args.out, "w", newline="") as fh:
@@ -184,8 +205,7 @@ def cmd_place_pilots(args) -> int:
 
 
 def cmd_ambiguity(args) -> int:
-    M, N = _parse_shape(args.frame)
-    grid = gabor.make_grid(M, N, args.tf_product, args.bandwidth)
+    grid = gabor.make_grid(*args.frame, args.tf_product, args.bandwidth)
     pulse = gabor.tight_orthogonalize(gabor.gaussian_prototype(grid, args.spread), grid)
     taus = np.linspace(-args.tau_span * grid.T, args.tau_span * grid.T, args.steps)
     nus = np.linspace(-args.nu_span * grid.F, args.nu_span * grid.F, args.steps)
@@ -230,19 +250,23 @@ def build_parser() -> argparse.ArgumentParser:
     sw.set_defaults(func=cmd_sweep)
 
     pp = sub.add_parser("place-pilots", help="dump a pilot placement mask")
-    pp.add_argument("--data-shape", required=True, help="M'xN', e.g. 64x64")
+    pp.add_argument("--data-shape", type=_flag(_parse_shape), required=True,
+                    help="M'xN', e.g. 64x64")
     pp.add_argument("--pilots-per-row", type=int, required=True)
     pp.add_argument("--out", default="pilots.csv")
     pp.set_defaults(func=cmd_place_pilots)
 
     amb = sub.add_parser("ambiguity", help="dump |A(tau, nu)| over a raster")
-    amb.add_argument("--frame", default="16x16", help="grid MxN")
-    amb.add_argument("--tf-product", type=_finite, default=1.25)
-    amb.add_argument("--bandwidth", type=_finite, default=5.0e6)
-    amb.add_argument("--spread", type=_finite, default=1.0)
-    amb.add_argument("--tau-span", type=_finite, default=2.0, help="raster half-width in T")
-    amb.add_argument("--nu-span", type=_finite, default=2.0, help="raster half-width in F")
-    amb.add_argument("--steps", type=int, default=33)
+    amb.add_argument("--frame", type=_flag(_parse_shape), default="16x16", help="grid MxN")
+    amb.add_argument("--tf-product", type=_flag(_finite), default=1.25)
+    amb.add_argument("--bandwidth", type=_flag(_finite), default=5.0e6)
+    amb.add_argument("--spread", type=_flag(_finite), default=1.0)
+    amb.add_argument("--tau-span", type=_flag(_finite), default=2.0,
+                     help="raster half-width in T")
+    amb.add_argument("--nu-span", type=_flag(_finite), default=2.0,
+                     help="raster half-width in F")
+    amb.add_argument("--steps", type=_flag(_positive_int), default=33,
+                     help="raster points per axis")
     amb.add_argument("--out", default="ambiguity.csv")
     amb.set_defaults(func=cmd_ambiguity)
     return parser

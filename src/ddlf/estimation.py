@@ -136,7 +136,7 @@ def _read_only(*arrays: np.ndarray):
 
 
 @lru_cache(maxsize=4)
-def _lmmse_operator(M: int, N: int, pilot_indices: tuple, grid_k: ReconstructionGrid):
+def _lmmse_operator(pl: PilotPlacement, grid_k: ReconstructionGrid):
     """Atoms at the pilots C, their Gram matrix C^H C, and the separable frame factors.
 
     The symplectic-DFT atom of cell (l, k), (1/sqrt(NM)) e^{-2j pi (n l / N - m k / M)},
@@ -145,11 +145,12 @@ def _lmmse_operator(M: int, N: int, pilot_indices: tuple, grid_k: Reconstruction
     grid_k.cells(), map to the frame as delay @ H^T @ doppler, with delay
     M x (W+Wn+1) and doppler (2Q+1) x N, and C samples the same product at the pilots.
     """
+    M, N = pl.M, pl.N
     ks = np.arange(-grid_k.Wn, grid_k.W + 1)
     ls = np.arange(-grid_k.Q, grid_k.Q + 1)
     delay = np.exp(2j * np.pi * np.outer(np.arange(M), ks) / M) / np.sqrt(N * M)
     doppler = np.exp(-2j * np.pi * np.outer(ls, np.arange(N)) / N)
-    pr, pc = np.array(pilot_indices, dtype=int).reshape(-1, 2).T
+    pr, pc = pl.pilot_array_indices()
     C = (doppler[:, pc].T[:, :, None] * delay[pr][:, None, :]).reshape(len(pr), -1)
     return _read_only(C, C.conj().T @ C, delay, doppler)
 
@@ -250,7 +251,7 @@ _BLOCK = 16
 
 
 @lru_cache(maxsize=4)
-def _srh_operator(M: int, N: int, pilot_indices: tuple, alpha: float, beta: float):
+def _srh_operator(pl: PilotPlacement, alpha: float, beta: float):
     """The SRH minimizer as a linear map of the pilot samples: (U, Z, pvar, V, lam).
 
     For fixed pilot cells and curvature weights, eliminating the free cells
@@ -273,6 +274,7 @@ def _srh_operator(M: int, N: int, pilot_indices: tuple, alpha: float, beta: floa
     time, each block solved on the trailing band U[:, s:] below its first row
     s, which skips about half of the full solve.
     """
+    M, N = pl.M, pl.N
     w = N + 2
     u = 2 * w + 2
     nvar = (M + 2) * w
@@ -286,7 +288,7 @@ def _srh_operator(M: int, N: int, pilot_indices: tuple, alpha: float, beta: floa
                 if s1 >= s2:  # entry (out - s1, out - s2) of the upper triangle
                     band[u - s1 + s2, out - s2] += wk * k1 * k2
 
-    pr, pc = np.array(pilot_indices, dtype=int).reshape(-1, 2).T
+    pr, pc = pl.pilot_array_indices()
     pvar = (pr + 1) * w + (pc + 1)
     P = len(pvar)
     d = np.arange(u + 1)[:, None]
@@ -357,11 +359,11 @@ def operator(pl: PilotPlacement, cfg: EstimatorConfig) -> tuple:
     """The estimator's linear map of the pilot samples on this placement: the
     LMMSE atom matrices, or the SRH operator of the variant's (alpha, beta).
     Neither depends on the noise powers or on omega; each is built once per
-    process and kept in a small cache."""
+    process and kept in a small cache keyed by the (frozen) placement."""
     if cfg.variant == "lmmse":
-        return _lmmse_operator(pl.M, pl.N, pl.pilot_indices, cfg.grid_k)
+        return _lmmse_operator(pl, cfg.grid_k)
     alpha, beta, _ = _resolve_srh_params(pl, cfg)
-    return _srh_operator(pl.M, pl.N, pl.pilot_indices, alpha, beta)
+    return _srh_operator(pl, alpha, beta)
 
 
 def estimate(h_pilot: np.ndarray, pl: PilotPlacement,

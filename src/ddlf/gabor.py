@@ -102,13 +102,11 @@ class Pulse:
     """Unit-energy pulse on the cyclic sample grid."""
 
     samples: np.ndarray
-    norm: float = 1.0
 
     def __post_init__(self):
         n = float(np.linalg.norm(self.samples))
         if abs(n - 1.0) > 1e-12:
             raise ValueError(f"pulse must have unit energy, got ||.||_2 = {n}")
-        object.__setattr__(self, "norm", n)
 
 
 def centered_times(grid: GaborGrid) -> np.ndarray:

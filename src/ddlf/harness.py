@@ -33,6 +33,19 @@ LIGHT_SPEED = 299792458.0
 ESTIMATOR_CHOICES = est.VARIANTS + ("perfect",)
 
 
+def _sigma2(snr_db: float) -> float:
+    """Noise variance per unit-energy symbol at snr_db; a ValueError unless it
+    is a positive finite float (an SNR of a few thousand dB is not)."""
+    try:
+        sigma2 = 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"{snr_db:g} dB gives the noise variance {sigma2!r}, "
+                         "which is not a positive finite number")
+    return sigma2
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full experiment description with desk-scale defaults.
@@ -78,6 +91,9 @@ class ExperimentConfig:
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ValueError(f"{f.name}: expected a finite number, got {v!r}")
+        with _config_key("snr_db"):
+            for snr in self.snr_db:
+                _sigma2(snr)
         for e in self.estimators:
             if e not in ESTIMATOR_CHOICES:
                 raise ValueError(f"unknown estimator {e!r}; choose from {ESTIMATOR_CHOICES}")
@@ -161,26 +177,26 @@ def _config_key(key: str):
 @dataclass(frozen=True, eq=False)
 class Point:
     """What every trial of a sweep point shares: validate_point() builds it
-    with every estimator's zero-noise config, and prepare() adds the
-    estimators' operators."""
+    with the channel config (seed 0; each trial draws its own seed) and every
+    estimator's zero-noise config, and prepare() adds the estimators'
+    operators."""
 
     cfg: ExperimentConfig
     pl: piloting.PilotPlacement
     grid: gabor.GaborGrid
     pulse: gabor.Pulse
     precoder: transforms.Precoder
-    tau_max: float
-    nu_max: float
+    channel: chan.ChannelConfig
     estimators: dict  # estimator name -> its zero-noise estimation.EstimatorConfig
     operators: dict  # estimator name -> its linear map (estimation.operator)
 
 
 def validate_point(cfg: ExperimentConfig) -> Point:
     """Check a sweep point before any trial runs, and return its unprepared
-    Point. This builds the placement, grid, spreads, channel config, tight
-    pulse, reconstruction grid, every estimator config (kept in the Point)
-    and the precoder (without the random kind's QR). Each uses its own
-    checks, and an error names the offending key."""
+    Point. This builds the placement, grid, spreads, tight pulse, precoder
+    (without the random kind's QR), reconstruction grid, and the channel
+    config and every estimator config, which the Point keeps. Each uses its
+    own checks, and an error names the offending key."""
     pl = build_placement(cfg)
     grid = build_grid(cfg, pl)
     tau_max, nu_max = resolve_spreads(cfg, grid)
@@ -196,7 +212,9 @@ def validate_point(cfg: ExperimentConfig) -> Point:
                          f"{2.0 * tau_max * nu_max:.3g} >= 0.1 (tau_max = {tau_max:.6g} s, "
                          f"nu_max = {nu_max:.6g} Hz); the channel is not underspread")
     with _config_key("scatterers"):
-        chan.ChannelConfig(R=cfg.scatterers, tau_max=tau_max, nu_max=nu_max)
+        channel = chan.ChannelConfig(R=cfg.scatterers, tau_max=tau_max, nu_max=nu_max,
+                                     power_profile=cfg.power_profile,
+                                     fractional=cfg.fractional)
     with _config_key("pulse_spread"):
         pulse = _tight_pulse(grid, cfg.pulse_spread)
     with _config_key("precoder, subframes"):
@@ -218,7 +236,7 @@ def validate_point(cfg: ExperimentConfig) -> Point:
         estimators = {name: est.EstimatorConfig(variant=name, alpha=alpha, beta=beta,
                                                 omega=cfg.omega, grid_k=grid_k)
                       for name in cfg.estimators if name != "perfect"}
-    return Point(cfg, pl, grid, pulse, precoder, tau_max, nu_max, estimators, {})
+    return Point(cfg, pl, grid, pulse, precoder, channel, estimators, {})
 
 
 def prepare(point: Point) -> Point:
@@ -253,12 +271,12 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
     same bits, channel and noise realization. The sweep point comes from the
     cache of prepared points; a miss validates and prepares it in place of
     what the cache held."""
+    sigma2 = _sigma2(snr_db)
     rng = np.random.default_rng((cfg.seed, trial_index))
     if cfg not in _points:
         _prepare([validate_point(cfg)])
     point = _points[cfg]
     pl, grid, pulse, precoder = point.pl, point.grid, point.pulse, point.precoder
-    tau_max, nu_max = point.tau_max, point.nu_max
 
     n_bits = 2 * pl.M_data * pl.N_data
     if cfg.coding:
@@ -271,15 +289,12 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
         bits_tx = rng.integers(0, 2, size=n_bits).astype(np.int8)
 
     pilots = piloting.qpsk_pilot_sequence(pl.P, seed=int(rng.integers(2**32)))
-    ch_cfg = chan.ChannelConfig(R=cfg.scatterers, tau_max=tau_max, nu_max=nu_max,
-                                power_profile=cfg.power_profile,
-                                seed=int(rng.integers(2**62)), fractional=cfg.fractional)
+    ch_cfg = dataclasses.replace(point.channel, seed=int(rng.integers(2**62)))
     ch = chan.generate_channel(ch_cfg, grid)
 
     X = link.bits_to_frame(bits_tx, (pl.M_data, pl.N_data))
     frame_tx = piloting.multiplex(transforms.encode(X, precoder), pilots, pl)
     sig = gabor.synthesize(frame_tx, pulse, grid)
-    sigma2 = float(10.0 ** (-snr_db / 10.0))
     rx_clean = chan.apply_channel(sig, ch, grid)
     y = gabor.analyze(chan.add_noise(rx_clean, sigma2, rng), pulse, grid)
 
@@ -305,7 +320,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
             h_tilde = est.estimate(h_pilot, pl, ecfg, point.operators[name]).h_tilde
         x_eq = link.mmse_equalize(y, h_tilde, sigma2)
         X_hat = transforms.decode(piloting.demultiplex(x_eq, pl), precoder)
-        frames[name] = X_hat, link.frame_to_bits(X_hat)
+        frames[name] = X_hat, link.demodulate(X_hat)
 
     info_rx = [None] * len(frames)
     if cfg.coding:  # every estimator's codeword in one trellis pass
@@ -390,6 +405,8 @@ def _sweep_config(cfg: ExperimentConfig, axis: str, value: float) -> tuple[Exper
     if not math.isfinite(value):
         raise ValueError(f"{axis}: expected a finite number, got {value!r}")
     if axis == "snr":
+        with _config_key(axis):
+            _sigma2(value)
         return cfg, float(value)
     snr = cfg.snr_db[0]
     if axis == "velocity":

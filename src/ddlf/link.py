@@ -59,10 +59,6 @@ def bits_to_frame(bits: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return modulate(bits).reshape(shape)
 
 
-def frame_to_bits(frame: np.ndarray) -> np.ndarray:
-    return demodulate(np.asarray(frame).reshape(-1))
-
-
 def mmse_equalize(y: np.ndarray, h_tilde: np.ndarray, sigma2: float) -> np.ndarray:
     """One-tap MMSE: x_hat = conj(h) * y / (|h|^2 + sigma2), elementwise."""
     y = np.asarray(y)

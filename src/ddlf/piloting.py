@@ -70,10 +70,9 @@ def _read_only_rc(cells: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.nd
 
 @dataclass(frozen=True)
 class PilotSequence:
-    """Known pilot symbols, unit energy per symbol by default."""
+    """Known pilot symbols in kappa_p order."""
 
     symbols: np.ndarray
-    energy: float = 1.0
 
 
 def qpsk_pilot_sequence(P: int, seed: int = 0) -> PilotSequence:

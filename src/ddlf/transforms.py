@@ -1,7 +1,7 @@
 """Orthogonal linear precoding of the data frame.
 
 Every kind is an isometry: the 2D symplectic DFT (self-inverse), unitary
-1D/2D FFTs, normalized 1D/2D Walsh-Hadamard transforms, and a seeded random
+1D/2D FFTs, the normalized Walsh-Hadamard transform, and a seeded random
 unitary. Frames may be split along the time axis into independent sub-frame
 blocks that are each precoded separately.
 """
@@ -90,10 +90,9 @@ class Precoder:
         if n % self.subframes:
             raise ValueError(f"time dimension {n} not divisible into {self.subframes} sub-frames")
         bm, bn = self.block_shape
-        if self.kind == "fwht1d" and (bm * bn) & (bm * bn - 1):
-            raise ValueError("fwht1d needs a power-of-two block size")
-        if self.kind == "fwht2d" and ((bm & (bm - 1)) or (bn & (bn - 1))):
-            raise ValueError("fwht2d needs power-of-two block dimensions")
+        # a product of positive integers is a power of two only when each factor is
+        if self.kind in ("fwht1d", "fwht2d") and (bm * bn) & (bm * bn - 1):
+            raise ValueError(f"{self.kind} needs power-of-two block dimensions")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -121,10 +120,10 @@ class Precoder:
             return np.fft.fft(X.reshape(-1), norm="ortho").reshape(X.shape)
         if self.kind == "fft2d":
             return np.fft.fft2(X, norm="ortho")
-        if self.kind == "fwht1d":
+        if self.kind in ("fwht1d", "fwht2d"):
+            # Sylvester ordering: H_mn = H_m (x) H_n, so the WHT of the row-major
+            # flattened block is the 2D WHT H_m X H_n
             return fwht(X.reshape(-1)).reshape(X.shape)
-        if self.kind == "fwht2d":
-            return np.apply_along_axis(fwht, 0, np.apply_along_axis(fwht, 1, X))
         return (self.matrix @ X.reshape(-1)).reshape(X.shape)
 
     def _decode_block(self, Y):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from ddlf.cli import CONFIG_KEYS, load_config, main
+from ddlf.harness import ESTIMATOR_CHOICES
+from ddlf.transforms import KINDS, SUBFRAME_CHOICES
 
 
 class TestConfigFile:
@@ -90,6 +92,14 @@ class TestConfigFile:
         for key, *_ in CONFIG_KEYS:
             assert re.search(rf"^{re.escape(key)} .*\(default \S+\)$", out, re.M), key
 
+    def test_help_lists_the_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert re.search(rf"^precoder +{re.escape('|'.join(KINDS))} ", out, re.M)
+        assert re.search(rf"^subframes +{'[|]'.join(map(str, SUBFRAME_CHOICES))} ", out, re.M)
+        assert re.search(rf"^estimator +comma list: {','.join(ESTIMATOR_CHOICES)} ", out, re.M)
+
     def test_overrides(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("seed = 1\n")
@@ -143,8 +153,29 @@ class TestAmbiguity:
             main(["ambiguity", "--frame", "8x8", "--steps", "5", flag, value,
                   "--out", str(out)])
         assert info.value.code == 2
-        assert re.search(rf"^ddlf ambiguity: error: argument {flag}: ", capsys.readouterr().err,
-                         re.M)
+        err = capsys.readouterr().err
+        assert re.search(rf"^ddlf ambiguity: error: argument {flag}: ", err, re.M)
+        assert f"expected a finite number, got '{value}'" in err
+        assert "_finite" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag, reason", [
+        (["ambiguity", "--frame", "8"], "--frame", "expected MxN, got '8'"),
+        (["ambiguity", "--frame", "8x"], "--frame", "invalid literal for int()"),
+        (["ambiguity", "--frame", "0x8"], "--frame", "expected positive M and N, got '0x8'"),
+        (["ambiguity", "--steps", "-1"], "--steps", "expected a positive integer, got '-1'"),
+        (["ambiguity", "--steps", "0"], "--steps", "expected a positive integer, got '0'"),
+        (["place-pilots", "--data-shape", "8", "--pilots-per-row", "1"], "--data-shape",
+         "expected MxN, got '8'"),
+    ])
+    def test_bad_flag_exits_2_naming_it_and_why(self, tmp_path, capsys, argv, flag, reason):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out", str(out)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"^ddlf {argv[0]}: error: argument {flag}: {re.escape(reason)}",
+                         err, re.M)
         assert not out.exists()
 
 
@@ -195,7 +226,8 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("axis, values", [("pilots", "1,1.5"), ("snr", "10,abc"),
-                                              ("snr", "10,inf"), ("velocity", "100,nan")])
+                                              ("snr", "10,inf"), ("velocity", "100,nan"),
+                                              ("snr", "10,-4000"), ("snr", "10,5000")])
     def test_bad_sweep_value_exits_2_naming_values(self, tmp_path, capsys, axis, values):
         cfgf = tmp_path / "run.cfg"
         cfgf.write_text("trials = 1\nsnr = 15\nestimator = srh\n")

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ddlf import estimation, gabor, harness, transforms
+from ddlf import channel, estimation, gabor, harness, transforms
 from ddlf.gabor import FrameError
 from ddlf.harness import (
     ExperimentConfig,
@@ -51,6 +51,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field}: expected a finite number"):
             quiet_cfg(**{field: (15.0, value) if field == "snr_db" else value})
 
+    @pytest.mark.parametrize("snr", [-4000.0, 5000.0])
+    def test_rejects_snr_without_a_positive_finite_noise_variance(self, snr):
+        # 10^400 overflows a float and 10^-500 underflows to 0
+        with pytest.raises(ValueError, match="^snr_db: .* not a positive finite number"):
+            quiet_cfg(snr_db=(15.0, snr))
+
     def test_list_config_runs_as_the_tuple_config(self):
         lists = quiet_cfg(estimators=["srh", "lmmse"], snr_db=[10.0, 15.0], trials=1)
         tuples = quiet_cfg(estimators=("srh", "lmmse"), snr_db=(10.0, 15.0), trials=1)
@@ -83,6 +89,10 @@ class TestRunTrial:
         a = run_trial(cfg, 15.0, 3)
         b = run_trial(cfg, 15.0, 3)
         assert a == b
+
+    def test_extreme_snr_fails_before_the_trial(self):
+        with pytest.raises(ValueError, match="not a positive finite number"):
+            run_trial(quiet_cfg(), 5000.0, 0)
 
     def test_distinct_trials_differ(self):
         cfg = quiet_cfg()
@@ -168,6 +178,12 @@ class TestSweepValidation:
             run_sweep(quiet_cfg(tau_max=64e-6, nu_max=0.0), "snr", [15.0])
         assert no_trials == []
 
+    @pytest.mark.parametrize("snr", [5000.0, -4000.0])
+    def test_snr_past_the_float_range(self, no_trials, snr):
+        with pytest.raises(ValueError, match="^snr: .* not a positive finite number"):
+            run_sweep(quiet_cfg(), "snr", [10.0, snr])
+        assert no_trials == []
+
     def test_bad_pilot_count_on_a_later_point(self, no_trials):
         with pytest.raises(ValueError, match="dimensions must be positive"):
             run_sweep(quiet_cfg(), "pilots", [1, 2, 17])
@@ -192,6 +208,17 @@ class TestSweepValidation:
             run_sweep(quiet_cfg(**overrides), "snr", [15.0])
         assert key in str(info.value).split(": ")[0]
         assert no_trials == []
+
+    @pytest.mark.parametrize("overrides", [{}, dict(power_profile=2e5, fractional=False,
+                                                     velocity=300.0, scatterers=3)])
+    def test_point_keeps_the_channel_config(self, overrides):
+        cfg = quiet_cfg(**overrides)
+        point = harness.validate_point(cfg)
+        tau_max, nu_max = harness.resolve_spreads(cfg, point.grid)
+        assert point.channel == channel.ChannelConfig(
+            R=cfg.scatterers, tau_max=tau_max, nu_max=nu_max,
+            power_profile=cfg.power_profile, fractional=cfg.fractional)
+        assert point.channel.seed == 0
 
     def test_random_precoder_validated_without_its_qr(self, monkeypatch):
         built = []

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,6 +204,45 @@ class TestPrecoder:
         p = Precoder(kind="dsft2d", shape=(8, 8))
         with pytest.raises(ValueError):
             encode(rand_frame((4, 8), 17), p)
+
+
+def is_power_of_two(n):
+    return n & (n - 1) == 0
+
+
+class TestWalshHadamardKinds:
+    """fwht1d and fwht2d name one map: the Sylvester-ordered WHT of a block."""
+
+    @settings(max_examples=60)
+    @given(rows=st.integers(0, 5), block_cols=st.integers(0, 4),
+           subframes=st.sampled_from(SUBFRAME_CHOICES), seed=st.integers(0, 2**32 - 1))
+    def test_both_kinds_encode_the_2d_wht(self, rows, block_cols, subframes, seed):
+        bm, bn = 2 ** rows, 2 ** block_cols
+        shape = (bm, subframes * bn)
+        X = rand_frame(shape, seed)
+        Y1 = encode(X, Precoder(kind="fwht1d", shape=shape, subframes=subframes))
+        Y2 = encode(X, Precoder(kind="fwht2d", shape=shape, subframes=subframes))
+        assert np.abs(Y1 - Y2).max() <= 1e-12
+        # each block is H_m X H_n / sqrt(m n)
+        Hm, Hn = scipy.linalg.hadamard(bm), scipy.linalg.hadamard(bn)
+        want = np.concatenate([Hm @ b @ Hn for b in np.split(X, subframes, axis=1)], axis=1)
+        assert np.abs(Y2 - want / np.sqrt(bm * bn)).max() <= 1e-12
+
+    @settings(max_examples=100)
+    @given(rows=st.integers(1, 40), block_cols=st.integers(1, 20),
+           subframes=st.sampled_from(SUBFRAME_CHOICES))
+    def test_both_kinds_reject_the_same_shapes(self, rows, block_cols, subframes):
+        shape = (rows, subframes * block_cols)
+        errors = {}
+        for kind in ("fwht1d", "fwht2d"):
+            try:
+                Precoder(kind=kind, shape=shape, subframes=subframes)
+            except ValueError as exc:
+                errors[kind] = str(exc)
+        rejected = not (is_power_of_two(rows) and is_power_of_two(block_cols))
+        assert set(errors) == ({"fwht1d", "fwht2d"} if rejected else set())
+        for kind, message in errors.items():
+            assert message.startswith(f"{kind} needs")
 
 
 @st.composite
