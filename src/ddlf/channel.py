@@ -81,6 +81,9 @@ class ChannelConfig:
     def __post_init__(self):
         if self.R < 1:
             raise ChannelError("scatterer count R must be >= 1")
+        if self.power_profile is not None and self.power_profile < 0:
+            raise ChannelError(f"delay-decay rate power_profile = {self.power_profile:g} "
+                               "must be nonnegative")
 
 
 def generate_channel(cfg: ChannelConfig, grid: GaborGrid | None = None) -> DDChannel:

@@ -100,8 +100,7 @@ CONFIG_KEYS = (
     ("Q", ("recon_q",), int, "LMMSE reconstruction-grid Doppler extent"),
     ("W", ("recon_w",), int, "LMMSE reconstruction-grid delay guard"),
     ("Wn", ("recon_wn",), int, "LMMSE reconstruction-grid delay extent"),
-    ("sigma-z2", ("sigma_z2",), lambda s: "auto" if s.lower() == "auto" else _finite(s),
-     "self-interference power, or auto"),
+    ("sigma-z2", ("sigma_z2",), _auto_or_float, "self-interference power, or auto"),
     ("snr", ("snr_db",), lambda s: tuple(map(_finite, s.split(","))),
      "comma list of SNR points in dB"),
     ("trials", ("trials",), int, "Monte-Carlo trials per point"),
@@ -276,7 +275,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, gabor.FrameError) as exc:
+    except ValueError as exc:
         print(f"ddlf: {exc}", file=sys.stderr)
         return 2
 

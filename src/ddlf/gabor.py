@@ -22,79 +22,73 @@ class GridError(ValueError):
     """Inconsistent time-frequency grid parameters."""
 
 
-class FrameError(RuntimeError):
+class FrameError(ValueError):
     """Pulse does not generate a usable (well-conditioned) Gabor frame."""
 
 
 @dataclass(frozen=True)
 class GaborGrid:
-    """Time-frequency lattice: M frequency steps of size F, N time steps of size T.
+    """Time-frequency lattice on a cyclic grid of L = a*N samples at rate fs.
 
-    The signal space is cyclic with L samples at rate fs. The time step spans
-    a = T*fs samples and the frequency step b = L*F/fs DFT bins; both must be
-    exact integers with L = a*N and M*b <= L.
+    The lattice is fixed by integers: M frequency steps of b = freq_shift DFT
+    bins and N time steps of a = time_shift samples, with M*b <= L. The steps
+    T = a/fs and F = b*fs/L follow from them, so T*F = b/N, and only the
+    undersampled regime T*F > 1 (b > N) is supported.
     """
 
     M: int
     N: int
-    T: float
-    F: float
+    time_shift: int
+    freq_shift: int
     fs: float
-    L: int
 
     def __post_init__(self):
-        if self.M < 1 or self.N < 1 or self.L < 1:
-            raise GridError("grid dimensions must be positive")
-        a = self.T * self.fs
-        b = self.L * self.F / self.fs
-        if abs(a - round(a)) > 1e-6 or abs(b - round(b)) > 1e-6:
-            raise GridError(
-                f"T*fs = {a} and L*F/fs = {b} must be integers; "
-                "choose fs so the shifts fall on the sample grid"
-            )
-        if self.L != round(a) * self.N:
-            raise GridError(f"L = {self.L} != T*fs*N = {round(a) * self.N}")
-        if self.M * round(b) > self.L:
+        if not all(isinstance(v, int) and v > 0
+                   for v in (self.M, self.N, self.time_shift, self.freq_shift)):
+            raise GridError("M, N and the time and frequency shifts must be positive "
+                            f"integers, got {self.M}, {self.N}, {self.time_shift}, "
+                            f"{self.freq_shift}")
+        if not 0 < self.fs < math.inf:
+            raise GridError(f"sampling rate fs = {self.fs:g} must be positive and finite")
+        if self.M * self.freq_shift > self.L:
             raise GridError("frequency channels exceed the sampled band (M*b > L)")
-        if self.T * self.F <= 1.0:
-            raise GridError(
-                f"T*F = {self.T * self.F:.6g} <= 1: only the undersampled regime "
-                "(T*F > 1) is supported"
-            )
+        if self.freq_shift <= self.N:
+            raise GridError(f"T*F = b/N = {self.freq_shift}/{self.N} <= 1: only the "
+                            "undersampled regime (T*F > 1) is supported")
 
     @property
-    def time_shift(self) -> int:
-        """Time step in samples (a = T*fs)."""
-        return round(self.T * self.fs)
+    def L(self) -> int:
+        """Samples per frame (a*N)."""
+        return self.time_shift * self.N
 
     @property
-    def freq_shift(self) -> int:
-        """Frequency step in DFT bins (b = L*F/fs)."""
-        return round(self.L * self.F / self.fs)
+    def T(self) -> float:
+        """Time step in seconds (a/fs)."""
+        return self.time_shift / self.fs
+
+    @property
+    def F(self) -> float:
+        """Frequency step in hertz (b*fs/L)."""
+        return self.freq_shift * self.fs / self.L
 
     @property
     def duration(self) -> float:
         return self.N * self.T
 
-    @property
-    def bandwidth(self) -> float:
-        return self.M * self.F
-
 
 def make_grid(M: int, N: int, tf_product: float = 1.25,
               bandwidth: float = 5.0e6) -> GaborGrid:
-    """Build a grid with the requested T*F product and sampling rate fs = bandwidth.
+    """Build a grid with about the requested T*F product and fs = bandwidth.
 
     The time shift a = round(M*tf_product) samples and the frequency shift
     b = round(N*tf_product) bins; b is reduced when necessary so M*b <= L.
     When M*tf_product and N*tf_product are integers the product is honored
-    exactly and the M channels tile the full band (M*b = L).
+    exactly and the M channels tile the full band (M*b = L). A non-positive
+    tf_product or bandwidth raises GridError.
     """
     a = round(M * tf_product)
-    b = min(round(N * tf_product), (a * N) // M)
-    L = a * N
-    fs = float(bandwidth)
-    return GaborGrid(M=M, N=N, T=a / fs, F=b * fs / L, fs=fs, L=L)
+    b = min(round(N * tf_product), a * N // M)
+    return GaborGrid(M=M, N=N, time_shift=a, freq_shift=b, fs=float(bandwidth))
 
 
 @dataclass(frozen=True)

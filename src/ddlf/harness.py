@@ -54,6 +54,7 @@ class ExperimentConfig:
     runs a pilot-free frame (only the "perfect" estimator is then valid).
     tau_max / nu_max default to 4.5 delay bins and 0.7 Doppler bins of the
     frame grid; a velocity (km/h) overrides nu_max via the 5.9 GHz carrier.
+    sigma_z2 = None (auto) measures the self-interference power in each trial.
     """
 
     m_data: int = 16
@@ -76,7 +77,7 @@ class ExperimentConfig:
     recon_q: int = 2
     recon_w: int = 1
     recon_wn: int = 4
-    sigma_z2: float | str = "auto"
+    sigma_z2: float | None = None
     snr_db: tuple[float, ...] = (15.0,)
     trials: int = 200
     seed: int = 1
@@ -103,8 +104,14 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.pilots_per_row == 0 and set(self.estimators) != {"perfect"}:
             raise ValueError("a pilot-free frame supports only the 'perfect' estimator")
-        if self.sigma_z2 != "auto" if isinstance(self.sigma_z2, str) else self.sigma_z2 < 0:
-            raise ValueError("sigma_z2 must be 'auto' or a nonnegative number")
+        if not (self.sigma_z2 is None or isinstance(self.sigma_z2, (int, float))
+                and self.sigma_z2 >= 0):
+            raise ValueError("sigma_z2: expected None (auto) or a nonnegative number, "
+                             f"got {self.sigma_z2!r}")
+        for name in ("seed", "precoder_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: expected a nonnegative integer, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +177,7 @@ def _config_key(key: str):
     """Prefix an error raised inside the block with the config key(s) it comes from."""
     try:
         yield
-    except (ValueError, gabor.FrameError) as e:
+    except ValueError as e:
         raise type(e)(f"{key}: {e}") from e
 
 
@@ -197,8 +204,10 @@ def validate_point(cfg: ExperimentConfig) -> Point:
     (without the random kind's QR), reconstruction grid, and the channel
     config and every estimator config, which the Point keeps. Each uses its
     own checks, and an error names the offending key."""
-    pl = build_placement(cfg)
-    grid = build_grid(cfg, pl)
+    with _config_key("pilots_per_row"):
+        pl = build_placement(cfg)
+    with _config_key("tf_product, bandwidth"):
+        grid = build_grid(cfg, pl)
     tau_max, nu_max = resolve_spreads(cfg, grid)
     doppler_key = "velocity" if cfg.velocity is not None else "nu_max"
     if tau_max < 0 or nu_max < 0:
@@ -211,11 +220,12 @@ def validate_point(cfg: ExperimentConfig) -> Point:
         raise ValueError(f"tau_max, {doppler_key}: 2*tau_max*nu_max = "
                          f"{2.0 * tau_max * nu_max:.3g} >= 0.1 (tau_max = {tau_max:.6g} s, "
                          f"nu_max = {nu_max:.6g} Hz); the channel is not underspread")
-    with _config_key("scatterers"):
+    with _config_key("scatterers, power_profile"):
         channel = chan.ChannelConfig(R=cfg.scatterers, tau_max=tau_max, nu_max=nu_max,
                                      power_profile=cfg.power_profile,
                                      fractional=cfg.fractional)
-    with _config_key("pulse_spread"):
+    # tight orthogonalization needs the channels to tile the band (M*b = L)
+    with _config_key("tf_product" if grid.M * grid.freq_shift != grid.L else "pulse_spread"):
         pulse = _tight_pulse(grid, cfg.pulse_spread)
     with _config_key("precoder, subframes"):
         precoder = transforms.Precoder(kind=cfg.precoder, shape=(cfg.m_data, cfg.n_data),
@@ -299,7 +309,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
     y = gabor.analyze(chan.add_noise(rx_clean, sigma2, rng), pulse, grid)
 
     h_true = chan.true_cmd(ch, pulse, pulse, grid)
-    if not isinstance(cfg.sigma_z2, str):
+    if cfg.sigma_z2 is not None:
         sigma_z2 = float(cfg.sigma_z2)
     elif any(e in ("srh-na", "srh-mna") for e in cfg.estimators):
         sigma_z2 = chan.self_interference_power(gabor.analyze(rx_clean, pulse, grid),

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ddlf import harness
 from ddlf.cli import CONFIG_KEYS, load_config, main
 from ddlf.harness import ESTIMATOR_CHOICES
 from ddlf.transforms import KINDS, SUBFRAME_CHOICES
@@ -51,7 +52,7 @@ class TestConfigFile:
         path = tmp_path / "auto.cfg"
         path.write_text("tau-max = auto\nomega = auto\nsigma-z2 = auto\n")
         cfg = load_config(str(path))
-        assert cfg.tau_max is None and cfg.omega is None and cfg.sigma_z2 == "auto"
+        assert cfg.tau_max is None and cfg.omega is None and cfg.sigma_z2 is None
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -200,6 +201,19 @@ class TestSimulateAndSweep:
             outs.append(out.read_bytes())
         assert outs[0] != outs[1]
 
+    @pytest.mark.parametrize("argv, runner", [(["simulate"], "simulate"),
+                                              (["sweep", "--axis", "snr", "--values", "15"],
+                                               "run_sweep")])
+    def test_paper_scale(self, tmp_path, monkeypatch, argv, runner):
+        seen = []
+        monkeypatch.setattr(harness, runner, lambda cfg, *a: seen.append(cfg) or [])
+        assert main(argv + ["--paper-scale", "--out", str(tmp_path / "res.csv")]) == 0
+        (cfg,) = seen
+        assert (cfg.m_data, cfg.n_data, cfg.pilots_per_row) == (64, 62, 2)
+        assert (cfg.scatterers, cfg.bandwidth) == (58, 5.0e6)
+        pl = harness.build_placement(cfg)
+        assert (pl.M, pl.N, pl.P) == (64, 64, 128)
+
     def test_sweep_pilots(self, tmp_path):
         cfgf = tmp_path / "run.cfg"
         cfgf.write_text("trials = 2\nsnr = 15\nestimator = srh\n")
@@ -214,7 +228,13 @@ class TestSimulateAndSweep:
 
 class TestConfigErrors:
     @pytest.mark.parametrize("line, key", [("precoder = bogus", "precoder"),
-                                           ("omega = -1", "omega")])
+                                           ("omega = -1", "omega"),
+                                           ("seed = -1", "seed"),
+                                           ("precoder = random\nprecoder-seed = -1",
+                                            "precoder_seed"),
+                                           ("pulse-spread = 20", "pulse_spread"),
+                                           ("tf-product = 0", "tf_product"),
+                                           ("power-profile = -1e9", "power_profile")])
     def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, line, key):
         cfgf = tmp_path / "bad.cfg"
         cfgf.write_text(f"trials = 1\nsnr = 15\n{line}\n")
@@ -223,6 +243,7 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert re.search(rf"^ddlf: .*\b{key}\b.*:", err, re.M)
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("axis, values", [("pilots", "1,1.5"), ("snr", "10,abc"),

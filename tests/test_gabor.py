@@ -1,5 +1,6 @@
 """Tests for the Gabor signaling module."""
 
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -73,13 +74,42 @@ class TestGrid:
         assert grid.F == pytest.approx(78125.0)
         assert grid.T * grid.F == pytest.approx(1.25)
 
+    @given(M=st.integers(1, 64), N=st.integers(1, 64), tf=st.floats(0.5, 4.0),
+           bandwidth=st.floats(1e3, 1e9))
+    @settings(max_examples=200)
+    def test_steps_are_built_from_the_integer_shifts(self, M, N, tf, bandwidth):
+        a = round(M * tf)
+        b = min(round(N * tf), a * N // M)
+        if a < 1 or b <= N:
+            with pytest.raises(GridError):
+                make_grid(M, N, tf, bandwidth)
+            return
+        grid = make_grid(M, N, tf, bandwidth)
+        assert (grid.time_shift, grid.freq_shift, grid.fs) == (a, b, bandwidth)
+        assert grid.T == a / bandwidth
+        assert grid.F == b * bandwidth / (a * N)
+        assert grid.L == a * N
+        assert grid.duration == N * (a / bandwidth)
+
+    def test_fields_are_the_integer_lattice(self):
+        assert [f.name for f in dataclasses.fields(GaborGrid)] == [
+            "M", "N", "time_shift", "freq_shift", "fs"]
+
+    @given(value=st.floats(-1e9, 0.0))
+    @settings(max_examples=30)
+    def test_rejects_non_positive_tf_product_and_bandwidth(self, value):
+        with pytest.raises(GridError):
+            make_grid(16, 16, tf_product=value)
+        with pytest.raises(GridError):
+            make_grid(16, 16, bandwidth=value)
+
     def test_rejects_critical_sampling(self):
         with pytest.raises(GridError):
             make_grid(8, 8, 1.0)
 
     def test_rejects_inconsistent_shifts(self):
         with pytest.raises(GridError):
-            GaborGrid(M=8, N=8, T=1.5e-6, F=625000.0, fs=5e6, L=80)
+            GaborGrid(M=8, N=8, time_shift=7.5, freq_shift=10, fs=5e6)
 
     def test_partial_band_allowed(self):
         # N*tf not an integer: b is reduced so M*b <= L

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from ddlf import channel, estimation, gabor, harness, transforms
-from ddlf.gabor import FrameError
 from ddlf.harness import (
     ExperimentConfig,
     build_grid,
@@ -42,6 +41,17 @@ class TestConfig:
     def test_rejects_negative_sigma_z2(self):
         with pytest.raises(ValueError, match="sigma_z2"):
             quiet_cfg(sigma_z2=-1.0)
+
+    @pytest.mark.parametrize("value", ["auto", "0.1", [0.1]])
+    def test_rejects_a_non_number_sigma_z2(self, value):
+        # None is the only auto
+        with pytest.raises(ValueError, match="^sigma_z2: "):
+            quiet_cfg(sigma_z2=value)
+
+    @pytest.mark.parametrize("field", ["seed", "precoder_seed"])
+    def test_rejects_a_negative_seed(self, field):
+        with pytest.raises(ValueError, match=f"^{field}: expected a nonnegative integer"):
+            quiet_cfg(**{field: -1})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("field", ["tf_product", "bandwidth", "pulse_spread", "tau_max",
@@ -105,6 +115,19 @@ class TestRunTrial:
         lone = run_trial(quiet_cfg(estimators=("perfect",)), 15.0, 5)
         joint = run_trial(quiet_cfg(estimators=("perfect", "srh-mna")), 15.0, 5)
         assert lone["perfect"] == joint["perfect"]
+
+    def test_fixed_sigma_z2_is_not_measured(self, monkeypatch):
+        measured, seen = [], []
+        monkeypatch.setattr(channel, "self_interference_power",
+                            lambda *a: measured.append(a) or 0.0)
+        estimate = estimation.estimate
+        monkeypatch.setattr(estimation, "estimate",
+                            lambda h, pl, ecfg, op: seen.append(ecfg) or estimate(h, pl, ecfg, op))
+        run_trial(quiet_cfg(estimators=("srh-na",), sigma_z2=0.01), 15.0, 0)
+        assert measured == []
+        assert [ecfg.sigma_z2 for ecfg in seen] == [0.01]
+        run_trial(quiet_cfg(estimators=("srh-na",)), 15.0, 0)  # auto measures it
+        assert len(measured) == 1 and seen[-1].sigma_z2 == 0.0
 
     def test_coded_path_clean(self):
         cfg = quiet_cfg(estimators=("perfect",), scatterers=1, tau_max=0.0,
@@ -202,9 +225,15 @@ class TestSweepValidation:
         ("precoder", dict(precoder="bogus")),
         ("precoder", dict(precoder="fwht1d")),  # the 16 x 15 data block is 240 cells
         ("subframes", dict(subframes=4)),  # 15 data columns
+        ("power_profile", dict(power_profile=-1e9)),  # exp(-tau*rate) overflows
+        ("tf_product", dict(tf_product=0.0)),
+        ("bandwidth", dict(bandwidth=0.0)),
+        ("bandwidth", dict(bandwidth=-5e6)),
+        ("tf_product", dict(m_data=16, n_data=16)),  # M*b = 336 < L = 340: no tight pulse
+        ("pilots_per_row", dict(pilots_per_row=20)),
     ])
     def test_bad_value_names_its_key(self, no_trials, key, overrides):
-        with pytest.raises((ValueError, FrameError)) as info:
+        with pytest.raises(ValueError) as info:
             run_sweep(quiet_cfg(**overrides), "snr", [15.0])
         assert key in str(info.value).split(": ")[0]
         assert no_trials == []
