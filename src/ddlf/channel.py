@@ -106,7 +106,9 @@ def generate_channel(cfg: ChannelConfig, grid: GaborGrid | None = None) -> DDCha
         nus = np.round(nus / d_nu) * d_nu
         taus = np.clip(taus, 0.0, cfg.tau_max)
         nus = np.clip(nus, -cfg.nu_max, cfg.nu_max)
-    var = np.exp(-taus * rate)
+    # relative to the earliest delay, so a steep profile cannot underflow every
+    # weight to 0; the common factor cancels in the normalization
+    var = np.exp(-(taus - taus.min()) * rate)
     etas = np.sqrt(var / 2.0) * (rng.standard_normal(cfg.R) + 1j * rng.standard_normal(cfg.R))
     etas /= np.linalg.norm(etas)
     scatterers = tuple(Scatterer(float(t), float(n), complex(e))

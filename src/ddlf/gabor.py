@@ -84,10 +84,12 @@ def make_grid(M: int, N: int, tf_product: float = 1.25,
     b = round(N*tf_product) bins; b is reduced when necessary so M*b <= L.
     When M*tf_product and N*tf_product are integers the product is honored
     exactly and the M channels tile the full band (M*b = L). A non-positive
-    tf_product or bandwidth raises GridError.
+    M, N, tf_product or bandwidth raises GridError.
     """
     a = round(M * tf_product)
-    b = min(round(N * tf_product), a * N // M)
+    b = round(N * tf_product)
+    if M * b > a * N:
+        b = a * N // M
     return GaborGrid(M=M, N=N, time_shift=a, freq_shift=b, fs=float(bandwidth))
 
 
@@ -135,10 +137,16 @@ def tight_orthogonalize(prototype: Pulse, grid: GaborGrid,
     lattice (time shifts of M samples, frequency shifts of N bins), which by
     lattice duality renders the original-lattice Gabor family orthonormal.
     The operator block-diagonalizes over residues r modulo the time shift a
-    into N x N blocks. With d = gcd(a, M) and a*s = d (mod M), the block of
-    residue r + d is the block of residue r with both indices cyclically
+    into N x N blocks B_r. With d = gcd(a, M) and a*s = d (mod M), the block
+    of residue r + d is the block of residue r with both indices cyclically
     shifted by s (the adjoint shifts p*M run over all of Z_L since M*b = L),
-    so only d dense eigenproblems are solved.
+    so only the d blocks r < d are needed. Each is block-circulant: with
+    q = M/d, a*q is a multiple of M, so B_r[u+q, v+q] = B_r[u, v] and B_r is
+    made of K = N/q blocks of size q x q (q divides N since a*N = M*b). One
+    K-point DFT over the block index turns it into K independent q x q
+    Hermitian blocks (the Zak-domain factorization of the frame operator;
+    Strohmer 1998, Sondergaard 2007), whose eigenvalues are those of B_r, so
+    d*K eigenproblems of size q x q are solved.
     """
     a, b, L, M, N = grid.time_shift, grid.freq_shift, grid.L, grid.M, grid.N
     if M * b != L:
@@ -148,13 +156,18 @@ def tight_orthogonalize(prototype: Pulse, grid: GaborGrid,
         )
     g0 = prototype.samples
     d = math.gcd(a, M)
-    s = pow(a // d, -1, M // d)
+    q = M // d
+    K = N // q
+    s = pow(a // d, -1, q)
     u = np.arange(N)
     # V[r, p, u] = g0[(a*u + r - p*M) mod L] for the d distinct residues r < d
-    V = g0[(a * u + np.arange(d)[:, None, None] - (np.arange(b) * M)[:, None]) % L]
-    B = a * (V.transpose(0, 2, 1) @ V.conj())
-    w, U = np.linalg.eigh(B)
-    lo, hi = float(w[:, 0].min()), float(w[:, -1].max())
+    V = np.take(g0, a * u + np.arange(d)[:, None, None] - (np.arange(b) * M)[:, None],
+                mode="wrap")
+    # first block row C[r, k] = B_r[:q, k*q:(k+1)*q], then its DFT over k
+    C = a * (V[:, :, :q].transpose(0, 2, 1) @ V.conj())
+    C = np.fft.fft(C.reshape(d, q, K, q).transpose(0, 2, 1, 3), axis=1)
+    w, U = np.linalg.eigh(C)
+    lo, hi = float(w[..., 0].min()), float(w[..., -1].max())
     if lo <= 0:
         raise FrameError("frame operator not positive definite; "
                          "prototype does not generate a frame on this grid")
@@ -162,13 +175,15 @@ def tight_orthogonalize(prototype: Pulse, grid: GaborGrid,
         raise FrameError(
             f"frame operator ill-conditioned (cond {hi / lo:.3g} > {cond_limit:.1e})"
         )
-    inv_sqrt = (U * w[:, None, :] ** -0.5) @ U.conj().transpose(0, 2, 1)
+    inv_sqrt = (U * w[..., None, :] ** -0.5) @ U.conj().swapaxes(-1, -2)
     # residue r = r0 + j*d seen in coordinates rotated by j*s: sample
     # idx[j, r0, v] = r + a*((v - j*s) mod N) meets block r0 at position v
     j = np.arange(a // d)[:, None, None]
     idx = j * d + np.arange(d)[:, None] + a * ((u - j * s) % N)
+    # B_r^(-1/2) x = fft_k(C_hat^(-1/2) ifft_k(x)) with x split into K blocks of q
+    x = np.fft.ifft(g0[idx].reshape(a // d, d, K, q), axis=2)
     out = np.empty(L, dtype=complex)
-    out[idx] = (inv_sqrt @ g0[idx][..., None])[..., 0]
+    out[idx] = np.fft.fft((inv_sqrt @ x[..., None])[..., 0], axis=2).reshape(a // d, d, N)
     out /= np.linalg.norm(out)
     return Pulse(samples=out)
 

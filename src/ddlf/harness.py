@@ -97,13 +97,17 @@ class ExperimentConfig:
                 _sigma2(snr)
         for e in self.estimators:
             if e not in ESTIMATOR_CHOICES:
-                raise ValueError(f"unknown estimator {e!r}; choose from {ESTIMATOR_CHOICES}")
-        if not self.estimators or not self.snr_db:
-            raise ValueError("estimator list and snr list must be non-empty")
+                raise ValueError(f"estimators: unknown estimator {e!r}; "
+                                 f"choose from {ESTIMATOR_CHOICES}")
+        if not self.estimators:
+            raise ValueError("estimators: expected at least one estimator")
+        if not self.snr_db:
+            raise ValueError("snr_db: expected at least one SNR")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ValueError(f"trials: expected at least 1, got {self.trials}")
         if self.pilots_per_row == 0 and set(self.estimators) != {"perfect"}:
-            raise ValueError("a pilot-free frame supports only the 'perfect' estimator")
+            raise ValueError("pilots_per_row, estimators: a pilot-free frame supports only "
+                             "the 'perfect' estimator")
         if not (self.sigma_z2 is None or isinstance(self.sigma_z2, (int, float))
                 and self.sigma_z2 >= 0):
             raise ValueError("sigma_z2: expected None (auto) or a nonnegative number, "

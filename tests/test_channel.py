@@ -86,6 +86,18 @@ class TestGenerateChannel:
             ch = generate_channel(cfg, grid)
             assert ch.total_power == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("fractional", [True, False])
+    def test_steep_profile_puts_the_power_on_the_earliest_path(self, desk, fractional):
+        grid, _ = desk
+        cfg = ChannelConfig(R=8, tau_max=1e-6, nu_max=2e3, power_profile=1e12, seed=3,
+                            fractional=fractional)
+        ch = generate_channel(cfg, grid)
+        taus = np.array([s.tau for s in ch.scatterers])
+        power = np.abs([s.eta for s in ch.scatterers]) ** 2
+        assert np.all(np.isfinite(power))
+        assert ch.total_power == pytest.approx(1.0, abs=1e-12)
+        assert power[taus == taus.min()].sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_deterministic(self, desk):
         grid, _ = desk
         cfg = ChannelConfig(R=4, tau_max=1e-6, nu_max=2e3, seed=99)

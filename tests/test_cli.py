@@ -214,6 +214,16 @@ class TestSimulateAndSweep:
         pl = harness.build_placement(cfg)
         assert (pl.M, pl.N, pl.P) == (64, 64, 128)
 
+    def test_steep_power_profile(self, tmp_path):
+        # every exp(-tau * 1e12) underflows unless taken relative to the earliest path
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("trials = 1\nsnr = 15\nestimator = srh-mna\npower-profile = 1e12\n")
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--config", str(cfgf), "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        mse = row.split(",")[header.split(",").index("mse_db_mean")]
+        assert np.isfinite(float(mse))
+
     def test_sweep_pilots(self, tmp_path):
         cfgf = tmp_path / "run.cfg"
         cfgf.write_text("trials = 2\nsnr = 15\nestimator = srh\n")
@@ -234,7 +244,9 @@ class TestConfigErrors:
                                             "precoder_seed"),
                                            ("pulse-spread = 20", "pulse_spread"),
                                            ("tf-product = 0", "tf_product"),
-                                           ("power-profile = -1e9", "power_profile")])
+                                           ("power-profile = -1e9", "power_profile"),
+                                           ("trials = 0", "trials"),
+                                           ("pilots-per-row = 0", "pilots_per_row")])
     def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, line, key):
         cfgf = tmp_path / "bad.cfg"
         cfgf.write_text(f"trials = 1\nsnr = 15\n{line}\n")

@@ -44,15 +44,23 @@ def dense_atoms(g, grid):
     return atoms
 
 
-def per_residue_tight(prototype, grid):
-    """Reference: one N x N frame-operator eigenproblem for each of the a residues."""
+def per_residue_blocks(prototype, grid):
+    """Reference: the dense N x N frame-operator block of each of the a residues,
+    with the sample indices it acts on."""
     a, b, L, N = grid.time_shift, grid.freq_shift, grid.L, grid.N
     g0 = prototype.samples
-    out = np.empty(L, dtype=complex)
     for r in range(a):
         idx = (r + a * np.arange(N)) % L
         V = g0[(idx[None, :] - (np.arange(b) * grid.M)[:, None]) % L]
-        w, U = np.linalg.eigh(a * (V.T @ V.conj()))
+        yield idx, a * (V.T @ V.conj())
+
+
+def per_residue_tight(prototype, grid):
+    """Reference: one N x N frame-operator eigenproblem for each of the a residues."""
+    g0 = prototype.samples
+    out = np.empty(grid.L, dtype=complex)
+    for idx, B in per_residue_blocks(prototype, grid):
+        w, U = np.linalg.eigh(B)
         out[idx] = ((U * w**-0.5) @ U.conj().T) @ g0[idx]
     return out / np.linalg.norm(out)
 
@@ -106,6 +114,11 @@ class TestGrid:
     def test_rejects_critical_sampling(self):
         with pytest.raises(GridError):
             make_grid(8, 8, 1.0)
+
+    @pytest.mark.parametrize("M, N", [(0, 16), (16, 0)])
+    def test_rejects_an_empty_lattice(self, M, N):
+        with pytest.raises(GridError):
+            make_grid(M, N)
 
     def test_rejects_inconsistent_shifts(self):
         with pytest.raises(GridError):
@@ -210,6 +223,59 @@ class TestTightOrthogonalize:
         grid = make_grid(8, 8)
         with pytest.raises(FrameError):
             tight_orthogonalize(gaussian_prototype(grid, spread=0.02), grid)
+
+    @pytest.mark.parametrize("M, N, tf, q, K", [
+        (64, 64, 1.25, 4, 16),  # paper scale: d = 16
+        (32, 32, 1.25, 4, 8),
+        (16, 16, 1.5, 2, 8),
+        (8, 8, 2.0, 1, 8),      # d = M: every residue block is circulant
+        (4, 4, 1.25, 4, 1),     # d = 1, K = 1: the q x q block is the whole block
+        (12, 20, 1.25, 4, 5),   # M != N
+    ])
+    def test_block_circulant_matches_dense_reference(self, M, N, tf, q, K):
+        # q = M/gcd(a, M) is the circulant block size and K = N/q the block count
+        grid = make_grid(M, N, tf)
+        assert (grid.M // math.gcd(grid.time_shift, grid.M), grid.N // q) == (q, K)
+        proto = gaussian_prototype(grid)
+        want = per_residue_tight(proto, grid)
+        assert np.abs(tight_orthogonalize(proto, grid).samples - want).max() <= 1e-12
+
+    def test_cond_limit_is_the_dense_condition_number(self):
+        # the q x q blocks have the eigenvalues of the dense blocks, so the
+        # ill-conditioning check trips exactly at the dense condition number
+        grid = make_grid(8, 8)
+        proto = gaussian_prototype(grid, spread=0.35)
+        w = np.concatenate([np.linalg.eigvalsh(B) for _, B in per_residue_blocks(proto, grid)])
+        cond = w.max() / w.min()
+        tight_orthogonalize(proto, grid, cond_limit=cond * (1 + 1e-9))
+        with pytest.raises(FrameError, match="ill-conditioned"):
+            tight_orthogonalize(proto, grid, cond_limit=cond * (1 - 1e-9))
+
+    @pytest.mark.parametrize("M, N, tf", [(64, 64, 1.25), (12, 20, 1.25), (8, 8, 2.0)])
+    def test_eigenproblems_are_q_by_q(self, monkeypatch, M, N, tf):
+        grid = make_grid(M, N, tf)
+        q = grid.M // math.gcd(grid.time_shift, grid.M)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kw):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        tight_orthogonalize(gaussian_prototype(grid), grid)
+        assert shapes and all(shape[-2:] == (q, q) for shape in shapes)
+
+    @settings(max_examples=40)
+    @given(M=st.integers(1, 8), N=st.integers(1, 8), extra=st.integers(1, 3),
+           spread=st.floats(0.7, 1.4))
+    def test_tight_pulse_gram_is_identity(self, M, N, extra, spread):
+        # k > gcd(M, N) makes b = k*N/g > N, and M*b = a*N = L tiles the band
+        g = math.gcd(M, N)
+        k = g + extra
+        grid = GaborGrid(M=M, N=N, time_shift=k * M // g, freq_shift=k * N // g, fs=5e6)
+        atoms = dense_atoms(tight_orthogonalize(gaussian_prototype(grid, spread), grid), grid)
+        assert np.abs(atoms.conj().T @ atoms - np.eye(M * N)).max() <= 1e-9
 
 
 class TestFilterbank:

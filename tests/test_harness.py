@@ -38,6 +38,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             quiet_cfg(pilots_per_row=0, n_data=16, estimators=("srh",))
 
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(trials=0), "trials"),
+        (dict(estimators=("wiener",)), "estimators"),
+        (dict(estimators=()), "estimators"),
+        (dict(snr_db=()), "snr_db"),
+        (dict(pilots_per_row=0, n_data=16), "pilots_per_row, estimators"),
+    ])
+    def test_error_starts_with_its_field(self, overrides, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            quiet_cfg(**overrides)
+
     def test_rejects_negative_sigma_z2(self):
         with pytest.raises(ValueError, match="sigma_z2"):
             quiet_cfg(sigma_z2=-1.0)
