@@ -13,10 +13,11 @@ import csv
 import dataclasses
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
-from . import gabor, harness, piloting, transforms
+from . import gabor, harness, piloting
 
 
 def _parse_bool(s: str) -> bool:
@@ -67,6 +68,8 @@ def _flag(parse):
 
 
 def _show(v) -> str:
+    if v is None:
+        return "auto"
     if isinstance(v, tuple):
         return ",".join(map(_show, v))
     if isinstance(v, bool):
@@ -74,53 +77,49 @@ def _show(v) -> str:
     return format(v, "g") if isinstance(v, float) else str(v)
 
 
+def _parser(default):
+    """A config field's value parser, from the type of its default."""
+    if isinstance(default, tuple):
+        def parse_list(s: str, parse_item=_parser(default[0])) -> tuple:
+            items = [item.strip() for item in s.split(",")]
+            if "" in items:
+                raise ValueError(f"expected a comma list without empty items, got {s.strip()!r}")
+            return tuple(map(parse_item, items))
+        return parse_list
+    if default is None:
+        return _auto_or_float
+    return {bool: _parse_bool, int: int, float: _finite, str: str}[type(default)]
+
+
+def _config_keys() -> tuple:
+    by_key: dict = {}  # the fields of each key, in field order; data-shape has two
+    for f in dataclasses.fields(harness.ExperimentConfig):
+        by_key.setdefault(f.metadata["key"] or f.name.replace("_", "-"), []).append(f)
+    return tuple((key, tuple(f.name for f in fs), _parser(fs[0].default) if len(fs) == 1
+                  else _parse_shape, fs[0].metadata["help"]) for key, fs in by_key.items())
+
+
 # key (case-insensitive), ExperimentConfig field(s), value parser (a tuple for
-# several fields), help; defaults come from the ExperimentConfig fields
-CONFIG_KEYS = (
-    ("data-shape", ("m_data", "n_data"), _parse_shape, "M'xN' data frame, e.g. 16x15"),
-    ("pilots-per-row", ("pilots_per_row",), int, "pilots inserted per frame row; 0 = no pilots"),
-    ("tf-product", ("tf_product",), _finite, "grid T*F product"),
-    ("bandwidth", ("bandwidth",), _finite, "sampled bandwidth in Hz"),
-    ("pulse-spread", ("pulse_spread",), _finite, "Gaussian prototype width factor"),
-    ("precoder", ("precoder",), str, "|".join(transforms.KINDS)),
-    ("subframes", ("subframes",), int,
-     "|".join(map(str, transforms.SUBFRAME_CHOICES)) + " independent time blocks"),
-    ("precoder-seed", ("precoder_seed",), int, "seed for the random precoder"),
-    ("scatterers", ("scatterers",), int, "channel path count"),
-    ("tau-max", ("tau_max",), _auto_or_float, "delay spread in seconds, or auto"),
-    ("nu-max", ("nu_max",), _auto_or_float, "Doppler spread in Hz, or auto"),
-    ("velocity", ("velocity",), _finite, "relative speed in km/h (overrides nu-max)"),
-    ("power-profile", ("power_profile",), _auto_or_float,
-     "exponential delay-decay rate 1/s, or auto"),
-    ("fractional", ("fractional",), _parse_bool, "true|false off-grid channel shifts"),
-    ("estimator", ("estimators",),
-     lambda s: tuple(e.strip() for e in s.split(",") if e.strip()),
-     "comma list: " + ",".join(harness.ESTIMATOR_CHOICES)),
-    ("omega", ("omega",), _auto_or_float, "SRH fidelity weight, or auto (1/P)"),
-    ("Q", ("recon_q",), int, "LMMSE reconstruction-grid Doppler extent"),
-    ("W", ("recon_w",), int, "LMMSE reconstruction-grid delay guard"),
-    ("Wn", ("recon_wn",), int, "LMMSE reconstruction-grid delay extent"),
-    ("sigma-z2", ("sigma_z2",), _auto_or_float, "self-interference power, or auto"),
-    ("snr", ("snr_db",), lambda s: tuple(map(_finite, s.split(","))),
-     "comma list of SNR points in dB"),
-    ("trials", ("trials",), int, "Monte-Carlo trials per point"),
-    ("seed", ("seed",), int, "master seed"),
-    ("coding", ("coding",), _parse_bool, "true|false rate-1/3 convolutional"),
-)
+# several fields), help; built from the ExperimentConfig fields
+CONFIG_KEYS = _config_keys()
 _BY_NAME = {k[0].lower(): k for k in CONFIG_KEYS}
 
 
-def _apply_key(fields: dict, key: str, val: str):
+def _apply_key(fields: dict, key: str, val: str) -> tuple:
+    """Set the fields of a key from its value, and return their names."""
     if key.lower() not in _BY_NAME:
         raise ValueError(f"unknown config key {key!r}")
     _, names, parse, _ = _BY_NAME[key.lower()]
     value = parse(val)
     fields.update(zip(names, value if len(names) > 1 else (value,)))
+    return names
 
 
-def load_config(path: str | None, overrides: dict | None = None) -> harness.ExperimentConfig:
-    """Build an ExperimentConfig from a flat key=value file plus overrides."""
+def _read_config(path: str | None, overrides: dict | None = None) -> tuple[dict, dict]:
+    """The fields of a flat key=value file plus overrides, and the file line
+    that set each field the overrides leave."""
     fields: dict = {}
+    lines: dict = {}
     if path:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -131,23 +130,36 @@ def load_config(path: str | None, overrides: dict | None = None) -> harness.Expe
                     raise ValueError(f"{path}:{lineno}: expected key = value")
                 key, val = (part.strip() for part in line.split("=", 1))
                 try:
-                    _apply_key(fields, key, val)
+                    lines.update(dict.fromkeys(_apply_key(fields, key, val), lineno))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-    if overrides:
-        fields.update(overrides)
-    return harness.ExperimentConfig(**fields)
+    overrides = overrides or {}
+    return {**fields, **overrides}, {f: n for f, n in lines.items() if f not in overrides}
+
+
+def load_config(path: str | None, overrides: dict | None = None) -> harness.ExperimentConfig:
+    """Build an ExperimentConfig from a flat key=value file plus overrides."""
+    return harness.ExperimentConfig(**_read_config(path, overrides)[0])
+
+
+@contextmanager
+def _file_line(path: str | None, lines: dict):
+    """Prefix a ValueError whose message starts with a list of config fields
+    with path:line, the line that set the first listed field the file sets."""
+    try:
+        yield
+    except ValueError as exc:
+        named = str(exc).split(": ", 1)[0].split(", ")
+        set_here = [lines[name] for name in named if name in lines]
+        if set_here:
+            raise ValueError(f"{path}:{set_here[0]}: {exc}") from exc
+        raise
 
 
 def _epilog() -> str:
-    defaults = {f.name: f.default for f in dataclasses.fields(harness.ExperimentConfig)}
     lines = ["config keys:"]
-    for key, names, parse, text in CONFIG_KEYS:
-        values = [defaults[n] for n in names]
-        if values == [None]:
-            shown = "auto" if parse is _auto_or_float else "unset"
-        else:
-            shown = "x".join(map(_show, values))
+    for key, names, _, text in CONFIG_KEYS:
+        shown = "x".join(_show(getattr(harness.ExperimentConfig, n)) for n in names)
         lines.append(f"{key:<17} {text:<52} (default {shown})")
     return "\n".join(lines)
 
@@ -166,21 +178,28 @@ def _common_overrides(args) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, _common_overrides(args))
-    rows = harness.simulate(cfg)
+    fields, lines = _read_config(args.config, _common_overrides(args))
+    with _file_line(args.config, lines):
+        rows = harness.simulate(harness.ExperimentConfig(**fields))
     harness.write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config, _common_overrides(args))
+    fields, lines = _read_config(args.config, _common_overrides(args))
+    with _file_line(args.config, lines):
+        cfg = harness.ExperimentConfig(**fields)
     try:  # name the flag, as a config error names its key
         values = [_finite(v) for v in args.values.split(",")]
-        harness.sweep_points(cfg, args.axis, values)
+        points = harness.sweep_points(cfg, args.axis, values)
     except ValueError as exc:
         raise ValueError(f"--values: {exc}") from None
-    rows = harness.run_sweep(cfg, args.axis, values)
+    # a field that the axis sets comes from --values, not from the file
+    lines = {f: n for f, n in lines.items()
+             if all(getattr(c, f) == getattr(cfg, f) for c, _ in points)}
+    with _file_line(args.config, lines):
+        rows = harness.run_sweep(cfg, args.axis, values)
     harness.write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -257,9 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     amb = sub.add_parser("ambiguity", help="dump |A(tau, nu)| over a raster")
     amb.add_argument("--frame", type=_flag(_parse_shape), default="16x16", help="grid MxN")
-    amb.add_argument("--tf-product", type=_flag(_finite), default=1.25)
-    amb.add_argument("--bandwidth", type=_flag(_finite), default=5.0e6)
-    amb.add_argument("--spread", type=_flag(_finite), default=1.0)
+    defaults = harness.ExperimentConfig
+    amb.add_argument("--tf-product", type=_flag(_finite), default=defaults.tf_product)
+    amb.add_argument("--bandwidth", type=_flag(_finite), default=defaults.bandwidth)
+    amb.add_argument("--spread", type=_flag(_finite), default=defaults.pulse_spread)
     amb.add_argument("--tau-span", type=_flag(_finite), default=2.0,
                      help="raster half-width in T")
     amb.add_argument("--nu-span", type=_flag(_finite), default=2.0,

@@ -26,6 +26,8 @@ from .piloting import PilotPlacement, PilotSequence
 
 SRH_VARIANTS = ("srh", "srh-na", "srh-ma", "srh-mna")
 VARIANTS = ("lmmse",) + SRH_VARIANTS
+# the variants whose alpha and beta come from the channel's spreads
+MODE_AWARE = ("srh-ma", "srh-mna")
 
 OMEGA_CAP = 1e8
 
@@ -231,7 +233,7 @@ def srh_objective(h_ex: np.ndarray, h_pilot: np.ndarray, pl: PilotPlacement,
 
 
 def _resolve_srh_params(pl: PilotPlacement, cfg: EstimatorConfig):
-    if cfg.variant in ("srh-ma", "srh-mna"):
+    if cfg.variant in MODE_AWARE:
         if cfg.alpha is None or cfg.beta is None:
             raise ValueError("mode-aware variants require alpha and beta")
         alpha, beta = cfg.alpha, cfg.beta

@@ -84,8 +84,10 @@ def make_grid(M: int, N: int, tf_product: float = 1.25,
     b = round(N*tf_product) bins; b is reduced when necessary so M*b <= L.
     When M*tf_product and N*tf_product are integers the product is honored
     exactly and the M channels tile the full band (M*b = L). A non-positive
-    M, N, tf_product or bandwidth raises GridError.
+    M, N, tf_product or bandwidth, or a non-finite one, raises GridError.
     """
+    if not math.isfinite(tf_product):
+        raise GridError(f"tf_product = {tf_product!r} must be finite")
     a = round(M * tf_product)
     b = round(N * tf_product)
     if M * b > a * N:

@@ -46,6 +46,12 @@ def _sigma2(snr_db: float) -> float:
     return sigma2
 
 
+def _key(default, help: str | None, key: str | None = None):
+    """An ExperimentConfig field with its config-file help and its key, where that
+    is not the field name with '-' for '_' (the first field of a key has its help)."""
+    return dataclasses.field(default=default, metadata={"help": help, "key": key})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full experiment description with desk-scale defaults.
@@ -57,31 +63,33 @@ class ExperimentConfig:
     sigma_z2 = None (auto) measures the self-interference power in each trial.
     """
 
-    m_data: int = 16
-    n_data: int = 15
-    pilots_per_row: int = 1
-    tf_product: float = 1.25
-    bandwidth: float = 5.0e6
-    pulse_spread: float = 1.0
-    precoder: str = "dsft2d"
-    subframes: int = 1
-    precoder_seed: int = 2024
-    scatterers: int = 8
-    tau_max: float | None = None
-    nu_max: float | None = None
-    velocity: float | None = None
-    power_profile: float | None = None
-    fractional: bool = True
-    estimators: tuple[str, ...] = ("srh-mna",)
-    omega: float | None = None
-    recon_q: int = 2
-    recon_w: int = 1
-    recon_wn: int = 4
-    sigma_z2: float | None = None
-    snr_db: tuple[float, ...] = (15.0,)
-    trials: int = 200
-    seed: int = 1
-    coding: bool = False
+    m_data: int = _key(16, "M'xN' data frame, e.g. 16x15", "data-shape")
+    n_data: int = _key(15, None, "data-shape")
+    pilots_per_row: int = _key(1, "pilots inserted per frame row; 0 = no pilots")
+    tf_product: float = _key(1.25, "grid T*F product")
+    bandwidth: float = _key(5.0e6, "sampled bandwidth in Hz")
+    pulse_spread: float = _key(1.0, "Gaussian prototype width factor")
+    precoder: str = _key("dsft2d", "|".join(transforms.KINDS))
+    subframes: int = _key(1, "|".join(map(str, transforms.SUBFRAME_CHOICES))
+                          + " independent time blocks")
+    precoder_seed: int = _key(2024, "seed for the random precoder")
+    scatterers: int = _key(8, "channel path count")
+    tau_max: float | None = _key(None, "delay spread in seconds, or auto")
+    nu_max: float | None = _key(None, "Doppler spread in Hz, or auto")
+    velocity: float | None = _key(None, "relative speed in km/h (overrides nu-max)")
+    power_profile: float | None = _key(None, "exponential delay-decay rate 1/s, or auto")
+    fractional: bool = _key(True, "true|false off-grid channel shifts")
+    estimators: tuple[str, ...] = _key(("srh-mna",), "comma list: "
+                                       + ",".join(ESTIMATOR_CHOICES), "estimator")
+    omega: float | None = _key(None, "SRH fidelity weight, or auto (1/P)")
+    recon_q: int = _key(2, "LMMSE reconstruction-grid Doppler extent", "Q")
+    recon_w: int = _key(1, "LMMSE reconstruction-grid delay guard", "W")
+    recon_wn: int = _key(4, "LMMSE reconstruction-grid delay extent", "Wn")
+    sigma_z2: float | None = _key(None, "self-interference power, or auto")
+    snr_db: tuple[float, ...] = _key((15.0,), "comma list of SNR points in dB", "snr")
+    trials: int = _key(200, "Monte-Carlo trials per point")
+    seed: int = _key(1, "master seed")
+    coding: bool = _key(False, "true|false rate-1/3 convolutional")
 
     def __post_init__(self):
         # tuples also when given lists, so that a config can be a dict key
@@ -176,6 +184,11 @@ def resolve_spreads(cfg: ExperimentConfig, grid: gabor.GaborGrid) -> tuple[float
     return tau_max, nu_max
 
 
+def _doppler_key(cfg: ExperimentConfig) -> str:
+    """The config key that the Doppler spread comes from."""
+    return "velocity" if cfg.velocity is not None else "nu_max"
+
+
 @contextmanager
 def _config_key(key: str):
     """Prefix an error raised inside the block with the config key(s) it comes from."""
@@ -207,13 +220,26 @@ def validate_point(cfg: ExperimentConfig) -> Point:
     Point. This builds the placement, grid, spreads, tight pulse, precoder
     (without the random kind's QR), reconstruction grid, and the channel
     config and every estimator config, which the Point keeps. Each uses its
-    own checks, and an error names the offending key."""
+    own checks, and an error names the offending key. It also rejects SRH
+    variants on pilot cells of one line and, with coding, a data frame too
+    small for a codeword."""
     with _config_key("pilots_per_row"):
         pl = build_placement(cfg)
+    # the Hessian energy is zero on affine fields, so on pilot cells of one
+    # line (every 2x2 minor of their offsets from the first is zero, so that
+    # [row, col, 1] has rank below 3) the SRH minimizer is not unique
+    if set(cfg.estimators) & set(est.SRH_VARIANTS):
+        d = np.array(pl.pilot_indices) - pl.pilot_indices[0]
+        if np.array_equal(np.outer(d[:, 0], d[:, 1]), np.outer(d[:, 1], d[:, 0])):
+            raise ValueError("pilots_per_row, estimators: the pilot cells lie on one line, "
+                             "where an SRH estimate is not unique")
+    if cfg.coding:
+        with _config_key("coding, m_data, n_data"):
+            link.conv_info_bits(2 * pl.M_data * pl.N_data)
     with _config_key("tf_product, bandwidth"):
         grid = build_grid(cfg, pl)
     tau_max, nu_max = resolve_spreads(cfg, grid)
-    doppler_key = "velocity" if cfg.velocity is not None else "nu_max"
+    doppler_key = _doppler_key(cfg)
     if tau_max < 0 or nu_max < 0:
         raise ValueError(f"tau_max, {doppler_key}: spreads must be nonnegative "
                          f"(tau_max = {tau_max:.6g} s, nu_max = {nu_max:.6g} Hz)")
@@ -258,12 +284,18 @@ def prepare(point: Point) -> Point:
     placement's index arrays, a random kind's matrix (held by transforms, one
     at a time), and then every estimator's operator (one SRH operator per
     (alpha, beta), the LMMSE operator). The operators come after the matrix,
-    so that none of them is alive during its QR."""
+    so that none of them is alive during its QR. A failed build names
+    estimators and, for the mode-aware variants, the spread keys that alpha
+    and beta come from."""
     pl = point.pl
     pl.pilot_array_indices(), pl.data_array_indices()  # cached on pl from here on
     if point.precoder.kind == "random":
         point.precoder.matrix
-    operators = {name: est.operator(pl, ecfg) for name, ecfg in point.estimators.items()}
+    operators = {}
+    for name, ecfg in point.estimators.items():
+        weights = f", tau_max, {_doppler_key(point.cfg)}" if name in est.MODE_AWARE else ""
+        with _config_key(f"estimators{weights}: {name}"):
+            operators[name] = est.operator(pl, ecfg)
     return dataclasses.replace(point, operators=operators)
 
 

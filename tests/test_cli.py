@@ -1,5 +1,6 @@
 """Tests for the command-line interface and config parsing."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from ddlf import harness
 from ddlf.cli import CONFIG_KEYS, load_config, main
-from ddlf.harness import ESTIMATOR_CHOICES
+from ddlf.harness import ESTIMATOR_CHOICES, ExperimentConfig
 from ddlf.transforms import KINDS, SUBFRAME_CHOICES
 
 
@@ -100,6 +101,43 @@ class TestConfigFile:
         assert re.search(rf"^precoder +{re.escape('|'.join(KINDS))} ", out, re.M)
         assert re.search(rf"^subframes +{'[|]'.join(map(str, SUBFRAME_CHOICES))} ", out, re.M)
         assert re.search(rf"^estimator +comma list: {','.join(ESTIMATOR_CHOICES)} ", out, re.M)
+
+    def test_every_field_reached_by_one_key(self):
+        # data-shape sets n_data with m_data
+        fields = [name for _, names, _, _ in CONFIG_KEYS for name in names]
+        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+        assert [names for _, names, _, _ in CONFIG_KEYS if "n_data" in names] == [
+            ("m_data", "n_data")]
+
+    def test_help_defaults_load_to_the_default_config(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        shown = re.findall(r"^(\S+) .*\(default (\S+)\)$", capsys.readouterr().out, re.M)
+        assert [key for key, _ in shown] == [k[0] for k in CONFIG_KEYS]
+        path = tmp_path / "defaults.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in shown))
+        assert load_config(str(path)) == ExperimentConfig()
+
+    def test_velocity_auto(self, tmp_path):
+        path = tmp_path / "auto.cfg"
+        path.write_text("velocity = 120\nvelocity = auto\n")
+        assert load_config(str(path)).velocity is None
+
+    def test_list_items_are_stripped(self, tmp_path):
+        path = tmp_path / "lists.cfg"
+        path.write_text("estimator =  srh ,lmmse\t\nsnr = 5 ,  10\n")
+        cfg = load_config(str(path))
+        assert (cfg.estimators, cfg.snr_db) == (("srh", "lmmse"), (5.0, 10.0))
+
+    @pytest.mark.parametrize("key, value", [("estimator", "srh,"), ("estimator", ",srh"),
+                                            ("estimator", "srh, ,lmmse"), ("snr", "10,,15"),
+                                            ("snr", "10,")])
+    def test_empty_list_item_names_file_line_and_key(self, tmp_path, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"seed = 3\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {key}: expected a comma "
+                                                       "list without empty items")):
+            load_config(str(path))
 
     def test_overrides(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -271,3 +309,70 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert re.search(r"^ddlf: --values: ", err, re.M)
         assert not out.exists()
+
+    @pytest.mark.parametrize("line, key, reason", [
+        ("omega = -1", "omega", "omega: omega must be positive when given"),
+        # the 16x16 desk frame lasts 64 us
+        ("tau-max = 64e-6", "tau_max", "tau_max: 6.4e-05 s is not below the frame duration"),
+        ("velocity = 20000", "velocity", "tau_max, velocity: 2*tau_max*nu_max = 0.197 >= 0.1"),
+    ])
+    def test_rejected_value_names_its_file_line(self, tmp_path, capsys, line, key, reason):
+        cfgf = tmp_path / "bad.cfg"
+        cfgf.write_text(f"trials = 1\nsnr = 15\n\n{line}  # line 4\n")
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--config", str(cfgf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ddlf: {cfgf}:4: {reason}")
+        assert err.count("\n") == 1
+
+    def test_message_of_fields_the_file_did_not_set_unchanged(self, tmp_path, capsys):
+        # 16x16 data needs a 16x17 frame, where M*b = L fails: no tight pulse
+        cfgf = tmp_path / "bad.cfg"
+        cfgf.write_text("trials = 1\ndata-shape = 16x16\n")
+        assert main(["simulate", "--config", str(cfgf), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err.startswith("ddlf: tf_product: ")
+
+    def test_an_overridden_field_is_not_the_files(self, tmp_path, capsys):
+        # --seed replaces the file's seed, and the pilots axis its pilots-per-row
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("trials = 1\nseed = 3\nestimator = srh\npilots-per-row = 3\n")
+        assert main(["simulate", "--config", str(cfgf), "--out", str(tmp_path / "r.csv"),
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("ddlf: seed: expected a nonnegative integer")
+        assert main(["sweep", "--config", str(cfgf), "--axis", "pilots", "--values", "20",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err.startswith("ddlf: pilots_per_row: ")
+
+    def test_sweep_axis_overrides_a_bad_base_value(self, tmp_path):
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("trials = 1\nsnr = 15\nestimator = srh\nvelocity = 20000\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfgf), "--axis", "velocity",
+                     "--values", "100", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("text, line, keys", [
+        ("data-shape = 4x16\npilots-per-row = 1\ntf-product = 2\ntau-max = 0\n"
+         "estimator = srh, perfect\nsnr = 30\ntrials = 3\nseed = 1\n", 2,
+         "pilots_per_row, estimators"),
+        ("data-shape = 2x16\npilots-per-row = 1\nestimator = srh\ntf-product = 2\n", 2,
+         "pilots_per_row, estimators"),
+        ("data-shape = 4x16\npilots-per-row = 2\nbandwidth = 1000\ntau-max = 1e-6\n"
+         "velocity = 5000\nestimator = srh-ma\ntf-product = 2\n", 6,
+         "estimators, tau_max, velocity"),
+        ("data-shape = 2x2\npilots-per-row = 1\ncoding = true\ntf-product = 2\n"
+         "tau-max = 0\nestimator = perfect\n", 3, "coding, m_data, n_data"),
+    ])
+    def test_set_up_failure_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                      text, line, keys):
+        trials = []
+        monkeypatch.delenv("DDLF_THREADS", raising=False)
+        monkeypatch.setattr(harness, "run_trial", lambda *a: trials.append(a))
+        cfgf = tmp_path / "bad.cfg"
+        cfgf.write_text(text)
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--config", str(cfgf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ddlf: {cfgf}:{line}: {keys}: ")
+        assert err.count("\n") == 1
+        assert trials == [] and not out.exists()

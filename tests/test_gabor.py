@@ -120,6 +120,11 @@ class TestGrid:
         with pytest.raises(GridError):
             make_grid(M, N)
 
+    @pytest.mark.parametrize("tf", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_tf_product(self, tf):
+        with pytest.raises(GridError, match="^tf_product = .* must be finite"):
+            make_grid(16, 16, tf_product=tf)
+
     def test_rejects_inconsistent_shifts(self):
         with pytest.raises(GridError):
             GaborGrid(M=8, N=8, time_shift=7.5, freq_shift=10, fs=5e6)

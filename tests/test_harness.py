@@ -2,11 +2,15 @@
 
 import dataclasses
 import gc
+import math
 import os
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddlf import channel, estimation, gabor, harness, transforms
 from ddlf.harness import (
@@ -249,6 +253,32 @@ class TestSweepValidation:
         assert key in str(info.value).split(": ")[0]
         assert no_trials == []
 
+    @pytest.mark.parametrize("keys, overrides", [
+        # pilots at (0, 0), (1, 4), (2, 8), (3, 12): srh gave BER 0.55 against 0 for perfect
+        ("pilots_per_row, estimators", dict(m_data=4, n_data=16, tf_product=2.0, tau_max=0.0,
+                                            estimators=("srh", "perfect"), snr_db=(30.0,))),
+        ("pilots_per_row, estimators", dict(m_data=2, n_data=16, tf_product=2.0)),
+        ("coding, m_data, n_data", dict(m_data=2, n_data=2, tf_product=2.0, tau_max=0.0,
+                                        coding=True, estimators=("perfect",))),
+        # alpha about 935 and beta about 1.1e-3: the banded Cholesky fails
+        ("estimators, tau_max, velocity", dict(m_data=4, n_data=16, pilots_per_row=2,
+                                               bandwidth=1000.0, tau_max=1e-6, velocity=5000.0,
+                                               tf_product=2.0, estimators=("srh-ma",))),
+    ])
+    def test_set_up_failure_names_its_keys(self, no_trials, keys, overrides):
+        with pytest.raises(ValueError, match=f"^{keys}: "):
+            run_sweep(quiet_cfg(**overrides), "snr", [15.0])
+        assert no_trials == []
+
+    def test_collinear_pilots_only_stop_srh(self):
+        # the LMMSE fit and the true CMD do not depend on the pilot geometry
+        cfg = quiet_cfg(m_data=4, n_data=16, tf_product=2.0, tau_max=0.0, recon_wn=2,
+                        estimators=("lmmse", "perfect"))
+        assert set(harness.prepare(harness.validate_point(cfg)).operators) == {"lmmse"}
+        for srh in estimation.SRH_VARIANTS:
+            with pytest.raises(ValueError, match="^pilots_per_row, estimators: .* one line"):
+                harness.validate_point(dataclasses.replace(cfg, estimators=(srh,)))
+
     @pytest.mark.parametrize("overrides", [{}, dict(power_profile=2e5, fractional=False,
                                                      velocity=300.0, scatterers=3)])
     def test_point_keeps_the_channel_config(self, overrides):
@@ -471,3 +501,80 @@ class TestAggregation:
         csv_text = rows_to_csv(simulate(quiet_cfg()))
         header = csv_text.splitlines()[0]
         assert header.startswith("snr_db,velocity_kmh,pilots,estimator,precoder")
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# desk-size configs over ranges that reach every known set-up failure: frames
+# of 1-4 rows (collinear pilots, too few bits for a codeword), extreme
+# bandwidth, Doppler and delay spreads (mode-aware weights of very different
+# size), and omega, snr_db and sigma_z2 far from their defaults.
+desk_configs = st.fixed_dictionaries(dict(
+    m_data=st.integers(1, 4), n_data=st.integers(1, 16), pilots_per_row=st.integers(1, 2),
+    tf_product=st.sampled_from((1.25, 1.5, 2.0, 2.5, 3.0)),
+    bandwidth=_log_uniform(1e2, 1e10),
+    precoder=st.sampled_from(transforms.KINDS),
+    subframes=st.sampled_from(transforms.SUBFRAME_CHOICES),
+    scatterers=st.integers(1, 8),
+    tau_max=st.none() | st.just(0.0) | _log_uniform(1e-10, 1e-2),
+    nu_max=st.none() | st.just(0.0) | _log_uniform(1e-1, 1e6),
+    velocity=st.none() | st.just(0.0) | _log_uniform(1e-1, 1e5),
+    power_profile=st.none() | _log_uniform(1e3, 1e12),
+    fractional=st.booleans(),
+    estimators=st.lists(st.sampled_from(harness.ESTIMATOR_CHOICES), min_size=1, max_size=3,
+                        unique=True).map(tuple),
+    omega=st.none() | st.floats(0.0, exclude_min=True, allow_infinity=False),
+    recon_q=st.integers(0, 3), recon_w=st.integers(0, 2), recon_wn=st.integers(0, 4),
+    sigma_z2=st.none() | st.just(0.0) | _log_uniform(1e-12, 1e4),
+    snr_db=st.tuples(st.floats(-60.0, 100.0)),
+    trials=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+    coding=st.booleans(),
+))
+FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+class TestAnyConfig:
+    @pytest.mark.filterwarnings("ignore:reconstruction grid has:UserWarning")
+    @settings(max_examples=100)
+    @given(fields=desk_configs, field_seed=st.integers(0, 2**32 - 1))
+    # pilots at (0, 0), (1, 4), (2, 8), (3, 12): srh gave BER 0.55 against 0 for perfect
+    @example(fields=dict(m_data=4, n_data=16, tf_product=2.0, tau_max=0.0,
+                         estimators=("srh", "perfect"), snr_db=(30.0,), trials=2),
+             field_seed=1)
+    @example(fields=dict(m_data=2, n_data=16, tf_product=2.0, estimators=("srh",), trials=1),
+             field_seed=1)
+    @example(fields=dict(m_data=2, n_data=2, tf_product=2.0, tau_max=0.0, coding=True,
+                         estimators=("perfect",), trials=1), field_seed=1)
+    @example(fields=dict(m_data=4, n_data=16, pilots_per_row=2, bandwidth=1000.0,
+                         tau_max=1e-6, velocity=5000.0, tf_product=2.0,
+                         estimators=("srh-ma",), trials=1), field_seed=1)
+    def test_fails_before_any_trial_naming_a_field_or_runs_exactly(self, fields, field_seed):
+        trials, run = [], harness.run_trial
+        with mock.patch.object(harness, "run_trial", lambda *a: trials.append(a) or run(*a)), \
+                mock.patch.dict(os.environ, {"DDLF_THREADS": "1"}):
+            try:
+                cfg = ExperimentConfig(**fields)
+                rows = simulate(cfg)
+            except ValueError as exc:
+                assert trials == []
+                assert set(str(exc).split(": ", 1)[0].split(", ")) <= FIELDS, str(exc)
+                return
+        assert 1 <= len(trials) <= 2
+        for row in rows:
+            assert all(math.isfinite(v) for v in dataclasses.astuple(row)
+                       if isinstance(v, float)), row
+        # a NaN check misses a wrong estimate: an affine field at the pilots comes back
+        point = harness._points[cfg]
+        pl = point.pl
+        m, n = np.meshgrid(np.arange(pl.M), np.arange(pl.N), indexing="ij")
+        rng = np.random.default_rng(field_seed)
+        for name in (e for e in cfg.estimators if e in estimation.SRH_VARIANTS):
+            a, b, c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            field = a * m + b * n + c
+            ecfg = dataclasses.replace(point.estimators[name], sigma2=10 ** (-cfg.snr_db[0] / 10),
+                                       sigma_z2=cfg.sigma_z2 or 0.0)
+            h = estimation.estimate(field[pl.pilot_array_indices()], pl, ecfg,
+                                    point.operators[name]).h_tilde
+            assert np.abs(h - field).max() <= 1e-6 * np.abs(field).max(), name
