@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands: `simulate` (SNR list from a config file), `sweep` (axis sweep),
-`place-pilots` (dump a pilot/data mask) and `ambiguity` (dump the pulse
-cross-ambiguity surface). Config files are flat `key = value` text; `#`
-starts a comment. DDLF_THREADS caps trial parallelism.
+Subcommands: `simulate` (SNR list from a config file), `sweep` (axis sweep,
+at each SNR of the list), `place-pilots` (dump a pilot/data mask) and
+`ambiguity` (dump the pulse cross-ambiguity surface). Config files are flat
+`key = value` text; `#` starts a comment. DDLF_THREADS caps trial
+parallelism.
 """
 
 from __future__ import annotations
@@ -177,29 +178,25 @@ def _common_overrides(args) -> dict:
     return overrides
 
 
-def cmd_simulate(args) -> int:
-    fields, lines = _read_config(args.config, _common_overrides(args))
-    with _file_line(args.config, lines):
-        rows = harness.simulate(harness.ExperimentConfig(**fields))
-    harness.write_csv(rows, args.out)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
-
-
-def cmd_sweep(args) -> int:
+def cmd_run(args) -> int:
+    """simulate: run the config of the file and flags; sweep: run its configs
+    over --values on --axis. Write the rows either way."""
     fields, lines = _read_config(args.config, _common_overrides(args))
     with _file_line(args.config, lines):
         cfg = harness.ExperimentConfig(**fields)
-    try:  # name the flag, as a config error names its key
-        values = [_finite(v) for v in args.values.split(",")]
-        points = harness.sweep_points(cfg, args.axis, values)
-    except ValueError as exc:
-        raise ValueError(f"--values: {exc}") from None
+    configs = [cfg]
+    if args.command == "sweep":
+        try:  # name the flag, as a config error names its key
+            values = [_finite(v) for v in args.values.split(",")]
+            configs = harness.sweep_configs(cfg, args.axis, values)
+        except ValueError as exc:
+            raise ValueError(f"--values: {exc}") from None
     # a field that the axis sets comes from --values, not from the file
     lines = {f: n for f, n in lines.items()
-             if all(getattr(c, f) == getattr(cfg, f) for c, _ in points)}
+             if all(getattr(c, f) == getattr(cfg, f) for c in configs)}
     with _file_line(args.config, lines):
-        rows = harness.run_sweep(cfg, args.axis, values)
+        rows = (harness.run_sweep(cfg, args.axis, values) if args.command == "sweep"
+                else harness.simulate(cfg))
     harness.write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -256,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, help="override the master seed")
     sim.add_argument("--paper-scale", action="store_true",
                      help="64x64 frame, 5 MHz, 58 paths")
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=cmd_run)
 
     sw = sub.add_parser("sweep", help="sweep snr, velocity or pilots")
     sw.add_argument("--config", help="key = value config file")
@@ -265,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", default="sweep.csv")
     sw.add_argument("--seed", type=int, help="override the master seed")
     sw.add_argument("--paper-scale", action="store_true")
-    sw.set_defaults(func=cmd_sweep)
+    sw.set_defaults(func=cmd_run)
 
     pp = sub.add_parser("place-pilots", help="dump a pilot placement mask")
     pp.add_argument("--data-shape", type=_flag(_parse_shape), required=True,

@@ -28,6 +28,8 @@ SRH_VARIANTS = ("srh", "srh-na", "srh-ma", "srh-mna")
 VARIANTS = ("lmmse",) + SRH_VARIANTS
 # the variants whose alpha and beta come from the channel's spreads
 MODE_AWARE = ("srh-ma", "srh-mna")
+# the variants whose omega comes from the noise and self-interference powers
+NOISE_AWARE = ("srh-na", "srh-mna")
 
 OMEGA_CAP = 1e8
 
@@ -239,13 +241,26 @@ def _resolve_srh_params(pl: PilotPlacement, cfg: EstimatorConfig):
         alpha, beta = cfg.alpha, cfg.beta
     else:
         alpha = beta = 1.0
-    if cfg.variant in ("srh-na", "srh-mna"):
+    if cfg.variant in NOISE_AWARE:
         # unit-energy pilots: sum |p_s|^-2 = P
         delta = (cfg.sigma2 + cfg.sigma_z2) * pl.P
         omega = OMEGA_CAP if delta < 1.0 / OMEGA_CAP else min(1.0 / delta, OMEGA_CAP)
     else:
         omega = cfg.omega if cfg.omega is not None else 1.0 / max(pl.P, 1)
     return alpha, beta, omega
+
+
+def affine_rank(pl: PilotPlacement) -> int:
+    """Rank of [1, row, col] over the pilot cells, in exact integer arithmetic:
+    0 or 1 for that many pilots, 2 for pilots on one line, else 3. It is the
+    dimension of the affine fields at the pilots, where the Hessian energy is
+    zero."""
+    if pl.P < 2:
+        return pl.P
+    # the cells are distinct, so every offset from the first is nonzero, and
+    # the pilots lie on one line when each offset is parallel to the first
+    d = np.array(pl.pilot_indices[1:]) - pl.pilot_indices[0]
+    return 3 if np.any(d[:, 0] * d[0, 1] - d[:, 1] * d[0, 0]) else 2
 
 
 # pilot columns per forward solve on the trailing band of U
@@ -315,9 +330,12 @@ def _srh_operator(pl: PilotPlacement, alpha: float, beta: float):
         if info:
             raise np.linalg.LinAlgError(f"banded triangular solve failed (info {info})")
     S -= Z.T @ Z
-    # S is PSD; its null space (affine fields at the pilots) may come out
-    # slightly negative
+    # S is PSD, and its null space is the affine fields at the pilots. eigh
+    # gives their eigenvalues at rounding level, not 0, and then omega /
+    # (lam + omega) falls below 1 on them for a small omega, so they are set
+    # to 0 (the eigenvalues come in ascending order)
     lam, V = np.linalg.eigh(0.5 * (S + S.T))
+    lam[:affine_rank(pl)] = 0.0
     return _read_only(U, Z, pvar, V, np.maximum(lam, 0.0))
 
 

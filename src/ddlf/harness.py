@@ -226,13 +226,10 @@ def validate_point(cfg: ExperimentConfig) -> Point:
     with _config_key("pilots_per_row"):
         pl = build_placement(cfg)
     # the Hessian energy is zero on affine fields, so on pilot cells of one
-    # line (every 2x2 minor of their offsets from the first is zero, so that
-    # [row, col, 1] has rank below 3) the SRH minimizer is not unique
-    if set(cfg.estimators) & set(est.SRH_VARIANTS):
-        d = np.array(pl.pilot_indices) - pl.pilot_indices[0]
-        if np.array_equal(np.outer(d[:, 0], d[:, 1]), np.outer(d[:, 1], d[:, 0])):
-            raise ValueError("pilots_per_row, estimators: the pilot cells lie on one line, "
-                             "where an SRH estimate is not unique")
+    # line ([1, row, col] of rank below 3) the SRH minimizer is not unique
+    if set(cfg.estimators) & set(est.SRH_VARIANTS) and est.affine_rank(pl) < 3:
+        raise ValueError("pilots_per_row, estimators: the pilot cells lie on one line, "
+                         "where an SRH estimate is not unique")
     if cfg.coding:
         with _config_key("coding, m_data, n_data"):
             link.conv_info_bits(2 * pl.M_data * pl.N_data)
@@ -347,7 +344,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
     h_true = chan.true_cmd(ch, pulse, pulse, grid)
     if cfg.sigma_z2 is not None:
         sigma_z2 = float(cfg.sigma_z2)
-    elif any(e in ("srh-na", "srh-mna") for e in cfg.estimators):
+    elif set(cfg.estimators) & set(est.NOISE_AWARE):
         sigma_z2 = chan.self_interference_power(gabor.analyze(rx_clean, pulse, grid),
                                                 frame_tx, h_true)
     else:
@@ -385,9 +382,10 @@ def _max_workers() -> int:
     return max(1, int(os.environ.get("DDLF_THREADS", "1")))
 
 
-def _run_points(points: list[tuple[Point, float]]) -> list[dict[str, list[link.FrameMetrics]]]:
-    """Every trial of the (validated point, snr) pairs; per pair, each
-    estimator's metrics in trial order.
+def _run_points(points: list[Point]) -> list[tuple[Point, float, list[dict]]]:
+    """Every trial of the validated points, each at every SNR of its config:
+    per point and SNR, in that order, (point, snr, each trial's run_trial
+    result in trial order).
 
     Consecutive points that share a random precoder (or have none) form a
     run, and each run is prepared at once in this process, so its one random
@@ -396,36 +394,37 @@ def _run_points(points: list[tuple[Point, float]]) -> list[dict[str, list[link.F
     one process pool per run executes them; its forked workers inherit every
     prepared point and the random matrix, and build nothing.
     """
-    workers = _max_workers() if sum(point.cfg.trials for point, _ in points) > 1 else 1
+    workers = _max_workers() if sum(p.cfg.trials * len(p.cfg.snr_db) for p in points) > 1 else 1
     results = []
-    for _, run in groupby(points, lambda p: p[0].precoder.kind == "random" and p[0].precoder):
+    for _, run in groupby(points, lambda p: p.precoder.kind == "random" and p.precoder):
         run = list(run)
-        _prepare([point for point, _ in run])
-        jobs = [(point.cfg, snr, i) for point, snr in run for i in range(point.cfg.trials)]
+        _prepare(run)
+        jobs = [(p.cfg, snr, i) for p in run for snr in p.cfg.snr_db for i in range(p.cfg.trials)]
         if workers == 1:
             results += [run_trial(*job) for job in jobs]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results += [res for _, res in pool.map(_trial_worker, jobs)]
     done = iter(results)
-    trials = [[next(done) for _ in range(point.cfg.trials)] for point, _ in points]
-    return [{name: [t[name] for t in per_trial] for name in point.cfg.estimators}
-            for (point, _), per_trial in zip(points, trials)]
+    return [(p, snr, [next(done) for _ in range(p.cfg.trials)])
+            for p in points for snr in p.cfg.snr_db]
 
 
 def run_point(cfg: ExperimentConfig, snr_db: float
               ) -> dict[str, list[link.FrameMetrics]]:
-    """All trials for one sweep point, as a one-point sweep (see run_sweep);
-    per-estimator metric lists in trial order."""
-    return _run_points([(validate_point(cfg), snr_db)])[0]
+    """All trials for one sweep point at one SNR, as a one-point sweep (see
+    run_sweep); per-estimator metric lists in trial order."""
+    [(_, _, trials)] = _run_points([validate_point(dataclasses.replace(cfg, snr_db=(snr_db,)))])
+    return {name: [t[name] for t in trials] for name in cfg.estimators}
 
 
-def _aggregate(cfg: ExperimentConfig, snr_db: float, estimator: str,
-               metrics: list[link.FrameMetrics], pilots: int) -> ResultRow:
+def _aggregate(point: Point, snr_db: float, estimator: str,
+               trials: list[dict[str, link.FrameMetrics]]) -> ResultRow:
     def stats(vals):
         arr = np.array(vals, dtype=float)
         return float(arr.mean()), float(arr.std(ddof=1) if len(arr) > 1 else 0.0)
 
+    cfg, metrics = point.cfg, [t[estimator] for t in trials]
     mse_m, mse_s = stats([m.rel_symbol_mse_db for m in metrics])
     ber_m, ber_s = stats([m.uncoded_ber for m in metrics])
     nms_m, nms_s = stats([m.nmsed_db for m in metrics])
@@ -436,7 +435,7 @@ def _aggregate(cfg: ExperimentConfig, snr_db: float, estimator: str,
         coded_db = link.ber_to_db(coded_m, link.conv_info_bits(n_bits) * cfg.trials)
     return ResultRow(
         snr_db=snr_db, velocity_kmh=cfg.velocity,
-        pilots=pilots, estimator=estimator,
+        pilots=point.pl.P, estimator=estimator,
         precoder=cfg.precoder, subframes=cfg.subframes, trials=cfg.trials,
         mse_db_mean=mse_m, mse_db_std=mse_s,
         uncoded_ber_mean=ber_m, uncoded_ber_std=ber_s,
@@ -446,58 +445,39 @@ def _aggregate(cfg: ExperimentConfig, snr_db: float, estimator: str,
     )
 
 
-def _sweep_config(cfg: ExperimentConfig, axis: str, value: float) -> tuple[ExperimentConfig, float]:
-    """Config variant and SNR for one sweep value on the given axis."""
-    if not math.isfinite(value):
-        raise ValueError(f"{axis}: expected a finite number, got {value!r}")
-    if axis == "snr":
-        with _config_key(axis):
-            _sigma2(value)
-        return cfg, float(value)
-    snr = cfg.snr_db[0]
-    if axis == "velocity":
-        return dataclasses.replace(cfg, velocity=float(value), nu_max=None), snr
-    if axis == "pilots":
-        ppr = int(value)
-        if ppr != value:
+def sweep_configs(cfg: ExperimentConfig, axis: str, values) -> list[ExperimentConfig]:
+    """The configs of a sweep over the values on the given axis. The snr axis
+    gives one config whose SNR list is the values (dB); the velocity (km/h)
+    and pilots axes give one config per value, each with the SNR list of cfg.
+    The pilots axis keeps the transmit frame and trades data for pilot cells."""
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"{axis}: expected a finite number, got {value!r}")
+        if axis == "snr":
+            with _config_key(axis):
+                _sigma2(value)
+        if axis == "pilots" and int(value) != value:
             raise ValueError(f"pilots per row must be a whole number, got {value:g}")
+    if axis == "snr":
+        return [dataclasses.replace(cfg, snr_db=tuple(map(float, values)))]
+    if axis == "velocity":
+        return [dataclasses.replace(cfg, velocity=float(v), nu_max=None) for v in values]
+    if axis == "pilots":
         frame_n = cfg.n_data + cfg.pilots_per_row
-        return dataclasses.replace(cfg, pilots_per_row=ppr, n_data=frame_n - ppr), snr
+        return [dataclasses.replace(cfg, pilots_per_row=int(v), n_data=frame_n - int(v))
+                for v in values]
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
-def sweep_points(cfg: ExperimentConfig, axis: str, values) -> list[tuple[ExperimentConfig, float]]:
-    """Config variant and SNR of each sweep value on the given axis."""
-    return [_sweep_config(cfg, axis, value) for value in values]
-
-
 def run_sweep(cfg: ExperimentConfig, axis: str, values) -> list[ResultRow]:
-    """Cross-product execution over the axis values and configured estimators.
-
-    The pilots axis keeps the transmit frame fixed and trades data cells for
-    pilot cells; velocity values are km/h; snr values are dB. Every point is
-    validated before the first trial runs.
-
-    Where things are built: validate_point builds each distinct config's
-    Point once, before any trial, with its estimator configs. Then each run
-    of consecutive points that share a random precoder (or have none) is
-    prepared in this process: the random matrix, which transforms keeps one
-    at a time, and the estimator operators (see prepare). With
-    DDLF_THREADS = 1, or a sweep of one trial, the trials run here, one
-    after another, and no pool is opened. Otherwise one process pool per run
-    executes its trials, so the workers inherit the pulse, placement, random
-    matrix and estimator operators and build none of them. Only a change of
-    random precoder (the pilots axis with precoder = random) starts a new
-    run, and with it a new pool whose workers inherit the new matrix.
-    """
-    points = sweep_points(cfg, axis, values)
-    validated = {c: validate_point(c) for c in dict.fromkeys(c for c, _ in points)}
-    points = [(validated[c], snr) for c, snr in points]
-    rows = []
-    for (point, snr), metrics in zip(points, _run_points(points)):
-        for name in point.cfg.estimators:
-            rows.append(_aggregate(point.cfg, snr, name, metrics[name], point.pl.P))
-    return rows
+    """One row per axis value, SNR and configured estimator, in that order
+    (see sweep_configs). Every point is validated before the first trial
+    runs, each distinct config once."""
+    configs = sweep_configs(cfg, axis, values)
+    validated = {c: validate_point(c) for c in dict.fromkeys(configs)}
+    return [_aggregate(point, snr, name, trials)
+            for point, snr, trials in _run_points([validated[c] for c in configs])
+            for name in point.cfg.estimators]
 
 
 def simulate(cfg: ExperimentConfig) -> list[ResultRow]:

@@ -262,6 +262,18 @@ class TestSimulateAndSweep:
         mse = row.split(",")[header.split(",").index("mse_db_mean")]
         assert np.isfinite(float(mse))
 
+    def test_sweep_runs_every_snr_of_the_file(self, tmp_path):
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("trials = 1\nsnr = 0, 10, 20\nestimator = srh, perfect\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfgf), "--axis", "velocity",
+                     "--values", "100,200", "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert len(rows) == 12
+        assert [(r[1], r[0], r[3]) for r in rows] == [
+            (v, snr, e) for v in ("100", "200") for snr in ("0", "10", "20")
+            for e in ("srh", "perfect")]
+
     def test_sweep_pilots(self, tmp_path):
         cfgf = tmp_path / "run.cfg"
         cfgf.write_text("trials = 2\nsnr = 15\nestimator = srh\n")
@@ -342,6 +354,14 @@ class TestConfigErrors:
         assert main(["sweep", "--config", str(cfgf), "--axis", "pilots", "--values", "20",
                      "--out", str(tmp_path / "s.csv")]) == 2
         assert capsys.readouterr().err.startswith("ddlf: pilots_per_row: ")
+
+    def test_bad_snr_value_names_the_flag_and_the_axis_once(self, tmp_path, capsys):
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("trials = 1\nsnr = 15\nestimator = srh\n")
+        assert main(["sweep", "--config", str(cfgf), "--axis", "snr", "--values", "10,5000",
+                     "--out", str(tmp_path / "sweep.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ddlf: --values: snr: 5000 dB gives") and "snr_db" not in err
 
     def test_sweep_axis_overrides_a_bad_base_value(self, tmp_path):
         cfgf = tmp_path / "run.cfg"

@@ -16,6 +16,8 @@ from ddlf.estimation import (
     CMDEstimate,
     EstimatorConfig,
     ReconstructionGrid,
+    _srh_operator,
+    affine_rank,
     estimate,
     hessian_kernels,
     lmmse_estimate,
@@ -465,13 +467,16 @@ class TestSrh:
 SRH_PLACEMENTS = [(12, 17, 3), (20, 10, 2), (20, 8, 4)]
 srh_weights = st.floats(0.25, 4.0)
 srh_log_omega = st.floats(-4.0, 4.0)
+# down to an omega that is all but zero, where only the exact null space of
+# the Schur complement keeps the affine fields
+affine_log_omega = st.floats(-300.0, 4.0)
 seeds = st.integers(0, 2**32 - 1)
 
 
 class TestSrhProperties:
     @settings(max_examples=30)
     @given(shape=st.sampled_from(SRH_PLACEMENTS), alpha=srh_weights, beta=srh_weights,
-           log_omega=srh_log_omega, seed=seeds)
+           log_omega=affine_log_omega, seed=seeds)
     def test_exact_on_affine_fields(self, shape, alpha, beta, log_omega, seed):
         pl = accordion_placement(*shape)
         a, b, c = complex_normal(np.random.default_rng(seed), 3)
@@ -492,6 +497,38 @@ class TestSrhProperties:
                                                         beta=beta, omega=omega))
         ref = srh_reference(h_pilot, pl, alpha, beta, omega)
         assert np.abs(out.h_extended - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+def pilots_at(M, N, cells):
+    """The given cells are pilots and the rest data (a 1 x count data frame)."""
+    data = tuple((m, n) for m in range(M) for n in range(N) if (m, n) not in cells)
+    return PilotPlacement(M=M, N=N, M_data=1, N_data=len(data),
+                          pilot_indices=tuple(cells), data_indices=data)
+
+
+class TestAffineRank:
+    @settings(max_examples=100)
+    @given(cells=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6)), max_size=6,
+                          unique=True))
+    def test_is_the_rank_of_one_row_col(self, cells):
+        pl = pilots_at(6, 7, cells)
+        ones_row_col = np.column_stack([np.ones(pl.P), np.array(cells).reshape(-1, 2)])
+        assert affine_rank(pl) == np.linalg.matrix_rank(ones_row_col)
+
+    def test_cells_on_a_diagonal(self):
+        assert affine_rank(pilots_at(4, 4, [(0, 0), (1, 1), (3, 3)])) == 2
+        assert affine_rank(pilots_at(4, 4, [(0, 0), (1, 1), (3, 2)])) == 3
+
+    # 16x16 desk, 4x17 (pilots on one line), 64x64 paper, 12x20, 1x18 (one pilot)
+    @pytest.mark.parametrize("shape", [(16, 15, 1), (4, 16, 1), (64, 62, 2), (12, 18, 2),
+                                       (1, 17, 1)])
+    def test_is_the_null_space_of_the_schur_complement(self, shape):
+        pl = accordion_placement(*shape)
+        lam = _srh_operator(pl, 1.0, 1.0)[4]
+        rank = affine_rank(pl)
+        assert np.all(lam[:rank] == 0.0)
+        assert np.all(lam[rank:] > 1e-6 * lam.max())
+
 
 class TestEstimatorConfig:
     def test_rejects_unknown_variant(self):

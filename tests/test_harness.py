@@ -188,6 +188,29 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_sweep(quiet_cfg(), "temperature", [1.0])
 
+    @pytest.mark.parametrize("axis, values", [("velocity", [50.0, 100.0]), ("pilots", [1, 2])])
+    def test_every_value_runs_every_snr(self, axis, values):
+        cfg = quiet_cfg(estimators=("srh", "perfect"), snr_db=(10.0, 20.0))
+        rows = run_sweep(cfg, axis, values)
+        # value, then SNR, then estimator
+        assert [(r.snr_db, r.estimator) for r in rows] == \
+            [(snr, e) for _ in values for snr in (10.0, 20.0) for e in ("srh", "perfect")]
+        one_snr = {snr: run_sweep(dataclasses.replace(cfg, snr_db=(snr,)), axis, values)
+                   for snr in (10.0, 20.0)}
+        expected = [one_snr[snr][2 * v + k] for v in range(len(values))
+                    for snr in (10.0, 20.0) for k in range(2)]
+        assert rows == expected
+
+    def test_snr_axis_replaces_the_snr_list(self):
+        rows = run_sweep(quiet_cfg(snr_db=(0.0, 10.0, 20.0)), "snr", [5.0, 15.0])
+        assert [r.snr_db for r in rows] == [5.0, 15.0]
+
+    @pytest.mark.parametrize("snr", [5000.0, -4000.0])
+    def test_bad_snr_value_names_the_axis_once(self, snr):
+        with pytest.raises(ValueError) as exc:
+            run_sweep(quiet_cfg(), "snr", [10.0, snr])
+        assert str(exc.value).startswith("snr: ") and "snr_db" not in str(exc.value)
+
 
 class TestSweepValidation:
     """A bad sweep point fails before any trial of any point runs."""
