@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import SHIFT_BLOCK, GaborGrid, Pulse, _phasors, cross_ambiguity
+from .gabor import GaborGrid, Pulse, cross_ambiguity, shifted
 
 
 class ChannelError(ValueError):
@@ -131,8 +131,8 @@ def apply_channel(f: np.ndarray, ch: DDChannel, grid: GaborGrid) -> np.ndarray:
     makes delays circular); the Doppler ramp runs over absolute frame time.
     The transmit band occupies [0, fs), so the delay phase ramp runs over the
     one-sided DFT bins: subcarrier m is rotated by exactly e^{-2j pi m F tau}.
-    One forward FFT serves every path; paths go SHIFT_BLOCK at a time through
-    a batched inverse FFT.
+    The paths go through gabor.shifted in blocks, and each block's
+    gain-weighted sum is added in.
     """
     f = np.asarray(f)
     if f.shape != (grid.L,):
@@ -141,13 +141,9 @@ def apply_channel(f: np.ndarray, ch: DDChannel, grid: GaborGrid) -> np.ndarray:
     late = taus >= grid.duration
     if late.any():
         raise ChannelError(f"delay {taus[late][0]} exceeds the frame duration {grid.duration}")
-    L = grid.L
-    spectrum = np.fft.fft(f)
-    out = np.zeros(L, dtype=complex)
-    for i in range(0, len(taus), SHIFT_BLOCK):
-        blk = slice(i, i + SHIFT_BLOCK)
-        delayed = np.fft.ifft(spectrum * _phasors(-taus[blk] * grid.fs / L, L))
-        out += etas[blk] @ (delayed * _phasors(nus[blk] / grid.fs, L))
+    out = np.zeros(grid.L, dtype=complex)
+    for block, delayed, ramps in shifted(f, taus, nus, grid.fs, signed=False):
+        out += etas[block] @ (delayed * ramps)
     return out
 
 

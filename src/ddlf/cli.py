@@ -157,6 +157,16 @@ def _file_line(path: str | None, lines: dict):
         raise
 
 
+@contextmanager
+def _flags(names: str):
+    """Prefix a ValueError raised inside the block with the flags its bad value
+    came from, as a config error names its key."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{names}: {exc}") from None
+
+
 def _epilog() -> str:
     lines = ["config keys:"]
     for key, names, _, text in CONFIG_KEYS:
@@ -186,11 +196,9 @@ def cmd_run(args) -> int:
         cfg = harness.ExperimentConfig(**fields)
     configs = [cfg]
     if args.command == "sweep":
-        try:  # name the flag, as a config error names its key
+        with _flags("--values"):
             values = [_finite(v) for v in args.values.split(",")]
             configs = harness.sweep_configs(cfg, args.axis, values)
-        except ValueError as exc:
-            raise ValueError(f"--values: {exc}") from None
     # a field that the axis sets comes from --values, not from the file
     lines = {f: n for f, n in lines.items()
              if all(getattr(c, f) == getattr(cfg, f) for c in configs)}
@@ -203,28 +211,35 @@ def cmd_run(args) -> int:
 
 
 def cmd_place_pilots(args) -> int:
-    pl = piloting.accordion_placement(*args.data_shape, args.pilots_per_row)
-    pilot_order = {cell: s for s, cell in enumerate(pl.pilot_indices)}
-    data_order = {cell: i for i, cell in enumerate(pl.data_indices)}
+    with _flags("--pilots-per-row"):
+        pl = piloting.accordion_placement(*args.data_shape, args.pilots_per_row)
+    (pr, pc), (dr, dc) = pl.pilot_array_indices(), pl.data_array_indices()
+    is_pilot = np.zeros((pl.M, pl.N), dtype=bool)
+    is_pilot[pr, pc] = True
+    order = np.empty((pl.M, pl.N), dtype=int)
+    order[pr, pc] = np.arange(pl.P)
+    order[dr, dc] = np.arange(len(dr))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["m", "n", "kind", "order"])
-        for m in range(pl.M):
-            for n in range(pl.N):
-                if (m, n) in pilot_order:
-                    writer.writerow([m, n, "pilot", pilot_order[(m, n)]])
-                else:
-                    writer.writerow([m, n, "data", data_order[(m, n)]])
+        for m, n in np.ndindex(pl.M, pl.N):
+            writer.writerow([m, n, "pilot" if is_pilot[m, n] else "data", order[m, n]])
     print(f"{pl.M}x{pl.N} frame, {pl.P} pilots -> {args.out}")
     return 0
 
 
 def cmd_ambiguity(args) -> int:
-    grid = gabor.make_grid(*args.frame, args.tf_product, args.bandwidth)
-    pulse = gabor.tight_orthogonalize(gabor.gaussian_prototype(grid, args.spread), grid)
+    with _flags("--frame, --tf-product, --bandwidth"):
+        grid = gabor.make_grid(*args.frame, args.tf_product, args.bandwidth)
+    with _flags("--spread"):
+        prototype = gabor.gaussian_prototype(grid, args.spread)
+    # tight orthogonalization needs the channels to tile the band (M*b = L)
+    with _flags("--frame, --tf-product" if grid.M * grid.freq_shift != grid.L else "--spread"):
+        pulse = gabor.tight_orthogonalize(prototype, grid)
     taus = np.linspace(-args.tau_span * grid.T, args.tau_span * grid.T, args.steps)
     nus = np.linspace(-args.nu_span * grid.F, args.nu_span * grid.F, args.steps)
-    raster = gabor.cross_ambiguity(pulse, pulse, taus[:, None], nus[None, :], grid)
+    with _flags("--tau-span"):
+        raster = gabor.cross_ambiguity(pulse, pulse, taus[:, None], nus[None, :], grid)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["tau_s", "nu_hz", "abs", "re", "im"])

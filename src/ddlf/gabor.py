@@ -1,7 +1,8 @@
 """Discrete Gabor (Weyl-Heisenberg) signaling.
 
-Pulse generation, tight orthogonalization, synthesis/analysis filterbanks and
-the cross-ambiguity function, all on a cyclic sample grid of length L.
+Pulse generation, tight orthogonalization, synthesis/analysis filterbanks, the
+delay-Doppler shift kernel and the cross-ambiguity function, all on a cyclic
+sample grid of length L.
 
 Conventions: pulses are unit-norm length-L vectors centered at sample 0 (tails
 wrap around). Fractional time shifts are realized as DFT-domain phase ramps
@@ -253,9 +254,9 @@ def analyze(f: np.ndarray, g_rx: Pulse, grid: GaborGrid) -> np.ndarray:
     return np.ascontiguousarray(np.fft.fft(folded, axis=1)[:, bins].T)
 
 
-# shifts per batched inverse FFT in cross_ambiguity and channel.apply_channel:
-# a (SHIFT_BLOCK, L) complex block is 0.66 MB at paper scale (L = 5120), so
-# the working set stays in cache and no (paths, L) array is ever alive
+# shifts per batched inverse FFT in shifted(): a (SHIFT_BLOCK, L) complex
+# block is 0.66 MB at paper scale (L = 5120), so the working set stays in
+# cache and no (pairs, L) array is ever alive
 SHIFT_BLOCK = 8
 
 
@@ -276,6 +277,25 @@ def _phasors(rate: np.ndarray, L: int, signed: bool = False) -> np.ndarray:
     return out
 
 
+def shifted(f: np.ndarray, tau: np.ndarray, nu: np.ndarray, fs: float, signed: bool):
+    """Delay-Doppler shifts of the length-L signal f, SHIFT_BLOCK pairs at a time.
+
+    Yields (block, delayed, ramps) for consecutive slices block of the pairs
+    (tau, nu): row i of delayed is f delayed by tau[block][i] seconds through
+    a DFT phase ramp, and row i of ramps is its Doppler ramp e^{2j pi nu t}.
+    signed=True runs both ramps over the two-sided DFT bins and the centered
+    times (cross_ambiguity), signed=False over the one-sided bins and the
+    absolute frame time (channel.apply_channel). One forward FFT of f serves
+    every pair; each block costs one batched inverse FFT.
+    """
+    L = len(f)
+    spectrum = np.fft.fft(f)
+    for i in range(0, len(tau), SHIFT_BLOCK):
+        block = slice(i, i + SHIFT_BLOCK)
+        delayed = np.fft.ifft(spectrum * _phasors(-tau[block] * fs / L, L, signed))
+        yield block, delayed, _phasors(nu[block] / fs, L, signed)
+
+
 def cross_ambiguity(gamma: Pulse, g: Pulse, tau: float | np.ndarray, nu: float | np.ndarray,
                     grid: GaborGrid) -> complex | np.ndarray:
     """Correlation of two pulses under joint time shift tau and frequency shift nu.
@@ -284,31 +304,19 @@ def cross_ambiguity(gamma: Pulse, g: Pulse, tau: float | np.ndarray, nu: float |
     realized in the DFT domain and t running over centered representatives.
     A(0, 0) equals the inner product <gamma, g> (= 1 for gamma = g unit-norm).
     tau and nu broadcast against each other: scalars give a complex, arrays
-    an array of A over the broadcast shape, from one FFT of gamma and one
-    inverse FFT per distinct tau, SHIFT_BLOCK delays at a time; each pair then
-    costs one Doppler ramp and one dot product.
+    an array of A over the broadcast shape. Each pair is one signed shift of
+    gamma (see shifted) and one dot product with its ramp times g*.
     """
     if len(gamma.samples) != len(g.samples):
         raise ValueError("pulses must share the sample grid")
     tau, nu = np.broadcast_arrays(np.asarray(tau, dtype=float), np.asarray(nu, dtype=float))
     if np.any(np.abs(tau) >= grid.duration):
         raise ValueError(f"|tau| = {np.abs(tau).max()} exceeds the frame duration {grid.duration}")
-    L = grid.L
-    spectrum = np.fft.fft(gamma.samples)
     g_conj = g.samples.conj()
-    nus = nu.ravel()
-    delays, which = np.unique(tau.ravel(), return_inverse=True)
-    order = np.argsort(which, kind="stable")  # pairs grouped by delay
-    starts = np.searchsorted(which[order], np.arange(0, len(delays) + SHIFT_BLOCK, SHIFT_BLOCK))
-    out = np.empty(nus.shape, dtype=complex)
-    for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
-        # delay ramp over the two-sided DFT bins, Doppler over centered times
-        blk = delays[i * SHIFT_BLOCK:(i + 1) * SHIFT_BLOCK]
-        shifted = np.fft.ifft(spectrum * _phasors(-blk * grid.fs / L, L, signed=True))
-        for j in range(lo, hi, SHIFT_BLOCK):
-            pairs = order[j:min(j + SHIFT_BLOCK, hi)]
-            ramps = _phasors(nus[pairs] / grid.fs, L, signed=True)
-            ramps *= g_conj
-            # row by row: gathering the shifted rows costs more than the dots
-            out[pairs] = [r @ shifted[k] for r, k in zip(ramps, which[pairs] - i * SHIFT_BLOCK)]
+    out = np.empty(tau.size, dtype=complex)
+    for block, delayed, ramps in shifted(gamma.samples, tau.ravel(), nu.ravel(), grid.fs,
+                                         signed=True):
+        ramps *= g_conj
+        # one BLAS dot per pair, as in the scalar call
+        out[block] = [r @ d for r, d in zip(ramps, delayed)]
     return complex(out[0]) if tau.ndim == 0 else out.reshape(tau.shape)

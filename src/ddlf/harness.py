@@ -379,7 +379,15 @@ def _trial_worker(args):
 
 
 def _max_workers() -> int:
-    return max(1, int(os.environ.get("DDLF_THREADS", "1")))
+    """DDLF_THREADS, 1 when unset; a ValueError unless it is a positive integer."""
+    value = os.environ.get("DDLF_THREADS", "1")
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"DDLF_THREADS: expected a positive integer, got {value!r}")
+    return threads
 
 
 def _run_points(points: list[Point]) -> list[tuple[Point, float, list[dict]]]:
@@ -390,16 +398,19 @@ def _run_points(points: list[Point]) -> list[tuple[Point, float, list[dict]]]:
     Consecutive points that share a random precoder (or have none) form a
     run, and each run is prepared at once in this process, so its one random
     matrix is built before its trials start. Serially (DDLF_THREADS = 1, or
-    one trial in all) the run's trials then follow in a plain loop. Otherwise
-    one process pool per run executes them; its forked workers inherit every
-    prepared point and the random matrix, and build nothing.
+    one trial in the run) the run's trials then follow in a plain loop.
+    Otherwise one process pool per run executes them, with no more workers
+    than trials (under fork a pool starts all of its workers at once); its
+    forked workers inherit every prepared point and the random matrix, and
+    build nothing.
     """
-    workers = _max_workers() if sum(p.cfg.trials * len(p.cfg.snr_db) for p in points) > 1 else 1
+    threads = _max_workers()
     results = []
     for _, run in groupby(points, lambda p: p.precoder.kind == "random" and p.precoder):
         run = list(run)
         _prepare(run)
         jobs = [(p.cfg, snr, i) for p in run for snr in p.cfg.snr_db for i in range(p.cfg.trials)]
+        workers = min(threads, len(jobs))
         if workers == 1:
             results += [run_trial(*job) for job in jobs]
         else:

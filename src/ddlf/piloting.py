@@ -24,9 +24,9 @@ def round_half_away(x: float) -> int:
 class PilotPlacement:
     """Partition of the M x N frame into pilot cells and data cells.
 
-    pilot_indices orders the pilot cells (fixing the pilot map kappa_p) and
-    data_indices orders the data cells row-major (fixing kappa_d onto the
-    M_data x N_data data frame).
+    pilot_indices orders the pilot cells (fixing the pilot map kappa_p); the
+    data cells are the other cells in row-major order (fixing kappa_d onto
+    the M_data x N_data data frame).
     """
 
     M: int
@@ -34,14 +34,13 @@ class PilotPlacement:
     M_data: int
     N_data: int
     pilot_indices: tuple[tuple[int, int], ...]
-    data_indices: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        cells = set(self.pilot_indices) | set(self.data_indices)
-        if len(self.pilot_indices) + len(self.data_indices) != self.M * self.N \
-                or len(cells) != self.M * self.N:
-            raise ValueError("pilot and data indices must partition the frame")
-        if len(self.data_indices) != self.M_data * self.N_data:
+        cells = set(self.pilot_indices)
+        if len(cells) != self.P or not all(0 <= m < self.M and 0 <= n < self.N
+                                           for m, n in cells):
+            raise ValueError("pilot indices must be distinct cells of the frame")
+        if self.M_data * self.N_data != self.M * self.N - self.P:
             raise ValueError("data cell count does not match the data-frame shape")
 
     @property
@@ -58,14 +57,13 @@ class PilotPlacement:
 
     @cached_property
     def _index_arrays(self):
-        return _read_only_rc(self.pilot_indices), _read_only_rc(self.data_indices)
-
-
-def _read_only_rc(cells: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays of the cells, built once and locked against writes."""
-    rc = np.array(cells, dtype=int).reshape(-1, 2).T.copy()
-    rc.flags.writeable = False
-    return rc[0], rc[1]
+        pilots = np.array(self.pilot_indices, dtype=int).reshape(-1, 2).T.copy()
+        is_data = np.ones((self.M, self.N), dtype=bool)
+        is_data[pilots[0], pilots[1]] = False
+        data = np.array(np.nonzero(is_data))
+        for rc in (pilots, data):
+            rc.flags.writeable = False
+        return tuple(pilots), tuple(data)
 
 
 @dataclass(frozen=True)
@@ -131,23 +129,14 @@ def accordion_placement(m_data: int, n_data: int, pilots_per_row: int) -> PilotP
     template = [round_half_away(nb * N / pilots_per_row) % N for nb in range(pilots_per_row)]
     if len(set(template)) != pilots_per_row:
         raise ValueError("row template collision; pilots per row too dense")
-    pilot_indices = []
-    data_indices = []
-    for m in range(M):
-        cols = sorted((mu * m + r) % N for r in template)
-        col_set = set(cols)
-        pilot_indices.extend((m, n) for n in cols)
-        data_indices.extend((m, n) for n in range(N) if n not in col_set)
+    rows = (sorted((mu * m + r) % N for r in template) for m in range(M))
     return PilotPlacement(M=M, N=N, M_data=m_data, N_data=n_data,
-                          pilot_indices=tuple(pilot_indices),
-                          data_indices=tuple(data_indices))
+                          pilot_indices=tuple((m, n) for m, cols in enumerate(rows) for n in cols))
 
 
 def all_data_placement(M: int, N: int) -> PilotPlacement:
     """Placement with no pilots: the whole frame carries data (full-CSI studies)."""
-    data = tuple((m, n) for m in range(M) for n in range(N))
-    return PilotPlacement(M=M, N=N, M_data=M, N_data=N,
-                          pilot_indices=(), data_indices=data)
+    return PilotPlacement(M=M, N=N, M_data=M, N_data=N, pilot_indices=())
 
 
 def multiplex(data_frame: np.ndarray, pilots: PilotSequence,

@@ -13,6 +13,17 @@ def fractional_shift(samples: np.ndarray, delay_samples: float) -> np.ndarray:
     return np.fft.ifft(spectrum * np.exp(-2j * np.pi * np.fft.fftfreq(L) * delay_samples))
 
 
+def per_path_apply(f, ch, grid):
+    """Reference: one FFT pair and two length-L exp ramps per path."""
+    L = grid.L
+    t = np.arange(L) / grid.fs
+    out = np.zeros(L, dtype=complex)
+    for s in ch.scatterers:
+        ramp = np.exp(-2j * np.pi * np.arange(L) * (s.tau * grid.fs) / L)
+        out += s.eta * np.fft.ifft(np.fft.fft(f) * ramp) * np.exp(2j * np.pi * s.nu * t)
+    return out
+
+
 def channel_to_csv(ch: DDChannel) -> str:
     """Scatterer dump (columns r, tau_s, nu_hz, eta_re, eta_im) for fixtures."""
     lines = ["r,tau_s,nu_hz,eta_re,eta_im"]

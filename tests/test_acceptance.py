@@ -130,7 +130,7 @@ def test_05_estimator_exact_recovery(desk_pulse_cache):
     # all-pilot frame (data cells zeroed): orthonormal reconstruction atoms
     cells16 = tuple((m, n) for m in range(16) for n in range(16))
     pl_full = PilotPlacement(M=16, N=16, M_data=0, N_data=0,
-                             pilot_indices=cells16, data_indices=())
+                             pilot_indices=cells16)
     fr, fc = pl_full.pilot_array_indices()
     # on-grid scatterer inside the reconstruction grid
     tau, nu = 1 / (grid.M * grid.F), 2 / (grid.N * grid.T)

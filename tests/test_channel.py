@@ -20,7 +20,7 @@ from ddlf.gabor import SHIFT_BLOCK, analyze, cross_ambiguity, centered_times, \
     gaussian_prototype, make_grid, synthesize, tight_orthogonalize
 from ddlf.transforms import dsft2d
 
-from oracles import channel_from_csv, channel_to_csv, fractional_shift
+from oracles import channel_from_csv, channel_to_csv, fractional_shift, per_path_apply
 
 
 @pytest.fixture(scope="module")
@@ -33,17 +33,6 @@ def desk():
 def single_path(tau, nu, eta, tau_max, nu_max):
     return DDChannel(scatterers=(Scatterer(tau, nu, eta),),
                      tau_max=tau_max, nu_max=nu_max)
-
-
-def per_path_apply(f, ch, grid):
-    """Reference: one FFT pair and two length-L exp ramps per path."""
-    L = grid.L
-    t = np.arange(L) / grid.fs
-    out = np.zeros(L, dtype=complex)
-    for s in ch.scatterers:
-        ramp = np.exp(-2j * np.pi * np.arange(L) * (s.tau * grid.fs) / L)
-        out += s.eta * np.fft.ifft(np.fft.fft(f) * ramp) * np.exp(2j * np.pi * s.nu * t)
-    return out
 
 
 def per_path_cmd(ch, gamma, g, grid):

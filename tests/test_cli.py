@@ -217,6 +217,36 @@ class TestAmbiguity:
                          err, re.M)
         assert not out.exists()
 
+    # values that parse but that the command rejects together
+    @pytest.mark.parametrize("argv, flags, reason", [
+        (["place-pilots", "--data-shape", "8x8", "--pilots-per-row", "0"], "--pilots-per-row",
+         "pilots per row must satisfy 1 <= P' < N_data"),
+        (["place-pilots", "--data-shape", "8x8", "--pilots-per-row", "8"], "--pilots-per-row",
+         "pilots per row must satisfy 1 <= P' < N_data"),
+        (["ambiguity", "--frame", "6x5"], "--frame, --tf-product",
+         "tight orthogonalization requires the M frequency channels to tile the band"),
+        (["ambiguity", "--frame", "2x2", "--tf-product", "0.5"],
+         "--frame, --tf-product, --bandwidth", "only the undersampled regime"),
+        (["ambiguity", "--frame", "8x8", "--bandwidth", "-1"],
+         "--frame, --tf-product, --bandwidth", "must be positive and finite"),
+        (["ambiguity", "--frame", "8x8", "--spread", "0"], "--spread",
+         "spread must be positive"),
+        (["ambiguity", "--frame", "6x5", "--spread", "-1"], "--spread",
+         "spread must be positive"),
+        (["ambiguity", "--frame", "8x8", "--spread", "1e-9"], "--spread",
+         "frame operator not positive definite"),
+        (["ambiguity", "--frame", "8x8", "--tau-span", "8"], "--tau-span",
+         "exceeds the frame duration"),
+    ])
+    def test_rejected_combination_exits_2_naming_its_flags(self, tmp_path, capsys, argv,
+                                                            flags, reason):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ddlf: {flags}: ") and reason in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSimulateAndSweep:
     def test_simulate_end_to_end(self, tmp_path):
@@ -370,6 +400,17 @@ class TestConfigErrors:
         assert main(["sweep", "--config", str(cfgf), "--axis", "velocity",
                      "--values", "100", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("threads", ["two", "0", "-3"])
+    def test_bad_threads_exit_2_before_any_trial(self, tmp_path, capsys, monkeypatch, threads):
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: trials.append(a))
+        monkeypatch.setenv("DDLF_THREADS", threads)
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ddlf: DDLF_THREADS: expected a positive integer, got {threads!r}\n"
+        assert trials == [] and not out.exists()
 
     @pytest.mark.parametrize("text, line, keys", [
         ("data-shape = 4x16\npilots-per-row = 1\ntf-product = 2\ntau-max = 0\n"

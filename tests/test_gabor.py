@@ -3,12 +3,14 @@
 import dataclasses
 import math
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddlf.channel import Scatterer
 from ddlf.gabor import (
     SHIFT_BLOCK,
     FrameError,
@@ -20,11 +22,12 @@ from ddlf.gabor import (
     cross_ambiguity,
     gaussian_prototype,
     make_grid,
+    shifted,
     synthesize,
     tight_orthogonalize,
 )
 
-from oracles import fractional_shift
+from oracles import fractional_shift, per_path_apply
 
 
 def tight_pulse(M, N, tf=1.25, spread=1.0):
@@ -502,20 +505,48 @@ class TestCrossAmbiguity:
         with pytest.raises(ValueError, match="exceeds the frame duration"):
             cross_ambiguity(gamma, g, bad, nu, grid)
 
-    def test_one_inverse_fft_per_distinct_delay(self, monkeypatch):
+    @pytest.mark.parametrize("pairs", [(), (1,), (SHIFT_BLOCK + 1,), (33, 33)])
+    def test_one_forward_fft_per_call(self, monkeypatch, pairs):
         grid, g = tight_pulse(8, 8)
-        rows = []
-        ifft = np.fft.ifft
+        calls = []
+        fft = np.fft.fft
 
-        def counting_ifft(a, *args, **kw):
-            rows.append(np.shape(a)[0] if np.ndim(a) > 1 else 1)
-            return ifft(a, *args, **kw)
+        def counting_fft(a, *args, **kw):
+            calls.append(np.shape(a))
+            return fft(a, *args, **kw)
 
-        monkeypatch.setattr(np.fft, "ifft", counting_ifft)
-        taus = np.linspace(-2 * grid.T, 2 * grid.T, 33)
-        nus = np.linspace(-2 * grid.F, 2 * grid.F, 33)
-        cross_ambiguity(g, g, taus[:, None], nus[None, :], grid)
-        assert sum(rows) == 33
+        monkeypatch.setattr(np.fft, "fft", counting_fft)
+        rng = np.random.default_rng(13)
+        tau = rng.uniform(-0.9, 0.9, pairs) * grid.duration
+        nu = rng.uniform(-3, 3, pairs) * grid.F
+        cross_ambiguity(g, g, tau, nu, grid)
+        assert calls == [(grid.L,)]
+
+
+class TestShifted:
+    """The shared delay-Doppler shift kernel against per-pair references."""
+
+    @pytest.mark.parametrize("R", [0, 1, SHIFT_BLOCK, SHIFT_BLOCK + 1, 58])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_matches_per_pair_reference(self, R, signed):
+        grid = make_grid(16, 16)
+        rng = np.random.default_rng(80 + R)
+        f = rng.standard_normal(grid.L) + 1j * rng.standard_normal(grid.L)
+        tau = rng.uniform(-0.9 if signed else 0.0, 0.9, R) * grid.duration
+        nu = rng.uniform(-3, 3, R) * grid.F
+        covered = []
+        for block, delayed, ramps in shifted(f, tau, nu, grid.fs, signed):
+            covered += range(R)[block]
+            assert len(delayed) == len(ramps) == len(range(R)[block]) <= SHIFT_BLOCK
+            for t, n, got in zip(tau[block], nu[block], delayed * ramps):
+                if signed:  # two-sided delay ramp, Doppler over centered times
+                    want = (fractional_shift(f, t * grid.fs)
+                            * np.exp(2j * np.pi * n * centered_times(grid)))
+                else:  # one-sided delay ramp, Doppler over absolute frame time
+                    want = per_path_apply(f, SimpleNamespace(scatterers=[Scatterer(t, n, 1.0)]),
+                                          grid)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert covered == list(range(R))
 
 
 class TestFractionalShift:

@@ -412,6 +412,20 @@ class TestSweepPool:
         run_sweep(quiet_cfg(trials=1), "velocity", [50.0])
         assert pools == []
 
+    def test_pool_no_bigger_than_its_jobs(self, pools, monkeypatch):
+        monkeypatch.setenv("DDLF_THREADS", "4")
+        run_sweep(quiet_cfg(trials=3), "velocity", [50.0])
+        assert pools == [3]
+
+    @pytest.mark.parametrize("threads", ["two", "0", "-3", "", "1.5"])
+    def test_bad_threads_fail_before_any_trial(self, pools, monkeypatch, threads):
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: trials.append(a))
+        monkeypatch.setenv("DDLF_THREADS", threads)
+        with pytest.raises(ValueError, match=f"^DDLF_THREADS: .*{threads!r}"):
+            run_sweep(quiet_cfg(), "velocity", [50.0, 100.0])
+        assert trials == [] and pools == []
+
     def test_workers_build_nothing(self, monkeypatch):
         parent, built = os.getpid(), []
 

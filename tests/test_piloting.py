@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlf.piloting import (
     PilotPlacement,
@@ -129,9 +131,12 @@ class TestAccordion:
 
 class TestPlacementType:
     def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            PilotPlacement(M=1, N=2, M_data=1, N_data=1,
-                           pilot_indices=((0, 0),), data_indices=((0, 0),))
+        with pytest.raises(ValueError, match="distinct cells of the frame"):
+            PilotPlacement(M=1, N=3, M_data=1, N_data=1, pilot_indices=((0, 0), (0, 0)))
+        with pytest.raises(ValueError, match="distinct cells of the frame"):
+            PilotPlacement(M=1, N=2, M_data=1, N_data=1, pilot_indices=((0, 2),))
+        with pytest.raises(ValueError, match="data-frame shape"):
+            PilotPlacement(M=1, N=2, M_data=1, N_data=2, pilot_indices=((0, 0),))
 
     def test_index_arrays_built_once_and_read_only(self):
         pl = accordion_placement(8, 6, 2)
@@ -144,13 +149,24 @@ class TestPlacementType:
             with pytest.raises(ValueError):
                 arr[0] = 0
         assert list(zip(pr.tolist(), pc.tolist())) == list(pl.pilot_indices)
-        assert list(zip(dr.tolist(), dc.tolist())) == list(pl.data_indices)
+        assert list(zip(dr.tolist(), dc.tolist())) == [
+            (m, n) for m in range(pl.M) for n in range(pl.N) if (m, n) not in pl.pilot_indices]
         empty_r, empty_c = all_data_placement(2, 2).pilot_array_indices()
         assert empty_r.shape == empty_c.shape == (0,) and empty_r.dtype.kind == "i"
 
     def test_all_data(self):
         pl = all_data_placement(4, 4)
-        assert pl.P == 0 and len(pl.data_indices) == 16
+        assert pl.P == 0 and len(pl.data_array_indices()[0]) == 16
+
+    @settings(max_examples=60, deadline=None)
+    @given(m_data=st.integers(1, 16), n_data=st.integers(2, 32), data=st.data())
+    def test_data_cells_are_the_row_major_complement(self, m_data, n_data, data):
+        pl = accordion_placement(m_data, n_data, data.draw(st.integers(1, n_data - 1)))
+        pilots = set(pl.pilot_indices)
+        dr, dc = pl.data_array_indices()
+        assert list(zip(dr.tolist(), dc.tolist())) == [
+            (m, n) for m in range(pl.M) for n in range(pl.N) if (m, n) not in pilots]
+        assert len(dr) == pl.M_data * pl.N_data
 
 
 class TestMultiplex:
