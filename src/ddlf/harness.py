@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import io
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -278,16 +279,16 @@ def validate_point(cfg: ExperimentConfig) -> Point:
 
 def prepare(point: Point) -> Point:
     """Complete a validated point with what validation leaves out: the
-    placement's index arrays, a random kind's matrix (held by transforms, one
-    at a time), and then every estimator's operator (one SRH operator per
-    (alpha, beta), the LMMSE operator). The operators come after the matrix,
-    so that none of them is alive during its QR. A failed build names
-    estimators and, for the mode-aware variants, the spread keys that alpha
-    and beta come from."""
+    placement's index arrays, a random kind's Householder factors (held by
+    transforms, one set at a time), and then every estimator's operator (one
+    SRH operator per (alpha, beta), the LMMSE operator). The operators come
+    after the factors, so that none of them is alive during their QR. A
+    failed build names estimators and, for the mode-aware variants, the
+    spread keys that alpha and beta come from."""
     pl = point.pl
     pl.pilot_array_indices(), pl.data_array_indices()  # cached on pl from here on
     if point.precoder.kind == "random":
-        point.precoder.matrix
+        point.precoder.factors
     operators = {}
     for name, ecfg in point.estimators.items():
         weights = f", tau_max, {_doppler_key(point.cfg)}" if name in est.MODE_AWARE else ""
@@ -396,13 +397,15 @@ def _run_points(points: list[Point]) -> list[tuple[Point, float, list[dict]]]:
     result in trial order).
 
     Consecutive points that share a random precoder (or have none) form a
-    run, and each run is prepared at once in this process, so its one random
-    matrix is built before its trials start. Serially (DDLF_THREADS = 1, or
-    one trial in the run) the run's trials then follow in a plain loop.
+    run, and each run is prepared at once in this process, so its one set of
+    random factors is built before its trials start. Serially (DDLF_THREADS =
+    1, or one trial in the run) the run's trials then follow in a plain loop.
     Otherwise one process pool per run executes them, with no more workers
-    than trials (under fork a pool starts all of its workers at once); its
-    forked workers inherit every prepared point and the random matrix, and
-    build nothing.
+    than trials (under fork a pool starts all of its workers at once). The
+    pool forks wherever the platform can, whatever the default start method,
+    so its workers inherit every prepared point and the random factors, and
+    build nothing; elsewhere it uses the default method, and each worker
+    prepares the points it runs.
     """
     threads = _max_workers()
     results = []
@@ -414,7 +417,9 @@ def _run_points(points: list[Point]) -> list[tuple[Point, float, list[dict]]]:
         if workers == 1:
             results += [run_trial(*job) for job in jobs]
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            fork = "fork" in multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context("fork") if fork else None
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
                 results += [res for _, res in pool.map(_trial_worker, jobs)]
     done = iter(results)
     return [(p, snr, [next(done) for _ in range(p.cfg.trials)])

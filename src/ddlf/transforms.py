@@ -11,10 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 KINDS = ("none", "dsft2d", "fft1d", "fft2d", "fwht1d", "fwht2d", "random")
 SUBFRAME_CHOICES = (1, 2, 4, 8)
+# Householder block width of the random kind's QR
+_BLOCK = 64
 
 
 def dsft2d(X: np.ndarray) -> np.ndarray:
@@ -48,24 +50,48 @@ def fwht(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(n)
 
 
-def _random_unitary(n: int, seed: int) -> np.ndarray:
-    """Q factor of a seeded complex Gaussian matrix.
+class Reflectors:
+    """A unitary Q = Π_k (I − V_k T_k V_kᴴ), kept as the Householder blocks of
+    a compact-WY QR (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10(1),
+    1989) and never formed.
 
-    The Gaussian matrix is drawn into one Fortran-ordered buffer that the QR
-    overwrites, which keeps the build's peak memory to about two n x n
-    matrices instead of the five that np.linalg.qr holds at once.
+    blocks holds (j, V_k, T_k) per block of columns j:j+b. V_k is rows j:
+    of those columns, with unit diagonal and zeros above it, and T_k is b x b
+    upper triangular. Both are views into the QR's own buffers.
+    """
+
+    def __init__(self, a: np.ndarray, t: np.ndarray):
+        n, nb = a.shape[1], t.shape[0]
+        self.blocks = []
+        for j in range(0, n, nb):
+            b = min(nb, n - j)
+            # zgeqrt leaves R on and above the diagonal, which Q does not need
+            d = a[j:j + b, j:j + b]
+            d[np.triu_indices(b)] = 0
+            d[np.diag_indices(b)] = 1
+            self.blocks.append((j, a[j:, j:j + b], t[:b, j:j + b]))
+
+
+def _random_unitary(n: int, seed: int) -> Reflectors:
+    """Q factor of a seeded complex Gaussian matrix, as Householder blocks.
+
+    The Gaussian matrix is drawn into one Fortran-ordered buffer that zgeqrt
+    overwrites with the reflectors, so the build's peak is about 1.5 n x n
+    matrices and Q is never formed.
     """
     rng = np.random.default_rng(seed)
     A = np.empty((n, n), dtype=complex, order="F")
     A.real = rng.standard_normal((n, n))
     A.imag = rng.standard_normal((n, n))
-    Q, _ = scipy.linalg.qr(A, mode="economic", overwrite_a=True, check_finite=False)
-    return Q
+    a, t, info = lapack.zgeqrt(min(_BLOCK, n), A, overwrite_a=True)
+    if info:
+        raise np.linalg.LinAlgError(f"zgeqrt failed (info {info})")
+    return Reflectors(a, t)
 
 
 # the random kind's block unitary, keyed by (block size, seed); it holds one at
 # most, and a miss empties it before the QR, so two are never alive at once
-_random_matrix: dict[tuple[int, int], np.ndarray] = {}
+_random_factors: dict[tuple[int, int], Reflectors] = {}
 
 
 @dataclass(frozen=True)
@@ -95,16 +121,16 @@ class Precoder:
             raise ValueError(f"{self.kind} needs power-of-two block dimensions")
 
     @property
-    def matrix(self) -> np.ndarray:
-        """The random kind's block unitary, built by a QR on first use, so
-        that constructing a Precoder only checks its parameters. Equal
-        precoders share one; the last one built is kept."""
+    def factors(self) -> Reflectors:
+        """The random kind's block unitary as Householder blocks, built by a
+        QR on first use, so that constructing a Precoder only checks its
+        parameters. Equal precoders share them; the last ones built are kept."""
         bm, bn = self.block_shape
         key = (bm * bn, self.seed)
-        if key not in _random_matrix:
-            _random_matrix.clear()
-            _random_matrix[key] = _random_unitary(*key)
-        return _random_matrix[key]
+        if key not in _random_factors:
+            _random_factors.clear()
+            _random_factors[key] = _random_unitary(*key)
+        return _random_factors[key]
 
     @property
     def block_shape(self) -> tuple[int, int]:
@@ -124,7 +150,12 @@ class Precoder:
             # Sylvester ordering: H_mn = H_m (x) H_n, so the WHT of the row-major
             # flattened block is the 2D WHT H_m X H_n
             return fwht(X.reshape(-1)).reshape(X.shape)
-        return (self.matrix @ X.reshape(-1)).reshape(X.shape)
+        # Q x: the blocks last to first; V_k^H x is conj(V_k^T conj(x)), since
+        # V_k^T is a view and V_k^H would be a copy
+        x = X.flatten()
+        for j, V, T in reversed(self.factors.blocks):
+            x[j:] -= V @ (T @ (V.T @ x[j:].conj()).conj())
+        return x.reshape(X.shape)
 
     def _decode_block(self, Y):
         if self.kind == "none":
@@ -137,8 +168,12 @@ class Precoder:
             return np.fft.ifft2(Y, norm="ortho")
         if self.kind in ("fwht1d", "fwht2d"):
             return self._encode_block(Y)
-        # Q^H y as conj(Q^T conj(y)): the transpose is a view, Q^H would be an n x n copy
-        return (self.matrix.T @ Y.reshape(-1).conj()).conj().reshape(Y.shape)
+        # Q^H y: the blocks first to last with T_k^H, where
+        # T_k^H V_k^H y = conj(conj(V_k^H y) T_k)
+        y = Y.flatten()
+        for j, V, T in self.factors.blocks:
+            y[j:] -= V @ ((V.T @ y[j:].conj()) @ T).conj()
+        return y.reshape(Y.shape)
 
     def _blocks(self, X):
         return np.split(np.asarray(X, dtype=complex), self.subframes, axis=1)

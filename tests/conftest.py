@@ -3,8 +3,8 @@
 Every hypothesis property test runs one fixed, derandomized set of examples,
 so tier-1 is deterministic; tests set only their own max_examples.
 
-transforms keeps the last random precoder matrix for the rest of the
-process. Every test starts without one, so a test that counts QRs sees the
+transforms keeps the last random precoder's factors for the rest of the
+process. Every test starts without them, so a test that counts QRs sees the
 same count whichever tests ran before it.
 """
 
@@ -18,8 +18,8 @@ settings.load_profile("ddlf")
 
 
 @pytest.fixture(autouse=True)
-def no_random_matrix():
-    transforms._random_matrix.clear()
+def no_random_factors():
+    transforms._random_factors.clear()
 
 
 @pytest.fixture

@@ -3,7 +3,11 @@
 import dataclasses
 import gc
 import math
+import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import weakref
 from unittest import mock
 
@@ -332,10 +336,11 @@ class TestPointOperators:
         assert qrs == []
         point = harness.prepare(validated)
         assert qrs == [(16 * 15, 2024)]
-        assert point.precoder.matrix.shape == (16 * 15, 16 * 15)
+        assert sum(T.shape[0] for _, _, T in point.precoder.factors.blocks) == 16 * 15
         assert qrs == [(16 * 15, 2024)]
-        # a Point holds no matrix: its precoder is a plain value
-        assert all(not isinstance(v, np.ndarray) for v in vars(validated.precoder).values())
+        # a Point holds no factors: its precoder is a plain value
+        assert all(not isinstance(v, (np.ndarray, transforms.Reflectors))
+                   for v in vars(validated.precoder).values())
 
     def test_prepare_keeps_the_validated_precoder(self):
         validated = harness.validate_point(quiet_cfg(precoder="random"))
@@ -363,18 +368,19 @@ class TestPointOperators:
         first = self.cached_point(cfgs[0])
         second = self.cached_point(cfgs[1])
         assert second.precoder == first.precoder
-        assert second.precoder.matrix is first.precoder.matrix
+        assert second.precoder.factors is first.precoder.factors
         assert list(harness._points) == [cfgs[1]]  # one point kept between trials
         harness._prepare([harness.validate_point(cfg) for cfg in cfgs])
-        assert harness._points[cfgs[0]].precoder.matrix is first.precoder.matrix
-        assert harness._points[cfgs[1]].precoder.matrix is first.precoder.matrix
+        assert harness._points[cfgs[0]].precoder.factors is first.precoder.factors
+        assert harness._points[cfgs[1]].precoder.factors is first.precoder.factors
         assert qrs == [(16 * 15, 2024)]  # one QR for both points
 
     def test_a_different_precoder_is_not_shared(self):
         a = self.cached_point(quiet_cfg(precoder="random"))
         b = self.cached_point(quiet_cfg(precoder="random", precoder_seed=7))
         assert b.precoder is not a.precoder
-        assert not np.allclose(b.precoder.matrix, a.precoder.matrix)
+        X = np.ones(a.precoder.shape, dtype=complex)
+        assert not np.allclose(transforms.encode(X, b.precoder), transforms.encode(X, a.precoder))
 
 
 class TestSweepPool:
@@ -453,6 +459,43 @@ class TestSweepPool:
         # one QR, one pulse, and the (1, 1) plus three mode-aware SRH operators
         assert sorted(built) == ["_random_unitary"] + ["cholesky_banded"] * 4 \
             + ["tight_orthogonalize"]
+
+    @pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
+                        reason="no forkserver start method")
+    def test_workers_build_nothing_under_forkserver(self, tmp_path):
+        # forkserver (the Linux default from Python 3.14) starts workers from a
+        # fresh interpreter, which would prepare every point again. Such a
+        # worker imports the script as __mp_main__, so its calls are logged too.
+        log = tmp_path / "calls.log"
+        script = tmp_path / "sweep.py"
+        script.write_text(textwrap.dedent(f"""
+            import multiprocessing, os
+            from ddlf import harness, transforms
+            from ddlf.harness import ExperimentConfig
+
+            def logged(owner, attr):
+                fn = getattr(owner, attr)
+                def wrapper(*args, **kwargs):
+                    with open({str(log)!r}, "a") as fh:
+                        fh.write(f"{{os.getpid()}} {{attr}}\\n")
+                    return fn(*args, **kwargs)
+                setattr(owner, attr, wrapper)
+
+            logged(harness, "prepare")
+            logged(transforms, "_random_unitary")
+            if __name__ == "__main__":
+                multiprocessing.set_start_method("forkserver")
+                harness.run_sweep({quiet_cfg(precoder="random")!r}, "velocity", [50.0, 100.0])
+                print(os.getpid())
+        """))
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = {**os.environ, "DDLF_THREADS": "2", "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        parent = done.stdout.split()[-1]
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert calls == [[parent, "prepare"], [parent, "_random_unitary"], [parent, "prepare"]]
 
     @pytest.mark.parametrize("axis, values", [("velocity", [50.0, 100.0, 150.0]),
                                               ("pilots", [1, 2, 3])])

@@ -143,21 +143,22 @@ class TestPrecoder:
         assert qrs == []
         encode(rand_frame((8, 8), 19), p)
         assert qrs == [(64, 1)]
-        assert p.matrix.shape == (64, 64)
+        assert [V.shape for _, V, _ in p.factors.blocks] == [(64, 64)]
 
     def test_equal_random_precoders_share_one_matrix(self, qrs):
         a = Precoder("random", (8, 8), seed=1)
         b = Precoder("random", (8, 8), seed=1)
-        assert a.matrix is b.matrix
+        assert a.factors is b.factors
         assert qrs == [(64, 1)]
 
     def test_another_random_matrix_replaces_the_first(self, qrs):
         a = Precoder("random", (8, 8), seed=1)
-        first = a.matrix
-        Precoder("random", (8, 8), seed=2).matrix
-        assert list(transforms._random_matrix) == [(64, 2)]
-        assert a.matrix is not first  # rebuilt, equal to the first
-        assert np.array_equal(a.matrix, first)
+        first = a.factors
+        Precoder("random", (8, 8), seed=2).factors
+        assert list(transforms._random_factors) == [(64, 2)]
+        assert a.factors is not first  # rebuilt, equal to the first
+        assert all(j == j1 and np.array_equal(V, V1) and np.array_equal(T, T1)
+                   for (j, V, T), (j1, V1, T1) in zip(a.factors.blocks, first.blocks, strict=True))
         assert qrs == [(64, 1), (64, 2), (64, 1)]
 
     def test_precoder_is_a_frozen_hashable_value(self):
@@ -178,15 +179,51 @@ class TestPrecoder:
     def test_random_decode_copies_no_matrix(self):
         p = Precoder(kind="random", shape=(16, 16), seed=5)  # one 256 x 256 block
         Y = encode(rand_frame((16, 16), 18), p)
-        decode(Y, p)
+        peaks = []
+        for apply in (decode, encode):
+            tracemalloc.start()
+            try:
+                apply(Y, p)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        # an eighth of the 256 x 256 complex unitary
+        assert max(peaks) < 256 * 256 * 16 / 8
+        assert np.abs(encode(decode(Y, p), p) - Y).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, transforms._BLOCK - 1, transforms._BLOCK,
+                                   transforms._BLOCK + 1, 240])
+    def test_random_blocks_apply_the_qr_q(self, n):
+        # one short block, one full block, a full block and a one-column block,
+        # and four blocks of which the last is short
+        rng = np.random.default_rng(n)  # the random kind's draw
+        Q = scipy.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        p = Precoder("random", (n, 1), seed=n)
+        eye = np.eye(n, dtype=complex)
+        assert np.abs(np.hstack([encode(e[:, None], p) for e in eye]) - Q).max() < 1e-12
+        assert np.abs(np.hstack([decode(e[:, None], p) for e in eye]) - Q.conj().T).max() < 1e-12
+
+    @pytest.mark.parametrize("subframes", (1, 2))
+    def test_random_decode_inverts_encode(self, subframes):
+        p = Precoder(kind="random", shape=(16, 16), subframes=subframes, seed=12)
+        X = rand_frame((16, 16), 13)
+        Y = encode(X, p)
+        assert np.linalg.norm(Y) == pytest.approx(np.linalg.norm(X), rel=1e-12)
+        assert np.abs(decode(Y, p) - X).max() < 1e-12
+        assert np.abs(encode(decode(X, p), p) - X).max() < 1e-12
+
+    def test_random_build_forms_no_second_matrix(self):
+        n = 256
         tracemalloc.start()
         try:
-            X = decode(Y, p)
+            transforms._random_unitary(n, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < p.matrix.nbytes / 8
-        assert np.abs(encode(X, p) - Y).max() < 1e-12
+        # the drawn matrix, which the QR overwrites, and one real draw beside
+        # it; forming Q would take a second n x n complex matrix
+        assert peak < 1.75 * n * n * 16
 
     def test_fwht_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
