@@ -157,16 +157,6 @@ def _file_line(path: str | None, lines: dict):
         raise
 
 
-@contextmanager
-def _flags(names: str):
-    """Prefix a ValueError raised inside the block with the flags its bad value
-    came from, as a config error names its key."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{names}: {exc}") from None
-
-
 def _epilog() -> str:
     lines = ["config keys:"]
     for key, names, _, text in CONFIG_KEYS:
@@ -196,7 +186,7 @@ def cmd_run(args) -> int:
         cfg = harness.ExperimentConfig(**fields)
     configs = [cfg]
     if args.command == "sweep":
-        with _flags("--values"):
+        with harness._config_key("--values"):
             values = [_finite(v) for v in args.values.split(",")]
             configs = harness.sweep_configs(cfg, args.axis, values)
     # a field that the axis sets comes from --values, not from the file
@@ -211,7 +201,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_place_pilots(args) -> int:
-    with _flags("--pilots-per-row"):
+    with harness._config_key("--pilots-per-row"):
         pl = piloting.accordion_placement(*args.data_shape, args.pilots_per_row)
     (pr, pc), (dr, dc) = pl.pilot_array_indices(), pl.data_array_indices()
     is_pilot = np.zeros((pl.M, pl.N), dtype=bool)
@@ -229,16 +219,17 @@ def cmd_place_pilots(args) -> int:
 
 
 def cmd_ambiguity(args) -> int:
-    with _flags("--frame, --tf-product, --bandwidth"):
+    with harness._config_key("--frame, --tf-product, --bandwidth"):
         grid = gabor.make_grid(*args.frame, args.tf_product, args.bandwidth)
-    with _flags("--spread"):
+    with harness._config_key("--spread"):
         prototype = gabor.gaussian_prototype(grid, args.spread)
     # tight orthogonalization needs the channels to tile the band (M*b = L)
-    with _flags("--frame, --tf-product" if grid.M * grid.freq_shift != grid.L else "--spread"):
+    tiled = grid.M * grid.freq_shift == grid.L
+    with harness._config_key("--spread" if tiled else "--frame, --tf-product"):
         pulse = gabor.tight_orthogonalize(prototype, grid)
     taus = np.linspace(-args.tau_span * grid.T, args.tau_span * grid.T, args.steps)
     nus = np.linspace(-args.nu_span * grid.F, args.nu_span * grid.F, args.steps)
-    with _flags("--tau-span"):
+    with harness._config_key("--tau-span"):
         raster = gabor.cross_ambiguity(pulse, pulse, taus[:, None], nus[None, :], grid)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

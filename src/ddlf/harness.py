@@ -61,7 +61,8 @@ class ExperimentConfig:
     runs a pilot-free frame (only the "perfect" estimator is then valid).
     tau_max / nu_max default to 4.5 delay bins and 0.7 Doppler bins of the
     frame grid; a velocity (km/h) overrides nu_max via the 5.9 GHz carrier.
-    sigma_z2 = None (auto) measures the self-interference power in each trial.
+    sigma_z2 = None (auto) measures the self-interference power in each trial
+    that runs a noise-aware variant.
     """
 
     m_data: int = _key(16, "M'xN' data frame, e.g. 16x15", "data-shape")
@@ -125,6 +126,8 @@ class ExperimentConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: expected a nonnegative integer, "
                                  f"got {getattr(self, name)}")
+        if self.pulse_spread <= 0:
+            raise ValueError(f"pulse_spread: expected a positive number, got {self.pulse_spread}")
 
 
 @dataclass(frozen=True)
@@ -153,9 +156,9 @@ class ResultRow:
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
 
 
-def velocity_to_nu_max(velocity_kmh: float, carrier_hz: float = CARRIER_HZ) -> float:
-    """Maximum Doppler shift of a relative velocity given in km/h."""
-    return velocity_kmh / 3.6 * carrier_hz / LIGHT_SPEED
+def velocity_to_nu_max(velocity_kmh: float) -> float:
+    """Maximum Doppler shift of a relative velocity given in km/h at the carrier."""
+    return velocity_kmh / 3.6 * CARRIER_HZ / LIGHT_SPEED
 
 
 @lru_cache(maxsize=32)
@@ -192,7 +195,8 @@ def _doppler_key(cfg: ExperimentConfig) -> str:
 
 @contextmanager
 def _config_key(key: str):
-    """Prefix an error raised inside the block with the config key(s) it comes from."""
+    """Prefix an error raised inside the block with the config key(s), or the
+    command-line flag(s), it comes from."""
     try:
         yield
     except ValueError as e:
@@ -342,18 +346,17 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
     rx_clean = chan.apply_channel(sig, ch, grid)
     y = gabor.analyze(chan.add_noise(rx_clean, sigma2, rng), pulse, grid)
 
-    h_true = chan.true_cmd(ch, pulse, pulse, grid)
-    if cfg.sigma_z2 is not None:
-        sigma_z2 = float(cfg.sigma_z2)
-    elif set(cfg.estimators) & set(est.NOISE_AWARE):
+    # the true CMD only for its readers: perfect, and a measured sigma_z2
+    measure = cfg.sigma_z2 is None and not set(cfg.estimators).isdisjoint(est.NOISE_AWARE)
+    h_true = None
+    if measure or "perfect" in cfg.estimators:
+        h_true = chan.true_cmd(ch, pulse, pulse, grid)
+    sigma_z2 = float(cfg.sigma_z2 or 0.0)
+    if measure:
         sigma_z2 = chan.self_interference_power(gabor.analyze(rx_clean, pulse, grid),
                                                 frame_tx, h_true)
-    else:
-        sigma_z2 = 0.0
 
-    h_pilot = None
-    if pl.P:
-        h_pilot = est.partial_cmd(piloting.extract_pilots(y, pl), pilots)
+    h_pilot = est.partial_cmd(piloting.extract_pilots(y, pl), pilots)
 
     frames: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name in cfg.estimators:

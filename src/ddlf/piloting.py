@@ -151,9 +151,8 @@ def multiplex(data_frame: np.ndarray, pilots: PilotSequence,
     frame = np.zeros((pl.M, pl.N), dtype=complex)
     dr, dc = pl.data_array_indices()
     frame[dr, dc] = data_frame.reshape(-1)
-    if pl.P:
-        pr, pc = pl.pilot_array_indices()
-        frame[pr, pc] = pilots.symbols
+    pr, pc = pl.pilot_array_indices()
+    frame[pr, pc] = pilots.symbols
     return frame
 
 

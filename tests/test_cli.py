@@ -357,6 +357,7 @@ class TestConfigErrors:
         # the 16x16 desk frame lasts 64 us
         ("tau-max = 64e-6", "tau_max", "tau_max: 6.4e-05 s is not below the frame duration"),
         ("velocity = 20000", "velocity", "tau_max, velocity: 2*tau_max*nu_max = 0.197 >= 0.1"),
+        ("pulse-spread = -1", "pulse_spread", "pulse_spread: expected a positive number, got -1.0"),
     ])
     def test_rejected_value_names_its_file_line(self, tmp_path, capsys, line, key, reason):
         cfgf = tmp_path / "bad.cfg"

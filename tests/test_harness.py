@@ -148,6 +148,21 @@ class TestRunTrial:
         run_trial(quiet_cfg(estimators=("srh-na",)), 15.0, 0)  # auto measures it
         assert len(measured) == 1 and seen[-1].sigma_z2 == 0.0
 
+    @pytest.mark.parametrize("overrides, calls", [
+        (dict(estimators=("lmmse", "srh-ma"), pilots_per_row=2, n_data=14), 0),
+        (dict(estimators=("srh",)), 0),
+        (dict(estimators=("srh-na",), sigma_z2=0.01), 0),
+        (dict(estimators=("perfect",)), 1),
+        (dict(estimators=("srh-na",)), 1),  # auto sigma_z2 measures it against the true CMD
+    ])
+    def test_true_cmd_only_for_its_readers(self, monkeypatch, overrides, calls):
+        cfg = quiet_cfg(**overrides)
+        run_trial(cfg, 15.0, 0)  # prepares the point
+        true_cmd, seen = channel.true_cmd, []
+        monkeypatch.setattr(channel, "true_cmd", lambda *a: seen.append(a) or true_cmd(*a))
+        run_trial(cfg, 15.0, 1)
+        assert len(seen) == calls
+
     def test_coded_path_clean(self):
         cfg = quiet_cfg(estimators=("perfect",), scatterers=1, tau_max=0.0,
                         nu_max=0.0, snr_db=(300.0,), coding=True)
@@ -273,6 +288,8 @@ class TestSweepValidation:
         ("bandwidth", dict(bandwidth=-5e6)),
         ("tf_product", dict(m_data=16, n_data=16)),  # M*b = 336 < L = 340: no tight pulse
         ("pilots_per_row", dict(pilots_per_row=20)),
+        # 16 x 14 at T*F 1.3 does not tile the band, but the spread is at fault
+        ("pulse_spread", dict(m_data=16, n_data=14, tf_product=1.3, pulse_spread=-1.0)),
     ])
     def test_bad_value_names_its_key(self, no_trials, key, overrides):
         with pytest.raises(ValueError) as info:

@@ -205,6 +205,13 @@ class TestMultiplex:
         frame = multiplex(np.zeros((8, 6)), ramp, pl)
         assert np.array_equal(extract_pilots(frame, pl), ramp.symbols)
 
+    def test_pilot_free_roundtrip(self, setup):
+        _, _, data = setup
+        pl = all_data_placement(8, 6)
+        frame = multiplex(data, qpsk_pilot_sequence(0, seed=5), pl)
+        assert np.array_equal(demultiplex(frame, pl), data)
+        assert extract_pilots(frame, pl).shape == (0,)
+
     def test_length_checks(self, setup):
         pl, pilots, data = setup
         with pytest.raises(ValueError):
