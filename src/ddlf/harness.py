@@ -242,9 +242,11 @@ def validate_point(cfg: ExperimentConfig) -> Point:
         grid = build_grid(cfg, pl)
     tau_max, nu_max = resolve_spreads(cfg, grid)
     doppler_key = _doppler_key(cfg)
-    if tau_max < 0 or nu_max < 0:
-        raise ValueError(f"tau_max, {doppler_key}: spreads must be nonnegative "
-                         f"(tau_max = {tau_max:.6g} s, nu_max = {nu_max:.6g} Hz)")
+    if tau_max < 0:
+        raise ValueError(f"tau_max: the delay spread must be nonnegative, got {tau_max:.6g} s")
+    if nu_max < 0:
+        raise ValueError(f"{doppler_key}: the Doppler spread must be nonnegative "
+                         f"(nu_max = {nu_max:.6g} Hz)")
     if tau_max >= grid.duration:
         raise ValueError(f"tau_max: {tau_max:.6g} s is not below the frame duration "
                          f"{grid.duration:.6g} s")

@@ -136,60 +136,51 @@ class Precoder:
     def block_shape(self) -> tuple[int, int]:
         return self.shape[0], self.shape[1] // self.subframes
 
-    def _encode_block(self, X):
+    def _code_block(self, X, inverse):
+        """One block through the precoder, or through its inverse."""
         if self.kind == "none":
             return X
         if self.kind == "dsft2d":
-            Y = dsft2d(X)
-            return Y if Y.shape == X.shape else Y.T
+            # its own inverse, but it exchanges the axes of a non-square block
+            flip = X.shape[0] != X.shape[1]
+            Y = dsft2d(X.T if inverse and flip else X)
+            return Y.T if flip and not inverse else Y
         if self.kind == "fft1d":
-            return np.fft.fft(X.reshape(-1), norm="ortho").reshape(X.shape)
+            fft = np.fft.ifft if inverse else np.fft.fft
+            return fft(X.reshape(-1), norm="ortho").reshape(X.shape)
         if self.kind == "fft2d":
-            return np.fft.fft2(X, norm="ortho")
+            return (np.fft.ifft2 if inverse else np.fft.fft2)(X, norm="ortho")
         if self.kind in ("fwht1d", "fwht2d"):
             # Sylvester ordering: H_mn = H_m (x) H_n, so the WHT of the row-major
-            # flattened block is the 2D WHT H_m X H_n
+            # flattened block is the 2D WHT H_m X H_n; it is its own inverse
             return fwht(X.reshape(-1)).reshape(X.shape)
-        # Q x: the blocks last to first; V_k^H x is conj(V_k^T conj(x)), since
-        # V_k^T is a view and V_k^H would be a copy
         x = X.flatten()
-        for j, V, T in reversed(self.factors.blocks):
-            x[j:] -= V @ (T @ (V.T @ x[j:].conj()).conj())
+        if inverse:
+            # Q^H x: the blocks first to last with T_k^H, where
+            # T_k^H V_k^H x = conj(conj(V_k^H x) T_k)
+            for j, V, T in self.factors.blocks:
+                x[j:] -= V @ ((V.T @ x[j:].conj()) @ T).conj()
+        else:
+            # Q x: the blocks last to first; V_k^H x is conj(V_k^T conj(x)), since
+            # V_k^T is a view and V_k^H would be a copy
+            for j, V, T in reversed(self.factors.blocks):
+                x[j:] -= V @ (T @ (V.T @ x[j:].conj()).conj())
         return x.reshape(X.shape)
 
-    def _decode_block(self, Y):
-        if self.kind == "none":
-            return Y
-        if self.kind == "dsft2d":
-            return dsft2d(Y) if Y.shape[0] == Y.shape[1] else dsft2d(Y.T)
-        if self.kind == "fft1d":
-            return np.fft.ifft(Y.reshape(-1), norm="ortho").reshape(Y.shape)
-        if self.kind == "fft2d":
-            return np.fft.ifft2(Y, norm="ortho")
-        if self.kind in ("fwht1d", "fwht2d"):
-            return self._encode_block(Y)
-        # Q^H y: the blocks first to last with T_k^H, where
-        # T_k^H V_k^H y = conj(conj(V_k^H y) T_k)
-        y = Y.flatten()
-        for j, V, T in self.factors.blocks:
-            y[j:] -= V @ ((V.T @ y[j:].conj()) @ T).conj()
-        return y.reshape(Y.shape)
 
-    def _blocks(self, X):
-        return np.split(np.asarray(X, dtype=complex), self.subframes, axis=1)
+def _code(X: np.ndarray, p: Precoder, inverse: bool) -> np.ndarray:
+    """Check the frame's shape, split it into sub-frame blocks and code each."""
+    X = np.asarray(X, dtype=complex)
+    if X.shape != p.shape:
+        raise ValueError(f"frame shape {X.shape} does not match precoder shape {p.shape}")
+    return np.hstack([p._code_block(b, inverse) for b in np.hsplit(X, p.subframes)])
 
 
 def encode(X: np.ndarray, p: Precoder) -> np.ndarray:
     """Precode the data frame block by block; preserves shape and energy."""
-    X = np.asarray(X)
-    if X.shape != p.shape:
-        raise ValueError(f"frame shape {X.shape} does not match precoder shape {p.shape}")
-    return np.concatenate([p._encode_block(b) for b in p._blocks(X)], axis=1)
+    return _code(X, p, inverse=False)
 
 
 def decode(Y: np.ndarray, p: Precoder) -> np.ndarray:
     """Invert encode()."""
-    Y = np.asarray(Y)
-    if Y.shape != p.shape:
-        raise ValueError(f"frame shape {Y.shape} does not match precoder shape {p.shape}")
-    return np.concatenate([p._decode_block(b) for b in p._blocks(Y)], axis=1)
+    return _code(Y, p, inverse=True)

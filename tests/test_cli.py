@@ -368,6 +368,19 @@ class TestConfigErrors:
         assert err.startswith(f"ddlf: {cfgf}:4: {reason}")
         assert err.count("\n") == 1
 
+    def test_negative_velocity_blames_its_own_line(self, tmp_path, capsys):
+        cfgf = tmp_path / "c.cfg"
+        cfgf.write_text("tau-max = 5e-7\ntrials = 1\nvelocity = -5\n")
+        assert main(["simulate", "--config", str(cfgf), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"ddlf: {cfgf}:3: velocity: ")
+
+    def test_negative_swept_velocity_blames_no_file_line(self, tmp_path, capsys):
+        cfgf = tmp_path / "c.cfg"
+        cfgf.write_text("tau-max = 5e-7\n")
+        assert main(["sweep", "--config", str(cfgf), "--axis", "velocity", "--values", "-5",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err.startswith("ddlf: velocity: ")
+
     def test_message_of_fields_the_file_did_not_set_unchanged(self, tmp_path, capsys):
         # 16x16 data needs a 16x17 frame, where M*b = L fails: no tight pulse
         cfgf = tmp_path / "bad.cfg"

@@ -242,6 +242,49 @@ class TestPrecoder:
         with pytest.raises(ValueError):
             encode(rand_frame((4, 8), 17), p)
 
+    def test_shape_mismatch_decode(self):
+        p = Precoder(kind="dsft2d", shape=(8, 8))
+        with pytest.raises(ValueError):
+            decode(rand_frame((4, 8), 17), p)
+
+
+def dsft2d_loops(X):
+    """dsft2d by its defining quadruple sum, of shape (B, A) for X of (A, B)."""
+    A, B = X.shape
+    out = np.zeros((B, A), dtype=complex)
+    for m, n, l, k in np.ndindex(B, A, A, B):
+        out[m, n] += X[l, k] * np.exp(-2j * np.pi * (n * l / A - m * k / B))
+    return out / np.sqrt(A * B)
+
+
+class TestEncodeDirection:
+    """Each kind's encode against its matrix. Round trips and isometries also
+    hold with encode and decode swapped; these do not."""
+
+    @pytest.mark.parametrize("subframes", (1, 2))
+    def test_fft1d_is_the_dft_of_the_row_major_block(self, subframes):
+        p = Precoder(kind="fft1d", shape=(6, 8), subframes=subframes)
+        X = rand_frame((6, 8), 20)
+        # the unitary DFT matrix, F[j, k] = e^{-2j pi j k / n} / sqrt(n)
+        want = [(scipy.linalg.dft(b.size, scale="sqrtn") @ b.reshape(-1)).reshape(b.shape)
+                for b in np.split(X, subframes, axis=1)]
+        assert np.abs(encode(X, p) - np.concatenate(want, axis=1)).max() < 1e-12
+
+    @pytest.mark.parametrize("subframes", (1, 2))
+    def test_fft2d_is_f_m_x_f_n_transposed(self, subframes):
+        p = Precoder(kind="fft2d", shape=(6, 8), subframes=subframes)
+        X = rand_frame((6, 8), 21)
+        Fm, Fn = (scipy.linalg.dft(n, scale="sqrtn") for n in p.block_shape)
+        want = [Fm @ b @ Fn.T for b in np.split(X, subframes, axis=1)]
+        assert np.abs(encode(X, p) - np.concatenate(want, axis=1)).max() < 1e-12
+
+    @pytest.mark.parametrize("subframes", (1, 2))
+    def test_non_square_dsft2d_is_the_transposed_loop_oracle(self, subframes):
+        p = Precoder(kind="dsft2d", shape=(6, 8), subframes=subframes)  # 6x8 or 6x4 blocks
+        X = rand_frame((6, 8), 22)
+        want = [dsft2d_loops(b).T for b in np.split(X, subframes, axis=1)]
+        assert np.abs(encode(X, p) - np.concatenate(want, axis=1)).max() < 1e-12
+
 
 def is_power_of_two(n):
     return n & (n - 1) == 0
