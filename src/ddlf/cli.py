@@ -10,9 +10,9 @@ parallelism.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
+import os
 import sys
 from contextlib import contextmanager
 
@@ -169,33 +169,38 @@ PAPER_SCALE = {"m_data": 64, "n_data": 62, "pilots_per_row": 2,
                "bandwidth": 5.0e6, "scatterers": 58}
 
 
-def _common_overrides(args) -> dict:
-    overrides: dict = {}
-    if getattr(args, "paper_scale", False):
-        overrides.update(PAPER_SCALE)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return overrides
+def _write(path: str, text: str):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def cmd_run(args) -> int:
     """simulate: run the config of the file and flags; sweep: run its configs
     over --values on --axis. Write the rows either way."""
-    fields, lines = _read_config(args.config, _common_overrides(args))
+    # an OSError before any trial if --out cannot be written; an existing file
+    # keeps its contents, and a file made only for this check is removed again
+    existed = os.path.exists(args.out)
+    open(args.out, "a").close()
+    if not existed:
+        os.remove(args.out)
+    overrides = dict(PAPER_SCALE) if args.paper_scale else {}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    fields, lines = _read_config(args.config, overrides)
     with _file_line(args.config, lines):
         cfg = harness.ExperimentConfig(**fields)
-    configs = [cfg]
-    if args.command == "sweep":
-        with harness._config_key("--values"):
-            values = [_finite(v) for v in args.values.split(",")]
-            configs = harness.sweep_configs(cfg, args.axis, values)
+    axis, values = "snr", cfg.snr_db
+    with harness._config_key("--values"):
+        if args.command == "sweep":
+            axis, values = args.axis, [_finite(v) for v in args.values.split(",")]
+        configs = harness.sweep_configs(cfg, axis, values)
     # a field that the axis sets comes from --values, not from the file
     lines = {f: n for f, n in lines.items()
              if all(getattr(c, f) == getattr(cfg, f) for c in configs)}
     with _file_line(args.config, lines):
-        rows = (harness.run_sweep(cfg, args.axis, values) if args.command == "sweep"
+        rows = (harness.run_sweep(cfg, axis, values) if args.command == "sweep"
                 else harness.simulate(cfg))
-    harness.write_csv(rows, args.out)
+    _write(args.out, harness.rows_to_csv(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -203,17 +208,11 @@ def cmd_run(args) -> int:
 def cmd_place_pilots(args) -> int:
     with harness._config_key("--pilots-per-row"):
         pl = piloting.accordion_placement(*args.data_shape, args.pilots_per_row)
-    (pr, pc), (dr, dc) = pl.pilot_array_indices(), pl.data_array_indices()
-    is_pilot = np.zeros((pl.M, pl.N), dtype=bool)
-    is_pilot[pr, pc] = True
-    order = np.empty((pl.M, pl.N), dtype=int)
-    order[pr, pc] = np.arange(pl.P)
-    order[dr, dc] = np.arange(len(dr))
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["m", "n", "kind", "order"])
-        for m, n in np.ndindex(pl.M, pl.N):
-            writer.writerow([m, n, "pilot" if is_pilot[m, n] else "data", order[m, n]])
+    indices = {"pilot": pl.pilot_array_indices(), "data": pl.data_array_indices()}
+    # every cell with its kind and its place among the cells of that kind, row-major
+    cells = sorted((m, n, kind, i) for kind, (rows, cols) in indices.items()
+                   for i, (m, n) in enumerate(zip(rows.tolist(), cols.tolist())))
+    _write(args.out, harness.to_csv(("m", "n", "kind", "order"), cells))
     print(f"{pl.M}x{pl.N} frame, {pl.P} pilots -> {args.out}")
     return 0
 
@@ -231,14 +230,9 @@ def cmd_ambiguity(args) -> int:
     nus = np.linspace(-args.nu_span * grid.F, args.nu_span * grid.F, args.steps)
     with harness._config_key("--tau-span"):
         raster = gabor.cross_ambiguity(pulse, pulse, taus[:, None], nus[None, :], grid)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tau_s", "nu_hz", "abs", "re", "im"])
-        for tau, row in zip(taus, raster):
-            for nu, a in zip(nus, row.tolist()):
-                writer.writerow([format(tau, ".12g"), format(nu, ".12g"),
-                                 format(abs(a), ".12g"), format(a.real, ".12g"),
-                                 format(a.imag, ".12g")])
+    cells = [(tau, nu, abs(a), a.real, a.imag)
+             for tau, row in zip(taus, raster) for nu, a in zip(nus, row.tolist())]
+    _write(args.out, harness.to_csv(("tau_s", "nu_hz", "abs", "re", "im"), cells))
     print(f"{args.steps}x{args.steps} ambiguity raster -> {args.out}")
     return 0
 
@@ -253,22 +247,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run the SNR points from a config file")
-    sim.add_argument("--config", help="key = value config file")
-    sim.add_argument("--out", default="results.csv")
-    sim.add_argument("--seed", type=int, help="override the master seed")
-    sim.add_argument("--paper-scale", action="store_true",
+    # the flags simulate and sweep share; each declares its own --out, because a
+    # parent's actions are shared, so one child's set_defaults(out=...) would
+    # change the other's default
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", help="key = value config file")
+    run.add_argument("--seed", type=int, help="override the master seed")
+    run.add_argument("--paper-scale", action="store_true",
                      help="64x64 frame, 5 MHz, 58 paths")
-    sim.set_defaults(func=cmd_run)
+    run.set_defaults(func=cmd_run)
 
-    sw = sub.add_parser("sweep", help="sweep snr, velocity or pilots")
-    sw.add_argument("--config", help="key = value config file")
+    sim = sub.add_parser("simulate", parents=[run], help="run the SNR points from a config file")
+    sim.add_argument("--out", default="results.csv")
+
+    sw = sub.add_parser("sweep", parents=[run], help="sweep snr, velocity or pilots")
     sw.add_argument("--axis", choices=("snr", "velocity", "pilots"), required=True)
     sw.add_argument("--values", required=True, help="comma-separated axis values")
     sw.add_argument("--out", default="sweep.csv")
-    sw.add_argument("--seed", type=int, help="override the master seed")
-    sw.add_argument("--paper-scale", action="store_true")
-    sw.set_defaults(func=cmd_run)
 
     pp = sub.add_parser("place-pilots", help="dump a pilot placement mask")
     pp.add_argument("--data-shape", type=_flag(_parse_shape), required=True,
@@ -298,7 +293,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"ddlf: {exc}", file=sys.stderr)
         return 2
 

@@ -514,16 +514,16 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def rows_to_csv(rows: list[ResultRow]) -> str:
-    """Stable RFC-4180 CSV with a header row; byte-identical for equal inputs."""
+def to_csv(header, rows) -> str:
+    """Stable RFC-4180 CSV: the header row, then the rows with each cell through
+    _fmt (floats as .12g, None empty); byte-identical for equal inputs."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(getattr(row, col)) for col in CSV_COLUMNS])
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
-def write_csv(rows: list[ResultRow], path: str):
-    with open(path, "w", newline="") as fh:
-        fh.write(rows_to_csv(rows))
+def rows_to_csv(rows: list[ResultRow]) -> str:
+    """The result rows as CSV under CSV_COLUMNS (see to_csv)."""
+    return to_csv(CSV_COLUMNS, (dataclasses.astuple(row) for row in rows))

@@ -1,13 +1,16 @@
 """Tests for the command-line interface and config parsing."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ddlf import harness
+from ddlf import gabor, harness, piloting
 from ddlf.cli import CONFIG_KEYS, load_config, main
 from ddlf.harness import ESTIMATOR_CHOICES, ExperimentConfig
 from ddlf.transforms import KINDS, SUBFRAME_CHOICES
@@ -170,6 +173,19 @@ class TestPlacePilots:
         assert kinds.count("pilot") == 16
         assert kinds.count("data") == 48
 
+    def test_rows_match_the_placement_indices(self, tmp_path):
+        out = tmp_path / "mask.csv"
+        assert main(["place-pilots", "--data-shape", "4x5", "--pilots-per-row", "2",
+                     "--out", str(out)]) == 0
+        pl = piloting.accordion_placement(4, 5, 2)
+        cell = {}  # (m, n) -> (kind, place among the cells of that kind)
+        for kind, (rows, cols) in (("pilot", pl.pilot_array_indices()),
+                                   ("data", pl.data_array_indices())):
+            for i, (m, n) in enumerate(zip(rows, cols)):
+                cell[int(m), int(n)] = kind, i
+        assert out.read_text().splitlines()[1:] == [
+            f"{m},{n},{cell[m, n][0]},{cell[m, n][1]}" for m in range(pl.M) for n in range(pl.N)]
+
 
 class TestAmbiguity:
     def test_raster(self, tmp_path):
@@ -182,6 +198,19 @@ class TestAmbiguity:
         # the raster includes the origin where |A| = 1
         mags = [float(ln.split(",")[2]) for ln in lines[1:]]
         assert max(mags) == pytest.approx(1.0, abs=1e-9)
+
+    def test_cells_are_the_cross_ambiguity(self, tmp_path):
+        out = tmp_path / "amb.csv"
+        assert main(["ambiguity", "--frame", "8x8", "--steps", "5", "--out", str(out)]) == 0
+        cfg = ExperimentConfig()
+        grid = gabor.make_grid(8, 8, cfg.tf_product, cfg.bandwidth)
+        pulse = gabor.tight_orthogonalize(gabor.gaussian_prototype(grid, cfg.pulse_spread), grid)
+        taus = np.linspace(-2 * grid.T, 2 * grid.T, 5)
+        nus = np.linspace(-2 * grid.F, 2 * grid.F, 5)
+        raster = gabor.cross_ambiguity(pulse, pulse, taus[:, None], nus[None, :], grid)
+        assert out.read_text().splitlines()[1:] == [
+            ",".join(format(v, ".12g") for v in (tau, nu, abs(a), a.real, a.imag))
+            for tau, row in zip(taus, raster) for nu, a in zip(nus, row.tolist())]
 
     @pytest.mark.parametrize("flag", ["--tf-product", "--bandwidth", "--spread",
                                       "--tau-span", "--nu-span"])
@@ -451,3 +480,67 @@ class TestConfigErrors:
         assert err.startswith(f"ddlf: {cfgf}:{line}: {keys}: ")
         assert err.count("\n") == 1
         assert trials == [] and not out.exists()
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate"], "results.csv"),
+        (["sweep", "--axis", "velocity", "--values", "100"], "sweep.csv"),
+        (["place-pilots", "--data-shape", "8x6", "--pilots-per-row", "1"], "pilots.csv"),
+        (["ambiguity", "--frame", "8x8", "--steps", "3"], "ambiguity.csv"),
+    ])
+    def test_default_out(self, tmp_path, monkeypatch, argv, name):
+        # simulate and sweep share their other flags, but not the --out default
+        monkeypatch.setattr(harness, "simulate", lambda cfg: [])
+        monkeypatch.setattr(harness, "run_sweep", lambda cfg, axis, values: [])
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    @pytest.mark.parametrize("argv", [["simulate"],
+                                      ["sweep", "--axis", "snr", "--values", "10"]])
+    def test_unwritable_out_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                      argv):
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: trials.append(a))
+        monkeypatch.delenv("DDLF_THREADS", raising=False)
+        out = tmp_path / "missing" / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ddlf: ") and "No such file or directory" in err
+        assert str(out) in err and err.count("\n") == 1
+        assert trials == [] and not out.parent.exists()
+
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        cfgf = tmp_path / "missing.cfg"
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--config", str(cfgf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ddlf: ") and "No such file or directory" in err
+        assert str(cfgf) in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_rejected_config_keeps_an_existing_out(self, tmp_path, capsys):
+        cfgf = tmp_path / "bad.cfg"
+        cfgf.write_text("trials = 0\n")
+        out = tmp_path / "res.csv"
+        out.write_text("earlier results\n")
+        assert main(["simulate", "--config", str(cfgf), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"ddlf: {cfgf}:1: trials: ")
+        assert out.read_text() == "earlier results\n"
+
+    def test_underdetermined_lmmse_warns_once_across_workers(self, tmp_path):
+        # a subprocess, because pytest's warning capture would hide the workers'
+        # stderr; 30 grid cells against 8 pilots
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("data-shape = 8x7\ntrials = 2\nsnr = 10\nestimator = lmmse, perfect\n")
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env.update(DDLF_THREADS="2", PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "ddlf.cli", "sweep", "--config", str(cfgf),
+                               "--axis", "velocity", "--values", "50,100,150",
+                               "--out", str(tmp_path / "sweep.csv")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        warned = [ln for ln in done.stderr.splitlines() if "reconstruction grid has" in ln]
+        assert len(warned) == 1, done.stderr
