@@ -27,8 +27,10 @@ from .estimation import (
     weighted_hessian_energy,
 )
 from .gabor import (
+    AmbiguityTable,
     GaborGrid,
     Pulse,
+    ambiguity_table,
     analyze,
     cross_ambiguity,
     gaussian_prototype,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import GaborGrid, Pulse, cross_ambiguity, shifted
+from .gabor import AmbiguityTable, GaborGrid, Pulse, ambiguity_table, cross_ambiguity, shifted
 
 
 class ChannelError(ValueError):
@@ -162,15 +162,29 @@ def add_noise(f: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndar
     return f + noise
 
 
-def true_cmd(ch: DDChannel, gamma: Pulse, g: Pulse, grid: GaborGrid) -> np.ndarray:
+def true_cmd(ch: DDChannel, gamma: Pulse, g: Pulse, grid: GaborGrid,
+             table: AmbiguityTable | None = None) -> np.ndarray:
     """Ground-truth channel main diagonal on the M x N TF grid.
 
     h[m, n] = sum_r eta_r e^{2j pi (n T nu_r - m F tau_r)} A(tau_r, nu_r),
     the superposition of one low-frequency 2D complex exponential per path
-    weighted by the pulse cross-ambiguity at the path's shift.
+    weighted by the pulse cross-ambiguity at the path's shift. A comes from
+    table, the gabor.ambiguity_table of gamma and g on ch's (tau_max, nu_max)
+    box, which one table evaluation reads for every path; without a table,
+    the call builds it. A table of other pulses, another grid or another box
+    is a ValueError.
     """
+    if table is None:
+        table = ambiguity_table(gamma, g, grid, ch.tau_max, ch.nu_max)
+    elif (table.grid != grid or (table.tau_max, table.nu_max) != (ch.tau_max, ch.nu_max)
+          or not np.array_equal(table.gamma.samples, gamma.samples)
+          or not np.array_equal(table.g.samples, g.samples)):
+        raise ValueError(f"the ambiguity table of the box tau_max = {table.tau_max:g} s, "
+                         f"nu_max = {table.nu_max:g} Hz does not match the pulses, the grid "
+                         f"or the channel's box tau_max = {ch.tau_max:g} s, "
+                         f"nu_max = {ch.nu_max:g} Hz")
     taus, nus, etas = _paths(ch)
-    amp = etas * cross_ambiguity(gamma, g, taus, nus, grid)
+    amp = etas * table(taus, nus)
     delay = np.exp(-2j * np.pi * grid.F * taus * np.arange(grid.M)[:, None])
     doppler = np.exp(2j * np.pi * grid.T * nus[:, None] * np.arange(grid.N))
     return (delay * amp) @ doppler

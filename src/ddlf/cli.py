@@ -14,6 +14,7 @@ import dataclasses
 import math
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -289,13 +290,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """A warning as the command line shows it: its text, without the source
+    line of the package that raised it."""
+    return f"ddlf: warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"ddlf: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

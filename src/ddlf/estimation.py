@@ -168,9 +168,14 @@ def lmmse_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
     placement and the grid, so they are built once and reused; a call solves
     one K x K system for the K grid cells and maps H back with two small
     matrix products through the separable delay and Doppler factors. op, if
-    given, is operator(pl, cfg), built beforehand (which checks the grid).
+    given, is operator(pl, cfg), built beforehand (which checks the grid);
+    without it, the call warns when the grid has more cells than there are
+    pilots.
     """
     C, gram, delay, doppler = op or operator(pl, cfg)
+    if op is None and len(gram) > pl.P:
+        warnings.warn(f"reconstruction grid has {len(gram)} cells but only {pl.P} pilots; "
+                      "the fit is underdetermined and relies on the ridge term", stacklevel=2)
     h_pilot = np.asarray(h_pilot)
     H = np.linalg.solve(gram + cfg.sigma2 * np.eye(len(gram)), C.conj().T @ h_pilot)
     h_tilde = delay @ H.reshape(len(doppler), -1).T @ doppler
@@ -370,18 +375,11 @@ def operator(pl: PilotPlacement, cfg: EstimatorConfig) -> tuple:
     LMMSE atom matrices, or the SRH operator of the variant's (alpha, beta).
     Neither depends on the noise powers or on omega; each is built once per
     process and kept in a small cache keyed by the (frozen) placement. The
-    LMMSE map checks its grid here, and warns here when the grid has more
-    cells than there are pilots: in the process that prepares a sweep point,
-    not in each trial or pool worker that reuses the map."""
+    LMMSE map checks its grid here."""
     if cfg.variant == "lmmse":
         if cfg.grid_k is None:
             raise ValueError("lmmse requires a reconstruction grid (grid_k)")
         cfg.grid_k.validate(pl.M, pl.N)
-        K = len(cfg.grid_k.cells())
-        if K > pl.P:
-            warnings.warn(f"reconstruction grid has {K} cells but only {pl.P} pilots; "
-                          "the fit is underdetermined and relies on the ridge term",
-                          stacklevel=2)
         return _lmmse_operator(pl, cfg.grid_k)
     alpha, beta, _ = _resolve_srh_params(pl, cfg)
     return _srh_operator(pl, alpha, beta)

@@ -1,8 +1,8 @@
 """Discrete Gabor (Weyl-Heisenberg) signaling.
 
 Pulse generation, tight orthogonalization, synthesis/analysis filterbanks, the
-delay-Doppler shift kernel and the cross-ambiguity function, all on a cyclic
-sample grid of length L.
+delay-Doppler shift kernel, the cross-ambiguity function and its Chebyshev
+table on a delay-Doppler box, all on a cyclic sample grid of length L.
 
 Conventions: pulses are unit-norm length-L vectors centered at sample 0 (tails
 wrap around). Fractional time shifts are realized as DFT-domain phase ramps
@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 
 class GridError(ValueError):
@@ -320,3 +321,80 @@ def cross_ambiguity(gamma: Pulse, g: Pulse, tau: float | np.ndarray, nu: float |
         # one BLAS dot per pair, as in the scalar call
         out[block] = [r @ d for r, d in zip(ramps, delayed)]
     return complex(out[0]) if tau.ndim == 0 else out.reshape(tau.shape)
+
+
+# ambiguity_table starts from this many (delay, Doppler) nodes and doubles an
+# axis while its last two Chebyshev coefficients exceed AMBIGUITY_TOL; the
+# pulses have unit energy, so |A| <= 1 and the tolerance is relative to that
+AMBIGUITY_NODES = (12, 8)
+AMBIGUITY_TOL = 1e-14
+
+
+def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n first-kind Chebyshev nodes on [-1, 1], and the DCT-II matrix that
+    maps values at them to the Chebyshev coefficients of their interpolant."""
+    x = chebyshev.chebpts1(n)
+    weights = np.full(n, 2.0 / n)
+    weights[0] = 1.0 / n
+    return x, weights[:, None] * chebyshev.chebvander(x, n - 1).T
+
+
+@dataclass(frozen=True, eq=False)
+class AmbiguityTable:
+    """cross_ambiguity(gamma, g, tau, nu, grid) on the box [0, tau_max] x
+    [-nu_max, nu_max] as a tensor Chebyshev series: coef[i, j] multiplies
+    T_i(2 tau / tau_max - 1) T_j(nu / nu_max). Built by ambiguity_table."""
+
+    gamma: Pulse
+    g: Pulse
+    grid: GaborGrid
+    tau_max: float
+    nu_max: float
+    coef: np.ndarray
+
+    def __call__(self, tau: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        """A at the pairs (tau[i], nu[i]). Points just outside the box, such as
+        the relative 1e-9 that DDChannel allows, extend the polynomials."""
+        x = np.asarray(tau, dtype=float) * (2.0 / self.tau_max if self.tau_max else 0.0) - 1.0
+        y = np.asarray(nu, dtype=float) * (1.0 / self.nu_max if self.nu_max else 0.0)
+        n_tau, n_nu = self.coef.shape
+        return ((chebyshev.chebvander(x, n_tau - 1) @ self.coef)
+                * chebyshev.chebvander(y, n_nu - 1)).sum(axis=-1)
+
+
+def ambiguity_table(gamma: Pulse, g: Pulse, grid: GaborGrid, tau_max: float,
+                    nu_max: float) -> AmbiguityTable:
+    """Tensor Chebyshev interpolant of cross_ambiguity on [0, tau_max] x [-nu_max, nu_max].
+
+    A is smooth on an underspread box, so a small table replaces one shift of
+    gamma per evaluated pair (Trefethen, Approximation Theory and
+    Approximation Practice, ch. 8). The node values take one signed shift of
+    gamma per delay node (see shifted) and one (delay, L) @ (L, Doppler)
+    product against the Doppler ramps; a DCT-II matrix per axis turns them
+    into coefficients. Each axis starts at AMBIGUITY_NODES and doubles while
+    its last two coefficients exceed AMBIGUITY_TOL; A is band-limited in
+    both shifts, so the doubling stops. A zero-width axis has one node.
+    """
+    if len(gamma.samples) != grid.L or len(g.samples) != grid.L:
+        raise ValueError("pulses must share the sample grid")
+    if not 0.0 <= tau_max < grid.duration:
+        raise ValueError(f"tau_max = {tau_max} is not in [0, {grid.duration}), the frame duration")
+    if nu_max < 0:
+        raise ValueError(f"nu_max = {nu_max} must be nonnegative")
+    n_tau, n_nu = (n if width > 0 else 1 for n, width in zip(AMBIGUITY_NODES, (tau_max, nu_max)))
+    rows = np.empty((0, grid.L), dtype=complex)  # g* times gamma at each delay node
+    while True:
+        x, tau_coef = _chebyshev(n_tau)
+        y, nu_coef = _chebyshev(n_nu)
+        if len(rows) != n_tau:  # kept while only the Doppler axis doubles
+            rows = np.empty((n_tau, grid.L), dtype=complex)
+            for block, delayed, _ in shifted(gamma.samples, tau_max / 2 * (1 + x),
+                                             np.zeros(n_tau), grid.fs, signed=True):
+                np.multiply(delayed, g.samples.conj(), out=rows[block])
+        values = rows @ _phasors(nu_max * y / grid.fs, grid.L, signed=True).T
+        coef = tau_coef @ values @ nu_coef.T
+        more_tau = n_tau > 1 and np.abs(coef[-2:]).max() > AMBIGUITY_TOL
+        more_nu = n_nu > 1 and np.abs(coef[:, -2:]).max() > AMBIGUITY_TOL
+        if not (more_tau or more_nu):
+            return AmbiguityTable(gamma, g, grid, float(tau_max), float(nu_max), coef)
+        n_tau, n_nu = n_tau * (1 + more_tau), n_nu * (1 + more_nu)

@@ -16,6 +16,7 @@ import io
 import math
 import multiprocessing
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -208,7 +209,8 @@ class Point:
     """What every trial of a sweep point shares: validate_point() builds it
     with the channel config (seed 0; each trial draws its own seed) and every
     estimator's zero-noise config, and prepare() adds the estimators'
-    operators."""
+    operators and, where the trials read the true CMD, the ambiguity table
+    of the point's delay-Doppler box."""
 
     cfg: ExperimentConfig
     pl: piloting.PilotPlacement
@@ -218,6 +220,7 @@ class Point:
     channel: chan.ChannelConfig
     estimators: dict  # estimator name -> its zero-noise estimation.EstimatorConfig
     operators: dict  # estimator name -> its linear map (estimation.operator)
+    ambiguity: gabor.AmbiguityTable | None = None
 
 
 def validate_point(cfg: ExperimentConfig) -> Point:
@@ -227,7 +230,8 @@ def validate_point(cfg: ExperimentConfig) -> Point:
     config and every estimator config, which the Point keeps. Each uses its
     own checks, and an error names the offending key. It also rejects SRH
     variants on pilot cells of one line and, with coding, a data frame too
-    small for a codeword."""
+    small for a codeword, and warns, naming the keys, when the LMMSE
+    reconstruction grid has more cells than there are pilots."""
     with _config_key("pilots_per_row"):
         pl = build_placement(cfg)
     # the Hessian energy is zero on affine fields, so on pilot cells of one
@@ -268,6 +272,13 @@ def validate_point(cfg: ExperimentConfig) -> Point:
         grid_k = est.ReconstructionGrid(Q=cfg.recon_q, W=cfg.recon_w, Wn=cfg.recon_wn)
         if "lmmse" in cfg.estimators:
             grid_k.validate(pl.M, pl.N)
+    # in the calling process, before any trial; the default warning filter
+    # shows one text once per location, so the points of a sweep that share
+    # the grid and the pilot count warn once
+    if "lmmse" in cfg.estimators and (K := len(grid_k.cells())) > pl.P:
+        warnings.warn(f"reconstruction grid has {K} cells (recon_q, recon_w, recon_wn) but only "
+                      f"{pl.P} pilots (pilots_per_row); the fit is underdetermined and relies "
+                      "on the ridge term", stacklevel=2)
     # mode weights in grid-step units so the three curvature channels balance,
     # ratio-normalized so the omega default keeps its meaning across channels
     scale = np.sqrt(nu_max * grid.T * tau_max * grid.F)
@@ -283,14 +294,28 @@ def validate_point(cfg: ExperimentConfig) -> Point:
     return Point(cfg, pl, grid, pulse, precoder, channel, estimators, {})
 
 
+def _measures_sigma_z2(cfg: ExperimentConfig) -> bool:
+    """Whether a trial measures sigma_z2 against the true CMD: it is auto, and
+    a noise-aware variant reads it."""
+    return cfg.sigma_z2 is None and not set(cfg.estimators).isdisjoint(est.NOISE_AWARE)
+
+
+def _reads_true_cmd(cfg: ExperimentConfig) -> bool:
+    """Whether a trial computes the true CMD: for a perfect estimator, or to
+    measure sigma_z2."""
+    return "perfect" in cfg.estimators or _measures_sigma_z2(cfg)
+
+
 def prepare(point: Point) -> Point:
     """Complete a validated point with what validation leaves out: the
     placement's index arrays, a random kind's Householder factors (held by
-    transforms, one set at a time), and then every estimator's operator (one
-    SRH operator per (alpha, beta), the LMMSE operator). The operators come
-    after the factors, so that none of them is alive during their QR. A
-    failed build names estimators and, for the mode-aware variants, the
-    spread keys that alpha and beta come from."""
+    transforms, one set at a time), then every estimator's operator (one
+    SRH operator per (alpha, beta), the LMMSE operator), and, when its
+    trials read the true CMD, the gabor.ambiguity_table of the pulse on the
+    channel's (tau_max, nu_max) box, from which every trial's true_cmd reads
+    its paths. The operators come after the factors, so that none of them is
+    alive during their QR. A failed build names estimators and, for the
+    mode-aware variants, the spread keys that alpha and beta come from."""
     pl = point.pl
     pl.pilot_array_indices(), pl.data_array_indices()  # cached on pl from here on
     if point.precoder.kind == "random":
@@ -300,7 +325,11 @@ def prepare(point: Point) -> Point:
         weights = f", tau_max, {_doppler_key(point.cfg)}" if name in est.MODE_AWARE else ""
         with _config_key(f"estimators{weights}: {name}"):
             operators[name] = est.operator(pl, ecfg)
-    return dataclasses.replace(point, operators=operators)
+    ambiguity = None
+    if _reads_true_cmd(point.cfg):
+        ambiguity = gabor.ambiguity_table(point.pulse, point.pulse, point.grid,
+                                          point.channel.tau_max, point.channel.nu_max)
+    return dataclasses.replace(point, operators=operators, ambiguity=ambiguity)
 
 
 # the prepared points of the run of points in progress, or else the last point
@@ -348,13 +377,11 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
     rx_clean = chan.apply_channel(sig, ch, grid)
     y = gabor.analyze(chan.add_noise(rx_clean, sigma2, rng), pulse, grid)
 
-    # the true CMD only for its readers: perfect, and a measured sigma_z2
-    measure = cfg.sigma_z2 is None and not set(cfg.estimators).isdisjoint(est.NOISE_AWARE)
     h_true = None
-    if measure or "perfect" in cfg.estimators:
-        h_true = chan.true_cmd(ch, pulse, pulse, grid)
+    if _reads_true_cmd(cfg):
+        h_true = chan.true_cmd(ch, pulse, pulse, grid, point.ambiguity)
     sigma_z2 = float(cfg.sigma_z2 or 0.0)
-    if measure:
+    if _measures_sigma_z2(cfg):
         sigma_z2 = chan.self_interference_power(gabor.analyze(rx_clean, pulse, grid),
                                                 frame_tx, h_true)
 

@@ -16,8 +16,8 @@ from ddlf.channel import (
     self_interference_power,
     true_cmd,
 )
-from ddlf.gabor import SHIFT_BLOCK, analyze, cross_ambiguity, centered_times, \
-    gaussian_prototype, make_grid, synthesize, tight_orthogonalize
+from ddlf.gabor import SHIFT_BLOCK, Pulse, ambiguity_table, analyze, cross_ambiguity, \
+    centered_times, gaussian_prototype, make_grid, synthesize, tight_orthogonalize
 from ddlf.transforms import dsft2d
 
 from oracles import channel_from_csv, channel_to_csv, fractional_shift, per_path_apply
@@ -44,6 +44,11 @@ def per_path_cmd(ch, gamma, g, grid):
         h += s.eta * amb * np.outer(np.exp(-2j * np.pi * grid.F * s.tau * np.arange(grid.M)),
                                     np.exp(2j * np.pi * grid.T * s.nu * np.arange(grid.N)))
     return h
+
+
+def two_paths():
+    return DDChannel(scatterers=(Scatterer(0.3e-6, 500.0, 0.8), Scatterer(0.1e-6, -800.0, 0.2j)),
+                     tau_max=1e-6, nu_max=1e3)
 
 
 def mixed_channel(R, grid, seed):
@@ -238,6 +243,40 @@ class TestTrueCmd:
         want = per_path_cmd(ch, pulse, pulse, grid)
         got = true_cmd(ch, pulse, pulse, grid)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+    def test_paths_on_the_box_edge_with_slack(self, desk):
+        grid, pulse = desk
+        tau_max, nu_max, slack = 4.5 / (grid.M * grid.F), 0.7 / (grid.N * grid.T), 1 + 1e-9
+        ch = DDChannel(scatterers=(Scatterer(tau_max * slack, nu_max * slack, 0.6 + 0.1j),
+                                   Scatterer(tau_max * slack, -nu_max * slack, -0.3j),
+                                   Scatterer(0.0, -nu_max * slack, 0.5)),
+                       tau_max=tau_max, nu_max=nu_max)
+        want = per_path_cmd(ch, pulse, pulse, grid)
+        assert np.abs(true_cmd(ch, pulse, pulse, grid) - want).max() \
+            <= 1e-12 * np.abs(want).max()
+
+    def test_reads_a_prepared_table(self, desk):
+        grid, pulse = desk
+        ch = two_paths()
+        table = ambiguity_table(pulse, pulse, grid, ch.tau_max, ch.nu_max)
+        assert np.array_equal(true_cmd(ch, pulse, pulse, grid, table),
+                              true_cmd(ch, pulse, pulse, grid))
+
+    def test_refuses_a_mismatched_table(self, desk):
+        grid, pulse = desk
+        ch = two_paths()
+        other = Pulse(samples=np.roll(pulse.samples, 1))
+        wider = DDChannel(scatterers=ch.scatterers, tau_max=ch.tau_max * 1.5, nu_max=ch.nu_max)
+        faster = DDChannel(scatterers=ch.scatterers, tau_max=ch.tau_max, nu_max=ch.nu_max * 2)
+        table = ambiguity_table(pulse, pulse, grid, ch.tau_max, ch.nu_max)
+        for args in ((wider, pulse, pulse, grid), (faster, pulse, pulse, grid),
+                     (ch, other, pulse, grid), (ch, pulse, other, grid)):
+            with pytest.raises(ValueError, match="ambiguity table"):
+                true_cmd(*args, table)
+        grid_b = make_grid(8, 8, bandwidth=2.5e6)
+        with pytest.raises(ValueError, match="ambiguity table"):
+            true_cmd(ch, pulse, pulse, grid_b, table)
 
 
 class TestLeakage:

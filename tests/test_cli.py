@@ -529,6 +529,21 @@ class TestOutputFiles:
         assert capsys.readouterr().err.startswith(f"ddlf: {cfgf}:1: trials: ")
         assert out.read_text() == "earlier results\n"
 
+    def test_underdetermined_lmmse_warning_names_its_keys(self, tmp_path):
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("data-shape = 8x7\ntrials = 1\nsnr = 10\nestimator = lmmse\n")
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env.update(DDLF_THREADS="1", PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "ddlf.cli", "simulate", "--config", str(cfgf),
+                               "--out", str(tmp_path / "res.csv")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == (
+            "ddlf: warning: reconstruction grid has 30 cells (recon_q, recon_w, recon_wn) "
+            "but only 8 pilots (pilots_per_row); the fit is underdetermined and relies on "
+            "the ridge term\n")
+
     def test_underdetermined_lmmse_warns_once_across_workers(self, tmp_path):
         # a subprocess, because pytest's warning capture would hide the workers'
         # stderr; 30 grid cells against 8 pilots

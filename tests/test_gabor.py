@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddlf import harness
 from ddlf.channel import Scatterer
 from ddlf.gabor import (
+    AMBIGUITY_TOL,
     SHIFT_BLOCK,
     FrameError,
     GaborGrid,
     GridError,
     Pulse,
+    ambiguity_table,
     analyze,
     centered_times,
     cross_ambiguity,
@@ -521,6 +524,68 @@ class TestCrossAmbiguity:
         nu = rng.uniform(-3, 3, pairs) * grid.F
         cross_ambiguity(g, g, tau, nu, grid)
         assert calls == [(grid.L,)]
+
+
+# the workloads' grids: desk (16x16), mid (32x32 at 500 km/h), paper (64x64, 5 MHz)
+TABLE_GRIDS = {
+    "desk": dict(),
+    "mid": dict(m_data=32, n_data=30, pilots_per_row=2, velocity=500.0),
+    "paper": dict(m_data=64, n_data=62, pilots_per_row=2, bandwidth=5.0e6),
+}
+
+
+@lru_cache(maxsize=None)
+def table_point(name):
+    """The validated point of the named grid and its ambiguity table."""
+    point = harness.validate_point(harness.ExperimentConfig(**TABLE_GRIDS[name]))
+    return point, ambiguity_table(point.pulse, point.pulse, point.grid,
+                                  point.channel.tau_max, point.channel.nu_max)
+
+
+def assert_table_matches(table, tau, nu):
+    want = cross_ambiguity(table.gamma, table.g, tau, nu, table.grid)
+    assert np.all(np.abs(table(tau, nu) - want) <= 1e-12 * np.abs(want))
+
+
+class TestAmbiguityTable:
+    @settings(max_examples=40)
+    @given(name=st.sampled_from(sorted(TABLE_GRIDS)),
+           unit=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0)),
+                         min_size=1, max_size=8))
+    def test_matches_cross_ambiguity_in_the_box(self, name, unit):
+        _, table = table_point(name)
+        u, v = np.array(unit).T
+        assert_table_matches(table, u * table.tau_max, v * table.nu_max)
+
+    @pytest.mark.parametrize("name", sorted(TABLE_GRIDS))
+    def test_trailing_coefficients_below_the_tolerance(self, name):
+        _, table = table_point(name)
+        assert np.abs(table.coef[-2:]).max() <= AMBIGUITY_TOL
+        assert np.abs(table.coef[:, -2:]).max() <= AMBIGUITY_TOL
+
+    @pytest.mark.parametrize("tau_bins, nu_bins", [(0.0, 0.7), (4.5, 0.0), (0.0, 0.0)])
+    def test_degenerate_box(self, tau_bins, nu_bins):
+        grid, g = tight_pulse(16, 16)
+        tau_max, nu_max = tau_bins / (grid.M * grid.F), nu_bins / (grid.N * grid.T)
+        table = ambiguity_table(g, g, grid, tau_max, nu_max)
+        assert (table.coef.shape[0] == 1) == (tau_max == 0)
+        assert (table.coef.shape[1] == 1) == (nu_max == 0)
+        u, v = np.meshgrid([0.0, 0.3, 1.0], [-1.0, 0.2, 1.0])
+        assert_table_matches(table, u.ravel() * tau_max, v.ravel() * nu_max)
+
+    @pytest.mark.parametrize("name", sorted(TABLE_GRIDS))
+    def test_box_edge_with_channel_slack(self, name):
+        _, table = table_point(name)
+        slack = 1 + 1e-9
+        tau = table.tau_max * np.array([slack, slack, 0.0, slack])
+        nu = table.nu_max * np.array([slack, -slack, slack, 0.0])
+        assert_table_matches(table, tau, nu)
+
+    def test_rejects_a_box_beyond_the_frame(self):
+        grid, g = tight_pulse(8, 8)
+        for tau_max, nu_max in ((grid.duration, 0.0), (-1e-9, 0.0), (0.0, -1.0)):
+            with pytest.raises(ValueError):
+                ambiguity_table(g, g, grid, tau_max, nu_max)
 
 
 class TestShifted:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 import weakref
 from unittest import mock
 
@@ -163,6 +164,30 @@ class TestRunTrial:
         run_trial(cfg, 15.0, 1)
         assert len(seen) == calls
 
+    @pytest.mark.parametrize("overrides, reads", [
+        (dict(estimators=("lmmse", "srh-ma"), pilots_per_row=2, n_data=14), False),
+        (dict(estimators=("srh-na",), sigma_z2=0.01), False),
+        (dict(estimators=("srh-mna", "perfect"), sigma_z2=0.01), True),
+        (dict(estimators=("perfect",)), True),
+        (dict(estimators=("srh-na",)), True),
+    ])
+    def test_ambiguity_table_only_for_the_true_cmd_readers(self, overrides, reads):
+        point = harness.prepare(harness.validate_point(quiet_cfg(**overrides)))
+        assert (point.ambiguity is not None) == reads
+        if reads:
+            box = point.ambiguity.tau_max, point.ambiguity.nu_max
+            assert box == (point.channel.tau_max, point.channel.nu_max)
+
+    def test_cached_trial_computes_no_ambiguity(self, monkeypatch):
+        cfg = quiet_cfg(estimators=("srh-mna", "perfect"))
+        run_trial(cfg, 15.0, 0)  # prepares the point and its table
+        calls = []
+        for owner in (gabor, channel):
+            for attr in ("cross_ambiguity", "ambiguity_table"):
+                monkeypatch.setattr(owner, attr, lambda *a, attr=attr: calls.append(attr))
+        run_trial(cfg, 15.0, 1)
+        assert calls == []
+
     def test_coded_path_clean(self):
         cfg = quiet_cfg(estimators=("perfect",), scatterers=1, tau_max=0.0,
                         nu_max=0.0, snr_db=(300.0,), coding=True)
@@ -229,6 +254,17 @@ class TestSweep:
         with pytest.raises(ValueError) as exc:
             run_sweep(quiet_cfg(), "snr", [10.0, snr])
         assert str(exc.value).startswith("snr: ") and "snr_db" not in str(exc.value)
+
+
+class TestUnderdeterminedWarning:
+    def test_a_sweep_warns_once_naming_the_keys(self, monkeypatch):
+        monkeypatch.delenv("DDLF_THREADS", raising=False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            run_sweep(quiet_cfg(estimators=("lmmse", "perfect")), "velocity", [50.0, 100.0, 150.0])
+        assert [str(w.message) for w in caught] == [
+            "reconstruction grid has 30 cells (recon_q, recon_w, recon_wn) but only 16 pilots "
+            "(pilots_per_row); the fit is underdetermined and relies on the ridge term"]
 
 
 class TestSweepValidation:
@@ -476,6 +512,24 @@ class TestSweepPool:
         # one QR, one pulse, and the (1, 1) plus three mode-aware SRH operators
         assert sorted(built) == ["_random_unitary"] + ["cholesky_banded"] * 4 \
             + ["tight_orthogonalize"]
+
+    def test_workers_read_the_parents_ambiguity_tables(self, monkeypatch):
+        parent, built = os.getpid(), []
+        table = gabor.ambiguity_table
+
+        def in_parent_only(*args):
+            if os.getpid() != parent:
+                raise AssertionError("an ambiguity table was built in a pool worker")
+            built.append(args[3:])
+            return table(*args)
+
+        for owner in (gabor, channel):
+            monkeypatch.setattr(owner, "ambiguity_table", in_parent_only)
+        harness._points.clear()
+        monkeypatch.setenv("DDLF_THREADS", "2")
+        run_sweep(quiet_cfg(estimators=("srh-na", "perfect"), trials=3),
+                  "velocity", [50.0, 100.0, 150.0])
+        assert [nu_max for _, nu_max in built] == [velocity_to_nu_max(v) for v in (50, 100, 150)]
 
     @pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
                         reason="no forkserver start method")
