@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import AmbiguityTable, GaborGrid, Pulse, ambiguity_table, cross_ambiguity, shifted
+from .gabor import AmbiguityTable, GaborGrid, Pulse, _delays, _phasors, cross_ambiguity
 
 
 class ChannelError(ValueError):
@@ -131,8 +131,8 @@ def apply_channel(f: np.ndarray, ch: DDChannel, grid: GaborGrid) -> np.ndarray:
     makes delays circular); the Doppler ramp runs over absolute frame time.
     The transmit band occupies [0, fs), so the delay phase ramp runs over the
     one-sided DFT bins: subcarrier m is rotated by exactly e^{-2j pi m F tau}.
-    The paths go through gabor.shifted in blocks, and each block's
-    gain-weighted sum is added in.
+    The paths go through gabor._delays in blocks, and each block's
+    gain-weighted sum of its Doppler-ramped delays is added in.
     """
     f = np.asarray(f)
     if f.shape != (grid.L,):
@@ -142,8 +142,8 @@ def apply_channel(f: np.ndarray, ch: DDChannel, grid: GaborGrid) -> np.ndarray:
     if late.any():
         raise ChannelError(f"delay {taus[late][0]} exceeds the frame duration {grid.duration}")
     out = np.zeros(grid.L, dtype=complex)
-    for block, delayed, ramps in shifted(f, taus, nus, grid.fs, signed=False):
-        out += etas[block] @ (delayed * ramps)
+    for block, delayed in _delays(f, taus, grid.fs, signed=False):
+        out += etas[block] @ (delayed * _phasors(nus[block] / grid.fs, grid.L))
     return out
 
 
@@ -162,27 +162,21 @@ def add_noise(f: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndar
     return f + noise
 
 
-def true_cmd(ch: DDChannel, gamma: Pulse, g: Pulse, grid: GaborGrid,
-             table: AmbiguityTable | None = None) -> np.ndarray:
-    """Ground-truth channel main diagonal on the M x N TF grid.
+def true_cmd(ch: DDChannel, table: AmbiguityTable) -> np.ndarray:
+    """Ground-truth channel main diagonal on the M x N TF grid of table.grid.
 
     h[m, n] = sum_r eta_r e^{2j pi (n T nu_r - m F tau_r)} A(tau_r, nu_r),
     the superposition of one low-frequency 2D complex exponential per path
     weighted by the pulse cross-ambiguity at the path's shift. A comes from
-    table, the gabor.ambiguity_table of gamma and g on ch's (tau_max, nu_max)
-    box, which one table evaluation reads for every path; without a table,
-    the call builds it. A table of other pulses, another grid or another box
+    table, the gabor.ambiguity_table of the pulses on ch's (tau_max, nu_max)
+    box, which one evaluation reads for every path. A table of another box
     is a ValueError.
     """
-    if table is None:
-        table = ambiguity_table(gamma, g, grid, ch.tau_max, ch.nu_max)
-    elif (table.grid != grid or (table.tau_max, table.nu_max) != (ch.tau_max, ch.nu_max)
-          or not np.array_equal(table.gamma.samples, gamma.samples)
-          or not np.array_equal(table.g.samples, g.samples)):
+    if (table.tau_max, table.nu_max) != (ch.tau_max, ch.nu_max):
         raise ValueError(f"the ambiguity table of the box tau_max = {table.tau_max:g} s, "
-                         f"nu_max = {table.nu_max:g} Hz does not match the pulses, the grid "
-                         f"or the channel's box tau_max = {ch.tau_max:g} s, "
-                         f"nu_max = {ch.nu_max:g} Hz")
+                         f"nu_max = {table.nu_max:g} Hz does not match the channel's box "
+                         f"tau_max = {ch.tau_max:g} s, nu_max = {ch.nu_max:g} Hz")
+    grid = table.grid
     taus, nus, etas = _paths(ch)
     amp = etas * table(taus, nus)
     delay = np.exp(-2j * np.pi * grid.F * taus * np.arange(grid.M)[:, None])

@@ -255,7 +255,7 @@ def analyze(f: np.ndarray, g_rx: Pulse, grid: GaborGrid) -> np.ndarray:
     return np.ascontiguousarray(np.fft.fft(folded, axis=1)[:, bins].T)
 
 
-# shifts per batched inverse FFT in shifted(): a (SHIFT_BLOCK, L) complex
+# delays per batched inverse FFT in _delays(): a (SHIFT_BLOCK, L) complex
 # block is 0.66 MB at paper scale (L = 5120), so the working set stays in
 # cache and no (pairs, L) array is ever alive
 SHIFT_BLOCK = 8
@@ -278,23 +278,20 @@ def _phasors(rate: np.ndarray, L: int, signed: bool = False) -> np.ndarray:
     return out
 
 
-def shifted(f: np.ndarray, tau: np.ndarray, nu: np.ndarray, fs: float, signed: bool):
-    """Delay-Doppler shifts of the length-L signal f, SHIFT_BLOCK pairs at a time.
+def _delays(f: np.ndarray, tau: np.ndarray, fs: float, signed: bool):
+    """The length-L signal f delayed by each of tau (seconds), SHIFT_BLOCK at a time.
 
-    Yields (block, delayed, ramps) for consecutive slices block of the pairs
-    (tau, nu): row i of delayed is f delayed by tau[block][i] seconds through
-    a DFT phase ramp, and row i of ramps is its Doppler ramp e^{2j pi nu t}.
-    signed=True runs both ramps over the two-sided DFT bins and the centered
-    times (cross_ambiguity), signed=False over the one-sided bins and the
-    absolute frame time (channel.apply_channel). One forward FFT of f serves
-    every pair; each block costs one batched inverse FFT.
+    Yields (block, delayed) for consecutive slices block of tau: row i of
+    delayed is f delayed by tau[block][i] through a DFT phase ramp over the
+    two-sided bins (signed=True) or the one-sided bins (signed=False). One
+    forward FFT of f serves every delay; each block costs one batched inverse
+    FFT. The callers add their own Doppler ramps (_phasors of nu / fs).
     """
     L = len(f)
     spectrum = np.fft.fft(f)
     for i in range(0, len(tau), SHIFT_BLOCK):
         block = slice(i, i + SHIFT_BLOCK)
-        delayed = np.fft.ifft(spectrum * _phasors(-tau[block] * fs / L, L, signed))
-        yield block, delayed, _phasors(nu[block] / fs, L, signed)
+        yield block, np.fft.ifft(spectrum * _phasors(-tau[block] * fs / L, L, signed))
 
 
 def cross_ambiguity(gamma: Pulse, g: Pulse, tau: float | np.ndarray, nu: float | np.ndarray,
@@ -305,29 +302,33 @@ def cross_ambiguity(gamma: Pulse, g: Pulse, tau: float | np.ndarray, nu: float |
     realized in the DFT domain and t running over centered representatives.
     A(0, 0) equals the inner product <gamma, g> (= 1 for gamma = g unit-norm).
     tau and nu broadcast against each other: scalars give a complex, arrays
-    an array of A over the broadcast shape. Each pair is one signed shift of
-    gamma (see shifted) and one dot product with its ramp times g*.
+    an array of A over the broadcast shape. Each pair is one signed delay of
+    gamma (see _delays) and one dot product with its Doppler ramp times g*.
     """
-    if len(gamma.samples) != len(g.samples):
+    if len(gamma.samples) != grid.L or len(g.samples) != grid.L:
         raise ValueError("pulses must share the sample grid")
     tau, nu = np.broadcast_arrays(np.asarray(tau, dtype=float), np.asarray(nu, dtype=float))
     if np.any(np.abs(tau) >= grid.duration):
         raise ValueError(f"|tau| = {np.abs(tau).max()} exceeds the frame duration {grid.duration}")
     g_conj = g.samples.conj()
     out = np.empty(tau.size, dtype=complex)
-    for block, delayed, ramps in shifted(gamma.samples, tau.ravel(), nu.ravel(), grid.fs,
-                                         signed=True):
-        ramps *= g_conj
+    for block, delayed in _delays(gamma.samples, tau.ravel(), grid.fs, signed=True):
+        ramps = _phasors(nu.flat[block] / grid.fs, grid.L, signed=True) * g_conj
         # one BLAS dot per pair, as in the scalar call
         out[block] = [r @ d for r, d in zip(ramps, delayed)]
     return complex(out[0]) if tau.ndim == 0 else out.reshape(tau.shape)
 
 
 # ambiguity_table starts from this many (delay, Doppler) nodes and doubles an
-# axis while its last two Chebyshev coefficients exceed AMBIGUITY_TOL; the
-# pulses have unit energy, so |A| <= 1 and the tolerance is relative to that
+# axis while its last two Chebyshev coefficients exceed AMBIGUITY_TOL, unless
+# they sit at rounding level (at most AMBIGUITY_FLOOR) and no longer halve; the
+# pulses have unit energy, so |A| <= 1 and both are relative to that. No axis
+# takes more than AMBIGUITY_MAX_NODES nodes: (nodes, L) complex rows at paper
+# scale (L = 5120) are then at most 84 MB
 AMBIGUITY_NODES = (12, 8)
 AMBIGUITY_TOL = 1e-14
+AMBIGUITY_FLOOR = 1e-12
+AMBIGUITY_MAX_NODES = 1024
 
 
 def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -341,12 +342,11 @@ def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class AmbiguityTable:
-    """cross_ambiguity(gamma, g, tau, nu, grid) on the box [0, tau_max] x
-    [-nu_max, nu_max] as a tensor Chebyshev series: coef[i, j] multiplies
-    T_i(2 tau / tau_max - 1) T_j(nu / nu_max). Built by ambiguity_table."""
+    """cross_ambiguity of the pulses it was built from, on grid and the box
+    [0, tau_max] x [-nu_max, nu_max], as a tensor Chebyshev series: coef[i, j]
+    multiplies T_i(2 tau / tau_max - 1) T_j(nu / nu_max). Built by
+    ambiguity_table."""
 
-    gamma: Pulse
-    g: Pulse
     grid: GaborGrid
     tau_max: float
     nu_max: float
@@ -368,12 +368,14 @@ def ambiguity_table(gamma: Pulse, g: Pulse, grid: GaborGrid, tau_max: float,
 
     A is smooth on an underspread box, so a small table replaces one shift of
     gamma per evaluated pair (Trefethen, Approximation Theory and
-    Approximation Practice, ch. 8). The node values take one signed shift of
-    gamma per delay node (see shifted) and one (delay, L) @ (L, Doppler)
-    product against the Doppler ramps; a DCT-II matrix per axis turns them
-    into coefficients. Each axis starts at AMBIGUITY_NODES and doubles while
-    its last two coefficients exceed AMBIGUITY_TOL; A is band-limited in
-    both shifts, so the doubling stops. A zero-width axis has one node.
+    Approximation Practice, ch. 8). The node values take one signed delay of
+    gamma per delay node (see _delays) and one (delay, L) @ (L, Doppler)
+    product against the Doppler-node ramps; a DCT-II matrix per axis turns
+    them into coefficients. Each axis starts at AMBIGUITY_NODES and doubles
+    until its last two coefficients are at most AMBIGUITY_TOL, or at most
+    AMBIGUITY_FLOOR and no longer halving (rounding level). An axis that
+    would pass AMBIGUITY_MAX_NODES is a ValueError. A zero-width axis has one
+    node.
     """
     if len(gamma.samples) != grid.L or len(g.samples) != grid.L:
         raise ValueError("pulses must share the sample grid")
@@ -382,19 +384,24 @@ def ambiguity_table(gamma: Pulse, g: Pulse, grid: GaborGrid, tau_max: float,
     if nu_max < 0:
         raise ValueError(f"nu_max = {nu_max} must be nonnegative")
     n_tau, n_nu = (n if width > 0 else 1 for n, width in zip(AMBIGUITY_NODES, (tau_max, nu_max)))
+    last = (math.inf, math.inf)  # each axis's tail in the previous round
     rows = np.empty((0, grid.L), dtype=complex)  # g* times gamma at each delay node
     while True:
         x, tau_coef = _chebyshev(n_tau)
         y, nu_coef = _chebyshev(n_nu)
         if len(rows) != n_tau:  # kept while only the Doppler axis doubles
             rows = np.empty((n_tau, grid.L), dtype=complex)
-            for block, delayed, _ in shifted(gamma.samples, tau_max / 2 * (1 + x),
-                                             np.zeros(n_tau), grid.fs, signed=True):
+            for block, delayed in _delays(gamma.samples, tau_max / 2 * (1 + x), grid.fs,
+                                          signed=True):
                 np.multiply(delayed, g.samples.conj(), out=rows[block])
         values = rows @ _phasors(nu_max * y / grid.fs, grid.L, signed=True).T
         coef = tau_coef @ values @ nu_coef.T
-        more_tau = n_tau > 1 and np.abs(coef[-2:]).max() > AMBIGUITY_TOL
-        more_nu = n_nu > 1 and np.abs(coef[:, -2:]).max() > AMBIGUITY_TOL
+        tail = np.abs(coef[-2:]).max(), np.abs(coef[:, -2:]).max()
+        more_tau, more_nu = (n > 1 and t > AMBIGUITY_TOL and (t > AMBIGUITY_FLOOR or t <= t0 / 2)
+                             for n, t, t0 in zip((n_tau, n_nu), tail, last))
         if not (more_tau or more_nu):
-            return AmbiguityTable(gamma, g, grid, float(tau_max), float(nu_max), coef)
-        n_tau, n_nu = n_tau * (1 + more_tau), n_nu * (1 + more_nu)
+            return AmbiguityTable(grid, float(tau_max), float(nu_max), coef)
+        n_tau, n_nu, last = n_tau * (1 + more_tau), n_nu * (1 + more_nu), tail
+        if max(n_tau, n_nu) > AMBIGUITY_MAX_NODES:
+            raise ValueError(f"the box tau_max = {tau_max:.6g} s, nu_max = {nu_max:.6g} Hz needs "
+                             f"more than {AMBIGUITY_MAX_NODES} Chebyshev nodes on an axis")

@@ -315,7 +315,8 @@ def prepare(point: Point) -> Point:
     channel's (tau_max, nu_max) box, from which every trial's true_cmd reads
     its paths. The operators come after the factors, so that none of them is
     alive during their QR. A failed build names estimators and, for the
-    mode-aware variants, the spread keys that alpha and beta come from."""
+    mode-aware variants, the spread keys that alpha and beta come from; a
+    table past its node cap names the spread keys."""
     pl = point.pl
     pl.pilot_array_indices(), pl.data_array_indices()  # cached on pl from here on
     if point.precoder.kind == "random":
@@ -327,8 +328,9 @@ def prepare(point: Point) -> Point:
             operators[name] = est.operator(pl, ecfg)
     ambiguity = None
     if _reads_true_cmd(point.cfg):
-        ambiguity = gabor.ambiguity_table(point.pulse, point.pulse, point.grid,
-                                          point.channel.tau_max, point.channel.nu_max)
+        with _config_key(f"tau_max, {_doppler_key(point.cfg)}"):
+            ambiguity = gabor.ambiguity_table(point.pulse, point.pulse, point.grid,
+                                              point.channel.tau_max, point.channel.nu_max)
     return dataclasses.replace(point, operators=operators, ambiguity=ambiguity)
 
 
@@ -379,7 +381,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
 
     h_true = None
     if _reads_true_cmd(cfg):
-        h_true = chan.true_cmd(ch, pulse, pulse, grid, point.ambiguity)
+        h_true = chan.true_cmd(ch, point.ambiguity)
     sigma_z2 = float(cfg.sigma_z2 or 0.0)
     if _measures_sigma_z2(cfg):
         sigma_z2 = chan.self_interference_power(gabor.analyze(rx_clean, pulse, grid),

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from ddlf.channel import ChannelError, DDChannel, Scatterer
+from ddlf.channel import ChannelError, DDChannel, Scatterer, true_cmd
+from ddlf.gabor import ambiguity_table
 
 
 def fractional_shift(samples: np.ndarray, delay_samples: float) -> np.ndarray:
@@ -11,6 +12,11 @@ def fractional_shift(samples: np.ndarray, delay_samples: float) -> np.ndarray:
     L = len(samples)
     spectrum = np.fft.fft(samples)
     return np.fft.ifft(spectrum * np.exp(-2j * np.pi * np.fft.fftfreq(L) * delay_samples))
+
+
+def own_box_cmd(ch, pulse, grid):
+    """The true CMD of ch, read from the ambiguity table of pulse on ch's own box."""
+    return true_cmd(ch, ambiguity_table(pulse, pulse, grid, ch.tau_max, ch.nu_max))
 
 
 def per_path_apply(f, ch, grid):

@@ -20,8 +20,8 @@ from ddlf.estimation import (
     srh_estimate,
     srh_objective,
 )
-from ddlf.gabor import analyze, cross_ambiguity, gaussian_prototype, make_grid, \
-    synthesize, tight_orthogonalize
+from ddlf.gabor import ambiguity_table, analyze, cross_ambiguity, gaussian_prototype, \
+    make_grid, synthesize, tight_orthogonalize
 from ddlf.harness import ExperimentConfig, build_grid, build_placement, \
     rows_to_csv, run_point, run_sweep
 from ddlf.piloting import PilotPlacement, PilotSequence, accordion_placement, \
@@ -117,7 +117,7 @@ def test_04_leakage_oracle(desk_pulse_cache):
     tau_f, nu_f = 0.37 / (grid.M * grid.F), 0.53 / (grid.N * grid.T)
     ch = DDChannel(scatterers=(Scatterer(tau_f, nu_f, 1.0),),
                    tau_max=tau_f * 1.3, nu_max=nu_f * 1.3)
-    h = true_cmd(ch, pulse, pulse, grid)
+    h = true_cmd(ch, ambiguity_table(pulse, pulse, grid, ch.tau_max, ch.nu_max))
     err = float(np.abs(np.sqrt(grid.N * grid.M) * dsft2d(h)
                        - dd_leakage_response(tau_f, nu_f, pulse, pulse, grid)).max())
     report(4, hot == 1 and spread >= 5 and err < 1e-9,
@@ -136,7 +136,7 @@ def test_05_estimator_exact_recovery(desk_pulse_cache):
     tau, nu = 1 / (grid.M * grid.F), 2 / (grid.N * grid.T)
     ch = DDChannel(scatterers=(Scatterer(tau, nu, 0.8 - 0.4j),),
                    tau_max=tau * 1.2, nu_max=nu * 1.2)
-    h = true_cmd(ch, pulse, pulse, grid)
+    h = true_cmd(ch, ambiguity_table(pulse, pulse, grid, ch.tau_max, ch.nu_max))
     cfg = EstimatorConfig(variant="lmmse", sigma2=1e-12,
                           grid_k=ReconstructionGrid(Q=2, W=1, Wn=4))
     lmmse_err = float(np.abs(lmmse_estimate(h[fr, fc], pl_full, cfg).h_tilde - h).max())

@@ -1,5 +1,7 @@
 """Tests for the doubly-dispersive channel module."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,12 @@ from ddlf.channel import (
     self_interference_power,
     true_cmd,
 )
-from ddlf.gabor import SHIFT_BLOCK, Pulse, ambiguity_table, analyze, cross_ambiguity, \
+from ddlf.gabor import SHIFT_BLOCK, ambiguity_table, analyze, cross_ambiguity, \
     centered_times, gaussian_prototype, make_grid, synthesize, tight_orthogonalize
 from ddlf.transforms import dsft2d
 
-from oracles import channel_from_csv, channel_to_csv, fractional_shift, per_path_apply
+from oracles import channel_from_csv, channel_to_csv, fractional_shift, own_box_cmd, \
+    per_path_apply
 
 
 @pytest.fixture(scope="module")
@@ -206,14 +209,14 @@ class TestTrueCmd:
     def test_identity_channel_all_ones(self, desk):
         grid, pulse = desk
         ch = single_path(0.0, 0.0, 1.0, 1e-6, 1e3)
-        h = true_cmd(ch, pulse, pulse, grid)
+        h = own_box_cmd(ch, pulse, grid)
         assert np.abs(h - 1.0).max() < 1e-9
 
     def test_constant_magnitude_single_path(self, desk):
         grid, pulse = desk
         tau, nu, eta = 0.31 / (grid.M * grid.F), 0.47 / (grid.N * grid.T), 0.8 + 0.2j
         ch = single_path(tau, nu, eta, 1 / (grid.M * grid.F), 1 / (grid.N * grid.T))
-        h = true_cmd(ch, pulse, pulse, grid)
+        h = own_box_cmd(ch, pulse, grid)
         want = abs(eta * cross_ambiguity(pulse, pulse, tau, nu, grid))
         assert np.abs(np.abs(h) - want).max() < 1e-12
 
@@ -225,7 +228,7 @@ class TestTrueCmd:
                       complex(rng.normal(), rng.normal()))
             for _ in range(3))
         ch = DDChannel(scatterers=scats, tau_max=1e-6, nu_max=3e3)
-        h = true_cmd(ch, pulse, pulse, grid)
+        h = own_box_cmd(ch, pulse, grid)
         oracle = np.zeros((grid.M, grid.N), dtype=complex)
         for s in scats:
             amp = s.eta * cross_ambiguity(pulse, pulse, s.tau, s.nu, grid)
@@ -241,7 +244,7 @@ class TestTrueCmd:
         pulse = tight_orthogonalize(gaussian_prototype(grid), grid)
         ch = mixed_channel(R, grid, seed=70 + R)
         want = per_path_cmd(ch, pulse, pulse, grid)
-        got = true_cmd(ch, pulse, pulse, grid)
+        got = own_box_cmd(ch, pulse, grid)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -253,30 +256,38 @@ class TestTrueCmd:
                                    Scatterer(0.0, -nu_max * slack, 0.5)),
                        tau_max=tau_max, nu_max=nu_max)
         want = per_path_cmd(ch, pulse, pulse, grid)
-        assert np.abs(true_cmd(ch, pulse, pulse, grid) - want).max() \
+        assert np.abs(own_box_cmd(ch, pulse, grid) - want).max() \
             <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("steps", [8, 14])
+    def test_delay_spread_of_half_the_frame_or_more(self, steps):
+        grid = make_grid(16, 16)
+        pulse = tight_orthogonalize(gaussian_prototype(grid), grid)
+        cfg = ChannelConfig(R=8, tau_max=steps * grid.T, nu_max=100.0, seed=steps)
+        ch = generate_channel(cfg, grid)
+        want = per_path_cmd(ch, pulse, pulse, grid)
+        # |A| is small at most of these delays; the channel has unit total power
+        assert np.abs(own_box_cmd(ch, pulse, grid) - want).max() <= 1e-12
 
     def test_reads_a_prepared_table(self, desk):
         grid, pulse = desk
         ch = two_paths()
         table = ambiguity_table(pulse, pulse, grid, ch.tau_max, ch.nu_max)
-        assert np.array_equal(true_cmd(ch, pulse, pulse, grid, table),
-                              true_cmd(ch, pulse, pulse, grid))
+        want = per_path_cmd(ch, pulse, pulse, grid)
+        assert np.abs(true_cmd(ch, table) - want).max() <= 1e-12 * np.abs(want).max()
+        # every path's amplitude is the table's: a doubled table doubles the CMD
+        doubled = dataclasses.replace(table, coef=2 * table.coef)
+        assert np.abs(true_cmd(ch, doubled) - 2 * want).max() <= 1e-12 * np.abs(want).max()
 
     def test_refuses_a_mismatched_table(self, desk):
         grid, pulse = desk
         ch = two_paths()
-        other = Pulse(samples=np.roll(pulse.samples, 1))
         wider = DDChannel(scatterers=ch.scatterers, tau_max=ch.tau_max * 1.5, nu_max=ch.nu_max)
         faster = DDChannel(scatterers=ch.scatterers, tau_max=ch.tau_max, nu_max=ch.nu_max * 2)
         table = ambiguity_table(pulse, pulse, grid, ch.tau_max, ch.nu_max)
-        for args in ((wider, pulse, pulse, grid), (faster, pulse, pulse, grid),
-                     (ch, other, pulse, grid), (ch, pulse, other, grid)):
+        for other in (wider, faster):
             with pytest.raises(ValueError, match="ambiguity table"):
-                true_cmd(*args, table)
-        grid_b = make_grid(8, 8, bandwidth=2.5e6)
-        with pytest.raises(ValueError, match="ambiguity table"):
-            true_cmd(ch, pulse, pulse, grid_b, table)
+                true_cmd(other, table)
 
 
 class TestLeakage:
@@ -311,11 +322,16 @@ class TestLeakage:
         mag = np.abs(H)
         assert np.sum(mag > 0.01 * mag.max()) > 1
 
+    def test_refuses_pulses_of_another_grid(self, desk):
+        grid, pulse = desk  # 8x8, L = 80
+        with pytest.raises(ValueError, match="pulses must share the sample grid"):
+            dd_leakage_response(0.0, 0.0, pulse, pulse, make_grid(16, 16))
+
     def test_matches_dsft_of_cmd(self, desk):
         grid, pulse = desk
         tau, nu = 0.3 / (grid.M * grid.F), 0.4 / (grid.N * grid.T)
         ch = single_path(tau, nu, 1.0, 1 / (grid.M * grid.F), 1 / (grid.N * grid.T))
-        h = true_cmd(ch, pulse, pulse, grid)
+        h = own_box_cmd(ch, pulse, grid)
         H_num = np.sqrt(grid.N * grid.M) * dsft2d(h)
         H_cf = dd_leakage_response(tau, nu, pulse, pulse, grid)
         assert np.abs(H_num - H_cf).max() < 1e-9
@@ -343,7 +359,7 @@ def clean_frame(x, ch, pulse, grid):
 
 def si_power(x, ch, pulse, grid):
     return self_interference_power(clean_frame(x, ch, pulse, grid), x,
-                                   true_cmd(ch, pulse, pulse, grid))
+                                   own_box_cmd(ch, pulse, grid))
 
 
 class TestSelfInterference:
@@ -389,7 +405,7 @@ class TestEffectiveMatrixOracle:
 
         y_chain = analyze(apply_channel(synthesize(x, pulse, grid), ch, grid),
                           pulse, grid)
-        h = true_cmd(ch, pulse, pulse, grid)
+        h = own_box_cmd(ch, pulse, grid)
 
         z = np.zeros((M, N), dtype=complex)
         for mb in range(M):

@@ -287,6 +287,14 @@ class TestSimulateAndSweep:
         assert len(lines) == 2
         assert lines[1].startswith("15,")
 
+    def test_delay_spread_of_half_the_frame_runs(self, tmp_path):
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("data-shape = 16x15\ntau-max = 3.2e-5\nnu-max = 100\n"
+                        "estimator = perfect\ntrials = 1\n")
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--config", str(cfgf), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+
     def test_seed_override_changes_output(self, tmp_path):
         cfgf = tmp_path / "run.cfg"
         cfgf.write_text("trials = 2\nsnr = 15\nestimator = srh\n")
@@ -466,6 +474,8 @@ class TestConfigErrors:
          "estimators, tau_max, velocity"),
         ("data-shape = 2x2\npilots-per-row = 1\ncoding = true\ntf-product = 2\n"
          "tau-max = 0\nestimator = perfect\n", 3, "coding, m_data, n_data"),
+        # the ambiguity table of this box would need more nodes than its cap
+        ("estimator = perfect\ntau-max = 1e-9\nnu-max = 5e6\n", 2, "tau_max, nu_max"),
     ])
     def test_set_up_failure_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                       text, line, keys):

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddlf.channel import DDChannel, Scatterer, true_cmd
+from ddlf.channel import DDChannel, Scatterer
 from ddlf.estimation import (
     OMEGA_CAP,
     CMDEstimate,
@@ -35,6 +35,8 @@ from ddlf.piloting import (
     accordion_placement,
     qpsk_pilot_sequence,
 )
+
+from oracles import own_box_cmd
 
 
 def full_pilot_placement(M, N):
@@ -213,7 +215,7 @@ class TestLmmse:
         tau, nu = k0 / (grid.M * grid.F), l0 / (grid.N * grid.T)
         ch = DDChannel(scatterers=(Scatterer(tau, nu, 1.0),),
                        tau_max=tau * 1.5, nu_max=nu * 1.5)
-        h = true_cmd(ch, pulse, pulse, grid)
+        h = own_box_cmd(ch, pulse, grid)
         out = lmmse_estimate(sample_at_pilots(h, pl), pl, self._cfg())
         assert np.abs(out.h_tilde - h).max() < 1e-6
 
@@ -224,7 +226,7 @@ class TestLmmse:
         tau, nu = 1 / (grid.M * grid.F), 2 / (grid.N * grid.T)
         ch = DDChannel(scatterers=(Scatterer(tau, nu, 0.7 - 0.2j),),
                        tau_max=tau * 1.2, nu_max=nu * 1.2)
-        h = true_cmd(ch, pulse, pulse, grid)
+        h = own_box_cmd(ch, pulse, grid)
         out = lmmse_estimate(sample_at_pilots(h, pl), pl, self._cfg())
         assert np.abs(out.h_tilde - h).max() < 1e-5
 
@@ -299,7 +301,7 @@ class TestLmmseProperties:
         ch = DDChannel(scatterers=tuple(Scatterer(k * dtau, l * dnu, r * np.exp(1j * phi))
                                         for (k, l), (r, phi) in zip(bins, gains)),
                        tau_max=LMMSE_GRID.Wn * dtau, nu_max=LMMSE_GRID.Q * dnu)
-        h = true_cmd(ch, pulse, pulse, grid)
+        h = own_box_cmd(ch, pulse, grid)
         out = lmmse_estimate(sample_at_pilots(h, pl), pl, EstimatorConfig(
             variant="lmmse", sigma2=1e-12, grid_k=LMMSE_GRID))
         assert np.abs(out.h_tilde - h).max() <= 1e-6 * np.abs(h).max()

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddlf import harness
+from ddlf import gabor, harness
 from ddlf.channel import Scatterer
 from ddlf.gabor import (
+    AMBIGUITY_MAX_NODES,
     AMBIGUITY_TOL,
     SHIFT_BLOCK,
     FrameError,
@@ -25,7 +26,6 @@ from ddlf.gabor import (
     cross_ambiguity,
     gaussian_prototype,
     make_grid,
-    shifted,
     synthesize,
     tight_orthogonalize,
 )
@@ -452,6 +452,13 @@ class TestCrossAmbiguity:
         with pytest.raises(ValueError):
             cross_ambiguity(g, g, grid.duration * 1.5, 0.0, grid)
 
+    def test_rejects_pulses_of_another_grid(self):
+        grid, g = tight_pulse(8, 8)  # L = 80
+        _, wide = tight_pulse(16, 16)  # L = 320
+        for pair in ((g, g), (g, wide), (wide, g)):
+            with pytest.raises(ValueError, match="pulses must share the sample grid"):
+                cross_ambiguity(*pair, 0.0, 0.0, make_grid(16, 16))
+
     def test_array_matches_scalar_reference(self):
         grid, g = tight_pulse(8, 8)
         gamma = Pulse(samples=np.roll(g.samples, 3))
@@ -542,8 +549,8 @@ def table_point(name):
                                   point.channel.tau_max, point.channel.nu_max)
 
 
-def assert_table_matches(table, tau, nu):
-    want = cross_ambiguity(table.gamma, table.g, tau, nu, table.grid)
+def assert_table_matches(table, pulse, tau, nu):
+    want = cross_ambiguity(pulse, pulse, tau, nu, table.grid)
     assert np.all(np.abs(table(tau, nu) - want) <= 1e-12 * np.abs(want))
 
 
@@ -553,9 +560,9 @@ class TestAmbiguityTable:
            unit=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0)),
                          min_size=1, max_size=8))
     def test_matches_cross_ambiguity_in_the_box(self, name, unit):
-        _, table = table_point(name)
+        point, table = table_point(name)
         u, v = np.array(unit).T
-        assert_table_matches(table, u * table.tau_max, v * table.nu_max)
+        assert_table_matches(table, point.pulse, u * table.tau_max, v * table.nu_max)
 
     @pytest.mark.parametrize("name", sorted(TABLE_GRIDS))
     def test_trailing_coefficients_below_the_tolerance(self, name):
@@ -571,15 +578,15 @@ class TestAmbiguityTable:
         assert (table.coef.shape[0] == 1) == (tau_max == 0)
         assert (table.coef.shape[1] == 1) == (nu_max == 0)
         u, v = np.meshgrid([0.0, 0.3, 1.0], [-1.0, 0.2, 1.0])
-        assert_table_matches(table, u.ravel() * tau_max, v.ravel() * nu_max)
+        assert_table_matches(table, g, u.ravel() * tau_max, v.ravel() * nu_max)
 
     @pytest.mark.parametrize("name", sorted(TABLE_GRIDS))
     def test_box_edge_with_channel_slack(self, name):
-        _, table = table_point(name)
+        point, table = table_point(name)
         slack = 1 + 1e-9
         tau = table.tau_max * np.array([slack, slack, 0.0, slack])
         nu = table.nu_max * np.array([slack, -slack, slack, 0.0])
-        assert_table_matches(table, tau, nu)
+        assert_table_matches(table, point.pulse, tau, nu)
 
     def test_rejects_a_box_beyond_the_frame(self):
         grid, g = tight_pulse(8, 8)
@@ -587,9 +594,44 @@ class TestAmbiguityTable:
             with pytest.raises(ValueError):
                 ambiguity_table(g, g, grid, tau_max, nu_max)
 
+    @pytest.mark.parametrize("steps", [8, 14])
+    def test_delay_spread_of_half_the_frame_or_more(self, steps):
+        # the tail levels off at rounding level above AMBIGUITY_TOL here
+        grid, g = tight_pulse(16, 16)
+        tau_max, nu_max = steps * grid.T, 100.0
+        table = ambiguity_table(g, g, grid, tau_max, nu_max)
+        assert max(table.coef.shape) <= AMBIGUITY_MAX_NODES
+        rng = np.random.default_rng(steps)
+        tau, nu = rng.uniform(0, tau_max, 50), rng.uniform(-nu_max, nu_max, 50)
+        assert np.abs(table(tau, nu) - cross_ambiguity(g, g, tau, nu, grid)).max() <= 1e-12
+
+    def test_rejects_a_box_past_the_node_cap(self):
+        grid, g = tight_pulse(16, 16)
+        with pytest.raises(ValueError, match=f"more than {AMBIGUITY_MAX_NODES} Chebyshev nodes"):
+            ambiguity_table(g, g, grid, 1e-9, grid.fs)
+
+    @pytest.mark.parametrize("name", sorted(TABLE_GRIDS))
+    def test_one_phasor_call_per_delay_block_and_doppler_set(self, monkeypatch, name):
+        # started at its final node counts, a build takes one round: one delay
+        # ramp per block of delay nodes and one set of Doppler ramps, no more
+        point, table = table_point(name)
+        n_tau, n_nu = table.coef.shape
+        monkeypatch.setattr(gabor, "AMBIGUITY_NODES", (n_tau, n_nu))
+        calls, phasors = [], gabor._phasors
+
+        def counting_phasors(rate, *args, **kw):
+            calls.append(len(rate))
+            return phasors(rate, *args, **kw)
+
+        monkeypatch.setattr(gabor, "_phasors", counting_phasors)
+        again = ambiguity_table(point.pulse, point.pulse, point.grid, table.tau_max, table.nu_max)
+        assert np.array_equal(again.coef, table.coef)
+        blocks = [min(SHIFT_BLOCK, n_tau - i) for i in range(0, n_tau, SHIFT_BLOCK)]
+        assert calls == blocks + [n_nu]
+
 
 class TestShifted:
-    """The shared delay-Doppler shift kernel against per-pair references."""
+    """The shared delay kernel, with the callers' Doppler ramps, against per-pair references."""
 
     @pytest.mark.parametrize("R", [0, 1, SHIFT_BLOCK, SHIFT_BLOCK + 1, 58])
     @pytest.mark.parametrize("signed", [False, True])
@@ -600,9 +642,10 @@ class TestShifted:
         tau = rng.uniform(-0.9 if signed else 0.0, 0.9, R) * grid.duration
         nu = rng.uniform(-3, 3, R) * grid.F
         covered = []
-        for block, delayed, ramps in shifted(f, tau, nu, grid.fs, signed):
+        for block, delayed in gabor._delays(f, tau, grid.fs, signed):
             covered += range(R)[block]
-            assert len(delayed) == len(ramps) == len(range(R)[block]) <= SHIFT_BLOCK
+            assert len(delayed) == len(range(R)[block]) <= SHIFT_BLOCK
+            ramps = gabor._phasors(nu[block] / grid.fs, grid.L, signed)
             for t, n, got in zip(tau[block], nu[block], delayed * ramps):
                 if signed:  # two-sided delay ramp, Doppler over centered times
                     want = (fractional_shift(f, t * grid.fs)

@@ -178,13 +178,23 @@ class TestRunTrial:
             box = point.ambiguity.tau_max, point.ambiguity.nu_max
             assert box == (point.channel.tau_max, point.channel.nu_max)
 
+    @pytest.mark.parametrize("overrides, keys", [
+        (dict(tau_max=1e-9, nu_max=5e6), "tau_max, nu_max"),
+        (dict(tau_max=1e-9, velocity=9e5), "tau_max, velocity"),
+    ])
+    def test_table_past_its_node_cap_names_the_spread_keys(self, overrides, keys):
+        point = harness.validate_point(quiet_cfg(estimators=("perfect",), **overrides))
+        cap = gabor.AMBIGUITY_MAX_NODES
+        with pytest.raises(ValueError, match=f"^{keys}: .* more than {cap} Chebyshev nodes"):
+            harness.prepare(point)
+
     def test_cached_trial_computes_no_ambiguity(self, monkeypatch):
         cfg = quiet_cfg(estimators=("srh-mna", "perfect"))
         run_trial(cfg, 15.0, 0)  # prepares the point and its table
         calls = []
-        for owner in (gabor, channel):
-            for attr in ("cross_ambiguity", "ambiguity_table"):
-                monkeypatch.setattr(owner, attr, lambda *a, attr=attr: calls.append(attr))
+        for owner, attr in ((gabor, "cross_ambiguity"), (channel, "cross_ambiguity"),
+                            (gabor, "ambiguity_table")):
+            monkeypatch.setattr(owner, attr, lambda *a, attr=attr: calls.append(attr))
         run_trial(cfg, 15.0, 1)
         assert calls == []
 
@@ -523,8 +533,7 @@ class TestSweepPool:
             built.append(args[3:])
             return table(*args)
 
-        for owner in (gabor, channel):
-            monkeypatch.setattr(owner, "ambiguity_table", in_parent_only)
+        monkeypatch.setattr(gabor, "ambiguity_table", in_parent_only)
         harness._points.clear()
         monkeypatch.setenv("DDLF_THREADS", "2")
         run_sweep(quiet_cfg(estimators=("srh-na", "perfect"), trials=3),
