@@ -176,8 +176,9 @@ def _write(path: str, text: str):
 
 
 def cmd_run(args) -> int:
-    """simulate: run the config of the file and flags; sweep: run its configs
-    over --values on --axis. Write the rows either way."""
+    """Run the config of the file and flags as a sweep, and write its rows:
+    over its own SNR list for simulate (harness.simulate), over --values on
+    --axis for sweep."""
     # an OSError before any trial if --out cannot be written; an existing file
     # keeps its contents, and a file made only for this check is removed again
     existed = os.path.exists(args.out)
@@ -199,8 +200,7 @@ def cmd_run(args) -> int:
     lines = {f: n for f, n in lines.items()
              if all(getattr(c, f) == getattr(cfg, f) for c in configs)}
     with _file_line(args.config, lines):
-        rows = (harness.run_sweep(cfg, axis, values) if args.command == "sweep"
-                else harness.simulate(cfg))
+        rows = harness.run_sweep(cfg, axis, values)
     _write(args.out, harness.rows_to_csv(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

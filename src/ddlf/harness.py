@@ -206,11 +206,14 @@ def _config_key(key: str):
 
 @dataclass(frozen=True, eq=False)
 class Point:
-    """What every trial of a sweep point shares: validate_point() builds it
-    with the channel config (seed 0; each trial draws its own seed) and every
-    estimator's zero-noise config, and prepare() adds the estimators'
-    operators and, where the trials read the true CMD, the ambiguity table
-    of the point's delay-Doppler box."""
+    """What every trial of a sweep point shares, all of it built by
+    validate_point before the first trial: the placement (with its cached
+    index arrays), grid, tight pulse, precoder, the channel config (seed 0;
+    each trial draws its own seed), every estimator's zero-noise config and
+    its linear map (estimation.operator), and, where the trials read the true
+    CMD, the ambiguity table of the point's delay-Doppler box (else None).
+    A random precoder's Householder factors are the one part left to first
+    use; transforms holds them, one set at a time."""
 
     cfg: ExperimentConfig
     pl: piloting.PilotPlacement
@@ -220,18 +223,23 @@ class Point:
     channel: chan.ChannelConfig
     estimators: dict  # estimator name -> its zero-noise estimation.EstimatorConfig
     operators: dict  # estimator name -> its linear map (estimation.operator)
-    ambiguity: gabor.AmbiguityTable | None = None
+    ambiguity: gabor.AmbiguityTable | None
 
 
 def validate_point(cfg: ExperimentConfig) -> Point:
-    """Check a sweep point before any trial runs, and return its unprepared
-    Point. This builds the placement, grid, spreads, tight pulse, precoder
-    (without the random kind's QR), reconstruction grid, and the channel
-    config and every estimator config, which the Point keeps. Each uses its
-    own checks, and an error names the offending key. It also rejects SRH
-    variants on pilot cells of one line and, with coding, a data frame too
-    small for a codeword, and warns, naming the keys, when the LMMSE
-    reconstruction grid has more cells than there are pilots."""
+    """Check a sweep point and build everything its trials share, before any
+    trial runs, and return it as a Point: the placement and its index arrays,
+    grid, spreads, tight pulse, precoder (without the random kind's QR),
+    reconstruction grid, channel config, every estimator's config and its
+    operator (one SRH operator per (alpha, beta), the LMMSE operator), and,
+    when the trials read the true CMD, the gabor.ambiguity_table of the pulse
+    on the channel's (tau_max, nu_max) box. Each part uses its own checks,
+    and an error names the offending key: a failed operator build names
+    estimators and, for the mode-aware variants, the spread keys that alpha
+    and beta come from; a table past its node cap names the spread keys. It
+    also rejects SRH variants on pilot cells of one line and, with coding, a
+    data frame too small for a codeword, and warns, naming the keys, when
+    the LMMSE reconstruction grid has more cells than there are pilots."""
     with _config_key("pilots_per_row"):
         pl = build_placement(cfg)
     # the Hessian energy is zero on affine fields, so on pilot cells of one
@@ -291,7 +299,17 @@ def validate_point(cfg: ExperimentConfig) -> Point:
         estimators = {name: est.EstimatorConfig(variant=name, alpha=alpha, beta=beta,
                                                 omega=cfg.omega, grid_k=grid_k)
                       for name in cfg.estimators if name != "perfect"}
-    return Point(cfg, pl, grid, pulse, precoder, channel, estimators, {})
+    pl.pilot_array_indices(), pl.data_array_indices()  # cached on pl from here on
+    operators = {}
+    for name, ecfg in estimators.items():
+        weights = f", tau_max, {doppler_key}" if name in est.MODE_AWARE else ""
+        with _config_key(f"estimators{weights}: {name}"):
+            operators[name] = est.operator(pl, ecfg)
+    ambiguity = None
+    if _reads_true_cmd(cfg):
+        with _config_key(f"tau_max, {doppler_key}"):
+            ambiguity = gabor.ambiguity_table(pulse, pulse, grid, tau_max, nu_max)
+    return Point(cfg, pl, grid, pulse, precoder, channel, estimators, operators, ambiguity)
 
 
 def _measures_sigma_z2(cfg: ExperimentConfig) -> bool:
@@ -306,56 +324,21 @@ def _reads_true_cmd(cfg: ExperimentConfig) -> bool:
     return "perfect" in cfg.estimators or _measures_sigma_z2(cfg)
 
 
-def prepare(point: Point) -> Point:
-    """Complete a validated point with what validation leaves out: the
-    placement's index arrays, a random kind's Householder factors (held by
-    transforms, one set at a time), then every estimator's operator (one
-    SRH operator per (alpha, beta), the LMMSE operator), and, when its
-    trials read the true CMD, the gabor.ambiguity_table of the pulse on the
-    channel's (tau_max, nu_max) box, from which every trial's true_cmd reads
-    its paths. The operators come after the factors, so that none of them is
-    alive during their QR. A failed build names estimators and, for the
-    mode-aware variants, the spread keys that alpha and beta come from; a
-    table past its node cap names the spread keys."""
-    pl = point.pl
-    pl.pilot_array_indices(), pl.data_array_indices()  # cached on pl from here on
-    if point.precoder.kind == "random":
-        point.precoder.factors
-    operators = {}
-    for name, ecfg in point.estimators.items():
-        weights = f", tau_max, {_doppler_key(point.cfg)}" if name in est.MODE_AWARE else ""
-        with _config_key(f"estimators{weights}: {name}"):
-            operators[name] = est.operator(pl, ecfg)
-    ambiguity = None
-    if _reads_true_cmd(point.cfg):
-        with _config_key(f"tau_max, {_doppler_key(point.cfg)}"):
-            ambiguity = gabor.ambiguity_table(point.pulse, point.pulse, point.grid,
-                                              point.channel.tau_max, point.channel.nu_max)
-    return dataclasses.replace(point, operators=operators, ambiguity=ambiguity)
-
-
-# the prepared points of the run of points in progress, or else the last point
-# a trial used
+# the points of the sweep in progress, or else the last point a trial used
 _points: dict[ExperimentConfig, Point] = {}
-
-
-def _prepare(points: list[Point]):
-    """Replace the cached points with the prepared points (each distinct one once)."""
-    _points.clear()
-    for point in dict.fromkeys(points):
-        _points[point.cfg] = prepare(point)
 
 
 def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
               ) -> dict[str, link.FrameMetrics]:
     """Run one seeded trial and evaluate every configured estimator on the
     same bits, channel and noise realization. The sweep point comes from the
-    cache of prepared points; a miss validates and prepares it in place of
-    what the cache held."""
+    cache of built points; a miss builds it (validate_point) in place of what
+    the cache held."""
     sigma2 = _sigma2(snr_db)
     rng = np.random.default_rng((cfg.seed, trial_index))
     if cfg not in _points:
-        _prepare([validate_point(cfg)])
+        _points.clear()
+        _points[cfg] = validate_point(cfg)
     point = _points[cfg]
     pl, grid, pulse, precoder = point.pl, point.grid, point.pulse, point.precoder
 
@@ -426,26 +409,29 @@ def _max_workers() -> int:
 
 
 def _run_points(points: list[Point]) -> list[tuple[Point, float, list[dict]]]:
-    """Every trial of the validated points, each at every SNR of its config:
-    per point and SNR, in that order, (point, snr, each trial's run_trial
-    result in trial order).
+    """Every trial of the built points (validate_point), each at every SNR of
+    its config: per point and SNR, in that order, (point, snr, each trial's
+    run_trial result in trial order).
 
-    Consecutive points that share a random precoder (or have none) form a
-    run, and each run is prepared at once in this process, so its one set of
-    random factors is built before its trials start. Serially (DDLF_THREADS =
-    1, or one trial in the run) the run's trials then follow in a plain loop.
-    Otherwise one process pool per run executes them, with no more workers
-    than trials (under fork a pool starts all of its workers at once). The
-    pool forks wherever the platform can, whatever the default start method,
-    so its workers inherit every prepared point and the random factors, and
-    build nothing; elsewhere it uses the default method, and each worker
-    prepares the points it runs.
+    Every point goes into the cache of built points first, so its trials
+    build nothing. Consecutive points that share a random precoder (or have
+    none) form a run, and a random run's Householder factors are built in
+    this process just before its trials, one set at a time. Serially
+    (DDLF_THREADS = 1, or one trial in the run) the run's trials then follow
+    in a plain loop. Otherwise one process pool per run executes them, with
+    no more workers than trials (under fork a pool starts all of its workers
+    at once). The pool forks wherever the platform can, whatever the default
+    start method, so its workers inherit every point and the random factors,
+    and build nothing; elsewhere it uses the default method, and each worker
+    builds the points it runs.
     """
     threads = _max_workers()
+    _points.clear()
+    _points.update((p.cfg, p) for p in points)
     results = []
-    for _, run in groupby(points, lambda p: p.precoder.kind == "random" and p.precoder):
-        run = list(run)
-        _prepare(run)
+    for precoder, run in groupby(points, lambda p: p.precoder.kind == "random" and p.precoder):
+        if precoder:
+            precoder.factors  # the run's QR, here before any worker forks
         jobs = [(p.cfg, snr, i) for p in run for snr in p.cfg.snr_db for i in range(p.cfg.trials)]
         workers = min(threads, len(jobs))
         if workers == 1:
@@ -521,8 +507,8 @@ def sweep_configs(cfg: ExperimentConfig, axis: str, values) -> list[ExperimentCo
 
 def run_sweep(cfg: ExperimentConfig, axis: str, values) -> list[ResultRow]:
     """One row per axis value, SNR and configured estimator, in that order
-    (see sweep_configs). Every point is validated before the first trial
-    runs, each distinct config once."""
+    (see sweep_configs). Every point is checked and built (validate_point)
+    before the first trial runs, each distinct config once."""
     configs = sweep_configs(cfg, axis, values)
     validated = {c: validate_point(c) for c in dict.fromkeys(configs)}
     return [_aggregate(point, snr, name, trials)

@@ -76,13 +76,16 @@ def _random_unitary(n: int, seed: int) -> Reflectors:
     """Q factor of a seeded complex Gaussian matrix, as Householder blocks.
 
     The Gaussian matrix is drawn into one Fortran-ordered buffer that zgeqrt
-    overwrites with the reflectors, so the build's peak is about 1.5 n x n
-    matrices and Q is never formed.
+    overwrites with the reflectors. Its real and then its imaginary part are
+    filled _BLOCK rows at a time, in the order of one (n, n) draw each, so the
+    build's peak is about one n x n matrix plus a row block and zgeqrt's own
+    arrays, and Q is never formed.
     """
     rng = np.random.default_rng(seed)
     A = np.empty((n, n), dtype=complex, order="F")
-    A.real = rng.standard_normal((n, n))
-    A.imag = rng.standard_normal((n, n))
+    for part in A.real, A.imag:
+        for i in range(0, n, _BLOCK):
+            part[i:i + _BLOCK] = rng.standard_normal((min(_BLOCK, n - i), n))
     a, t, info = lapack.zgeqrt(min(_BLOCK, n), A, overwrite_a=True)
     if info:
         raise np.linalg.LinAlgError(f"zgeqrt failed (info {info})")

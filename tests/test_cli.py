@@ -306,14 +306,16 @@ class TestSimulateAndSweep:
             outs.append(out.read_bytes())
         assert outs[0] != outs[1]
 
-    @pytest.mark.parametrize("argv, runner", [(["simulate"], "simulate"),
-                                              (["sweep", "--axis", "snr", "--values", "15"],
-                                               "run_sweep")])
-    def test_paper_scale(self, tmp_path, monkeypatch, argv, runner):
+    # both subcommands run their config as an snr sweep
+    @pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--axis", "snr", "--values", "15"]],
+                             ids=["argv0-simulate", "argv1-run_sweep"])
+    def test_paper_scale(self, tmp_path, monkeypatch, argv):
         seen = []
-        monkeypatch.setattr(harness, runner, lambda cfg, *a: seen.append(cfg) or [])
+        monkeypatch.setattr(harness, "run_sweep",
+                            lambda cfg, axis, values: seen.append((cfg, axis, values)) or [])
         assert main(argv + ["--paper-scale", "--out", str(tmp_path / "res.csv")]) == 0
-        (cfg,) = seen
+        ((cfg, axis, values),) = seen
+        assert (axis, list(values)) == ("snr", [15.0])
         assert (cfg.m_data, cfg.n_data, cfg.pilots_per_row) == (64, 62, 2)
         assert (cfg.scatterers, cfg.bandwidth) == (58, 5.0e6)
         pl = harness.build_placement(cfg)
@@ -491,6 +493,24 @@ class TestConfigErrors:
         assert err.count("\n") == 1
         assert trials == [] and not out.exists()
 
+    def test_failed_build_on_a_later_run_exits_2_before_any_trial(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # each pilot count has its own random precoder, so the points form two
+        # runs; the second point's mode-aware SRH build fails at this velocity
+        trials = []
+        monkeypatch.delenv("DDLF_THREADS", raising=False)
+        monkeypatch.setattr(harness, "run_trial", lambda *a: trials.append(a))
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("data-shape = 16x14\npilots-per-row = 2\nprecoder = random\n"
+                        "estimator = srh-ma, perfect\nvelocity = 0.05\ntrials = 20\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfgf), "--axis", "pilots", "--values", "2,1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ddlf: {cfgf}:4: estimators, tau_max, velocity: srh-ma: ")
+        assert err.count("\n") == 1
+        assert trials == [] and not out.exists()
+
 
 class TestOutputFiles:
     @pytest.mark.parametrize("argv, name", [
@@ -501,7 +521,6 @@ class TestOutputFiles:
     ])
     def test_default_out(self, tmp_path, monkeypatch, argv, name):
         # simulate and sweep share their other flags, but not the --out default
-        monkeypatch.setattr(harness, "simulate", lambda cfg: [])
         monkeypatch.setattr(harness, "run_sweep", lambda cfg, axis, values: [])
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 0

@@ -158,7 +158,7 @@ class TestRunTrial:
     ])
     def test_true_cmd_only_for_its_readers(self, monkeypatch, overrides, calls):
         cfg = quiet_cfg(**overrides)
-        run_trial(cfg, 15.0, 0)  # prepares the point
+        run_trial(cfg, 15.0, 0)  # builds the point
         true_cmd, seen = channel.true_cmd, []
         monkeypatch.setattr(channel, "true_cmd", lambda *a: seen.append(a) or true_cmd(*a))
         run_trial(cfg, 15.0, 1)
@@ -172,7 +172,7 @@ class TestRunTrial:
         (dict(estimators=("srh-na",)), True),
     ])
     def test_ambiguity_table_only_for_the_true_cmd_readers(self, overrides, reads):
-        point = harness.prepare(harness.validate_point(quiet_cfg(**overrides)))
+        point = harness.validate_point(quiet_cfg(**overrides))
         assert (point.ambiguity is not None) == reads
         if reads:
             box = point.ambiguity.tau_max, point.ambiguity.nu_max
@@ -183,14 +183,13 @@ class TestRunTrial:
         (dict(tau_max=1e-9, velocity=9e5), "tau_max, velocity"),
     ])
     def test_table_past_its_node_cap_names_the_spread_keys(self, overrides, keys):
-        point = harness.validate_point(quiet_cfg(estimators=("perfect",), **overrides))
         cap = gabor.AMBIGUITY_MAX_NODES
         with pytest.raises(ValueError, match=f"^{keys}: .* more than {cap} Chebyshev nodes"):
-            harness.prepare(point)
+            harness.validate_point(quiet_cfg(estimators=("perfect",), **overrides))
 
     def test_cached_trial_computes_no_ambiguity(self, monkeypatch):
         cfg = quiet_cfg(estimators=("srh-mna", "perfect"))
-        run_trial(cfg, 15.0, 0)  # prepares the point and its table
+        run_trial(cfg, 15.0, 0)  # builds the point and its table
         calls = []
         for owner, attr in ((gabor, "cross_ambiguity"), (channel, "cross_ambiguity"),
                             (gabor, "ambiguity_table")):
@@ -364,7 +363,7 @@ class TestSweepValidation:
         # the LMMSE fit and the true CMD do not depend on the pilot geometry
         cfg = quiet_cfg(m_data=4, n_data=16, tf_product=2.0, tau_max=0.0, recon_wn=2,
                         estimators=("lmmse", "perfect"))
-        assert set(harness.prepare(harness.validate_point(cfg)).operators) == {"lmmse"}
+        assert set(harness.validate_point(cfg).operators) == {"lmmse"}
         for srh in estimation.SRH_VARIANTS:
             with pytest.raises(ValueError, match="^pilots_per_row, estimators: .* one line"):
                 harness.validate_point(dataclasses.replace(cfg, estimators=(srh,)))
@@ -390,32 +389,34 @@ class TestSweepValidation:
 class TestPointOperators:
     @staticmethod
     def cached_point(cfg):
-        run_trial(cfg, 15.0, 0)  # a cache miss validates and prepares the point
+        run_trial(cfg, 15.0, 0)  # a cache miss builds the point
         return harness._points[cfg]
 
-    def test_random_precoder_matrix_built_in_parent(self, qrs):
+    def test_random_precoder_matrix_built_in_parent(self, qrs, monkeypatch):
         # forked pool workers inherit the matrix instead of each redoing the QR
         validated = harness.validate_point(quiet_cfg(precoder="random"))
         assert qrs == []
-        point = harness.prepare(validated)
-        assert qrs == [(16 * 15, 2024)]
-        assert sum(T.shape[0] for _, _, T in point.precoder.factors.blocks) == 16 * 15
+        seen = []  # the QRs run before each trial
+        monkeypatch.setattr(harness, "run_trial", lambda *a: seen.append(list(qrs)))
+        monkeypatch.delenv("DDLF_THREADS", raising=False)
+        harness._run_points([validated])
+        assert seen == [[(16 * 15, 2024)]] * 2
+        assert sum(T.shape[0] for _, _, T in validated.precoder.factors.blocks) == 16 * 15
         assert qrs == [(16 * 15, 2024)]
         # a Point holds no factors: its precoder is a plain value
         assert all(not isinstance(v, (np.ndarray, transforms.Reflectors))
                    for v in vars(validated.precoder).values())
 
     def test_prepare_keeps_the_validated_precoder(self):
+        # the point that the trials read is the validated one
         validated = harness.validate_point(quiet_cfg(precoder="random"))
-        assert harness.prepare(validated).precoder is validated.precoder
+        harness._run_points([validated])
+        assert harness._points[validated.cfg] is validated
 
     def test_operators_are_the_estimators_maps(self):
         cfg = quiet_cfg(estimators=("lmmse", "srh", "srh-ma", "perfect"), velocity=300.0)
-        validated = harness.validate_point(cfg)
-        assert validated.operators == {}
-        assert set(validated.estimators) == {"lmmse", "srh", "srh-ma"}
-        point = harness.prepare(validated)
-        assert point.estimators is validated.estimators
+        point = harness.validate_point(cfg)  # it already holds every map
+        assert set(point.estimators) == {"lmmse", "srh", "srh-ma"}
         assert set(point.operators) == {"lmmse", "srh", "srh-ma"}
         for name, op in point.operators.items():
             ecfg = point.estimators[name]
@@ -433,7 +434,7 @@ class TestPointOperators:
         assert second.precoder == first.precoder
         assert second.precoder.factors is first.precoder.factors
         assert list(harness._points) == [cfgs[1]]  # one point kept between trials
-        harness._prepare([harness.validate_point(cfg) for cfg in cfgs])
+        harness._run_points([harness.validate_point(cfg) for cfg in cfgs])
         assert harness._points[cfgs[0]].precoder.factors is first.precoder.factors
         assert harness._points[cfgs[1]].precoder.factors is first.precoder.factors
         assert qrs == [(16 * 15, 2024)]  # one QR for both points
@@ -544,7 +545,7 @@ class TestSweepPool:
                         reason="no forkserver start method")
     def test_workers_build_nothing_under_forkserver(self, tmp_path):
         # forkserver (the Linux default from Python 3.14) starts workers from a
-        # fresh interpreter, which would prepare every point again. Such a
+        # fresh interpreter, which would build every point again. Such a
         # worker imports the script as __mp_main__, so its calls are logged too.
         log = tmp_path / "calls.log"
         script = tmp_path / "sweep.py"
@@ -561,7 +562,7 @@ class TestSweepPool:
                     return fn(*args, **kwargs)
                 setattr(owner, attr, wrapper)
 
-            logged(harness, "prepare")
+            logged(harness, "validate_point")
             logged(transforms, "_random_unitary")
             if __name__ == "__main__":
                 multiprocessing.set_start_method("forkserver")
@@ -575,7 +576,8 @@ class TestSweepPool:
         assert done.returncode == 0, done.stderr
         parent = done.stdout.split()[-1]
         calls = [line.split() for line in log.read_text().splitlines()]
-        assert calls == [[parent, "prepare"], [parent, "_random_unitary"], [parent, "prepare"]]
+        assert calls == [[parent, "validate_point"], [parent, "validate_point"],
+                         [parent, "_random_unitary"]]
 
     @pytest.mark.parametrize("axis, values", [("velocity", [50.0, 100.0, 150.0]),
                                               ("pilots", [1, 2, 3])])

@@ -221,9 +221,21 @@ class TestPrecoder:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the drawn matrix, which the QR overwrites, and one real draw beside
-        # it; forming Q would take a second n x n complex matrix
+        # the drawn matrix, which the QR overwrites, a row block of the draw and
+        # zgeqrt's own arrays; forming Q would take a second n x n complex matrix
         assert peak < 1.75 * n * n * 16
+
+    def test_random_draw_needs_no_n_by_n_temporary(self):
+        n = 512
+        tracemalloc.start()
+        try:
+            transforms._random_unitary(n, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the drawn matrix, filled a row block at a time, and zgeqrt's own
+        # arrays; a whole (n, n) real part drawn at once would add half of it
+        assert peak <= 1.3 * n * n * 16
 
     def test_fwht_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
