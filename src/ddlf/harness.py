@@ -237,9 +237,11 @@ def validate_point(cfg: ExperimentConfig) -> Point:
     and an error names the offending key: a failed operator build names
     estimators and, for the mode-aware variants, the spread keys that alpha
     and beta come from; a table past its node cap names the spread keys. It
-    also rejects SRH variants on pilot cells of one line and, with coding, a
-    data frame too small for a codeword, and warns, naming the keys, when
-    the LMMSE reconstruction grid has more cells than there are pilots."""
+    also rejects a Doppler spread of at least half the sampling rate, where
+    the Doppler shifts alias, SRH variants on pilot cells of one line and,
+    with coding, a data frame too small for a codeword, and warns, naming
+    the keys, when the LMMSE reconstruction grid has more cells than there
+    are pilots."""
     with _config_key("pilots_per_row"):
         pl = build_placement(cfg)
     # the Hessian energy is zero on affine fields, so on pilot cells of one
@@ -259,6 +261,11 @@ def validate_point(cfg: ExperimentConfig) -> Point:
     if nu_max < 0:
         raise ValueError(f"{doppler_key}: the Doppler spread must be nonnegative "
                          f"(nu_max = {nu_max:.6g} Hz)")
+    # a sampled Doppler ramp at nu and at nu - fs are the same samples
+    if nu_max >= grid.fs / 2:
+        raise ValueError(f"{doppler_key}, bandwidth: nu_max = {nu_max:.6g} Hz is not below "
+                         f"half the sampling rate, fs/2 = {grid.fs / 2:.6g} Hz; the Doppler "
+                         "shifts alias")
     if tau_max >= grid.duration:
         raise ValueError(f"tau_max: {tau_max:.6g} s is not below the frame duration "
                          f"{grid.duration:.6g} s")
@@ -306,7 +313,8 @@ def validate_point(cfg: ExperimentConfig) -> Point:
         with _config_key(f"estimators{weights}: {name}"):
             operators[name] = est.operator(pl, ecfg)
     ambiguity = None
-    if _reads_true_cmd(cfg):
+    # a trial computes the true CMD for a perfect estimator, or to measure sigma_z2
+    if "perfect" in cfg.estimators or _measures_sigma_z2(cfg):
         with _config_key(f"tau_max, {doppler_key}"):
             ambiguity = gabor.ambiguity_table(pulse, pulse, grid, tau_max, nu_max)
     return Point(cfg, pl, grid, pulse, precoder, channel, estimators, operators, ambiguity)
@@ -316,12 +324,6 @@ def _measures_sigma_z2(cfg: ExperimentConfig) -> bool:
     """Whether a trial measures sigma_z2 against the true CMD: it is auto, and
     a noise-aware variant reads it."""
     return cfg.sigma_z2 is None and not set(cfg.estimators).isdisjoint(est.NOISE_AWARE)
-
-
-def _reads_true_cmd(cfg: ExperimentConfig) -> bool:
-    """Whether a trial computes the true CMD: for a perfect estimator, or to
-    measure sigma_z2."""
-    return "perfect" in cfg.estimators or _measures_sigma_z2(cfg)
 
 
 # the points of the sweep in progress, or else the last point a trial used
@@ -363,7 +365,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
     y = gabor.analyze(chan.add_noise(rx_clean, sigma2, rng), pulse, grid)
 
     h_true = None
-    if _reads_true_cmd(cfg):
+    if point.ambiguity is not None:
         h_true = chan.true_cmd(ch, point.ambiguity)
     sigma_z2 = float(cfg.sigma_z2 or 0.0)
     if _measures_sigma_z2(cfg):

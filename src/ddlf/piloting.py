@@ -126,9 +126,8 @@ def accordion_placement(m_data: int, n_data: int, pilots_per_row: int) -> PilotP
     N = n_data + pilots_per_row
     lam = round_half_away(N / pilots_per_row)
     mu = optimal_shift(lam)
-    template = [round_half_away(nb * N / pilots_per_row) % N for nb in range(pilots_per_row)]
-    if len(set(template)) != pilots_per_row:
-        raise ValueError("row template collision; pilots per row too dense")
+    # spaced N/P' > 2 apart, the rounded positions are distinct cells below N
+    template = [round_half_away(nb * N / pilots_per_row) for nb in range(pilots_per_row)]
     rows = (sorted((mu * m + r) % N for r in template) for m in range(M))
     return PilotPlacement(M=M, N=N, M_data=m_data, N_data=n_data,
                           pilot_indices=tuple((m, n) for m, cols in enumerate(rows) for n in cols))

@@ -110,6 +110,19 @@ class TestGenerateChannel:
         with pytest.raises(ChannelError):
             ChannelConfig(R=0, tau_max=1e-6, nu_max=1e3)
 
+    @pytest.mark.parametrize("tau, nu, what", [
+        (-1e-8, 0.0, "delay"), (2e-6, 0.0, "delay"),
+        (0.0, 1.5e3, "Doppler"), (0.0, -1.5e3, "Doppler"),
+    ])
+    def test_scatterer_outside_its_box(self, tau, nu, what):
+        with pytest.raises(ChannelError, match=f"scatterer {what} .* outside"):
+            single_path(tau, nu, 1.0, 1e-6, 1e3)
+
+    def test_on_grid_snapping_needs_the_grid(self):
+        cfg = ChannelConfig(R=2, tau_max=1e-6, nu_max=1e3, fractional=False)
+        with pytest.raises(ChannelError, match="requires the Gabor grid"):
+            generate_channel(cfg)
+
 
 class TestApplyChannel:
     def test_identity_path(self, desk):
@@ -165,6 +178,12 @@ class TestApplyChannel:
         want = per_path_apply(f, ch, grid)
         assert np.abs(apply_channel(f, ch, grid) - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_signal_of_another_length(self, desk):
+        grid, _ = desk
+        ch = single_path(0.0, 0.0, 1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match=f"does not match grid L = {grid.L}"):
+            apply_channel(np.zeros(grid.L - 1, dtype=complex), ch, grid)
+
     def test_late_path_in_any_block_rejected(self, desk):
         grid, _ = desk
         ok = Scatterer(0.0, 0.0, 1.0)
@@ -183,6 +202,11 @@ class TestAddNoise:
         f = pulse.samples.copy()
         out = add_noise(f, 0.0, np.random.default_rng(0))
         assert np.abs(out - f).max() == 0.0
+
+    def test_rejects_negative_variance(self, desk):
+        grid, _ = desk
+        with pytest.raises(ValueError, match="noise variance must be nonnegative"):
+            add_noise(np.zeros(grid.L, dtype=complex), -0.1, np.random.default_rng(0))
 
     def test_deterministic_given_rng(self, desk):
         grid, _ = desk

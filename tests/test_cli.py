@@ -77,6 +77,24 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: {key}:")):
             load_config(str(path))
 
+    @pytest.mark.parametrize("value", ["maybe", "2", ""])
+    def test_bad_boolean_names_file_line_and_key(self, tmp_path, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"seed = 3\ncoding = {value}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:2: coding: expected a boolean, got {value!r}")):
+            load_config(str(path))
+
+    def test_line_without_equals_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("seed = 3\n# a comment\ncoding true\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected key = value")):
+            load_config(str(path))
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"ddlf: {path}:3: expected key = value\n"
+        assert not out.exists()
+
     def test_keys_case_insensitive(self, tmp_path):
         path = tmp_path / "case.cfg"
         path.write_text("q = 3\nWN = 5\nTrials = 4\n")
@@ -471,13 +489,13 @@ class TestConfigErrors:
          "pilots_per_row, estimators"),
         ("data-shape = 2x16\npilots-per-row = 1\nestimator = srh\ntf-product = 2\n", 2,
          "pilots_per_row, estimators"),
-        ("data-shape = 4x16\npilots-per-row = 2\nbandwidth = 1000\ntau-max = 1e-6\n"
-         "velocity = 5000\nestimator = srh-ma\ntf-product = 2\n", 6,
+        ("data-shape = 16x15\npilots-per-row = 1\nvelocity = 0.05\nestimator = srh-ma\n", 4,
          "estimators, tau_max, velocity"),
         ("data-shape = 2x2\npilots-per-row = 1\ncoding = true\ntf-product = 2\n"
          "tau-max = 0\nestimator = perfect\n", 3, "coding, m_data, n_data"),
         # the ambiguity table of this box would need more nodes than its cap
-        ("estimator = perfect\ntau-max = 1e-9\nnu-max = 5e6\n", 2, "tau_max, nu_max"),
+        ("estimator = perfect\ntau-max = 1e-9\nnu-max = 2e6\ndata-shape = 64x62\n"
+         "pilots-per-row = 2\n", 2, "tau_max, nu_max"),
     ])
     def test_set_up_failure_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                       text, line, keys):
@@ -491,6 +509,27 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"ddlf: {cfgf}:{line}: {keys}: ")
         assert err.count("\n") == 1
+        assert trials == [] and not out.exists()
+
+    @pytest.mark.parametrize("text, line, keys", [
+        # 5.47 MHz of Doppler at fs = 5 MHz: the shifts alias
+        ("estimator = perfect\ntau-max = 1e-9\nvelocity = 1e6\n", 3, "velocity, bandwidth"),
+        ("estimator = perfect\ntau-max = 1e-9\nnu-max = 5e6\n", 3, "nu_max, bandwidth"),
+        ("data-shape = 4x16\npilots-per-row = 2\nbandwidth = 1000\ntau-max = 1e-6\n"
+         "velocity = 5000\nestimator = srh-ma\ntf-product = 2\n", 5, "velocity, bandwidth"),
+    ])
+    def test_doppler_spread_that_aliases_exits_2_before_any_trial(self, tmp_path, capsys,
+                                                                  monkeypatch, text, line, keys):
+        trials = []
+        monkeypatch.delenv("DDLF_THREADS", raising=False)
+        monkeypatch.setattr(harness, "run_trial", lambda *a: trials.append(a))
+        cfgf = tmp_path / "alias.cfg"
+        cfgf.write_text(text)
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--config", str(cfgf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ddlf: {cfgf}:{line}: {keys}: ")
+        assert "not below half the sampling rate" in err and err.count("\n") == 1
         assert trials == [] and not out.exists()
 
     def test_failed_build_on_a_later_run_exits_2_before_any_trial(self, tmp_path, capsys,

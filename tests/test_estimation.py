@@ -16,6 +16,7 @@ from ddlf.estimation import (
     CMDEstimate,
     EstimatorConfig,
     ReconstructionGrid,
+    SolverError,
     _srh_operator,
     affine_rank,
     estimate,
@@ -106,6 +107,20 @@ class TestPartialCmd:
         p = PilotSequence(symbols=np.array([0.0 + 0j]))
         with pytest.raises(ValueError):
             partial_cmd(np.array([1.0 + 0j]), p)
+
+    def test_rejects_a_vector_of_another_length(self):
+        p = qpsk_pilot_sequence(4, seed=0)
+        with pytest.raises(ValueError, match="length does not match the sequence"):
+            partial_cmd(np.ones(3, dtype=complex), p)
+
+
+class TestCMDEstimate:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_estimate_is_a_solver_error(self, bad):
+        h = np.ones((4, 4), dtype=complex)
+        h[1, 2] = bad
+        with pytest.raises(SolverError, match="non-finite"):
+            CMDEstimate(h_tilde=h, residual=0.0)
 
 
 class TestRelaxationDelta:
@@ -446,6 +461,12 @@ class TestSrh:
         with pytest.raises(ValueError):
             srh_estimate(np.zeros(pl.P, dtype=complex), pl,
                          EstimatorConfig(variant="srh-ma"))
+
+    def test_rejects_a_vector_of_another_length(self):
+        pl = accordion_placement(16, 14, 2)
+        with pytest.raises(ValueError, match="does not match the placement"):
+            srh_estimate(np.zeros(pl.P + 1, dtype=complex), pl,
+                         EstimatorConfig(variant="srh", omega=1.0))
 
     def test_dispatcher(self):
         pl = accordion_placement(16, 14, 2)

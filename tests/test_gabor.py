@@ -135,6 +135,11 @@ class TestGrid:
         with pytest.raises(GridError):
             GaborGrid(M=8, N=8, time_shift=7.5, freq_shift=10, fs=5e6)
 
+    def test_rejects_channels_past_the_band(self):
+        # L = 8*10 = 80 samples, M*b = 8*11 = 88 bins
+        with pytest.raises(GridError, match=r"M\*b > L"):
+            GaborGrid(M=8, N=8, time_shift=10, freq_shift=11, fs=5e6)
+
     def test_partial_band_allowed(self):
         # N*tf not an integer: b is reduced so M*b <= L
         grid = make_grid(16, 17, 1.25)
@@ -349,6 +354,11 @@ class TestFilterbank:
             synthesize(np.zeros((4, 8)), g, grid)
         with pytest.raises(ValueError):
             analyze(np.zeros(grid.L + 1, dtype=complex), g, grid)
+        _, wide = tight_pulse(16, 16)  # L = 320 against 80
+        with pytest.raises(ValueError, match="pulse length does not match grid"):
+            synthesize(np.zeros((8, 8)), wide, grid)
+        with pytest.raises(ValueError, match="pulse length does not match grid"):
+            analyze(np.zeros(grid.L, dtype=complex), wide, grid)
 
 
 @lru_cache(maxsize=None)
@@ -604,6 +614,13 @@ class TestAmbiguityTable:
         rng = np.random.default_rng(steps)
         tau, nu = rng.uniform(0, tau_max, 50), rng.uniform(-nu_max, nu_max, 50)
         assert np.abs(table(tau, nu) - cross_ambiguity(g, g, tau, nu, grid)).max() <= 1e-12
+
+    def test_rejects_pulses_of_another_grid(self):
+        grid, g = tight_pulse(8, 8)  # L = 80
+        _, wide = tight_pulse(16, 16)  # L = 320
+        for pair in ((g, wide), (wide, g), (wide, wide)):
+            with pytest.raises(ValueError, match="pulses must share the sample grid"):
+                ambiguity_table(*pair, grid, 0.0, 0.0)
 
     def test_rejects_a_box_past_the_node_cap(self):
         grid, g = tight_pulse(16, 16)

@@ -179,13 +179,15 @@ class TestRunTrial:
             assert box == (point.channel.tau_max, point.channel.nu_max)
 
     @pytest.mark.parametrize("overrides, keys", [
-        (dict(tau_max=1e-9, nu_max=5e6), "tau_max, nu_max"),
-        (dict(tau_max=1e-9, velocity=9e5), "tau_max, velocity"),
+        # 64 x 62 at 5 MHz: the Doppler spreads sit below fs/2 = 2.5 MHz
+        (dict(tau_max=1e-9, nu_max=2e6), "tau_max, nu_max"),
+        (dict(tau_max=1e-9, velocity=367000.0), "tau_max, velocity"),
     ])
     def test_table_past_its_node_cap_names_the_spread_keys(self, overrides, keys):
         cap = gabor.AMBIGUITY_MAX_NODES
         with pytest.raises(ValueError, match=f"^{keys}: .* more than {cap} Chebyshev nodes"):
-            harness.validate_point(quiet_cfg(estimators=("perfect",), **overrides))
+            harness.validate_point(quiet_cfg(estimators=("perfect",), m_data=64, n_data=62,
+                                             pilots_per_row=2, **overrides))
 
     def test_cached_trial_computes_no_ambiguity(self, monkeypatch):
         cfg = quiet_cfg(estimators=("srh-mna", "perfect"))
@@ -349,15 +351,33 @@ class TestSweepValidation:
         ("pilots_per_row, estimators", dict(m_data=2, n_data=16, tf_product=2.0)),
         ("coding, m_data, n_data", dict(m_data=2, n_data=2, tf_product=2.0, tau_max=0.0,
                                         coding=True, estimators=("perfect",))),
-        # alpha about 935 and beta about 1.1e-3: the banded Cholesky fails
-        ("estimators, tau_max, velocity", dict(m_data=4, n_data=16, pilots_per_row=2,
-                                               bandwidth=1000.0, tau_max=1e-6, velocity=5000.0,
-                                               tf_product=2.0, estimators=("srh-ma",))),
+        # mode-aware weights of very different size: the banded Cholesky fails
+        ("estimators, tau_max, velocity", dict(m_data=16, n_data=15, pilots_per_row=1,
+                                               velocity=0.05, estimators=("srh-ma",))),
     ])
     def test_set_up_failure_names_its_keys(self, no_trials, keys, overrides):
         with pytest.raises(ValueError, match=f"^{keys}: "):
             run_sweep(quiet_cfg(**overrides), "snr", [15.0])
         assert no_trials == []
+
+    @pytest.mark.parametrize("keys, overrides", [
+        # 5.47 MHz at fs = 5 MHz: |A(0, fs)| = |A(0, 0)|, yet 2*tau_max*nu_max = 0.011
+        ("velocity, bandwidth", dict(tau_max=1e-9, velocity=1e6, estimators=("perfect",))),
+        ("velocity, bandwidth", dict(tau_max=1e-9, velocity=9e5, estimators=("perfect",))),
+        ("nu_max, bandwidth", dict(tau_max=1e-9, nu_max=5e6, estimators=("perfect",))),
+        ("nu_max, bandwidth", dict(tau_max=1e-9, nu_max=2.5e6, estimators=("perfect",))),
+        ("velocity, bandwidth", dict(m_data=4, n_data=16, pilots_per_row=2, bandwidth=1000.0,
+                                     tau_max=1e-6, velocity=5000.0, tf_product=2.0,
+                                     estimators=("srh-ma",))),
+    ])
+    def test_doppler_spread_that_aliases(self, no_trials, keys, overrides):
+        with pytest.raises(ValueError, match=f"^{keys}: .* not below half the sampling rate"):
+            run_sweep(quiet_cfg(**overrides), "snr", [15.0])
+        assert no_trials == []
+
+    def test_doppler_spread_below_half_the_sampling_rate_runs(self):
+        point = harness.validate_point(quiet_cfg(tau_max=1e-9, nu_max=2.4e6))
+        assert point.channel.nu_max < point.grid.fs / 2
 
     def test_collinear_pilots_only_stop_srh(self):
         # the LMMSE fit and the true CMD do not depend on the pilot geometry

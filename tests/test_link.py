@@ -102,6 +102,11 @@ class TestQpsk:
         with pytest.raises(ValueError):
             modulate(np.array([1, 0, 1]))
 
+    @pytest.mark.parametrize("n_bits", [2 * 4 * 6 - 2, 2 * 4 * 6 + 2])
+    def test_frame_needs_its_bit_count(self, n_bits):
+        with pytest.raises(ValueError, match=r"need 48 bits for a \(4, 6\) QPSK frame"):
+            bits_to_frame(np.zeros(n_bits, dtype=np.int8), (4, 6))
+
 
 class TestMmseEqualize:
     def test_identity(self):
@@ -135,6 +140,14 @@ class TestMmseEqualize:
     def test_zero_division_guard(self):
         with pytest.raises(ZeroDivisionError):
             mmse_equalize(np.ones((1, 1)), np.zeros((1, 1)), 0.0)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shapes differ"):
+            mmse_equalize(np.ones((2, 3)), np.ones((3, 2)), 0.1)
+
+    def test_rejects_negative_noise_variance(self):
+        with pytest.raises(ValueError, match="noise variance must be nonnegative"):
+            mmse_equalize(np.ones((1, 1)), np.ones((1, 1)), -0.1)
 
 
 class TestConvCode:

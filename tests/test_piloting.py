@@ -128,6 +128,14 @@ class TestAccordion:
         with pytest.raises(ValueError):
             accordion_placement(8, 8, 8)
 
+    def test_every_valid_pilot_count_builds(self):
+        # 1 <= P' < n_data spaces the row template N/P' = 1 + n_data/P' > 2
+        # apart, so its rounded positions are distinct cells of the row
+        for n_data in range(2, 65):
+            for ppr in range(1, n_data):
+                pl = accordion_placement(1, n_data, ppr)
+                assert (pl.N, pl.P) == (n_data + ppr, ppr)
+
 
 class TestPlacementType:
     def test_rejects_overlap(self):
@@ -218,6 +226,10 @@ class TestMultiplex:
             multiplex(data[:, :-1], pilots, pl)
         with pytest.raises(ValueError):
             multiplex(data, PilotSequence(symbols=np.ones(3)), pl)
+        for shape in ((8, 7), (9, 8), (8, 6)):  # the frame is 8 x 8
+            for read in (demultiplex, extract_pilots):
+                with pytest.raises(ValueError, match="does not match placement"):
+                    read(np.zeros(shape, dtype=complex), pl)
 
 
 class TestPilotSequence:
