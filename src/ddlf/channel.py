@@ -22,38 +22,39 @@ class ChannelError(ValueError):
     """Invalid channel configuration."""
 
 
-@dataclass(frozen=True)
-class Scatterer:
-    """Single propagation path: delay tau (s), Doppler nu (Hz), complex gain eta."""
-
-    tau: float
-    nu: float
-    eta: complex
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DDChannel:
-    """Collection of scatterers bounded by (tau_max, nu_max), underspread."""
+    """R paths, each a delay tau (s), Doppler nu (Hz) and complex gain eta,
+    as three length-R arrays, inside the underspread box (tau_max, nu_max)."""
 
-    scatterers: tuple[Scatterer, ...]
+    tau: np.ndarray
+    nu: np.ndarray
+    eta: np.ndarray
     tau_max: float
     nu_max: float
 
     def __post_init__(self):
+        for name, dtype in (("tau", float), ("nu", float), ("eta", complex)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if not (self.tau.ndim == 1 and self.tau.shape == self.nu.shape == self.eta.shape):
+            raise ChannelError(f"path arrays tau, nu, eta of shapes {self.tau.shape}, "
+                               f"{self.nu.shape}, {self.eta.shape} are not one length")
         spread = 2.0 * self.tau_max * self.nu_max
         if spread >= 0.1:
             raise ChannelError(
                 f"channel not underspread: 2*tau_max*nu_max = {spread:.3g} >= 0.1"
             )
-        for s in self.scatterers:
-            if not (0.0 <= s.tau <= self.tau_max * (1 + 1e-9)):
-                raise ChannelError(f"scatterer delay {s.tau} outside [0, {self.tau_max}]")
-            if abs(s.nu) > self.nu_max * (1 + 1e-9):
-                raise ChannelError(f"scatterer Doppler {s.nu} outside +-{self.nu_max}")
+        late = ~((0.0 <= self.tau) & (self.tau <= self.tau_max * (1 + 1e-9)))
+        fast = np.abs(self.nu) > self.nu_max * (1 + 1e-9)
+        if (late | fast).any():
+            r = np.argmax(late | fast)  # the first path out of the box
+            if late[r]:
+                raise ChannelError(f"scatterer delay {self.tau[r]} outside [0, {self.tau_max}]")
+            raise ChannelError(f"scatterer Doppler {self.nu[r]} outside +-{self.nu_max}")
 
     @property
     def total_power(self) -> float:
-        return float(sum(abs(s.eta) ** 2 for s in self.scatterers))
+        return float(np.sum(np.abs(self.eta) ** 2))
 
 
 def default_power_profile(tau_max: float) -> float:
@@ -75,7 +76,6 @@ class ChannelConfig:
     tau_max: float
     nu_max: float
     power_profile: float | None = None
-    seed: int = 0
     fractional: bool = True
 
     def __post_init__(self):
@@ -86,42 +86,37 @@ class ChannelConfig:
                                "must be nonnegative")
 
 
-def generate_channel(cfg: ChannelConfig, grid: GaborGrid | None = None) -> DDChannel:
-    """Draw R scatterers: uniform delays/Dopplers, exponential power-delay profile.
+def generate_channel(cfg: ChannelConfig, grid: GaborGrid, seed: int) -> DDChannel:
+    """Draw R paths: uniform delays/Dopplers, exponential power-delay profile.
 
     Gains are circular complex Gaussian with variance proportional to
     exp(-tau * power_profile), renormalized so the realized total power
-    sum |eta_r|^2 is exactly 1. Deterministic for a given seed.
+    sum |eta_r|^2 is exactly 1. Deterministic for a given seed. A box that
+    grid cannot hold is a ChannelError before any draw: a Doppler spread of
+    at least fs/2 (the sampled ramps alias), or a delay spread of at least
+    the frame duration.
     """
+    if cfg.nu_max >= grid.fs / 2:
+        raise ChannelError(f"nu_max = {cfg.nu_max:g} Hz is not below fs/2 = {grid.fs / 2:g} Hz; "
+                           "the Doppler shifts alias")
+    if cfg.tau_max >= grid.duration:
+        raise ChannelError(f"tau_max = {cfg.tau_max:g} s is not below the frame duration "
+                           f"{grid.duration:g} s")
     rate = cfg.power_profile if cfg.power_profile is not None else default_power_profile(cfg.tau_max)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     taus = rng.uniform(0.0, cfg.tau_max, size=cfg.R)
     nus = rng.uniform(-cfg.nu_max, cfg.nu_max, size=cfg.R)
     if not cfg.fractional:
-        if grid is None:
-            raise ChannelError("on-grid snapping requires the Gabor grid")
         d_tau = 1.0 / (grid.M * grid.F)
         d_nu = 1.0 / (grid.N * grid.T)
-        taus = np.round(taus / d_tau) * d_tau
-        nus = np.round(nus / d_nu) * d_nu
-        taus = np.clip(taus, 0.0, cfg.tau_max)
-        nus = np.clip(nus, -cfg.nu_max, cfg.nu_max)
+        taus = np.clip(np.round(taus / d_tau) * d_tau, 0.0, cfg.tau_max)
+        nus = np.clip(np.round(nus / d_nu) * d_nu, -cfg.nu_max, cfg.nu_max)
     # relative to the earliest delay, so a steep profile cannot underflow every
     # weight to 0; the common factor cancels in the normalization
     var = np.exp(-(taus - taus.min()) * rate)
     etas = np.sqrt(var / 2.0) * (rng.standard_normal(cfg.R) + 1j * rng.standard_normal(cfg.R))
     etas /= np.linalg.norm(etas)
-    scatterers = tuple(Scatterer(float(t), float(n), complex(e))
-                       for t, n, e in zip(taus, nus, etas))
-    return DDChannel(scatterers=scatterers, tau_max=cfg.tau_max, nu_max=cfg.nu_max)
-
-
-def _paths(ch: DDChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delays, Dopplers and gains of the scatterers as arrays."""
-    sc = ch.scatterers
-    return (np.array([s.tau for s in sc], dtype=float),
-            np.array([s.nu for s in sc], dtype=float),
-            np.array([s.eta for s in sc], dtype=complex))
+    return DDChannel(taus, nus, etas, tau_max=cfg.tau_max, nu_max=cfg.nu_max)
 
 
 def apply_channel(f: np.ndarray, ch: DDChannel, grid: GaborGrid) -> np.ndarray:
@@ -137,13 +132,12 @@ def apply_channel(f: np.ndarray, ch: DDChannel, grid: GaborGrid) -> np.ndarray:
     f = np.asarray(f)
     if f.shape != (grid.L,):
         raise ValueError(f"signal length {f.shape} does not match grid L = {grid.L}")
-    taus, nus, etas = _paths(ch)
-    late = taus >= grid.duration
+    late = ch.tau >= grid.duration
     if late.any():
-        raise ChannelError(f"delay {taus[late][0]} exceeds the frame duration {grid.duration}")
+        raise ChannelError(f"delay {ch.tau[late][0]} exceeds the frame duration {grid.duration}")
     out = np.zeros(grid.L, dtype=complex)
-    for block, delayed in _delays(f, taus, grid.fs, signed=False):
-        out += etas[block] @ (delayed * _phasors(nus[block] / grid.fs, grid.L))
+    for block, delayed in _delays(f, ch.tau, grid.fs, signed=False):
+        out += ch.eta[block] @ (delayed * _phasors(ch.nu[block] / grid.fs, grid.L))
     return out
 
 
@@ -177,10 +171,9 @@ def true_cmd(ch: DDChannel, table: AmbiguityTable) -> np.ndarray:
                          f"nu_max = {table.nu_max:g} Hz does not match the channel's box "
                          f"tau_max = {ch.tau_max:g} s, nu_max = {ch.nu_max:g} Hz")
     grid = table.grid
-    taus, nus, etas = _paths(ch)
-    amp = etas * table(taus, nus)
-    delay = np.exp(-2j * np.pi * grid.F * taus * np.arange(grid.M)[:, None])
-    doppler = np.exp(2j * np.pi * grid.T * nus[:, None] * np.arange(grid.N))
+    amp = ch.eta * table(ch.tau, ch.nu)
+    delay = np.exp(-2j * np.pi * grid.F * ch.tau * np.arange(grid.M)[:, None])
+    doppler = np.exp(2j * np.pi * grid.T * ch.nu[:, None] * np.arange(grid.N))
     return (delay * amp) @ doppler
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from .piloting import PilotPlacement, PilotSequence
+from .piloting import PilotPlacement
 
 SRH_VARIANTS = ("srh", "srh-na", "srh-ma", "srh-mna")
 VARIANTS = ("lmmse",) + SRH_VARIANTS
@@ -116,9 +116,9 @@ class CMDEstimate:
             raise SolverError("estimate contains non-finite entries")
 
 
-def partial_cmd(q: np.ndarray, pilots: PilotSequence) -> np.ndarray:
-    """Per-pilot raw CMD samples h_pilot = q / p."""
-    p = np.asarray(pilots.symbols)
+def partial_cmd(q: np.ndarray, pilots: np.ndarray) -> np.ndarray:
+    """Per-pilot raw CMD samples h_pilot = q / p of the pilot symbols p."""
+    p = np.asarray(pilots)
     if np.any(np.abs(p) == 0):
         raise ValueError("pilot symbols must be nonzero")
     q = np.asarray(q)
@@ -127,9 +127,9 @@ def partial_cmd(q: np.ndarray, pilots: PilotSequence) -> np.ndarray:
     return q / p
 
 
-def relaxation_delta(sigma2: float, sigma_z2: float, pilots: PilotSequence) -> float:
+def relaxation_delta(sigma2: float, sigma_z2: float, pilots: np.ndarray) -> float:
     """Expected pilot-fidelity error (sigma_z^2 + sigma^2) * sum_s |p_s|^-2."""
-    p = np.asarray(pilots.symbols)
+    p = np.asarray(pilots)
     return float((sigma2 + sigma_z2) * np.sum(np.abs(p) ** -2.0))
 
 

@@ -374,8 +374,9 @@ def ambiguity_table(gamma: Pulse, g: Pulse, grid: GaborGrid, tau_max: float,
     them into coefficients. Each axis starts at AMBIGUITY_NODES and doubles
     until its last two coefficients are at most AMBIGUITY_TOL, or at most
     AMBIGUITY_FLOOR and no longer halving (rounding level). An axis that
-    would pass AMBIGUITY_MAX_NODES is a ValueError. A zero-width axis has one
-    node.
+    would pass AMBIGUITY_MAX_NODES is a ValueError, and so is a Doppler box
+    of at least fs/2, where the sampled ramps alias. A zero-width axis has
+    one node.
     """
     if len(gamma.samples) != grid.L or len(g.samples) != grid.L:
         raise ValueError("pulses must share the sample grid")
@@ -383,6 +384,9 @@ def ambiguity_table(gamma: Pulse, g: Pulse, grid: GaborGrid, tau_max: float,
         raise ValueError(f"tau_max = {tau_max} is not in [0, {grid.duration}), the frame duration")
     if nu_max < 0:
         raise ValueError(f"nu_max = {nu_max} must be nonnegative")
+    if nu_max >= grid.fs / 2:
+        raise ValueError(f"nu_max = {nu_max} is not below fs/2 = {grid.fs / 2}; the Doppler "
+                         "shifts alias")
     n_tau, n_nu = (n if width > 0 else 1 for n, width in zip(AMBIGUITY_NODES, (tau_max, nu_max)))
     last = (math.inf, math.inf)  # each axis's tail in the previous round
     rows = np.empty((0, grid.L), dtype=complex)  # g* times gamma at each delay node

@@ -208,8 +208,8 @@ def _config_key(key: str):
 class Point:
     """What every trial of a sweep point shares, all of it built by
     validate_point before the first trial: the placement (with its cached
-    index arrays), grid, tight pulse, precoder, the channel config (seed 0;
-    each trial draws its own seed), every estimator's zero-noise config and
+    index arrays), grid, tight pulse, precoder, the channel config (each
+    trial draws its own channel seed), every estimator's zero-noise config and
     its linear map (estimation.operator), and, where the trials read the true
     CMD, the ambiguity table of the point's delay-Doppler box (else None).
     A random precoder's Householder factors are the one part left to first
@@ -355,8 +355,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int
         bits_tx = rng.integers(0, 2, size=n_bits).astype(np.int8)
 
     pilots = piloting.qpsk_pilot_sequence(pl.P, seed=int(rng.integers(2**32)))
-    ch_cfg = dataclasses.replace(point.channel, seed=int(rng.integers(2**62)))
-    ch = chan.generate_channel(ch_cfg, grid)
+    ch = chan.generate_channel(point.channel, grid, seed=int(rng.integers(2**62)))
 
     X = link.bits_to_frame(bits_tx, (pl.M_data, pl.N_data))
     frame_tx = piloting.multiplex(transforms.encode(X, precoder), pilots, pl)

@@ -66,18 +66,12 @@ class PilotPlacement:
         return tuple(pilots), tuple(data)
 
 
-@dataclass(frozen=True)
-class PilotSequence:
-    """Known pilot symbols in kappa_p order."""
-
-    symbols: np.ndarray
-
-
-def qpsk_pilot_sequence(P: int, seed: int = 0) -> PilotSequence:
-    """Unit-magnitude QPSK pilots drawn from a seeded generator."""
+def qpsk_pilot_sequence(P: int, seed: int = 0) -> np.ndarray:
+    """P unit-magnitude QPSK pilot symbols in kappa_p order, drawn from a
+    seeded generator."""
     rng = np.random.default_rng(seed)
     phases = np.pi / 4 + (np.pi / 2) * rng.integers(0, 4, size=P)
-    return PilotSequence(symbols=np.exp(1j * phases))
+    return np.exp(1j * phases)
 
 
 def lattice_min_distance_sq(lam: int, mu: int) -> int:
@@ -138,20 +132,21 @@ def all_data_placement(M: int, N: int) -> PilotPlacement:
     return PilotPlacement(M=M, N=N, M_data=M, N_data=N, pilot_indices=())
 
 
-def multiplex(data_frame: np.ndarray, pilots: PilotSequence,
+def multiplex(data_frame: np.ndarray, pilots: np.ndarray,
               pl: PilotPlacement) -> np.ndarray:
-    """Assemble the M x N TF frame from the precoded data frame and pilot vector."""
+    """Assemble the M x N TF frame from the precoded data frame and the pilot
+    symbols in kappa_p order."""
     data_frame = np.asarray(data_frame)
     if data_frame.shape != (pl.M_data, pl.N_data):
         raise ValueError(f"data frame shape {data_frame.shape} does not match "
                          f"placement ({pl.M_data}, {pl.N_data})")
-    if len(pilots.symbols) != pl.P:
-        raise ValueError(f"pilot vector length {len(pilots.symbols)} != P = {pl.P}")
+    if len(pilots) != pl.P:
+        raise ValueError(f"pilot vector length {len(pilots)} != P = {pl.P}")
     frame = np.zeros((pl.M, pl.N), dtype=complex)
     dr, dc = pl.data_array_indices()
     frame[dr, dc] = data_frame.reshape(-1)
     pr, pc = pl.pilot_array_indices()
-    frame[pr, pc] = pilots.symbols
+    frame[pr, pc] = pilots
     return frame
 
 

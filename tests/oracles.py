@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ddlf.channel import ChannelError, DDChannel, Scatterer, true_cmd
+from ddlf.channel import ChannelError, DDChannel, true_cmd
 from ddlf.gabor import ambiguity_table
 
 
@@ -24,17 +24,17 @@ def per_path_apply(f, ch, grid):
     L = grid.L
     t = np.arange(L) / grid.fs
     out = np.zeros(L, dtype=complex)
-    for s in ch.scatterers:
-        ramp = np.exp(-2j * np.pi * np.arange(L) * (s.tau * grid.fs) / L)
-        out += s.eta * np.fft.ifft(np.fft.fft(f) * ramp) * np.exp(2j * np.pi * s.nu * t)
+    for tau, nu, eta in zip(ch.tau, ch.nu, ch.eta):
+        ramp = np.exp(-2j * np.pi * np.arange(L) * (tau * grid.fs) / L)
+        out += eta * np.fft.ifft(np.fft.fft(f) * ramp) * np.exp(2j * np.pi * nu * t)
     return out
 
 
 def channel_to_csv(ch: DDChannel) -> str:
-    """Scatterer dump (columns r, tau_s, nu_hz, eta_re, eta_im) for fixtures."""
+    """Path dump (columns r, tau_s, nu_hz, eta_re, eta_im) for fixtures."""
     lines = ["r,tau_s,nu_hz,eta_re,eta_im"]
-    for r, s in enumerate(ch.scatterers):
-        lines.append(f"{r},{s.tau:.17g},{s.nu:.17g},{s.eta.real:.17g},{s.eta.imag:.17g}")
+    for r, (tau, nu, eta) in enumerate(zip(ch.tau, ch.nu, ch.eta)):
+        lines.append(f"{r},{tau:.17g},{nu:.17g},{eta.real:.17g},{eta.imag:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -43,8 +43,6 @@ def channel_from_csv(text: str, tau_max: float, nu_max: float) -> DDChannel:
     rows = [ln for ln in text.splitlines() if ln.strip()]
     if not rows or rows[0] != "r,tau_s,nu_hz,eta_re,eta_im":
         raise ChannelError("not a channel dump (bad header)")
-    scatterers = []
-    for ln in rows[1:]:
-        _, tau, nu, re, im = ln.split(",")
-        scatterers.append(Scatterer(float(tau), float(nu), float(re) + 1j * float(im)))
-    return DDChannel(scatterers=tuple(scatterers), tau_max=tau_max, nu_max=nu_max)
+    _, tau, nu, re, im = np.array([ln.split(",") for ln in rows[1:]],
+                                  dtype=float).reshape(-1, 5).T
+    return DDChannel(tau, nu, re + 1j * im, tau_max=tau_max, nu_max=nu_max)

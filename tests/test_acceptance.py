@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ddlf.channel import DDChannel, Scatterer, true_cmd, dd_leakage_response
+from ddlf.channel import DDChannel, true_cmd, dd_leakage_response
 from ddlf.estimation import (
     EstimatorConfig,
     ReconstructionGrid,
@@ -24,7 +24,7 @@ from ddlf.gabor import ambiguity_table, analyze, cross_ambiguity, gaussian_proto
     make_grid, synthesize, tight_orthogonalize
 from ddlf.harness import ExperimentConfig, build_grid, build_placement, \
     rows_to_csv, run_point, run_sweep
-from ddlf.piloting import PilotPlacement, PilotSequence, accordion_placement, \
+from ddlf.piloting import PilotPlacement, accordion_placement, \
     lattice_min_distance_sq, optimal_shift
 from ddlf.transforms import dsft2d
 
@@ -115,8 +115,7 @@ def test_04_leakage_oracle(desk_pulse_cache):
     spread = int(np.sum(H_half > 0.01 * H_half.max()))
     # closed form matches the transform of the numerically computed response
     tau_f, nu_f = 0.37 / (grid.M * grid.F), 0.53 / (grid.N * grid.T)
-    ch = DDChannel(scatterers=(Scatterer(tau_f, nu_f, 1.0),),
-                   tau_max=tau_f * 1.3, nu_max=nu_f * 1.3)
+    ch = DDChannel([tau_f], [nu_f], [1.0], tau_max=tau_f * 1.3, nu_max=nu_f * 1.3)
     h = true_cmd(ch, ambiguity_table(pulse, pulse, grid, ch.tau_max, ch.nu_max))
     err = float(np.abs(np.sqrt(grid.N * grid.M) * dsft2d(h)
                        - dd_leakage_response(tau_f, nu_f, pulse, pulse, grid)).max())
@@ -134,8 +133,7 @@ def test_05_estimator_exact_recovery(desk_pulse_cache):
     fr, fc = pl_full.pilot_array_indices()
     # on-grid scatterer inside the reconstruction grid
     tau, nu = 1 / (grid.M * grid.F), 2 / (grid.N * grid.T)
-    ch = DDChannel(scatterers=(Scatterer(tau, nu, 0.8 - 0.4j),),
-                   tau_max=tau * 1.2, nu_max=nu * 1.2)
+    ch = DDChannel([tau], [nu], [0.8 - 0.4j], tau_max=tau * 1.2, nu_max=nu * 1.2)
     h = true_cmd(ch, ambiguity_table(pulse, pulse, grid, ch.tau_max, ch.nu_max))
     cfg = EstimatorConfig(variant="lmmse", sigma2=1e-12,
                           grid_k=ReconstructionGrid(Q=2, W=1, Wn=4))
@@ -275,6 +273,6 @@ def test_10_determinism():
 
 
 def test_11_relaxation_delta_value():
-    delta = relaxation_delta(0.01, 0.005, PilotSequence(np.ones(256, dtype=complex)))
+    delta = relaxation_delta(0.01, 0.005, np.ones(256, dtype=complex))
     report(11, delta == pytest.approx(3.84, abs=1e-12),
            f"relaxation parameter {delta} (= 3.84)")

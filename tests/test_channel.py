@@ -9,7 +9,6 @@ from ddlf.channel import (
     ChannelConfig,
     ChannelError,
     DDChannel,
-    Scatterer,
     add_noise,
     apply_channel,
     dd_leakage_response,
@@ -26,6 +25,9 @@ from oracles import channel_from_csv, channel_to_csv, fractional_shift, own_box_
     per_path_apply
 
 
+PATH_ARRAYS = ("tau", "nu", "eta")
+
+
 @pytest.fixture(scope="module")
 def desk():
     grid = make_grid(8, 8)
@@ -34,77 +36,81 @@ def desk():
 
 
 def single_path(tau, nu, eta, tau_max, nu_max):
-    return DDChannel(scatterers=(Scatterer(tau, nu, eta),),
-                     tau_max=tau_max, nu_max=nu_max)
+    return DDChannel([tau], [nu], [eta], tau_max=tau_max, nu_max=nu_max)
 
 
 def per_path_cmd(ch, gamma, g, grid):
     """Reference: one scalar cross-ambiguity and one outer product per path."""
     h = np.zeros((grid.M, grid.N), dtype=complex)
-    for s in ch.scatterers:
-        shifted = fractional_shift(gamma.samples, s.tau * grid.fs)
-        amb = np.vdot(g.samples, shifted * np.exp(2j * np.pi * s.nu * centered_times(grid)))
-        h += s.eta * amb * np.outer(np.exp(-2j * np.pi * grid.F * s.tau * np.arange(grid.M)),
-                                    np.exp(2j * np.pi * grid.T * s.nu * np.arange(grid.N)))
+    for tau, nu, eta in zip(ch.tau, ch.nu, ch.eta):
+        shifted = fractional_shift(gamma.samples, tau * grid.fs)
+        amb = np.vdot(g.samples, shifted * np.exp(2j * np.pi * nu * centered_times(grid)))
+        h += eta * amb * np.outer(np.exp(-2j * np.pi * grid.F * tau * np.arange(grid.M)),
+                                  np.exp(2j * np.pi * grid.T * nu * np.arange(grid.N)))
     return h
 
 
 def two_paths():
-    return DDChannel(scatterers=(Scatterer(0.3e-6, 500.0, 0.8), Scatterer(0.1e-6, -800.0, 0.2j)),
-                     tau_max=1e-6, nu_max=1e3)
+    return DDChannel([0.3e-6, 0.1e-6], [500.0, -800.0], [0.8, 0.2j], tau_max=1e-6, nu_max=1e3)
 
 
 def mixed_channel(R, grid, seed):
     """R paths alternating fractional and on-grid draws; for R > 1 one has zero delay and Doppler."""
     tau_max, nu_max = 4 / (grid.M * grid.F), 2 / (grid.N * grid.T)
-    frac = generate_channel(ChannelConfig(R=R, tau_max=tau_max, nu_max=nu_max, seed=seed), grid)
+    frac = generate_channel(ChannelConfig(R=R, tau_max=tau_max, nu_max=nu_max), grid, seed)
     grid_ch = generate_channel(ChannelConfig(R=R, tau_max=tau_max, nu_max=nu_max,
-                                             seed=seed + 1, fractional=False), grid)
-    paths = [grid_ch.scatterers[r] if r % 2 else frac.scatterers[r] for r in range(R)]
+                                             fractional=False), grid, seed + 1)
+    odd = np.arange(R) % 2 == 1
+    tau, nu, eta = (np.where(odd, getattr(grid_ch, k), getattr(frac, k)) for k in PATH_ARRAYS)
     if R > 1:
-        paths[R // 2] = Scatterer(0.0, 0.0, paths[R // 2].eta)
-    return DDChannel(scatterers=tuple(paths), tau_max=tau_max, nu_max=nu_max)
+        tau[R // 2] = nu[R // 2] = 0.0
+    return DDChannel(tau, nu, eta, tau_max=tau_max, nu_max=nu_max)
+
+
+def same_paths(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in PATH_ARRAYS)
 
 
 class TestGenerateChannel:
     def test_snapping_on_grid(self, desk):
         grid, _ = desk
         cfg = ChannelConfig(R=1, tau_max=2 / (grid.M * grid.F),
-                            nu_max=1 / (grid.N * grid.T), seed=11, fractional=False)
-        ch = generate_channel(cfg, grid)
-        s = ch.scatterers[0]
-        assert s.tau * grid.M * grid.F == pytest.approx(round(s.tau * grid.M * grid.F), abs=1e-9)
-        assert s.nu * grid.N * grid.T == pytest.approx(round(s.nu * grid.N * grid.T), abs=1e-9)
+                            nu_max=1 / (grid.N * grid.T), fractional=False)
+        ch = generate_channel(cfg, grid, seed=11)
+        tau, nu = ch.tau[0], ch.nu[0]
+        assert tau * grid.M * grid.F == pytest.approx(round(tau * grid.M * grid.F), abs=1e-9)
+        assert nu * grid.N * grid.T == pytest.approx(round(nu * grid.N * grid.T), abs=1e-9)
 
     def test_unit_total_power(self, desk):
         grid, _ = desk
         for seed in range(5):
-            cfg = ChannelConfig(R=6, tau_max=1e-6, nu_max=2e3, seed=seed)
-            ch = generate_channel(cfg, grid)
+            cfg = ChannelConfig(R=6, tau_max=1e-6, nu_max=2e3)
+            ch = generate_channel(cfg, grid, seed)
             assert ch.total_power == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("fractional", [True, False])
     def test_steep_profile_puts_the_power_on_the_earliest_path(self, desk, fractional):
         grid, _ = desk
-        cfg = ChannelConfig(R=8, tau_max=1e-6, nu_max=2e3, power_profile=1e12, seed=3,
+        cfg = ChannelConfig(R=8, tau_max=1e-6, nu_max=2e3, power_profile=1e12,
                             fractional=fractional)
-        ch = generate_channel(cfg, grid)
-        taus = np.array([s.tau for s in ch.scatterers])
-        power = np.abs([s.eta for s in ch.scatterers]) ** 2
+        ch = generate_channel(cfg, grid, seed=3)
+        taus = ch.tau
+        power = np.abs(ch.eta) ** 2
         assert np.all(np.isfinite(power))
         assert ch.total_power == pytest.approx(1.0, abs=1e-12)
         assert power[taus == taus.min()].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic(self, desk):
         grid, _ = desk
-        cfg = ChannelConfig(R=4, tau_max=1e-6, nu_max=2e3, seed=99)
-        assert generate_channel(cfg, grid) == generate_channel(cfg, grid)
+        cfg = ChannelConfig(R=4, tau_max=1e-6, nu_max=2e3)
+        assert same_paths(generate_channel(cfg, grid, 99), generate_channel(cfg, grid, 99))
 
-    def test_underspread_enforced(self):
+    def test_underspread_enforced(self, desk):
+        grid, _ = desk  # frame duration 16 us: this box fails only the underspread rule
+        with pytest.raises(ChannelError, match="not underspread"):
+            generate_channel(ChannelConfig(R=1, tau_max=1e-5, nu_max=6e3), grid, 0)
         with pytest.raises(ChannelError):
-            generate_channel(ChannelConfig(R=1, tau_max=1e-3, nu_max=1e3))
-        with pytest.raises(ChannelError):
-            DDChannel(scatterers=(Scatterer(0, 0, 1),), tau_max=1e-3, nu_max=1e3)
+            DDChannel([0], [0], [1], tau_max=1e-3, nu_max=1e3)
 
     def test_bad_scatterer_count(self):
         with pytest.raises(ChannelError):
@@ -118,10 +124,21 @@ class TestGenerateChannel:
         with pytest.raises(ChannelError, match=f"scatterer {what} .* outside"):
             single_path(tau, nu, 1.0, 1e-6, 1e3)
 
-    def test_on_grid_snapping_needs_the_grid(self):
-        cfg = ChannelConfig(R=2, tau_max=1e-6, nu_max=1e3, fractional=False)
-        with pytest.raises(ChannelError, match="requires the Gabor grid"):
-            generate_channel(cfg)
+    @pytest.mark.parametrize("lengths", [(2, 1, 1), (1, 2, 1), (1, 1, 0)])
+    def test_path_arrays_of_unequal_lengths(self, lengths):
+        tau, nu, eta = (np.zeros(n) for n in lengths)
+        with pytest.raises(ChannelError, match="not one length"):
+            DDChannel(tau, nu, eta, tau_max=1e-6, nu_max=1e3)
+
+    @pytest.mark.parametrize("tau_share, nu_share, match", [
+        (0.0, 0.5, "alias"), (0.0, 0.6, "alias"), (1.0, 0.0, "frame duration")])
+    def test_box_the_grid_cannot_hold_refused_before_any_draw(self, desk, monkeypatch,
+                                                              tau_share, nu_share, match):
+        grid, _ = desk  # the shares are of the frame duration and of fs
+        monkeypatch.setattr(np.random, "default_rng", None)  # a draw would fail otherwise
+        cfg = ChannelConfig(R=3, tau_max=tau_share * grid.duration, nu_max=nu_share * grid.fs)
+        with pytest.raises(ChannelError, match=match):
+            generate_channel(cfg, grid, 0)
 
 
 class TestApplyChannel:
@@ -142,11 +159,11 @@ class TestApplyChannel:
         grid, _ = desk
         rng = np.random.default_rng(12)
         f = rng.standard_normal(grid.L) + 1j * rng.standard_normal(grid.L)
-        s1 = Scatterer(0.3e-6, 800.0, 0.6 + 0.1j)
-        s2 = Scatterer(0.1e-6, -1500.0, 0.2 - 0.7j)
-        both = DDChannel(scatterers=(s1, s2), tau_max=1e-6, nu_max=2e3)
-        one = DDChannel(scatterers=(s1,), tau_max=1e-6, nu_max=2e3)
-        two = DDChannel(scatterers=(s2,), tau_max=1e-6, nu_max=2e3)
+        s1 = (0.3e-6, 800.0, 0.6 + 0.1j)
+        s2 = (0.1e-6, -1500.0, 0.2 - 0.7j)
+        both = DDChannel(*zip(s1, s2), tau_max=1e-6, nu_max=2e3)
+        one = DDChannel(*zip(s1), tau_max=1e-6, nu_max=2e3)
+        two = DDChannel(*zip(s2), tau_max=1e-6, nu_max=2e3)
         lhs = apply_channel(f, both, grid)
         rhs = apply_channel(f, one, grid) + apply_channel(f, two, grid)
         assert np.abs(lhs - rhs).max() < 1e-12
@@ -156,15 +173,14 @@ class TestApplyChannel:
         rng = np.random.default_rng(13)
         f = rng.standard_normal(grid.L) + 1j * rng.standard_normal(grid.L)
         g = rng.standard_normal(grid.L) + 1j * rng.standard_normal(grid.L)
-        ch = DDChannel(scatterers=(Scatterer(0.3e-6, 800.0, 0.6 + 0.1j),),
-                       tau_max=1e-6, nu_max=2e3)
+        ch = DDChannel([0.3e-6], [800.0], [0.6 + 0.1j], tau_max=1e-6, nu_max=2e3)
         lhs = apply_channel(2.5j * f + g, ch, grid)
         rhs = 2.5j * apply_channel(f, ch, grid) + apply_channel(g, ch, grid)
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_delay_beyond_frame_rejected(self, desk):
         grid, _ = desk
-        ch = DDChannel(scatterers=(Scatterer(grid.duration * 1.01, 0.0, 1.0),),
+        ch = DDChannel([grid.duration * 1.01], [0.0], [1.0],
                        tau_max=grid.duration * 1.02, nu_max=1.0)
         with pytest.raises(ChannelError):
             apply_channel(np.zeros(grid.L, dtype=complex), ch, grid)
@@ -186,12 +202,11 @@ class TestApplyChannel:
 
     def test_late_path_in_any_block_rejected(self, desk):
         grid, _ = desk
-        ok = Scatterer(0.0, 0.0, 1.0)
-        late = Scatterer(grid.duration, 0.0, 1.0)
         for k in (0, SHIFT_BLOCK, SHIFT_BLOCK + 2):
-            paths = [ok] * (SHIFT_BLOCK + 3)
-            paths[k] = late
-            ch = DDChannel(scatterers=tuple(paths), tau_max=grid.duration, nu_max=1.0)
+            tau = np.zeros(SHIFT_BLOCK + 3)
+            tau[k] = grid.duration
+            ch = DDChannel(tau, np.zeros_like(tau), np.ones_like(tau), tau_max=grid.duration,
+                           nu_max=1.0)
             with pytest.raises(ChannelError, match="exceeds the frame duration"):
                 apply_channel(np.zeros(grid.L, dtype=complex), ch, grid)
 
@@ -248,18 +263,18 @@ class TestTrueCmd:
         grid, pulse = desk
         rng = np.random.default_rng(31)
         scats = tuple(
-            Scatterer(float(rng.uniform(0, 0.8e-6)), float(rng.uniform(-2e3, 2e3)),
-                      complex(rng.normal(), rng.normal()))
+            (float(rng.uniform(0, 0.8e-6)), float(rng.uniform(-2e3, 2e3)),
+             complex(rng.normal(), rng.normal()))
             for _ in range(3))
-        ch = DDChannel(scatterers=scats, tau_max=1e-6, nu_max=3e3)
+        ch = DDChannel(*zip(*scats), tau_max=1e-6, nu_max=3e3)
         h = own_box_cmd(ch, pulse, grid)
         oracle = np.zeros((grid.M, grid.N), dtype=complex)
-        for s in scats:
-            amp = s.eta * cross_ambiguity(pulse, pulse, s.tau, s.nu, grid)
+        for tau, nu, eta in scats:
+            amp = eta * cross_ambiguity(pulse, pulse, tau, nu, grid)
             for m in range(grid.M):
                 for n in range(grid.N):
                     oracle[m, n] += amp * np.exp(
-                        2j * np.pi * (n * grid.T * s.nu - m * grid.F * s.tau))
+                        2j * np.pi * (n * grid.T * nu - m * grid.F * tau))
         assert np.abs(h - oracle).max() < 1e-12
 
     @pytest.mark.parametrize("R", [1, SHIFT_BLOCK, SHIFT_BLOCK + 1, 58])
@@ -275,10 +290,9 @@ class TestTrueCmd:
     def test_paths_on_the_box_edge_with_slack(self, desk):
         grid, pulse = desk
         tau_max, nu_max, slack = 4.5 / (grid.M * grid.F), 0.7 / (grid.N * grid.T), 1 + 1e-9
-        ch = DDChannel(scatterers=(Scatterer(tau_max * slack, nu_max * slack, 0.6 + 0.1j),
-                                   Scatterer(tau_max * slack, -nu_max * slack, -0.3j),
-                                   Scatterer(0.0, -nu_max * slack, 0.5)),
-                       tau_max=tau_max, nu_max=nu_max)
+        ch = DDChannel([tau_max * slack, tau_max * slack, 0.0],
+                       [nu_max * slack, -nu_max * slack, -nu_max * slack],
+                       [0.6 + 0.1j, -0.3j, 0.5], tau_max=tau_max, nu_max=nu_max)
         want = per_path_cmd(ch, pulse, pulse, grid)
         assert np.abs(own_box_cmd(ch, pulse, grid) - want).max() \
             <= 1e-12 * np.abs(want).max()
@@ -287,8 +301,8 @@ class TestTrueCmd:
     def test_delay_spread_of_half_the_frame_or_more(self, steps):
         grid = make_grid(16, 16)
         pulse = tight_orthogonalize(gaussian_prototype(grid), grid)
-        cfg = ChannelConfig(R=8, tau_max=steps * grid.T, nu_max=100.0, seed=steps)
-        ch = generate_channel(cfg, grid)
+        cfg = ChannelConfig(R=8, tau_max=steps * grid.T, nu_max=100.0)
+        ch = generate_channel(cfg, grid, seed=steps)
         want = per_path_cmd(ch, pulse, pulse, grid)
         # |A| is small at most of these delays; the channel has unit total power
         assert np.abs(own_box_cmd(ch, pulse, grid) - want).max() <= 1e-12
@@ -306,8 +320,8 @@ class TestTrueCmd:
     def test_refuses_a_mismatched_table(self, desk):
         grid, pulse = desk
         ch = two_paths()
-        wider = DDChannel(scatterers=ch.scatterers, tau_max=ch.tau_max * 1.5, nu_max=ch.nu_max)
-        faster = DDChannel(scatterers=ch.scatterers, tau_max=ch.tau_max, nu_max=ch.nu_max * 2)
+        wider = DDChannel(ch.tau, ch.nu, ch.eta, tau_max=ch.tau_max * 1.5, nu_max=ch.nu_max)
+        faster = DDChannel(ch.tau, ch.nu, ch.eta, tau_max=ch.tau_max, nu_max=ch.nu_max * 2)
         table = ambiguity_table(pulse, pulse, grid, ch.tau_max, ch.nu_max)
         for other in (wider, faster):
             with pytest.raises(ValueError, match="ambiguity table"):
@@ -364,12 +378,12 @@ class TestLeakage:
 class TestChannelDump:
     def test_roundtrip(self, desk):
         grid, _ = desk
-        cfg = ChannelConfig(R=5, tau_max=0.8e-6, nu_max=2e3, seed=7)
-        ch = generate_channel(cfg, grid)
+        cfg = ChannelConfig(R=5, tau_max=0.8e-6, nu_max=2e3)
+        ch = generate_channel(cfg, grid, seed=7)
         text = channel_to_csv(ch)
         assert text.splitlines()[0] == "r,tau_s,nu_hz,eta_re,eta_im"
         back = channel_from_csv(text, ch.tau_max, ch.nu_max)
-        assert back == ch
+        assert same_paths(back, ch)
 
     def test_bad_header(self):
         with pytest.raises(ChannelError):
@@ -409,8 +423,8 @@ class TestSelfInterference:
             acc = 0.0
             for seed in range(20):
                 cfg = ChannelConfig(R=4, tau_max=0.5 / (grid.M * grid.F),
-                                    nu_max=nu_max, seed=seed)
-                acc += si_power(x, generate_channel(cfg, grid), pulse, grid)
+                                    nu_max=nu_max)
+                acc += si_power(x, generate_channel(cfg, grid, seed), pulse, grid)
             levels.append(acc / 20)
         assert levels[0] < levels[1] < levels[2]
 

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddlf.channel import DDChannel, Scatterer
+from ddlf.channel import DDChannel
 from ddlf.estimation import (
     OMEGA_CAP,
     CMDEstimate,
@@ -32,7 +32,6 @@ from ddlf.estimation import (
 from ddlf.gabor import gaussian_prototype, make_grid, tight_orthogonalize
 from ddlf.piloting import (
     PilotPlacement,
-    PilotSequence,
     accordion_placement,
     qpsk_pilot_sequence,
 )
@@ -95,16 +94,16 @@ def srh_reference(h_pilot, pl, alpha, beta, omega):
 
 class TestPartialCmd:
     def test_simple_division(self):
-        p = PilotSequence(symbols=np.array([1.0 + 0j]))
+        p = np.array([1.0 + 0j])
         assert partial_cmd(np.array([2.0 + 0j]), p)[0] == 2.0 + 0j
 
     def test_identity_channel_gives_ones(self):
         p = qpsk_pilot_sequence(16, seed=0)
-        out = partial_cmd(p.symbols.copy(), p)
+        out = partial_cmd(p.copy(), p)
         assert np.abs(out - 1.0).max() < 1e-12
 
     def test_rejects_zero_pilots(self):
-        p = PilotSequence(symbols=np.array([0.0 + 0j]))
+        p = np.array([0.0 + 0j])
         with pytest.raises(ValueError):
             partial_cmd(np.array([1.0 + 0j]), p)
 
@@ -125,15 +124,15 @@ class TestCMDEstimate:
 
 class TestRelaxationDelta:
     def test_frozen_example(self):
-        p = PilotSequence(symbols=np.ones(256, dtype=complex))
+        p = np.ones(256, dtype=complex)
         assert relaxation_delta(0.01, 0.005, p) == pytest.approx(3.84)
 
     def test_zero_noise(self):
-        p = PilotSequence(symbols=np.ones(16, dtype=complex))
+        p = np.ones(16, dtype=complex)
         assert relaxation_delta(0.0, 0.0, p) == 0.0
 
     def test_non_unit_pilots(self):
-        p = PilotSequence(symbols=2.0 * np.ones(4, dtype=complex))
+        p = 2.0 * np.ones(4, dtype=complex)
         assert relaxation_delta(0.7, 0.3, p) == pytest.approx(1.0)
 
 
@@ -228,8 +227,7 @@ class TestLmmse:
         pl = full_pilot_placement(16, 16)
         k0, l0 = 2, 1  # delay bin inside Wn coverage, Doppler inside Q
         tau, nu = k0 / (grid.M * grid.F), l0 / (grid.N * grid.T)
-        ch = DDChannel(scatterers=(Scatterer(tau, nu, 1.0),),
-                       tau_max=tau * 1.5, nu_max=nu * 1.5)
+        ch = DDChannel([tau], [nu], [1.0], tau_max=tau * 1.5, nu_max=nu * 1.5)
         h = own_box_cmd(ch, pulse, grid)
         out = lmmse_estimate(sample_at_pilots(h, pl), pl, self._cfg())
         assert np.abs(out.h_tilde - h).max() < 1e-6
@@ -239,8 +237,7 @@ class TestLmmse:
         grid, pulse = desk16
         pl = accordion_placement(16, 13, 3)
         tau, nu = 1 / (grid.M * grid.F), 2 / (grid.N * grid.T)
-        ch = DDChannel(scatterers=(Scatterer(tau, nu, 0.7 - 0.2j),),
-                       tau_max=tau * 1.2, nu_max=nu * 1.2)
+        ch = DDChannel([tau], [nu], [0.7 - 0.2j], tau_max=tau * 1.2, nu_max=nu * 1.2)
         h = own_box_cmd(ch, pulse, grid)
         out = lmmse_estimate(sample_at_pilots(h, pl), pl, self._cfg())
         assert np.abs(out.h_tilde - h).max() < 1e-5
@@ -313,9 +310,9 @@ class TestLmmseProperties:
         # delay bin k and Doppler bin l land on grid cell (-l, -k), inside Q and Wn
         grid, pulse = tight_pulse(pl.M, pl.N)
         dtau, dnu = 1 / (grid.M * grid.F), 1 / (grid.N * grid.T)
-        ch = DDChannel(scatterers=tuple(Scatterer(k * dtau, l * dnu, r * np.exp(1j * phi))
-                                        for (k, l), (r, phi) in zip(bins, gains)),
-                       tau_max=LMMSE_GRID.Wn * dtau, nu_max=LMMSE_GRID.Q * dnu)
+        paths = [(k * dtau, l * dnu, r * np.exp(1j * phi))
+                 for (k, l), (r, phi) in zip(bins, gains)]
+        ch = DDChannel(*zip(*paths), tau_max=LMMSE_GRID.Wn * dtau, nu_max=LMMSE_GRID.Q * dnu)
         h = own_box_cmd(ch, pulse, grid)
         out = lmmse_estimate(sample_at_pilots(h, pl), pl, EstimatorConfig(
             variant="lmmse", sigma2=1e-12, grid_k=LMMSE_GRID))

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddlf import gabor, harness
-from ddlf.channel import Scatterer
 from ddlf.gabor import (
     AMBIGUITY_MAX_NODES,
     AMBIGUITY_TOL,
@@ -623,9 +622,16 @@ class TestAmbiguityTable:
                 ambiguity_table(*pair, grid, 0.0, 0.0)
 
     def test_rejects_a_box_past_the_node_cap(self):
-        grid, g = tight_pulse(16, 16)
+        grid, g = tight_pulse(64, 64)  # 2.4 MHz is below fs/2 = 2.5 MHz
         with pytest.raises(ValueError, match=f"more than {AMBIGUITY_MAX_NODES} Chebyshev nodes"):
-            ambiguity_table(g, g, grid, 1e-9, grid.fs)
+            ambiguity_table(g, g, grid, 1e-9, 2.4e6)
+
+    @pytest.mark.parametrize("share", [0.5, 1.0])
+    def test_rejects_a_doppler_box_that_aliases(self, monkeypatch, share):
+        grid, g = tight_pulse(16, 16)
+        monkeypatch.setattr(gabor, "_delays", None)  # refused before the first node
+        with pytest.raises(ValueError, match="not below fs/2 .* alias"):
+            ambiguity_table(g, g, grid, 1e-9, share * grid.fs)
 
     @pytest.mark.parametrize("name", sorted(TABLE_GRIDS))
     def test_one_phasor_call_per_delay_block_and_doppler_set(self, monkeypatch, name):
@@ -668,8 +674,7 @@ class TestShifted:
                     want = (fractional_shift(f, t * grid.fs)
                             * np.exp(2j * np.pi * n * centered_times(grid)))
                 else:  # one-sided delay ramp, Doppler over absolute frame time
-                    want = per_path_apply(f, SimpleNamespace(scatterers=[Scatterer(t, n, 1.0)]),
-                                          grid)
+                    want = per_path_apply(f, SimpleNamespace(tau=[t], nu=[n], eta=[1.0]), grid)
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert covered == list(range(R))
 

@@ -4,7 +4,10 @@ golden_desk.csv covers `simulate` at desk scale: all six estimators (the
 srh-na/srh-mna rows pin the self-interference calibration), the
 none/dsft2d/random precoders and one coded point. golden_sweeps.csv covers the
 sweep paths: a desk velocity and a desk pilots sweep with the random precoder,
-and one paper-scale point (64x62 data, 2 pilots per row, 58 paths). Key
+and one paper-scale point (64x62 data, 2 pilots per row, 58 paths).
+golden_on_grid.csv covers the on-grid channel draw (fractional = false):
+all six estimators at desk scale and a desk velocity sweep with the random
+precoder. Key
 columns must match exactly; numeric cells within rel 1e-6 / abs 1e-9, the
 tolerance of the benchmark's reference gate. Regenerate them only for a change
 that is meant to alter results:
@@ -21,6 +24,7 @@ from ddlf.harness import ExperimentConfig, rows_to_csv, run_sweep, simulate
 
 GOLDEN = Path(__file__).parent / "data" / "golden_desk.csv"
 GOLDEN_SWEEPS = Path(__file__).parent / "data" / "golden_sweeps.csv"
+GOLDEN_ON_GRID = Path(__file__).parent / "data" / "golden_on_grid.csv"
 ESTIMATORS = ("lmmse", "srh", "srh-na", "srh-ma", "srh-mna", "perfect")
 KEY_COLUMNS = ("snr_db", "velocity_kmh", "pilots", "estimator", "precoder",
                "subframes", "trials")
@@ -43,6 +47,14 @@ def golden_sweeps_csv() -> str:
     rows += simulate(ExperimentConfig(m_data=64, n_data=62, pilots_per_row=2, scatterers=58,
                                       estimators=("lmmse", "srh-mna", "perfect"),
                                       trials=2, snr_db=(15.0,)))
+    return rows_to_csv(rows)
+
+
+def golden_on_grid_csv() -> str:
+    rows = simulate(ExperimentConfig(fractional=False, estimators=ESTIMATORS, trials=20))
+    rows += run_sweep(ExperimentConfig(fractional=False, precoder="random",
+                                       estimators=("srh-ma", "perfect"), trials=2),
+                      "velocity", [100.0, 500.0])
     return rows_to_csv(rows)
 
 
@@ -73,7 +85,12 @@ def test_sweeps_match_golden():
     _assert_matches(GOLDEN_SWEEPS, golden_sweeps_csv())
 
 
+def test_on_grid_matches_golden():
+    _assert_matches(GOLDEN_ON_GRID, golden_on_grid_csv())
+
+
 if __name__ == "__main__":
-    for path, make in ((GOLDEN, golden_csv), (GOLDEN_SWEEPS, golden_sweeps_csv)):
+    for path, make in ((GOLDEN, golden_csv), (GOLDEN_SWEEPS, golden_sweeps_csv),
+                       (GOLDEN_ON_GRID, golden_on_grid_csv)):
         path.write_text(make())
         print(f"wrote {path}")
