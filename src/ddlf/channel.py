@@ -1,8 +1,8 @@
 """Doubly-dispersive scatterer channel.
 
 Synthetic WSSUS generation, time-varying cyclic convolution, channel
-main-diagonal (CMD) ground truth, delay-Doppler leakage response, noise
-injection and the self-interference residual.
+main-diagonal (CMD) ground truth, noise injection and the self-interference
+residual.
 
 The channel acts on one frame with a block cyclic prefix: delays wrap
 cyclically while the per-path Doppler ramp runs over absolute frame time.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import AmbiguityTable, GaborGrid, Pulse, _delays, _phasors, cross_ambiguity
+from .gabor import AmbiguityTable, GaborGrid, _delays, _phasors
 
 
 class ChannelError(ValueError):
@@ -175,34 +175,6 @@ def true_cmd(ch: DDChannel, table: AmbiguityTable) -> np.ndarray:
     delay = np.exp(-2j * np.pi * grid.F * ch.tau * np.arange(grid.M)[:, None])
     doppler = np.exp(2j * np.pi * grid.T * ch.nu[:, None] * np.arange(grid.N))
     return (delay * amp) @ doppler
-
-
-def dirichlet_kernel(K: int, t: np.ndarray | float) -> np.ndarray:
-    """D_K(t) = sum_{k=0}^{K-1} e^{2j pi k t}; equals K at integer arguments."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty(t.shape, dtype=complex)
-    near_int = np.abs(t - np.round(t)) < 1e-12
-    out[near_int] = K
-    tt = t[~near_int]
-    out[~near_int] = np.exp(1j * np.pi * (K - 1) * tt) * np.sin(np.pi * K * tt) / np.sin(np.pi * tt)
-    return out
-
-
-def dd_leakage_response(tau: float, nu: float, gamma: Pulse, g: Pulse,
-                        grid: GaborGrid) -> np.ndarray:
-    """Response of a unit scatterer on the discrete delay-Doppler grid.
-
-    Returns the N x M array H[l, k] = A(tau, nu) * D_N((l + N T nu)/N)
-    * D_M((-k - M F tau)/M): rows index Doppler bins l, columns delay bins k
-    (cyclic). Off-grid shifts smear over the grid following the Dirichlet
-    kernels; on-grid shifts concentrate in a single bin of magnitude N*M*|A|.
-    """
-    amp = cross_ambiguity(gamma, g, tau, nu, grid)
-    lbar = np.arange(grid.N)
-    kbar = np.arange(grid.M)
-    d_dopp = dirichlet_kernel(grid.N, (lbar + grid.N * grid.T * nu) / grid.N)
-    d_delay = dirichlet_kernel(grid.M, (-kbar - grid.M * grid.F * tau) / grid.M)
-    return amp * np.outer(d_dopp, d_delay)
 
 
 def self_interference_power(y_clean: np.ndarray, x: np.ndarray,

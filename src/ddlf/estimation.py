@@ -14,7 +14,7 @@ weight derived from noise plus self-interference power), "srh-ma"
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,6 +91,10 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown estimator variant {self.variant!r}")
+        for name in ("sigma2", "sigma_z2", "alpha", "beta", "omega"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"{name}: expected a finite number, got {v!r}")
         if self.sigma2 < 0 or self.sigma_z2 < 0:
             raise ValueError("noise powers must be nonnegative")
         for name in ("alpha", "beta", "omega"):
@@ -160,22 +164,17 @@ def _lmmse_operator(pl: PilotPlacement, grid_k: ReconstructionGrid):
 
 
 def lmmse_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
-                   cfg: EstimatorConfig, op: tuple | None = None) -> CMDEstimate:
+                   cfg: EstimatorConfig, op: tuple) -> CMDEstimate:
     """Ridge-regularized least-squares fit on the delay-Doppler reconstruction grid.
 
     Solves (C^H C + sigma2 I) H = C^H h_pilot for the grid coefficients and
     maps them back to the TF domain. The atom matrices depend only on the
     placement and the grid, so they are built once and reused; a call solves
     one K x K system for the K grid cells and maps H back with two small
-    matrix products through the separable delay and Doppler factors. op, if
-    given, is operator(pl, cfg), built beforehand (which checks the grid);
-    without it, the call warns when the grid has more cells than there are
-    pilots.
+    matrix products through the separable delay and Doppler factors. op is
+    operator(pl, cfg), built beforehand (which checks the grid).
     """
-    C, gram, delay, doppler = op or operator(pl, cfg)
-    if op is None and len(gram) > pl.P:
-        warnings.warn(f"reconstruction grid has {len(gram)} cells but only {pl.P} pilots; "
-                      "the fit is underdetermined and relies on the ridge term", stacklevel=2)
+    C, gram, delay, doppler = op
     h_pilot = np.asarray(h_pilot)
     H = np.linalg.solve(gram + cfg.sigma2 * np.eye(len(gram)), C.conj().T @ h_pilot)
     h_tilde = delay @ H.reshape(len(doppler), -1).T @ doppler
@@ -189,60 +188,6 @@ def hessian_kernels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     phi_ff = np.array([[0, -1, 0], [0, 2, 0], [0, -1, 0]], dtype=float)
     phi_tf = np.array([[-1, 1, 0], [1, -1, 0], [0, 0, 0]], dtype=float)
     return phi_tt, phi_ff, phi_tf
-
-
-def valid_convolve(ext: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Valid part of the 2D convolution of an (M+2) x (N+2) array with a 3x3 kernel.
-
-    out[m, n] = sum_{i,j} kernel[i, j] * ext[m - i + 2, n - j + 2], yielding M x N.
-    """
-    ext = np.asarray(ext)
-    M, N = ext.shape[0] - 2, ext.shape[1] - 2
-    out = np.zeros((M, N), dtype=ext.dtype)
-    for i in range(3):
-        for j in range(3):
-            if kernel[i, j]:
-                out += kernel[i, j] * ext[2 - i:2 - i + M, 2 - j:2 - j + N]
-    return out
-
-
-def weighted_hessian_energy(h_ex: np.ndarray, alpha: float, beta: float) -> float:
-    """Total squared Frobenius norm of the weighted discrete Hessian.
-
-    The per-cell Hessian has diagonal alpha^2 * (ff term), beta^2 * (tt term)
-    and off-diagonal alpha*beta * (tf term), counted twice.
-    """
-    phi_tt, phi_ff, phi_tf = hessian_kernels()
-    c_ff = valid_convolve(h_ex, phi_ff)
-    c_tt = valid_convolve(h_ex, phi_tt)
-    c_tf = valid_convolve(h_ex, phi_tf)
-    return float(alpha**4 * np.sum(np.abs(c_ff) ** 2)
-                 + beta**4 * np.sum(np.abs(c_tt) ** 2)
-                 + 2 * alpha**2 * beta**2 * np.sum(np.abs(c_tf) ** 2))
-
-
-def srh_objective(h_ex: np.ndarray, h_pilot: np.ndarray, pl: PilotPlacement,
-                  alpha: float, beta: float, omega: float) -> float:
-    """Smoothness energy plus omega-weighted pilot fidelity on the extended array."""
-    pr, pc = pl.pilot_array_indices()
-    fid = np.sum(np.abs(np.asarray(h_pilot) - h_ex[pr + 1, pc + 1]) ** 2)
-    return weighted_hessian_energy(h_ex, alpha, beta) + omega * float(fid)
-
-
-def _resolve_srh_params(pl: PilotPlacement, cfg: EstimatorConfig):
-    if cfg.variant in MODE_AWARE:
-        if cfg.alpha is None or cfg.beta is None:
-            raise ValueError("mode-aware variants require alpha and beta")
-        alpha, beta = cfg.alpha, cfg.beta
-    else:
-        alpha = beta = 1.0
-    if cfg.variant in NOISE_AWARE:
-        # unit-energy pilots: sum |p_s|^-2 = P
-        delta = (cfg.sigma2 + cfg.sigma_z2) * pl.P
-        omega = OMEGA_CAP if delta < 1.0 / OMEGA_CAP else min(1.0 / delta, OMEGA_CAP)
-    else:
-        omega = cfg.omega if cfg.omega is not None else 1.0 / max(pl.P, 1)
-    return alpha, beta, omega
 
 
 def affine_rank(pl: PilotPlacement) -> int:
@@ -335,13 +280,16 @@ def _srh_operator(pl: PilotPlacement, alpha: float, beta: float):
 
 
 def srh_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
-                 cfg: EstimatorConfig, op: tuple | None = None) -> CMDEstimate:
+                 cfg: EstimatorConfig, op: tuple) -> CMDEstimate:
     """Smoothness-regularized CMD estimate in the TF domain.
 
-    Minimizes weighted_hessian_energy(h_ex) + omega * sum_s |h_pilot_s -
-    h_ex[pilot_s]|^2 over the (M+2) x (N+2) extension of the frame; the
-    one-cell border consists of free variables rather than padding, and the
-    returned estimate is the interior M x N block.
+    Minimizes the weighted Hessian energy of h_ex (its ff, tt and tf stencil
+    responses weighted by alpha^4, beta^4 and 2 alpha^2 beta^2) plus omega *
+    sum_s |h_pilot_s - h_ex[pilot_s]|^2 over the (M+2) x (N+2) extension of
+    the frame; the one-cell border consists of free variables rather than
+    padding, and the returned estimate is the interior M x N block. The
+    noise-aware variants take omega = 1 / relaxation_delta under unit-energy
+    pilots, capped at OMEGA_CAP; the others take cfg.omega (default 1/P).
 
     The minimizer is linear in h_pilot. Its operator is factored once per
     (placement, alpha, beta) and reused for any omega. A call works on the
@@ -349,14 +297,18 @@ def srh_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
     two P x P products give the pilot values h_p, then h_free = -U^-1 (Z h_p)
     is one (M+2)(N+2) x P product and one backward banded solve of
     half-bandwidth 2(N+2) + 2, so it costs O(P^2 + (M+2)(N+2)(P + N)).
-    op, if given, is operator(pl, cfg), built beforehand.
+    op is operator(pl, cfg), built beforehand.
     """
     h_pilot = np.asarray(h_pilot, dtype=complex)
     if h_pilot.shape != (pl.P,):
         raise ValueError("pilot sample vector does not match the placement")
-    omega = _resolve_srh_params(pl, cfg)[2]
+    if cfg.variant in NOISE_AWARE:
+        delta = relaxation_delta(cfg.sigma2, cfg.sigma_z2, np.ones(pl.P))
+        omega = OMEGA_CAP if delta < 1.0 / OMEGA_CAP else min(1.0 / delta, OMEGA_CAP)
+    else:
+        omega = cfg.omega if cfg.omega is not None else 1.0 / max(pl.P, 1)
     M, N = pl.M, pl.N
-    U, Z, pvar, V, lam = op or operator(pl, cfg)
+    U, Z, pvar, V, lam = op
     h2 = np.stack([h_pilot.real, h_pilot.imag], axis=-1)
     h_p = V @ ((omega / (lam + omega))[:, None] * (V.T @ h2))
     # (-h_p^T Z^T)^T is -Z h_p as a Fortran-ordered (nvar, 2) array, solved in place
@@ -381,14 +333,17 @@ def operator(pl: PilotPlacement, cfg: EstimatorConfig) -> tuple:
             raise ValueError("lmmse requires a reconstruction grid (grid_k)")
         cfg.grid_k.validate(pl.M, pl.N)
         return _lmmse_operator(pl, cfg.grid_k)
-    alpha, beta, _ = _resolve_srh_params(pl, cfg)
-    return _srh_operator(pl, alpha, beta)
+    if cfg.variant not in MODE_AWARE:
+        return _srh_operator(pl, 1.0, 1.0)
+    if cfg.alpha is None or cfg.beta is None:
+        raise ValueError("mode-aware variants require alpha and beta")
+    return _srh_operator(pl, cfg.alpha, cfg.beta)
 
 
 def estimate(h_pilot: np.ndarray, pl: PilotPlacement,
-             cfg: EstimatorConfig, op: tuple | None = None) -> CMDEstimate:
-    """Dispatch to the configured estimator variant. op, if given, is
-    operator(pl, cfg), built beforehand."""
+             cfg: EstimatorConfig, op: tuple) -> CMDEstimate:
+    """Dispatch to the configured estimator variant. op is operator(pl, cfg),
+    built beforehand."""
     if cfg.variant == "lmmse":
         return lmmse_estimate(h_pilot, pl, cfg, op)
     return srh_estimate(h_pilot, pl, cfg, op)

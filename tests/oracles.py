@@ -1,9 +1,13 @@
 """Reference implementations that only the tests use."""
 
+from __future__ import annotations
+
 import numpy as np
 
 from ddlf.channel import ChannelError, DDChannel, true_cmd
-from ddlf.gabor import ambiguity_table
+from ddlf.estimation import hessian_kernels
+from ddlf.gabor import GaborGrid, Pulse, ambiguity_table, cross_ambiguity
+from ddlf.piloting import PilotPlacement
 
 
 def fractional_shift(samples: np.ndarray, delay_samples: float) -> np.ndarray:
@@ -46,3 +50,69 @@ def channel_from_csv(text: str, tau_max: float, nu_max: float) -> DDChannel:
     _, tau, nu, re, im = np.array([ln.split(",") for ln in rows[1:]],
                                   dtype=float).reshape(-1, 5).T
     return DDChannel(tau, nu, re + 1j * im, tau_max=tau_max, nu_max=nu_max)
+
+
+def dirichlet_kernel(K: int, t: np.ndarray | float) -> np.ndarray:
+    """D_K(t) = sum_{k=0}^{K-1} e^{2j pi k t}; equals K at integer arguments."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape, dtype=complex)
+    near_int = np.abs(t - np.round(t)) < 1e-12
+    out[near_int] = K
+    tt = t[~near_int]
+    out[~near_int] = np.exp(1j * np.pi * (K - 1) * tt) * np.sin(np.pi * K * tt) / np.sin(np.pi * tt)
+    return out
+
+
+def dd_leakage_response(tau: float, nu: float, gamma: Pulse, g: Pulse,
+                        grid: GaborGrid) -> np.ndarray:
+    """Response of a unit scatterer on the discrete delay-Doppler grid.
+
+    Returns the N x M array H[l, k] = A(tau, nu) * D_N((l + N T nu)/N)
+    * D_M((-k - M F tau)/M): rows index Doppler bins l, columns delay bins k
+    (cyclic). Off-grid shifts smear over the grid following the Dirichlet
+    kernels; on-grid shifts concentrate in a single bin of magnitude N*M*|A|.
+    """
+    amp = cross_ambiguity(gamma, g, tau, nu, grid)
+    lbar = np.arange(grid.N)
+    kbar = np.arange(grid.M)
+    d_dopp = dirichlet_kernel(grid.N, (lbar + grid.N * grid.T * nu) / grid.N)
+    d_delay = dirichlet_kernel(grid.M, (-kbar - grid.M * grid.F * tau) / grid.M)
+    return amp * np.outer(d_dopp, d_delay)
+
+
+def valid_convolve(ext: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Valid part of the 2D convolution of an (M+2) x (N+2) array with a 3x3 kernel.
+
+    out[m, n] = sum_{i,j} kernel[i, j] * ext[m - i + 2, n - j + 2], yielding M x N.
+    """
+    ext = np.asarray(ext)
+    M, N = ext.shape[0] - 2, ext.shape[1] - 2
+    out = np.zeros((M, N), dtype=ext.dtype)
+    for i in range(3):
+        for j in range(3):
+            if kernel[i, j]:
+                out += kernel[i, j] * ext[2 - i:2 - i + M, 2 - j:2 - j + N]
+    return out
+
+
+def weighted_hessian_energy(h_ex: np.ndarray, alpha: float, beta: float) -> float:
+    """Total squared Frobenius norm of the weighted discrete Hessian.
+
+    The per-cell Hessian has diagonal alpha^2 * (ff term), beta^2 * (tt term)
+    and off-diagonal alpha*beta * (tf term), counted twice.
+    """
+    phi_tt, phi_ff, phi_tf = hessian_kernels()
+    c_ff = valid_convolve(h_ex, phi_ff)
+    c_tt = valid_convolve(h_ex, phi_tt)
+    c_tf = valid_convolve(h_ex, phi_tf)
+    return float(alpha**4 * np.sum(np.abs(c_ff) ** 2)
+                 + beta**4 * np.sum(np.abs(c_tt) ** 2)
+                 + 2 * alpha**2 * beta**2 * np.sum(np.abs(c_tf) ** 2))
+
+
+def srh_objective(h_ex: np.ndarray, h_pilot: np.ndarray, pl: PilotPlacement,
+                  alpha: float, beta: float, omega: float) -> float:
+    """Smoothness energy plus omega-weighted pilot fidelity on the extended array."""
+    pr, pc = pl.pilot_array_indices()
+    fid = np.sum(np.abs(np.asarray(h_pilot) - h_ex[pr + 1, pc + 1]) ** 2)
+    return weighted_hessian_energy(h_ex, alpha, beta) + omega * float(fid)

@@ -11,14 +11,14 @@ import warnings
 import numpy as np
 import pytest
 
-from ddlf.channel import DDChannel, true_cmd, dd_leakage_response
+from ddlf.channel import DDChannel, true_cmd
 from ddlf.estimation import (
     EstimatorConfig,
     ReconstructionGrid,
     lmmse_estimate,
+    operator,
     relaxation_delta,
     srh_estimate,
-    srh_objective,
 )
 from ddlf.gabor import ambiguity_table, analyze, cross_ambiguity, gaussian_prototype, \
     make_grid, synthesize, tight_orthogonalize
@@ -27,6 +27,8 @@ from ddlf.harness import ExperimentConfig, build_grid, build_placement, \
 from ddlf.piloting import PilotPlacement, accordion_placement, \
     lattice_min_distance_sq, optimal_shift
 from ddlf.transforms import dsft2d
+
+from oracles import dd_leakage_response, srh_objective
 
 warnings.filterwarnings("ignore", message=".*underdetermined.*")
 
@@ -137,14 +139,16 @@ def test_05_estimator_exact_recovery(desk_pulse_cache):
     h = true_cmd(ch, ambiguity_table(pulse, pulse, grid, ch.tau_max, ch.nu_max))
     cfg = EstimatorConfig(variant="lmmse", sigma2=1e-12,
                           grid_k=ReconstructionGrid(Q=2, W=1, Wn=4))
-    lmmse_err = float(np.abs(lmmse_estimate(h[fr, fc], pl_full, cfg).h_tilde - h).max())
+    lmmse_err = float(np.abs(lmmse_estimate(h[fr, fc], pl_full, cfg,
+                                            operator(pl_full, cfg)).h_tilde - h).max())
 
     pl = accordion_placement(16, 14, 2)
     pr, pc = pl.pilot_array_indices()
     m_idx, n_idx = np.meshgrid(np.arange(pl.M), np.arange(pl.N), indexing="ij")
     affine = (0.4 + 0.9j) * m_idx + (-0.7 + 0.2j) * n_idx + (1.5 - 0.5j)
+    srh_cfg = EstimatorConfig(variant="srh", omega=1.0)
     srh_err = float(np.abs(
-        srh_estimate(affine[pr, pc], pl, EstimatorConfig(variant="srh", omega=1.0)).h_tilde
+        srh_estimate(affine[pr, pc], pl, srh_cfg, operator(pl, srh_cfg)).h_tilde
         - affine).max())
     report(5, lmmse_err < 1e-5 and srh_err < 1e-6,
            f"lmmse on-grid recovery {lmmse_err:.2e} (< 1e-5), "
@@ -156,9 +160,8 @@ def test_06_srh_optimality_and_invariance():
     rng = np.random.default_rng(7)
     h_pilot = rng.standard_normal(pl.P) + 1j * rng.standard_normal(pl.P)
     alpha, beta, omega = 0.7, 1.6, 0.2
-    out = srh_estimate(h_pilot, pl,
-                       EstimatorConfig(variant="srh-ma", alpha=alpha, beta=beta,
-                                       omega=omega))
+    cfg = EstimatorConfig(variant="srh-ma", alpha=alpha, beta=beta, omega=omega)
+    out = srh_estimate(h_pilot, pl, cfg, operator(pl, cfg))
     h_ex = out.h_extended
     eps = 1e-5
     j0 = srh_objective(h_ex, h_pilot, pl, alpha, beta, omega)
@@ -177,9 +180,9 @@ def test_06_srh_optimality_and_invariance():
             worst_rel = max(worst_rel, grad / (curv * scale))
     inv_err = 0.0
     for c in (0.5, 2.0):
-        scaled = srh_estimate(h_pilot, pl,
-                              EstimatorConfig(variant="srh-ma", alpha=c * alpha,
-                                              beta=c * beta, omega=c**4 * omega))
+        cfg = EstimatorConfig(variant="srh-ma", alpha=c * alpha, beta=c * beta,
+                              omega=c**4 * omega)
+        scaled = srh_estimate(h_pilot, pl, cfg, operator(pl, cfg))
         inv_err = max(inv_err, float(np.abs(scaled.h_tilde - out.h_tilde).max()))
     report(6, worst_rel < 1e-5 and inv_err < 1e-6,
            f"relative gradient {worst_rel:.2e} (< 1e-5), "

@@ -11,8 +11,6 @@ from ddlf.channel import (
     DDChannel,
     add_noise,
     apply_channel,
-    dd_leakage_response,
-    dirichlet_kernel,
     generate_channel,
     self_interference_power,
     true_cmd,
@@ -21,8 +19,8 @@ from ddlf.gabor import SHIFT_BLOCK, ambiguity_table, analyze, cross_ambiguity, \
     centered_times, gaussian_prototype, make_grid, synthesize, tight_orthogonalize
 from ddlf.transforms import dsft2d
 
-from oracles import channel_from_csv, channel_to_csv, fractional_shift, own_box_cmd, \
-    per_path_apply
+from oracles import channel_from_csv, channel_to_csv, dd_leakage_response, dirichlet_kernel, \
+    fractional_shift, own_box_cmd, per_path_apply
 
 
 PATH_ARRAYS = ("tau", "nu", "eta")

@@ -16,27 +16,27 @@ from ddlf.estimation import (
     CMDEstimate,
     EstimatorConfig,
     ReconstructionGrid,
+    VARIANTS,
     SolverError,
     _srh_operator,
     affine_rank,
     estimate,
     hessian_kernels,
     lmmse_estimate,
+    operator,
     partial_cmd,
     relaxation_delta,
     srh_estimate,
-    srh_objective,
-    valid_convolve,
-    weighted_hessian_energy,
 )
 from ddlf.gabor import gaussian_prototype, make_grid, tight_orthogonalize
+from ddlf.harness import ExperimentConfig, validate_point
 from ddlf.piloting import (
     PilotPlacement,
     accordion_placement,
     qpsk_pilot_sequence,
 )
 
-from oracles import own_box_cmd
+from oracles import own_box_cmd, srh_objective, valid_convolve, weighted_hessian_energy
 
 
 def full_pilot_placement(M, N):
@@ -219,7 +219,8 @@ class TestLmmse:
 
     def test_zero_input_zero_output(self):
         pl = accordion_placement(16, 14, 2)
-        out = lmmse_estimate(np.zeros(pl.P, dtype=complex), pl, self._cfg())
+        cfg = self._cfg()
+        out = lmmse_estimate(np.zeros(pl.P, dtype=complex), pl, cfg, operator(pl, cfg))
         assert np.abs(out.h_tilde).max() == 0.0
 
     def test_exact_recovery_on_grid_scatterer(self, desk16):
@@ -229,7 +230,8 @@ class TestLmmse:
         tau, nu = k0 / (grid.M * grid.F), l0 / (grid.N * grid.T)
         ch = DDChannel([tau], [nu], [1.0], tau_max=tau * 1.5, nu_max=nu * 1.5)
         h = own_box_cmd(ch, pulse, grid)
-        out = lmmse_estimate(sample_at_pilots(h, pl), pl, self._cfg())
+        cfg = self._cfg()
+        out = lmmse_estimate(sample_at_pilots(h, pl), pl, cfg, operator(pl, cfg))
         assert np.abs(out.h_tilde - h).max() < 1e-6
 
     def test_exact_recovery_accordion_pilots(self, desk16):
@@ -239,15 +241,17 @@ class TestLmmse:
         tau, nu = 1 / (grid.M * grid.F), 2 / (grid.N * grid.T)
         ch = DDChannel([tau], [nu], [0.7 - 0.2j], tau_max=tau * 1.2, nu_max=nu * 1.2)
         h = own_box_cmd(ch, pulse, grid)
-        out = lmmse_estimate(sample_at_pilots(h, pl), pl, self._cfg())
+        cfg = self._cfg()
+        out = lmmse_estimate(sample_at_pilots(h, pl), pl, cfg, operator(pl, cfg))
         assert np.abs(out.h_tilde - h).max() < 1e-5
 
     def test_ridge_shrinkage_monotone(self):
         pl = accordion_placement(16, 14, 2)
         rng = np.random.default_rng(2)
         h_pilot = rng.standard_normal(pl.P) + 1j * rng.standard_normal(pl.P)
-        norms = [np.linalg.norm(lmmse_estimate(h_pilot, pl, self._cfg(sigma2=s)).h_tilde)
-                 for s in (1e-6, 1e-2, 1.0, 100.0)]
+        cfgs = [self._cfg(sigma2=s) for s in (1e-6, 1e-2, 1.0, 100.0)]
+        norms = [np.linalg.norm(lmmse_estimate(h_pilot, pl, cfg, operator(pl, cfg)).h_tilde)
+                 for cfg in cfgs]
         assert norms[0] > norms[1] > norms[2] > norms[3]
 
     def test_matches_dense_pseudo_inverse_reference(self):
@@ -269,26 +273,26 @@ class TestLmmse:
                 for j, (l, k) in enumerate(cells):
                     h_ref[m, n] += H[j] * np.exp(-2j * np.pi * (n * l / pl.N - m * k / pl.M)) \
                         / np.sqrt(pl.N * pl.M)
-        out = lmmse_estimate(h_pilot, pl, cfg)
+        out = lmmse_estimate(h_pilot, pl, cfg, operator(pl, cfg))
         assert np.abs(out.h_tilde - h_ref).max() < 1e-8
 
     def test_underdetermined_warns(self):
-        pl = accordion_placement(16, 15, 1)
-        cfg = self._cfg(sigma2=0.01, Q=2, W=1, Wn=4)  # 5*6 = 30 cells > 16 pilots
+        # a 16 x 15 data frame with one pilot per row: 5*6 = 30 cells > 16 pilots
+        cfg = ExperimentConfig(estimators=("lmmse",), m_data=16, n_data=15, pilots_per_row=1,
+                               recon_q=2, recon_w=1, recon_wn=4)
         with pytest.warns(UserWarning, match="underdetermined"):
-            lmmse_estimate(np.zeros(pl.P, dtype=complex), pl, cfg)
+            validate_point(cfg)
 
     def test_requires_grid(self):
         pl = accordion_placement(16, 14, 2)
         with pytest.raises(ValueError):
-            lmmse_estimate(np.zeros(pl.P, dtype=complex), pl,
-                           EstimatorConfig(variant="lmmse"))
+            operator(pl, EstimatorConfig(variant="lmmse"))
 
     def test_grid_bounds_validated(self):
         pl = accordion_placement(16, 14, 2)
         cfg = EstimatorConfig(variant="lmmse", grid_k=ReconstructionGrid(Q=9, W=1, Wn=1))
         with pytest.raises(ValueError):
-            lmmse_estimate(np.zeros(pl.P, dtype=complex), pl, cfg)
+            operator(pl, cfg)
 
 
 # full pilots on 12 x 20 and 16 x 16 frames, three pilots per row on 16 x 16
@@ -314,8 +318,8 @@ class TestLmmseProperties:
                  for (k, l), (r, phi) in zip(bins, gains)]
         ch = DDChannel(*zip(*paths), tau_max=LMMSE_GRID.Wn * dtau, nu_max=LMMSE_GRID.Q * dnu)
         h = own_box_cmd(ch, pulse, grid)
-        out = lmmse_estimate(sample_at_pilots(h, pl), pl, EstimatorConfig(
-            variant="lmmse", sigma2=1e-12, grid_k=LMMSE_GRID))
+        cfg = EstimatorConfig(variant="lmmse", sigma2=1e-12, grid_k=LMMSE_GRID)
+        out = lmmse_estimate(sample_at_pilots(h, pl), pl, cfg, operator(pl, cfg))
         assert np.abs(out.h_tilde - h).max() <= 1e-6 * np.abs(h).max()
 
 
@@ -328,22 +332,23 @@ class TestSrh:
         pl = accordion_placement(16, 14, 2)
         field = self._affine_field(pl.M, pl.N)
         cfg = EstimatorConfig(variant="srh", omega=1.0)
-        out = srh_estimate(sample_at_pilots(field, pl), pl, cfg)
+        out = srh_estimate(sample_at_pilots(field, pl), pl, cfg, operator(pl, cfg))
         assert np.abs(out.h_tilde - field).max() < 1e-6
 
     def test_constant_pilots_give_constant(self):
         pl = accordion_placement(16, 14, 2)
         c = 0.6 - 1.1j
         for omega in (1e-3, 1.0, 1e3):
-            out = srh_estimate(np.full(pl.P, c), pl,
-                               EstimatorConfig(variant="srh", omega=omega))
+            cfg = EstimatorConfig(variant="srh", omega=omega)
+            out = srh_estimate(np.full(pl.P, c), pl, cfg, operator(pl, cfg))
             assert np.abs(out.h_tilde - c).max() < 1e-8
 
     def test_large_omega_interpolates_pilots(self):
         pl = accordion_placement(16, 14, 2)
         rng = np.random.default_rng(4)
         h_pilot = rng.standard_normal(pl.P) + 1j * rng.standard_normal(pl.P)
-        out = srh_estimate(h_pilot, pl, EstimatorConfig(variant="srh", omega=1e8))
+        cfg = EstimatorConfig(variant="srh", omega=1e8)
+        out = srh_estimate(h_pilot, pl, cfg, operator(pl, cfg))
         assert np.abs(sample_at_pilots(out.h_tilde, pl) - h_pilot).max() < 1e-4
 
     def test_first_order_optimality(self):
@@ -351,7 +356,8 @@ class TestSrh:
         rng = np.random.default_rng(5)
         h_pilot = rng.standard_normal(pl.P) + 1j * rng.standard_normal(pl.P)
         alpha, beta, omega = 1.0, 1.0, 0.05
-        out = srh_estimate(h_pilot, pl, EstimatorConfig(variant="srh", omega=omega))
+        cfg = EstimatorConfig(variant="srh", omega=omega)
+        out = srh_estimate(h_pilot, pl, cfg, operator(pl, cfg))
         M, N = pl.M, pl.N
         h_ex = out.h_extended
         eps = 1e-5
@@ -376,23 +382,21 @@ class TestSrh:
         rng = np.random.default_rng(7)
         h_pilot = rng.standard_normal(pl.P) + 1j * rng.standard_normal(pl.P)
         alpha, beta, omega = 0.6, 1.8, 0.1
-        base = srh_estimate(h_pilot, pl,
-                            EstimatorConfig(variant="srh-ma", alpha=alpha, beta=beta,
-                                            omega=omega)).h_tilde
+        cfg = EstimatorConfig(variant="srh-ma", alpha=alpha, beta=beta, omega=omega)
+        base = srh_estimate(h_pilot, pl, cfg, operator(pl, cfg)).h_tilde
         for c in (0.5, 2.0):
-            scaled = srh_estimate(h_pilot, pl,
-                                  EstimatorConfig(variant="srh-ma", alpha=c * alpha,
-                                                  beta=c * beta,
-                                                  omega=c**4 * omega)).h_tilde
+            cfg = EstimatorConfig(variant="srh-ma", alpha=c * alpha, beta=c * beta,
+                                  omega=c**4 * omega)
+            scaled = srh_estimate(h_pilot, pl, cfg, operator(pl, cfg)).h_tilde
             assert np.abs(scaled - base).max() < 1e-6
 
     def test_residual_monotone_in_omega(self):
         pl = accordion_placement(16, 14, 2)
         rng = np.random.default_rng(8)
         h_pilot = rng.standard_normal(pl.P) + 1j * rng.standard_normal(pl.P)
-        residuals = [srh_estimate(h_pilot, pl,
-                                  EstimatorConfig(variant="srh", omega=w)).residual
-                     for w in (1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4)]
+        cfgs = [EstimatorConfig(variant="srh", omega=w)
+                for w in (1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4)]
+        residuals = [srh_estimate(h_pilot, pl, cfg, operator(pl, cfg)).residual for cfg in cfgs]
         for lo, hi in zip(residuals[1:], residuals[:-1]):
             assert lo <= hi * (1 + 1e-9)
 
@@ -402,8 +406,8 @@ class TestSrh:
         rng = np.random.default_rng(9)
         h_pilot = rng.standard_normal(pl.P) + 1j * rng.standard_normal(pl.P)
         for omega in (1e-4, 1e-2, 1.0, 1e2, 1e4, OMEGA_CAP):
-            out = srh_estimate(h_pilot, pl, EstimatorConfig(variant="srh-ma", alpha=alpha,
-                                                            beta=beta, omega=omega))
+            cfg = EstimatorConfig(variant="srh-ma", alpha=alpha, beta=beta, omega=omega)
+            out = srh_estimate(h_pilot, pl, cfg, operator(pl, cfg))
             ref = srh_reference(h_pilot, pl, alpha, beta, omega)
             assert np.abs(out.h_extended - ref).max() < 1e-8 * np.abs(ref).max()
 
@@ -417,8 +421,8 @@ class TestSrh:
         for _ in range(2):
             for pl, alpha, beta in cases:
                 h_pilot = rng.standard_normal(pl.P) + 1j * rng.standard_normal(pl.P)
-                out = srh_estimate(h_pilot, pl, EstimatorConfig(
-                    variant="srh-ma", alpha=alpha, beta=beta, omega=0.1))
+                cfg = EstimatorConfig(variant="srh-ma", alpha=alpha, beta=beta, omega=0.1)
+                out = srh_estimate(h_pilot, pl, cfg, operator(pl, cfg))
                 ref = srh_reference(h_pilot, pl, alpha, beta, 0.1)
                 assert np.abs(out.h_extended - ref).max() < 1e-8 * np.abs(ref).max()
 
@@ -428,8 +432,8 @@ class TestSrh:
         pl = accordion_placement(64, 62, 2)
         h_pilot = complex_normal(np.random.default_rng(13), pl.P)
         for omega in (1e-2, 1.0, OMEGA_CAP):
-            out = srh_estimate(h_pilot, pl, EstimatorConfig(variant="srh-ma", alpha=alpha,
-                                                            beta=beta, omega=omega))
+            cfg = EstimatorConfig(variant="srh-ma", alpha=alpha, beta=beta, omega=omega)
+            out = srh_estimate(h_pilot, pl, cfg, operator(pl, cfg))
             ref = srh_reference(h_pilot, pl, alpha, beta, omega)
             assert np.abs(out.h_extended - ref).max() < 1e-8 * np.abs(ref).max()
 
@@ -440,8 +444,8 @@ class TestSrh:
         rev = dataclasses.replace(pl, pilot_indices=pl.pilot_indices[::-1])
         h_pilot = complex_normal(np.random.default_rng(14), pl.P)
         cfg = EstimatorConfig(variant="srh", omega=0.5)
-        fwd = srh_estimate(h_pilot, pl, cfg).h_extended
-        back = srh_estimate(h_pilot[::-1], rev, cfg).h_extended
+        fwd = srh_estimate(h_pilot, pl, cfg, operator(pl, cfg)).h_extended
+        back = srh_estimate(h_pilot[::-1], rev, cfg, operator(rev, cfg)).h_extended
         assert np.abs(back - fwd).max() < 1e-10 * np.abs(fwd).max()
 
     def test_noise_aware_uses_delta(self):
@@ -450,35 +454,36 @@ class TestSrh:
         pl = accordion_placement(16, 14, 2)
         rng = np.random.default_rng(10)
         h_pilot = rng.standard_normal(pl.P) + 1j * rng.standard_normal(pl.P)
-        out = srh_estimate(h_pilot, pl, EstimatorConfig(variant="srh-na"))
+        cfg = EstimatorConfig(variant="srh-na")
+        out = srh_estimate(h_pilot, pl, cfg, operator(pl, cfg))
         assert np.abs(sample_at_pilots(out.h_tilde, pl) - h_pilot).max() < 1e-4
 
     def test_mode_aware_requires_weights(self):
         pl = accordion_placement(16, 14, 2)
         with pytest.raises(ValueError):
-            srh_estimate(np.zeros(pl.P, dtype=complex), pl,
-                         EstimatorConfig(variant="srh-ma"))
+            operator(pl, EstimatorConfig(variant="srh-ma"))
 
     def test_rejects_a_vector_of_another_length(self):
         pl = accordion_placement(16, 14, 2)
+        cfg = EstimatorConfig(variant="srh", omega=1.0)
         with pytest.raises(ValueError, match="does not match the placement"):
-            srh_estimate(np.zeros(pl.P + 1, dtype=complex), pl,
-                         EstimatorConfig(variant="srh", omega=1.0))
+            srh_estimate(np.zeros(pl.P + 1, dtype=complex), pl, cfg, operator(pl, cfg))
 
     def test_dispatcher(self):
         pl = accordion_placement(16, 14, 2)
         h_pilot = np.ones(pl.P, dtype=complex)
-        out = estimate(h_pilot, pl, EstimatorConfig(variant="srh", omega=1.0))
+        cfg = EstimatorConfig(variant="srh", omega=1.0)
+        out = estimate(h_pilot, pl, cfg, operator(pl, cfg))
         assert isinstance(out, CMDEstimate)
 
     def test_anisotropy_changes_solution(self):
         pl = accordion_placement(16, 14, 2)
         rng = np.random.default_rng(11)
         h_pilot = rng.standard_normal(pl.P) + 1j * rng.standard_normal(pl.P)
-        iso = srh_estimate(h_pilot, pl, EstimatorConfig(variant="srh", omega=0.1)).h_tilde
-        aniso = srh_estimate(h_pilot, pl,
-                             EstimatorConfig(variant="srh-ma", alpha=4.0, beta=1.0,
-                                             omega=0.1)).h_tilde
+        iso_cfg = EstimatorConfig(variant="srh", omega=0.1)
+        aniso_cfg = EstimatorConfig(variant="srh-ma", alpha=4.0, beta=1.0, omega=0.1)
+        iso = srh_estimate(h_pilot, pl, iso_cfg, operator(pl, iso_cfg)).h_tilde
+        aniso = srh_estimate(h_pilot, pl, aniso_cfg, operator(pl, aniso_cfg)).h_tilde
         assert np.abs(iso - aniso).max() > 1e-6
 
 
@@ -502,8 +507,8 @@ class TestSrhProperties:
         a, b, c = complex_normal(np.random.default_rng(seed), 3)
         m, n = np.meshgrid(np.arange(pl.M), np.arange(pl.N), indexing="ij")
         field = a * m + b * n + c
-        out = srh_estimate(sample_at_pilots(field, pl), pl, EstimatorConfig(
-            variant="srh-ma", alpha=alpha, beta=beta, omega=10.0**log_omega))
+        cfg = EstimatorConfig(variant="srh-ma", alpha=alpha, beta=beta, omega=10.0**log_omega)
+        out = srh_estimate(sample_at_pilots(field, pl), pl, cfg, operator(pl, cfg))
         assert np.abs(out.h_tilde - field).max() <= 1e-6 * np.abs(field).max()
 
     @settings(max_examples=20)
@@ -513,10 +518,30 @@ class TestSrhProperties:
         pl = accordion_placement(*shape)
         h_pilot = complex_normal(np.random.default_rng(seed), pl.P)
         omega = 10.0**log_omega
-        out = srh_estimate(h_pilot, pl, EstimatorConfig(variant="srh-ma", alpha=alpha,
-                                                        beta=beta, omega=omega))
+        cfg = EstimatorConfig(variant="srh-ma", alpha=alpha, beta=beta, omega=omega)
+        out = srh_estimate(h_pilot, pl, cfg, operator(pl, cfg))
         ref = srh_reference(h_pilot, pl, alpha, beta, omega)
         assert np.abs(out.h_extended - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+# a square 16 x 16 frame and a non-square 12 x 20 one
+LINEARITY_PLACEMENTS = [accordion_placement(16, 15, 1), accordion_placement(12, 17, 3)]
+scalars = st.complex_numbers(min_magnitude=0.1, max_magnitude=4.0)
+
+
+class TestLinearity:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("pl", LINEARITY_PLACEMENTS, ids=("16x16", "12x20"))
+    @settings(max_examples=10)
+    @given(a=scalars, b=scalars, seed=seeds)
+    def test_estimate_is_linear_in_the_pilots(self, variant, pl, a, b, seed):
+        cfg = EstimatorConfig(variant=variant, sigma2=0.01, sigma_z2=0.005, alpha=1.3,
+                              beta=1 / 1.3, grid_k=LMMSE_GRID)
+        op = operator(pl, cfg)
+        h1, h2 = complex_normal(np.random.default_rng(seed), (2, pl.P))
+        want = a * estimate(h1, pl, cfg, op).h_tilde + b * estimate(h2, pl, cfg, op).h_tilde
+        got = estimate(a * h1 + b * h2, pl, cfg, op).h_tilde
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def pilots_at(M, N, cells):
@@ -559,3 +584,9 @@ class TestEstimatorConfig:
             EstimatorConfig(variant="srh", omega=-1.0)
         with pytest.raises(ValueError):
             EstimatorConfig(variant="srh", sigma2=-0.1)
+
+    @pytest.mark.parametrize("name", ["sigma2", "sigma_z2", "alpha", "beta", "omega"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_params(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name}: expected a finite number"):
+            EstimatorConfig(variant="srh-mna", **{name: bad})

@@ -192,9 +192,9 @@ class TestRunTrial:
     def test_cached_trial_computes_no_ambiguity(self, monkeypatch):
         cfg = quiet_cfg(estimators=("srh-mna", "perfect"))
         run_trial(cfg, 15.0, 0)  # builds the point and its table
+        assert not hasattr(channel, "cross_ambiguity")
         calls = []
-        for owner, attr in ((gabor, "cross_ambiguity"), (channel, "cross_ambiguity"),
-                            (gabor, "ambiguity_table")):
+        for owner, attr in ((gabor, "cross_ambiguity"), (gabor, "ambiguity_table")):
             monkeypatch.setattr(owner, attr, lambda *a, attr=attr: calls.append(attr))
         run_trial(cfg, 15.0, 1)
         assert calls == []
