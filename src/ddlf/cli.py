@@ -47,6 +47,13 @@ def _finite(s: str) -> float:
     return value
 
 
+def _positive(s: str) -> float:
+    value = _finite(s)
+    if value <= 0:
+        raise ValueError(f"expected a positive number, got {s.strip()!r}")
+    return value
+
+
 def _auto_or_float(s: str) -> float | None:
     return None if s.lower() == "auto" else _finite(s)
 
@@ -219,14 +226,10 @@ def cmd_place_pilots(args) -> int:
 
 
 def cmd_ambiguity(args) -> int:
-    with harness._config_key("--frame, --tf-product, --bandwidth"):
+    with harness._config_key("--frame, --tf-product"):
         grid = gabor.make_grid(*args.frame, args.tf_product, args.bandwidth)
     with harness._config_key("--spread"):
-        prototype = gabor.gaussian_prototype(grid, args.spread)
-    # tight orthogonalization needs the channels to tile the band (M*b = L)
-    tiled = grid.M * grid.freq_shift == grid.L
-    with harness._config_key("--spread" if tiled else "--frame, --tf-product"):
-        pulse = gabor.tight_orthogonalize(prototype, grid)
+        pulse = gabor.tight_orthogonalize(gabor.gaussian_prototype(grid, args.spread), grid)
     taus = np.linspace(-args.tau_span * grid.T, args.tau_span * grid.T, args.steps)
     nus = np.linspace(-args.nu_span * grid.F, args.nu_span * grid.F, args.steps)
     with harness._config_key("--tau-span"):
@@ -277,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     amb.add_argument("--frame", type=_flag(_parse_shape), default="16x16", help="grid MxN")
     defaults = harness.ExperimentConfig
     amb.add_argument("--tf-product", type=_flag(_finite), default=defaults.tf_product)
-    amb.add_argument("--bandwidth", type=_flag(_finite), default=defaults.bandwidth)
+    amb.add_argument("--bandwidth", type=_flag(_positive), default=defaults.bandwidth)
     amb.add_argument("--spread", type=_flag(_finite), default=defaults.pulse_spread)
     amb.add_argument("--tau-span", type=_flag(_finite), default=2.0,
                      help="raster half-width in T")

@@ -33,9 +33,10 @@ class GaborGrid:
     """Time-frequency lattice on a cyclic grid of L = a*N samples at rate fs.
 
     The lattice is fixed by integers: M frequency steps of b = freq_shift DFT
-    bins and N time steps of a = time_shift samples, with M*b <= L. The steps
-    T = a/fs and F = b*fs/L follow from them, so T*F = b/N, and only the
-    undersampled regime T*F > 1 (b > N) is supported.
+    bins and N time steps of a = time_shift samples, and the M channels tile
+    the sampled band exactly (M*b = L). The steps T = a/fs and F = b*fs/L
+    follow from them, so T*F = b/N = a/M, and only the undersampled regime
+    T*F > 1 (b > N) is supported.
     """
 
     M: int
@@ -52,8 +53,9 @@ class GaborGrid:
                             f"{self.freq_shift}")
         if not 0 < self.fs < math.inf:
             raise GridError(f"sampling rate fs = {self.fs:g} must be positive and finite")
-        if self.M * self.freq_shift > self.L:
-            raise GridError("frequency channels exceed the sampled band (M*b > L)")
+        if self.M * self.freq_shift != self.L:
+            raise GridError("the M frequency channels must tile the sampled band exactly "
+                            f"(M*b = L), got M*b = {self.M * self.freq_shift}, L = {self.L}")
         if self.freq_shift <= self.N:
             raise GridError(f"T*F = b/N = {self.freq_shift}/{self.N} <= 1: only the "
                             "undersampled regime (T*F > 1) is supported")
@@ -83,17 +85,15 @@ def make_grid(M: int, N: int, tf_product: float = 1.25,
     """Build a grid with about the requested T*F product and fs = bandwidth.
 
     The time shift a = round(M*tf_product) samples and the frequency shift
-    b = round(N*tf_product) bins; b is reduced when necessary so M*b <= L.
-    When M*tf_product and N*tf_product are integers the product is honored
-    exactly and the M channels tile the full band (M*b = L). A non-positive
-    M, N, tf_product or bandwidth, or a non-finite one, raises GridError.
+    b = round(N*tf_product) bins. The M channels must tile the band
+    (M*b = a*N), as they do when M*tf_product and N*tf_product are integers;
+    a shape and product that do not tile raise GridError, as does a
+    non-positive M, N, tf_product or bandwidth, or a non-finite one.
     """
     if not math.isfinite(tf_product):
         raise GridError(f"tf_product = {tf_product!r} must be finite")
     a = round(M * tf_product)
     b = round(N * tf_product)
-    if M * b > a * N:
-        b = a * N // M
     return GaborGrid(M=M, N=N, time_shift=a, freq_shift=b, fs=float(bandwidth))
 
 
@@ -133,8 +133,12 @@ def gaussian_prototype(grid: GaborGrid, spread: float = 1.0) -> Pulse:
     return Pulse(samples=vals.astype(complex))
 
 
-def tight_orthogonalize(prototype: Pulse, grid: GaborGrid,
-                        cond_limit: float = 1e12) -> Pulse:
+# tight_orthogonalize refuses a frame operator whose eigenvalues spread wider
+# than this ratio
+FRAME_COND_LIMIT = 1e12
+
+
+def tight_orthogonalize(prototype: Pulse, grid: GaborGrid) -> Pulse:
     """Orthogonalize a prototype so its lattice translates/modulates are orthonormal.
 
     Applies the inverse square root of the frame operator of the adjoint
@@ -143,21 +147,18 @@ def tight_orthogonalize(prototype: Pulse, grid: GaborGrid,
     The operator block-diagonalizes over residues r modulo the time shift a
     into N x N blocks B_r. With d = gcd(a, M) and a*s = d (mod M), the block
     of residue r + d is the block of residue r with both indices cyclically
-    shifted by s (the adjoint shifts p*M run over all of Z_L since M*b = L),
-    so only the d blocks r < d are needed. Each is block-circulant: with
-    q = M/d, a*q is a multiple of M, so B_r[u+q, v+q] = B_r[u, v] and B_r is
-    made of K = N/q blocks of size q x q (q divides N since a*N = M*b). One
-    K-point DFT over the block index turns it into K independent q x q
-    Hermitian blocks (the Zak-domain factorization of the frame operator;
-    Strohmer 1998, Sondergaard 2007), whose eigenvalues are those of B_r, so
-    d*K eigenproblems of size q x q are solved.
+    shifted by s (the adjoint shifts p*M run over all of Z_L, since the grid
+    tiles its band: M*b = L), so only the d blocks r < d are needed. Each is
+    block-circulant: with q = M/d, a*q is a multiple of M, so
+    B_r[u+q, v+q] = B_r[u, v] and B_r is made of K = N/q blocks of size
+    q x q (q divides N since a*N = M*b). One K-point DFT over the block index
+    turns it into K independent q x q Hermitian blocks (the Zak-domain
+    factorization of the frame operator; Strohmer 1998, Sondergaard 2007),
+    whose eigenvalues are those of B_r, so d*K eigenproblems of size q x q
+    are solved. A frame operator that is not positive definite, or whose
+    condition number passes FRAME_COND_LIMIT, is a FrameError.
     """
     a, b, L, M, N = grid.time_shift, grid.freq_shift, grid.L, grid.M, grid.N
-    if M * b != L:
-        raise FrameError(
-            "tight orthogonalization requires the M frequency channels to tile "
-            f"the band exactly (M*b = L), got M*b = {M * b}, L = {L}"
-        )
     g0 = prototype.samples
     d = math.gcd(a, M)
     q = M // d
@@ -175,9 +176,9 @@ def tight_orthogonalize(prototype: Pulse, grid: GaborGrid,
     if lo <= 0:
         raise FrameError("frame operator not positive definite; "
                          "prototype does not generate a frame on this grid")
-    if hi / lo > cond_limit:
+    if hi / lo > FRAME_COND_LIMIT:
         raise FrameError(
-            f"frame operator ill-conditioned (cond {hi / lo:.3g} > {cond_limit:.1e})"
+            f"frame operator ill-conditioned (cond {hi / lo:.3g} > {FRAME_COND_LIMIT:.1e})"
         )
     inv_sqrt = (U * w[..., None, :] ** -0.5) @ U.conj().swapaxes(-1, -2)
     # residue r = r0 + j*d seen in coordinates rotated by j*s: sample
@@ -192,42 +193,27 @@ def tight_orthogonalize(prototype: Pulse, grid: GaborGrid,
     return Pulse(samples=out)
 
 
-def _fold(grid: GaborGrid) -> tuple[int, np.ndarray]:
-    """Fold length K = L / gcd(L, b) and the K-point DFT bins m*b/gcd(L, b).
-
-    Bin m*b of an L-point DFT is bin m*b/gcd(L, b) of the K-point DFT of the
-    signal summed over its L/K blocks of length K (folded mod K); K = M when
-    the M channels tile the band (M*b = L).
-    """
-    b = grid.freq_shift
-    g = math.gcd(grid.L, b)
-    return grid.L // g, (b // g) * np.arange(grid.M)
-
-
 def synthesize(x: np.ndarray, g_tx: Pulse, grid: GaborGrid) -> np.ndarray:
     """Build the length-L transmit signal sum_{m,n} x[m,n] g(t - nT) e^{2j pi m F t}.
 
-    The modulated sum over m of time slot n repeats every K = L / gcd(L, b)
-    samples: it is the unnormalized inverse K-point DFT of x[:, n] placed at
-    bins m*b/gcd(L, b), tiled L/K times, and one batched inverse FFT gives all
-    N slots. Each slot is then windowed by the pulse delayed by n*a samples and
-    added in, one slot at a time, so the working set stays O(L).
+    The channels tile the band (M*b = L), so the modulated sum over m of time
+    slot n repeats every M samples: it is the unnormalized inverse M-point DFT
+    of x[:, n], tiled b times, and one batched inverse FFT gives all N slots.
+    Each slot is then windowed by the pulse delayed by n*a samples and added
+    in, one slot at a time, so the working set stays O(L).
     """
     x = np.asarray(x)
     if x.shape != (grid.M, grid.N):
         raise ValueError(f"frame shape {x.shape} does not match grid ({grid.M}, {grid.N})")
     if len(g_tx.samples) != grid.L:
         raise ValueError("pulse length does not match grid")
-    L, a = grid.L, grid.time_shift
-    K, bins = _fold(grid)
-    spectrum = np.zeros((grid.N, K), dtype=complex)
-    spectrum[:, bins] = x.T
-    slots = np.fft.ifft(spectrum, axis=1, norm="forward")
+    L, M, a, b = grid.L, grid.M, grid.time_shift, grid.freq_shift
+    slots = np.fft.ifft(x.T, axis=1, norm="forward")
     win = np.tile(g_tx.samples, 2)  # win[L - s:2L - s] is the pulse delayed by s
     out = np.zeros(L, dtype=complex)
-    folded, prod = out.reshape(L // K, K), np.empty((L // K, K), dtype=complex)
+    folded, prod = out.reshape(b, M), np.empty((b, M), dtype=complex)
     for n in range(grid.N):
-        folded += np.multiply(win[L - n * a:2 * L - n * a].reshape(L // K, K), slots[n], out=prod)
+        folded += np.multiply(win[L - n * a:2 * L - n * a].reshape(b, M), slots[n], out=prod)
     return out
 
 
@@ -236,23 +222,23 @@ def analyze(f: np.ndarray, g_rx: Pulse, grid: GaborGrid) -> np.ndarray:
 
     Returns the M x N frame of inner products y[m, n] = <f, g_{m,n}>: the
     L-point DFT of f times the conjugate pulse delayed by n*a samples, read
-    at bins m*b. Each windowed slot is folded mod K = L / gcd(L, b), and one
-    batched K-point FFT of the N folded slots gives every bin that is read.
+    at bins m*b. The channels tile the band (M*b = L), so each windowed slot
+    is folded mod M, and one batched M-point FFT of the N folded slots gives
+    every bin.
     """
     f = np.asarray(f)
     if f.shape != (grid.L,):
         raise ValueError(f"signal length {f.shape} does not match grid L = {grid.L}")
     if len(g_rx.samples) != grid.L:
         raise ValueError("pulse length does not match grid")
-    L, a = grid.L, grid.time_shift
-    K, bins = _fold(grid)
+    L, M, a, b = grid.L, grid.M, grid.time_shift, grid.freq_shift
     win = np.tile(g_rx.samples.conj(), 2)  # win[L - s:2L - s] is g* delayed by s
-    folded = np.empty((grid.N, K), dtype=complex)
+    folded = np.empty((grid.N, M), dtype=complex)
     prod = np.empty(L, dtype=complex)
     for n in range(grid.N):
         np.multiply(f, win[L - n * a:2 * L - n * a], out=prod)
-        prod.reshape(L // K, K).sum(axis=0, out=folded[n])
-    return np.ascontiguousarray(np.fft.fft(folded, axis=1)[:, bins].T)
+        prod.reshape(b, M).sum(axis=0, out=folded[n])
+    return np.ascontiguousarray(np.fft.fft(folded, axis=1).T)
 
 
 # delays per batched inverse FFT in _delays(): a (SHIFT_BLOCK, L) complex

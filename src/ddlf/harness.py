@@ -127,8 +127,9 @@ class ExperimentConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: expected a nonnegative integer, "
                                  f"got {getattr(self, name)}")
-        if self.pulse_spread <= 0:
-            raise ValueError(f"pulse_spread: expected a positive number, got {self.pulse_spread}")
+        for name in ("bandwidth", "pulse_spread"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: expected a positive number, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -252,7 +253,7 @@ def validate_point(cfg: ExperimentConfig) -> Point:
     if cfg.coding:
         with _config_key("coding, m_data, n_data"):
             link.conv_info_bits(2 * pl.M_data * pl.N_data)
-    with _config_key("tf_product, bandwidth"):
+    with _config_key("tf_product"):
         grid = build_grid(cfg, pl)
     tau_max, nu_max = resolve_spreads(cfg, grid)
     doppler_key = _doppler_key(cfg)
@@ -277,8 +278,7 @@ def validate_point(cfg: ExperimentConfig) -> Point:
         channel = chan.ChannelConfig(R=cfg.scatterers, tau_max=tau_max, nu_max=nu_max,
                                      power_profile=cfg.power_profile,
                                      fractional=cfg.fractional)
-    # tight orthogonalization needs the channels to tile the band (M*b = L)
-    with _config_key("tf_product" if grid.M * grid.freq_shift != grid.L else "pulse_spread"):
+    with _config_key("pulse_spread"):
         pulse = _tight_pulse(grid, cfg.pulse_spread)
     with _config_key("precoder, subframes"):
         precoder = transforms.Precoder(kind=cfg.precoder, shape=(cfg.m_data, cfg.n_data),

@@ -74,34 +74,34 @@ def qpsk_pilot_sequence(P: int, seed: int = 0) -> np.ndarray:
     return np.exp(1j * phases)
 
 
-def lattice_min_distance_sq(lam: int, mu: int) -> int:
-    """Squared minimal distance of the lattice {(l, lam*k + mu*l)} over integers.
+def _min_distances_sq(lam: int, mu: int | np.ndarray) -> np.ndarray:
+    """Squared minimal distance of the lattice {(l, lam*k + mu*l)} for each shift
+    in mu (an int or an integer array).
 
-    The minimum over l != 0 is found with k bracketing -mu*l/lam (robust to
-    the rounding direction); l = 0 contributes lam^2.
+    For fixed l, min over k of |lam*k + mu*l| is min(r, lam - r) with
+    r = mu*l mod lam. The lattice is symmetric under l -> -l, and l = lam
+    gives lam^2, the distance at l = 0, which no l > lam can beat; so the
+    minimum is over l = 1 .. lam, in exact integer arithmetic.
     """
+    ell = np.arange(1, lam + 1)
+    r = np.multiply.outer(mu, ell) % lam
+    return (ell**2 + np.minimum(r, lam - r) ** 2).min(axis=-1)
+
+
+def lattice_min_distance_sq(lam: int, mu: int) -> int:
+    """Squared minimal distance of the lattice {(l, lam*k + mu*l)} over integers."""
     if lam < 2:
         raise ValueError("lam must be at least 2")
     if not 0 <= mu < lam:
         raise ValueError("mu must lie in [0, lam)")
-    best = lam * lam
-    for ell in range(1, lam + 1):
-        t = -mu * ell / lam
-        for k in range(math.floor(t) - 1, math.ceil(t) + 2):
-            best = min(best, ell * ell + (lam * k + mu * ell) ** 2)
-    return best
+    return int(_min_distances_sq(lam, mu))
 
 
 def optimal_shift(lam: int) -> int:
     """Row shift in [0, lam) maximizing the lattice minimal distance (ties: smallest)."""
     if lam < 2:
         raise ValueError("lam must be at least 2")
-    best_mu, best_d = 0, -1
-    for mu in range(lam):
-        d = lattice_min_distance_sq(lam, mu)
-        if d > best_d:
-            best_mu, best_d = mu, d
-    return best_mu
+    return int(np.argmax(_min_distances_sq(lam, np.arange(lam))))
 
 
 def accordion_placement(m_data: int, n_data: int, pilots_per_row: int) -> PilotPlacement:

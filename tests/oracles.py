@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ddlf.channel import ChannelError, DDChannel, true_cmd
@@ -116,3 +118,15 @@ def srh_objective(h_ex: np.ndarray, h_pilot: np.ndarray, pl: PilotPlacement,
     pr, pc = pl.pilot_array_indices()
     fid = np.sum(np.abs(np.asarray(h_pilot) - h_ex[pr + 1, pc + 1]) ** 2)
     return weighted_hessian_energy(h_ex, alpha, beta) + omega * float(fid)
+
+
+def bracketed_min_distance_sq(lam: int, mu: int) -> int:
+    """Reference: squared minimal distance of the lattice {(l, lam*k + mu*l)},
+    from the k that bracket -mu*l/lam for each l = 1 .. lam (robust to the
+    rounding direction); l = 0 contributes lam^2."""
+    best = lam * lam
+    for ell in range(1, lam + 1):
+        t = -mu * ell / lam
+        for k in range(math.floor(t) - 1, math.ceil(t) + 2):
+            best = min(best, ell * ell + (lam * k + mu * ell) ** 2)
+    return best

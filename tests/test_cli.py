@@ -253,6 +253,10 @@ class TestAmbiguity:
         (["ambiguity", "--steps", "0"], "--steps", "expected a positive integer, got '0'"),
         (["place-pilots", "--data-shape", "8", "--pilots-per-row", "1"], "--data-shape",
          "expected MxN, got '8'"),
+        (["ambiguity", "--bandwidth", "-1"], "--bandwidth",
+         "expected a positive number, got '-1'"),
+        (["ambiguity", "--bandwidth", "0"], "--bandwidth",
+         "expected a positive number, got '0'"),
     ])
     def test_bad_flag_exits_2_naming_it_and_why(self, tmp_path, capsys, argv, flag, reason):
         out = tmp_path / "out.csv"
@@ -270,15 +274,19 @@ class TestAmbiguity:
          "pilots per row must satisfy 1 <= P' < N_data"),
         (["place-pilots", "--data-shape", "8x8", "--pilots-per-row", "8"], "--pilots-per-row",
          "pilots per row must satisfy 1 <= P' < N_data"),
+        # a = 8 and b = 6: M*b = 36, L = a*N = 40
         (["ambiguity", "--frame", "6x5"], "--frame, --tf-product",
-         "tight orthogonalization requires the M frequency channels to tile the band"),
+         "the M frequency channels must tile the sampled band exactly (M*b = L), "
+         "got M*b = 36, L = 40"),
+        # a = b = 1 < N = 2: T*F = 1/2, whatever the bandwidth
         (["ambiguity", "--frame", "2x2", "--tf-product", "0.5"],
-         "--frame, --tf-product, --bandwidth", "only the undersampled regime"),
-        (["ambiguity", "--frame", "8x8", "--bandwidth", "-1"],
-         "--frame, --tf-product, --bandwidth", "must be positive and finite"),
+         "--frame, --tf-product", "only the undersampled regime"),
+        # the grid is refused before the prototype is built
+        (["ambiguity", "--frame", "6x5", "--spread", "-1"], "--frame, --tf-product",
+         "must tile the sampled band exactly"),
         (["ambiguity", "--frame", "8x8", "--spread", "0"], "--spread",
          "spread must be positive"),
-        (["ambiguity", "--frame", "6x5", "--spread", "-1"], "--spread",
+        (["ambiguity", "--frame", "8x8", "--spread", "-1"], "--spread",
          "spread must be positive"),
         (["ambiguity", "--frame", "8x8", "--spread", "1e-9"], "--spread",
          "frame operator not positive definite"),
@@ -415,6 +423,7 @@ class TestConfigErrors:
         ("tau-max = 64e-6", "tau_max", "tau_max: 6.4e-05 s is not below the frame duration"),
         ("velocity = 20000", "velocity", "tau_max, velocity: 2*tau_max*nu_max = 0.197 >= 0.1"),
         ("pulse-spread = -1", "pulse_spread", "pulse_spread: expected a positive number, got -1.0"),
+        ("bandwidth = 0", "bandwidth", "bandwidth: expected a positive number, got 0.0"),
     ])
     def test_rejected_value_names_its_file_line(self, tmp_path, capsys, line, key, reason):
         cfgf = tmp_path / "bad.cfg"
@@ -439,11 +448,23 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("ddlf: velocity: ")
 
     def test_message_of_fields_the_file_did_not_set_unchanged(self, tmp_path, capsys):
-        # 16x16 data needs a 16x17 frame, where M*b = L fails: no tight pulse
+        # 16x16 data needs a 16x17 frame, whose channels do not tile the band: no grid
         cfgf = tmp_path / "bad.cfg"
         cfgf.write_text("trials = 1\ndata-shape = 16x16\n")
         assert main(["simulate", "--config", str(cfgf), "--out", str(tmp_path / "r.csv")]) == 2
         assert capsys.readouterr().err.startswith("ddlf: tf_product: ")
+
+    def test_grid_error_does_not_blame_the_bandwidth_line(self, tmp_path, capsys):
+        # T*F = b/N and M*b = a*N do not involve the bandwidth: a 4x1 frame
+        # (a = 5, b = 1) names tf_product alone, and no line of the file
+        cfgf = tmp_path / "edge.cfg"
+        cfgf.write_text("bandwidth = 5e6\ndata-shape = 4x1\npilots-per-row = 0\n"
+                        "estimator = perfect\ntrials = 1\n")
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--config", str(cfgf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ddlf: tf_product: ") and "bandwidth" not in err
+        assert not out.exists()
 
     def test_an_overridden_field_is_not_the_files(self, tmp_path, capsys):
         # --seed replaces the file's seed, and the pilots axis its pilots-per-row

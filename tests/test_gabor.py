@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddlf import gabor, harness
@@ -90,10 +90,13 @@ class TestGrid:
     @given(M=st.integers(1, 64), N=st.integers(1, 64), tf=st.floats(0.5, 4.0),
            bandwidth=st.floats(1e3, 1e9))
     @settings(max_examples=200)
+    @example(M=16, N=20, tf=1.25, bandwidth=5e6)  # tiles: M*b = 16*25 = a*N = 20*20
+    @example(M=16, N=17, tf=1.25, bandwidth=5e6)  # M*b = 16*21 < a*N = 20*17
     def test_steps_are_built_from_the_integer_shifts(self, M, N, tf, bandwidth):
+        # a grid exists if and only if a >= 1, b > N and the channels tile the band
         a = round(M * tf)
-        b = min(round(N * tf), a * N // M)
-        if a < 1 or b <= N:
+        b = round(N * tf)
+        if a < 1 or b <= N or M * b != a * N:
             with pytest.raises(GridError):
                 make_grid(M, N, tf, bandwidth)
             return
@@ -101,7 +104,7 @@ class TestGrid:
         assert (grid.time_shift, grid.freq_shift, grid.fs) == (a, b, bandwidth)
         assert grid.T == a / bandwidth
         assert grid.F == b * bandwidth / (a * N)
-        assert grid.L == a * N
+        assert grid.L == a * N == M * b
         assert grid.duration == N * (a / bandwidth)
 
     def test_fields_are_the_integer_lattice(self):
@@ -136,15 +139,14 @@ class TestGrid:
 
     def test_rejects_channels_past_the_band(self):
         # L = 8*10 = 80 samples, M*b = 8*11 = 88 bins
-        with pytest.raises(GridError, match=r"M\*b > L"):
+        with pytest.raises(GridError, match=r"must tile the sampled band exactly \(M\*b = L\), "
+                                            r"got M\*b = 88, L = 80"):
             GaborGrid(M=8, N=8, time_shift=10, freq_shift=11, fs=5e6)
 
-    def test_partial_band_allowed(self):
-        # N*tf not an integer: b is reduced so M*b <= L
-        grid = make_grid(16, 17, 1.25)
-        assert grid.time_shift == 20
-        assert grid.M * grid.freq_shift <= grid.L
-        assert grid.T * grid.F > 1.0
+    def test_partial_band_rejected(self):
+        # N*tf not an integer: a = 20 and b = 21, so M*b = 336 leaves a gap below L = 340
+        with pytest.raises(GridError, match=r"got M\*b = 336, L = 340"):
+            make_grid(16, 17, 1.25)
 
 
 class TestGaussianPrototype:
@@ -197,11 +199,6 @@ class TestTightOrthogonalize:
         _, g = tight_pulse(16, 16)
         assert np.linalg.norm(g.samples) == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_partial_band_grid(self):
-        grid = make_grid(16, 17, 1.25)
-        with pytest.raises(FrameError):
-            tight_orthogonalize(gaussian_prototype(grid), grid)
-
     @pytest.mark.parametrize("M, N, tf, d", [
         (4, 4, 1.25, 1),    # a = 5: gcd(a, M) = 1, every residue its own rotation
         (12, 20, 1.25, 3),  # a = 15: 1 < d < M
@@ -226,12 +223,13 @@ class TestTightOrthogonalize:
         want = per_residue_tight(proto, grid)
         assert np.abs(tight_orthogonalize(proto, grid).samples - want).max() <= 1e-12
 
-    def test_rejects_ill_conditioned(self):
+    def test_rejects_ill_conditioned(self, monkeypatch):
         grid = make_grid(8, 8)
         proto = gaussian_prototype(grid, spread=0.35)
         tight_orthogonalize(proto, grid)
+        monkeypatch.setattr(gabor, "FRAME_COND_LIMIT", 1.0)
         with pytest.raises(FrameError, match="ill-conditioned"):
-            tight_orthogonalize(proto, grid, cond_limit=1.0)
+            tight_orthogonalize(proto, grid)
 
     def test_rejects_degenerate_prototype(self):
         # a near-delta prototype cannot span the lattice
@@ -255,16 +253,18 @@ class TestTightOrthogonalize:
         want = per_residue_tight(proto, grid)
         assert np.abs(tight_orthogonalize(proto, grid).samples - want).max() <= 1e-12
 
-    def test_cond_limit_is_the_dense_condition_number(self):
+    def test_cond_limit_is_the_dense_condition_number(self, monkeypatch):
         # the q x q blocks have the eigenvalues of the dense blocks, so the
         # ill-conditioning check trips exactly at the dense condition number
         grid = make_grid(8, 8)
         proto = gaussian_prototype(grid, spread=0.35)
         w = np.concatenate([np.linalg.eigvalsh(B) for _, B in per_residue_blocks(proto, grid)])
         cond = w.max() / w.min()
-        tight_orthogonalize(proto, grid, cond_limit=cond * (1 + 1e-9))
+        monkeypatch.setattr(gabor, "FRAME_COND_LIMIT", cond * (1 + 1e-9))
+        tight_orthogonalize(proto, grid)
+        monkeypatch.setattr(gabor, "FRAME_COND_LIMIT", cond * (1 - 1e-9))
         with pytest.raises(FrameError, match="ill-conditioned"):
-            tight_orthogonalize(proto, grid, cond_limit=cond * (1 - 1e-9))
+            tight_orthogonalize(proto, grid)
 
     @pytest.mark.parametrize("M, N, tf", [(64, 64, 1.25), (12, 20, 1.25), (8, 8, 2.0)])
     def test_eigenproblems_are_q_by_q(self, monkeypatch, M, N, tf):
@@ -294,12 +294,10 @@ class TestTightOrthogonalize:
 
 
 class TestFilterbank:
-    @pytest.mark.parametrize("M, N", [(8, 8), (16, 17), (16, 18), (12, 20)])
+    @pytest.mark.parametrize("M, N", [(8, 8), (16, 20), (20, 16), (12, 20)])
     def test_matches_dense_atom_reference(self, M, N):
-        # (8, 8) and (12, 20) tile the band (M*b = L, fold length K = M);
-        # (16, 17) and (16, 18) leave a gap (M*b < L) with K = L and K = L/2
+        # square frames and both M < N and M > N; every grid tiles its band
         grid = make_grid(M, N, 1.25)
-        assert (grid.M * grid.freq_shift == grid.L) == (N * 1.25).is_integer()
         g = gaussian_prototype(grid)
         atoms = dense_atoms(g, grid)
         rng = np.random.default_rng(10)
@@ -362,22 +360,18 @@ class TestFilterbank:
 
 @lru_cache(maxsize=None)
 def property_grid(M, N):
-    """Grid, Gaussian prototype and (on tiling grids) tight pulse for the property tests."""
+    """Grid, Gaussian prototype and tight pulse for the property tests."""
     grid = make_grid(M, N, 1.25)
     proto = gaussian_prototype(grid, 0.8)
-    tight = (tight_orthogonalize(proto, grid) if grid.M * grid.freq_shift == grid.L
-             else None)
-    return grid, proto, tight
+    return grid, proto, tight_orthogonalize(proto, grid)
 
 
 def complex_normal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-# (4, 4), (8, 8) and (12, 20) tile the band (K = M, with M = N and M != N);
-# (16, 18) folds mod K = L/2 and (16, 17) mod K = L
-PROPERTY_GRIDS = [(4, 4), (8, 8), (12, 20), (16, 18), (16, 17)]
-TILING_GRIDS = [(4, 4), (8, 8), (12, 20)]
+# square frames and both M < N and M > N
+PROPERTY_GRIDS = [(4, 4), (8, 8), (12, 20), (16, 20), (20, 16)]
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -415,7 +409,7 @@ class TestFilterbankProperties:
             <= tol * np.abs(ana).max()
 
     @settings(max_examples=15)
-    @given(shape=st.sampled_from(TILING_GRIDS), seed=seeds)
+    @given(shape=st.sampled_from(PROPERTY_GRIDS), seed=seeds)
     def test_tight_pulse_reconstructs(self, shape, seed):
         grid, _, g = property_grid(*shape)
         x = complex_normal(np.random.default_rng(seed), (grid.M, grid.N))

@@ -81,6 +81,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field}: expected a finite number"):
             quiet_cfg(**{field: (15.0, value) if field == "snr_db" else value})
 
+    @pytest.mark.parametrize("value", [0.0, -5e6])
+    def test_rejects_a_non_positive_bandwidth(self, value):
+        with pytest.raises(ValueError,
+                           match=f"^bandwidth: expected a positive number, got {value}"):
+            quiet_cfg(bandwidth=value)
+
     @pytest.mark.parametrize("snr", [-4000.0, 5000.0])
     def test_rejects_snr_without_a_positive_finite_noise_variance(self, snr):
         # 10^400 overflows a float and 10^-500 underflows to 0
@@ -333,7 +339,7 @@ class TestSweepValidation:
         ("tf_product", dict(tf_product=0.0)),
         ("bandwidth", dict(bandwidth=0.0)),
         ("bandwidth", dict(bandwidth=-5e6)),
-        ("tf_product", dict(m_data=16, n_data=16)),  # M*b = 336 < L = 340: no tight pulse
+        ("tf_product", dict(m_data=16, n_data=16)),  # M*b = 336 != L = 340: no grid
         ("pilots_per_row", dict(pilots_per_row=20)),
         # 16 x 14 at T*F 1.3 does not tile the band, but the spread is at fault
         ("pulse_spread", dict(m_data=16, n_data=14, tf_product=1.3, pulse_spread=-1.0)),

@@ -18,6 +18,8 @@ from ddlf.piloting import (
     round_half_away,
 )
 
+from oracles import bracketed_min_distance_sq
+
 
 def brute_force_min_dist_sq(lam, mu):
     """Exhaustive enumeration of nonzero lattice points (l, lam*k + mu*l)."""
@@ -42,6 +44,12 @@ class TestLattice:
             for mu in range(lam):
                 assert lattice_min_distance_sq(lam, mu) == brute_force_min_dist_sq(lam, mu), \
                     (lam, mu)
+
+    def test_closed_form_matches_the_bracketed_reference(self):
+        for lam in range(2, 65):
+            dists = [bracketed_min_distance_sq(lam, mu) for mu in range(lam)]
+            assert [lattice_min_distance_sq(lam, mu) for mu in range(lam)] == dists, lam
+            assert optimal_shift(lam) == dists.index(max(dists)), lam
 
     def test_optimal_shift_examples(self):
         assert optimal_shift(2) == 1
