@@ -4,6 +4,12 @@ Synthetic WSSUS generation, time-varying cyclic convolution, channel
 main-diagonal (CMD) ground truth, noise injection and the self-interference
 residual.
 
+A channel realization (DDChannel) is only its paths. Each rule on the
+delay-Doppler box [0, tau_max] x [-nu_max, nu_max] has one home: the grid
+decides which boxes it can hold (gabor.GaborGrid.check_box), the draw's
+settings (ChannelConfig) hold the underspread rule, and true_cmd checks that
+the paths lie inside the box of the ambiguity table it reads.
+
 The channel acts on one frame with a block cyclic prefix: delays wrap
 cyclically while the per-path Doppler ramp runs over absolute frame time.
 """
@@ -25,13 +31,11 @@ class ChannelError(ValueError):
 @dataclass(frozen=True, eq=False)
 class DDChannel:
     """R paths, each a delay tau (s), Doppler nu (Hz) and complex gain eta,
-    as three length-R arrays, inside the underspread box (tau_max, nu_max)."""
+    as three length-R arrays."""
 
     tau: np.ndarray
     nu: np.ndarray
     eta: np.ndarray
-    tau_max: float
-    nu_max: float
 
     def __post_init__(self):
         for name, dtype in (("tau", float), ("nu", float), ("eta", complex)):
@@ -39,18 +43,6 @@ class DDChannel:
         if not (self.tau.ndim == 1 and self.tau.shape == self.nu.shape == self.eta.shape):
             raise ChannelError(f"path arrays tau, nu, eta of shapes {self.tau.shape}, "
                                f"{self.nu.shape}, {self.eta.shape} are not one length")
-        spread = 2.0 * self.tau_max * self.nu_max
-        if spread >= 0.1:
-            raise ChannelError(
-                f"channel not underspread: 2*tau_max*nu_max = {spread:.3g} >= 0.1"
-            )
-        late = ~((0.0 <= self.tau) & (self.tau <= self.tau_max * (1 + 1e-9)))
-        fast = np.abs(self.nu) > self.nu_max * (1 + 1e-9)
-        if (late | fast).any():
-            r = np.argmax(late | fast)  # the first path out of the box
-            if late[r]:
-                raise ChannelError(f"scatterer delay {self.tau[r]} outside [0, {self.tau_max}]")
-            raise ChannelError(f"scatterer Doppler {self.nu[r]} outside +-{self.nu_max}")
 
     @property
     def total_power(self) -> float:
@@ -68,8 +60,10 @@ def default_power_profile(tau_max: float) -> float:
 class ChannelConfig:
     """Synthetic WSSUS generator settings.
 
-    fractional=True draws off-grid delay/Doppler shifts; otherwise the shifts
-    snap to the 1/(M F) delay grid and 1/(N T) Doppler grid.
+    R paths in the box [0, tau_max] x [-nu_max, nu_max], which must be
+    underspread (2*tau_max*nu_max < 0.1). fractional=True draws off-grid
+    delay/Doppler shifts; otherwise the shifts snap to the 1/(M F) delay grid
+    and 1/(N T) Doppler grid. A ChannelError leads with the fields it rests on.
     """
 
     R: int
@@ -79,11 +73,15 @@ class ChannelConfig:
     fractional: bool = True
 
     def __post_init__(self):
+        if (spread := 2.0 * self.tau_max * self.nu_max) >= 0.1:
+            raise ChannelError(f"tau_max, nu_max: 2*tau_max*nu_max = {spread:.3g} >= 0.1 "
+                               f"(tau_max = {self.tau_max:.6g} s, nu_max = {self.nu_max:.6g} "
+                               "Hz); the channel is not underspread")
         if self.R < 1:
-            raise ChannelError("scatterer count R must be >= 1")
+            raise ChannelError(f"R: scatterer count R must be >= 1, got {self.R}")
         if self.power_profile is not None and self.power_profile < 0:
-            raise ChannelError(f"delay-decay rate power_profile = {self.power_profile:g} "
-                               "must be nonnegative")
+            raise ChannelError(f"power_profile: delay-decay rate power_profile = "
+                               f"{self.power_profile:g} must be nonnegative")
 
 
 def generate_channel(cfg: ChannelConfig, grid: GaborGrid, seed: int) -> DDChannel:
@@ -92,16 +90,9 @@ def generate_channel(cfg: ChannelConfig, grid: GaborGrid, seed: int) -> DDChanne
     Gains are circular complex Gaussian with variance proportional to
     exp(-tau * power_profile), renormalized so the realized total power
     sum |eta_r|^2 is exactly 1. Deterministic for a given seed. A box that
-    grid cannot hold is a ChannelError before any draw: a Doppler spread of
-    at least fs/2 (the sampled ramps alias), or a delay spread of at least
-    the frame duration.
+    grid cannot hold (GaborGrid.check_box) is a GridError before any draw.
     """
-    if cfg.nu_max >= grid.fs / 2:
-        raise ChannelError(f"nu_max = {cfg.nu_max:g} Hz is not below fs/2 = {grid.fs / 2:g} Hz; "
-                           "the Doppler shifts alias")
-    if cfg.tau_max >= grid.duration:
-        raise ChannelError(f"tau_max = {cfg.tau_max:g} s is not below the frame duration "
-                           f"{grid.duration:g} s")
+    grid.check_box(cfg.tau_max, cfg.nu_max)
     rate = cfg.power_profile if cfg.power_profile is not None else default_power_profile(cfg.tau_max)
     rng = np.random.default_rng(seed)
     taus = rng.uniform(0.0, cfg.tau_max, size=cfg.R)
@@ -116,7 +107,7 @@ def generate_channel(cfg: ChannelConfig, grid: GaborGrid, seed: int) -> DDChanne
     var = np.exp(-(taus - taus.min()) * rate)
     etas = np.sqrt(var / 2.0) * (rng.standard_normal(cfg.R) + 1j * rng.standard_normal(cfg.R))
     etas /= np.linalg.norm(etas)
-    return DDChannel(taus, nus, etas, tau_max=cfg.tau_max, nu_max=cfg.nu_max)
+    return DDChannel(taus, nus, etas)
 
 
 def apply_channel(f: np.ndarray, ch: DDChannel, grid: GaborGrid) -> np.ndarray:
@@ -127,14 +118,20 @@ def apply_channel(f: np.ndarray, ch: DDChannel, grid: GaborGrid) -> np.ndarray:
     The transmit band occupies [0, fs), so the delay phase ramp runs over the
     one-sided DFT bins: subcarrier m is rotated by exactly e^{-2j pi m F tau}.
     The paths go through gabor._delays in blocks, and each block's
-    gain-weighted sum of its Doppler-ramped delays is added in.
+    gain-weighted sum of its Doppler-ramped delays is added in. A path the
+    grid cannot carry is a ChannelError: a delay outside [0, duration), or a
+    Doppler of at least fs/2 in magnitude, whose sampled ramp would alias.
     """
     f = np.asarray(f)
     if f.shape != (grid.L,):
         raise ValueError(f"signal length {f.shape} does not match grid L = {grid.L}")
-    late = ch.tau >= grid.duration
+    late = ~((0.0 <= ch.tau) & (ch.tau < grid.duration))
     if late.any():
-        raise ChannelError(f"delay {ch.tau[late][0]} exceeds the frame duration {grid.duration}")
+        raise ChannelError(f"delay {ch.tau[late][0]} is negative or exceeds the frame duration "
+                           f"{grid.duration}")
+    fast = np.abs(ch.nu) >= grid.fs / 2
+    if fast.any():
+        raise ChannelError(f"Doppler {ch.nu[fast][0]} Hz is not below fs/2 = {grid.fs / 2} Hz")
     out = np.zeros(grid.L, dtype=complex)
     for block, delayed in _delays(f, ch.tau, grid.fs, signed=False):
         out += ch.eta[block] @ (delayed * _phasors(ch.nu[block] / grid.fs, grid.L))
@@ -162,14 +159,22 @@ def true_cmd(ch: DDChannel, table: AmbiguityTable) -> np.ndarray:
     h[m, n] = sum_r eta_r e^{2j pi (n T nu_r - m F tau_r)} A(tau_r, nu_r),
     the superposition of one low-frequency 2D complex exponential per path
     weighted by the pulse cross-ambiguity at the path's shift. A comes from
-    table, the gabor.ambiguity_table of the pulses on ch's (tau_max, nu_max)
-    box, which one evaluation reads for every path. A table of another box
-    is a ValueError.
+    table, the gabor.ambiguity_table of the pulses on a box that holds every
+    path of ch (the box ch was drawn in, or a larger one), which one
+    evaluation reads for every path. A path outside the table's box is a
+    ChannelError.
     """
-    if (table.tau_max, table.nu_max) != (ch.tau_max, ch.nu_max):
-        raise ValueError(f"the ambiguity table of the box tau_max = {table.tau_max:g} s, "
-                         f"nu_max = {table.nu_max:g} Hz does not match the channel's box "
-                         f"tau_max = {ch.tau_max:g} s, nu_max = {ch.nu_max:g} Hz")
+    # a path on the box edge may pass it by rounding (a scaled or snapped
+    # draw), so the box reaches a relative 1e-9 further, where the table's
+    # polynomials still hold
+    late = ~((0.0 <= ch.tau) & (ch.tau <= table.tau_max * (1 + 1e-9)))
+    if late.any():
+        raise ChannelError(f"scatterer delay {ch.tau[late][0]} outside [0, {table.tau_max}], "
+                           "the box of the ambiguity table")
+    fast = np.abs(ch.nu) > table.nu_max * (1 + 1e-9)
+    if fast.any():
+        raise ChannelError(f"scatterer Doppler {ch.nu[fast][0]} outside +-{table.nu_max}, "
+                           "the box of the ambiguity table")
     grid = table.grid
     amp = ch.eta * table(ch.tau, ch.nu)
     delay = np.exp(-2j * np.pi * grid.F * ch.tau * np.arange(grid.M)[:, None])

@@ -45,7 +45,8 @@ class ReconstructionGrid:
     Doppler bins run -Q..Q; delay bins run -Wn..W (cyclic). With the symplectic
     kernel used here a scatterer at positive delay k0/(M F) concentrates at
     delay bin -k0, so Wn must cover the delay spread while W guards the
-    smearing tail on the opposite side.
+    smearing tail on the opposite side. A ValueError leads with the extents
+    it rests on.
     """
 
     Q: int
@@ -53,14 +54,17 @@ class ReconstructionGrid:
     Wn: int
 
     def __post_init__(self):
-        if self.Q < 0 or self.W < 0 or self.Wn < 0:
-            raise ValueError("reconstruction grid extents must be nonnegative")
+        for name in ("Q", "W", "Wn"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: reconstruction grid extent {name} = "
+                                 f"{getattr(self, name)} must be nonnegative")
 
     def validate(self, M: int, N: int):
+        """Refuse extents that do not fit an M x N frame."""
         if self.Q > N // 2:
-            raise ValueError(f"Q = {self.Q} exceeds N/2 = {N // 2}")
+            raise ValueError(f"Q: Q = {self.Q} exceeds N/2 = {N // 2}")
         if self.W + self.Wn > M:
-            raise ValueError(f"W + Wn = {self.W + self.Wn} exceeds M = {M}")
+            raise ValueError(f"W, Wn: W + Wn = {self.W + self.Wn} exceeds M = {M}")
 
     def cells(self):
         """(doppler, delay) bin pairs in a fixed enumeration order."""

@@ -79,6 +79,25 @@ class GaborGrid:
     def duration(self) -> float:
         return self.N * self.T
 
+    def check_box(self, tau_max: float, nu_max: float):
+        """Refuse a delay-Doppler box [0, tau_max] x [-nu_max, nu_max] that the
+        grid cannot hold: a negative (or NaN) spread, a Doppler spread of at
+        least fs/2 or a delay spread of at least the frame duration. The
+        GridError leads with the quantities it rests on (tau_max, nu_max, fs)."""
+        if not tau_max >= 0:
+            raise GridError(f"tau_max: the delay spread must be nonnegative, got {tau_max:.6g} s")
+        if not nu_max >= 0:
+            raise GridError(f"nu_max: the Doppler spread must be nonnegative "
+                            f"(nu_max = {nu_max:.6g} Hz)")
+        # a sampled Doppler ramp at nu and at nu - fs are the same samples
+        if nu_max >= self.fs / 2:
+            raise GridError(f"nu_max, fs: nu_max = {nu_max:.6g} Hz is not below half the sampling "
+                            f"rate, fs/2 = {self.fs / 2:.6g} Hz; the Doppler shifts alias")
+        # a delay wraps cyclically within one frame
+        if tau_max >= self.duration:
+            raise GridError(f"tau_max: {tau_max:.6g} s is not below the frame duration "
+                            f"{self.duration:.6g} s")
+
 
 def make_grid(M: int, N: int, tf_product: float = 1.25,
               bandwidth: float = 5.0e6) -> GaborGrid:
@@ -340,7 +359,7 @@ class AmbiguityTable:
 
     def __call__(self, tau: np.ndarray, nu: np.ndarray) -> np.ndarray:
         """A at the pairs (tau[i], nu[i]). Points just outside the box, such as
-        the relative 1e-9 that DDChannel allows, extend the polynomials."""
+        the relative 1e-9 that channel.true_cmd allows, extend the polynomials."""
         x = np.asarray(tau, dtype=float) * (2.0 / self.tau_max if self.tau_max else 0.0) - 1.0
         y = np.asarray(nu, dtype=float) * (1.0 / self.nu_max if self.nu_max else 0.0)
         n_tau, n_nu = self.coef.shape
@@ -360,19 +379,13 @@ def ambiguity_table(gamma: Pulse, g: Pulse, grid: GaborGrid, tau_max: float,
     them into coefficients. Each axis starts at AMBIGUITY_NODES and doubles
     until its last two coefficients are at most AMBIGUITY_TOL, or at most
     AMBIGUITY_FLOOR and no longer halving (rounding level). An axis that
-    would pass AMBIGUITY_MAX_NODES is a ValueError, and so is a Doppler box
-    of at least fs/2, where the sampled ramps alias. A zero-width axis has
-    one node.
+    would pass AMBIGUITY_MAX_NODES is a ValueError. A box that the grid
+    cannot hold (GaborGrid.check_box) is a GridError before the first node.
+    A zero-width axis has one node.
     """
     if len(gamma.samples) != grid.L or len(g.samples) != grid.L:
         raise ValueError("pulses must share the sample grid")
-    if not 0.0 <= tau_max < grid.duration:
-        raise ValueError(f"tau_max = {tau_max} is not in [0, {grid.duration}), the frame duration")
-    if nu_max < 0:
-        raise ValueError(f"nu_max = {nu_max} must be nonnegative")
-    if nu_max >= grid.fs / 2:
-        raise ValueError(f"nu_max = {nu_max} is not below fs/2 = {grid.fs / 2}; the Doppler "
-                         "shifts alias")
+    grid.check_box(tau_max, nu_max)
     n_tau, n_nu = (n if width > 0 else 1 for n, width in zip(AMBIGUITY_NODES, (tau_max, nu_max)))
     last = (math.inf, math.inf)  # each axis's tail in the previous round
     rows = np.empty((0, grid.L), dtype=complex)  # g* times gamma at each delay node

@@ -205,6 +205,18 @@ def _config_key(key: str):
         raise type(e)(f"{key}: {e}") from e
 
 
+@contextmanager
+def _renamed(keys: dict):
+    """Rename the quantities that lead an error raised inside the block (the
+    comma list before its first ': ') to the config keys they come from; a
+    quantity that keys does not hold is a key itself."""
+    try:
+        yield
+    except ValueError as e:
+        head, sep, rest = str(e).partition(": ")
+        raise type(e)(", ".join(keys.get(q, q) for q in head.split(", ")) + sep + rest) from e
+
+
 @dataclass(frozen=True, eq=False)
 class Point:
     """What every trial of a sweep point shares, all of it built by
@@ -235,14 +247,19 @@ def validate_point(cfg: ExperimentConfig) -> Point:
     operator (one SRH operator per (alpha, beta), the LMMSE operator), and,
     when the trials read the true CMD, the gabor.ambiguity_table of the pulse
     on the channel's (tau_max, nu_max) box. Each part uses its own checks,
-    and an error names the offending key: a failed operator build names
-    estimators and, for the mode-aware variants, the spread keys that alpha
-    and beta come from; a table past its node cap names the spread keys. It
-    also rejects a Doppler spread of at least half the sampling rate, where
-    the Doppler shifts alias, SRH variants on pilot cells of one line and,
-    with coding, a data frame too small for a codeword, and warns, naming
-    the keys, when the LMMSE reconstruction grid has more cells than there
-    are pilots."""
+    and an error names the offending key. The grid's box check
+    (GaborGrid.check_box: a negative spread, a Doppler spread of at least
+    half the sampling rate, where the Doppler shifts alias, or a delay
+    spread of at least the frame duration), the channel config (the
+    underspread rule, the scatterer count, the decay rate), the precoder
+    and the reconstruction grid lead their errors with the quantities they
+    rest on, which _renamed turns into config keys. A failed operator build
+    names estimators and, for the mode-aware variants, the spread keys that
+    alpha and beta come from; a table past its node cap names the spread
+    keys. It also rejects SRH variants on pilot cells of one line and, with
+    coding, a data frame too small for a codeword, and warns, naming the
+    keys, when the LMMSE reconstruction grid has more cells than there are
+    pilots."""
     with _config_key("pilots_per_row"):
         pl = build_placement(cfg)
     # the Hessian energy is zero on affine fields, so on pilot cells of one
@@ -257,33 +274,17 @@ def validate_point(cfg: ExperimentConfig) -> Point:
         grid = build_grid(cfg, pl)
     tau_max, nu_max = resolve_spreads(cfg, grid)
     doppler_key = _doppler_key(cfg)
-    if tau_max < 0:
-        raise ValueError(f"tau_max: the delay spread must be nonnegative, got {tau_max:.6g} s")
-    if nu_max < 0:
-        raise ValueError(f"{doppler_key}: the Doppler spread must be nonnegative "
-                         f"(nu_max = {nu_max:.6g} Hz)")
-    # a sampled Doppler ramp at nu and at nu - fs are the same samples
-    if nu_max >= grid.fs / 2:
-        raise ValueError(f"{doppler_key}, bandwidth: nu_max = {nu_max:.6g} Hz is not below "
-                         f"half the sampling rate, fs/2 = {grid.fs / 2:.6g} Hz; the Doppler "
-                         "shifts alias")
-    if tau_max >= grid.duration:
-        raise ValueError(f"tau_max: {tau_max:.6g} s is not below the frame duration "
-                         f"{grid.duration:.6g} s")
-    if 2.0 * tau_max * nu_max >= 0.1:
-        raise ValueError(f"tau_max, {doppler_key}: 2*tau_max*nu_max = "
-                         f"{2.0 * tau_max * nu_max:.3g} >= 0.1 (tau_max = {tau_max:.6g} s, "
-                         f"nu_max = {nu_max:.6g} Hz); the channel is not underspread")
-    with _config_key("scatterers, power_profile"):
+    with _renamed({"R": "scatterers", "nu_max": doppler_key, "fs": "bandwidth"}):
+        grid.check_box(tau_max, nu_max)
         channel = chan.ChannelConfig(R=cfg.scatterers, tau_max=tau_max, nu_max=nu_max,
                                      power_profile=cfg.power_profile,
                                      fractional=cfg.fractional)
     with _config_key("pulse_spread"):
         pulse = _tight_pulse(grid, cfg.pulse_spread)
-    with _config_key("precoder, subframes"):
+    with _renamed({"kind": "precoder", "shape": "m_data, n_data"}):
         precoder = transforms.Precoder(kind=cfg.precoder, shape=(cfg.m_data, cfg.n_data),
                                        subframes=cfg.subframes, seed=cfg.precoder_seed)
-    with _config_key("recon_q, recon_w, recon_wn"):
+    with _renamed({"Q": "recon_q", "W": "recon_w", "Wn": "recon_wn"}):
         grid_k = est.ReconstructionGrid(Q=cfg.recon_q, W=cfg.recon_w, Wn=cfg.recon_wn)
         if "lmmse" in cfg.estimators:
             grid_k.validate(pl.M, pl.N)

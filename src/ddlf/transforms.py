@@ -102,7 +102,7 @@ class Precoder:
     """Energy-preserving precoder description, bound to a data-frame shape.
 
     subframes > 1 splits the frame along the time axis into equal blocks that
-    are encoded independently.
+    are encoded independently. A ValueError leads with the fields it rests on.
     """
 
     kind: str
@@ -112,16 +112,18 @@ class Precoder:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown precoder kind {self.kind!r}; choose from {KINDS}")
+            raise ValueError(f"kind: unknown precoder kind {self.kind!r}; choose from {KINDS}")
         if self.subframes not in SUBFRAME_CHOICES:
-            raise ValueError(f"subframes must be one of {SUBFRAME_CHOICES}")
+            raise ValueError(f"subframes: subframes must be one of {SUBFRAME_CHOICES}")
         m, n = self.shape
         if n % self.subframes:
-            raise ValueError(f"time dimension {n} not divisible into {self.subframes} sub-frames")
+            raise ValueError(f"shape, subframes: time dimension {n} not divisible into "
+                             f"{self.subframes} sub-frames")
         bm, bn = self.block_shape
         # a product of positive integers is a power of two only when each factor is
         if self.kind in ("fwht1d", "fwht2d") and (bm * bn) & (bm * bn - 1):
-            raise ValueError(f"{self.kind} needs power-of-two block dimensions")
+            raise ValueError(f"kind, shape, subframes: {self.kind} needs power-of-two block "
+                             "dimensions")
 
     @property
     def factors(self) -> Reflectors:

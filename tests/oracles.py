@@ -20,9 +20,10 @@ def fractional_shift(samples: np.ndarray, delay_samples: float) -> np.ndarray:
     return np.fft.ifft(spectrum * np.exp(-2j * np.pi * np.fft.fftfreq(L) * delay_samples))
 
 
-def own_box_cmd(ch, pulse, grid):
-    """The true CMD of ch, read from the ambiguity table of pulse on ch's own box."""
-    return true_cmd(ch, ambiguity_table(pulse, pulse, grid, ch.tau_max, ch.nu_max))
+def box_cmd(ch, pulse, grid, tau_max, nu_max):
+    """The true CMD of ch, read from the ambiguity table of pulse on the box
+    [0, tau_max] x [-nu_max, nu_max], which must hold every path of ch."""
+    return true_cmd(ch, ambiguity_table(pulse, pulse, grid, tau_max, nu_max))
 
 
 def per_path_apply(f, ch, grid):
@@ -44,14 +45,14 @@ def channel_to_csv(ch: DDChannel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def channel_from_csv(text: str, tau_max: float, nu_max: float) -> DDChannel:
+def channel_from_csv(text: str) -> DDChannel:
     """Rebuild a channel from its channel_to_csv dump."""
     rows = [ln for ln in text.splitlines() if ln.strip()]
     if not rows or rows[0] != "r,tau_s,nu_hz,eta_re,eta_im":
         raise ChannelError("not a channel dump (bad header)")
     _, tau, nu, re, im = np.array([ln.split(",") for ln in rows[1:]],
                                   dtype=float).reshape(-1, 5).T
-    return DDChannel(tau, nu, re + 1j * im, tau_max=tau_max, nu_max=nu_max)
+    return DDChannel(tau, nu, re + 1j * im)
 
 
 def dirichlet_kernel(K: int, t: np.ndarray | float) -> np.ndarray:

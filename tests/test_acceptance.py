@@ -117,8 +117,8 @@ def test_04_leakage_oracle(desk_pulse_cache):
     spread = int(np.sum(H_half > 0.01 * H_half.max()))
     # closed form matches the transform of the numerically computed response
     tau_f, nu_f = 0.37 / (grid.M * grid.F), 0.53 / (grid.N * grid.T)
-    ch = DDChannel([tau_f], [nu_f], [1.0], tau_max=tau_f * 1.3, nu_max=nu_f * 1.3)
-    h = true_cmd(ch, ambiguity_table(pulse, pulse, grid, ch.tau_max, ch.nu_max))
+    ch = DDChannel([tau_f], [nu_f], [1.0])
+    h = true_cmd(ch, ambiguity_table(pulse, pulse, grid, tau_f * 1.3, nu_f * 1.3))
     err = float(np.abs(np.sqrt(grid.N * grid.M) * dsft2d(h)
                        - dd_leakage_response(tau_f, nu_f, pulse, pulse, grid)).max())
     report(4, hot == 1 and spread >= 5 and err < 1e-9,
@@ -135,8 +135,8 @@ def test_05_estimator_exact_recovery(desk_pulse_cache):
     fr, fc = pl_full.pilot_array_indices()
     # on-grid scatterer inside the reconstruction grid
     tau, nu = 1 / (grid.M * grid.F), 2 / (grid.N * grid.T)
-    ch = DDChannel([tau], [nu], [0.8 - 0.4j], tau_max=tau * 1.2, nu_max=nu * 1.2)
-    h = true_cmd(ch, ambiguity_table(pulse, pulse, grid, ch.tau_max, ch.nu_max))
+    ch = DDChannel([tau], [nu], [0.8 - 0.4j])
+    h = true_cmd(ch, ambiguity_table(pulse, pulse, grid, tau * 1.2, nu * 1.2))
     cfg = EstimatorConfig(variant="lmmse", sigma2=1e-12,
                           grid_k=ReconstructionGrid(Q=2, W=1, Wn=4))
     lmmse_err = float(np.abs(lmmse_estimate(h[fr, fc], pl_full, cfg,

@@ -434,6 +434,21 @@ class TestConfigErrors:
         assert err.startswith(f"ddlf: {cfgf}:4: {reason}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("text, reason", [
+        ("scatterers = 8\npower-profile = -1\n",
+         "power_profile: delay-decay rate power_profile = -1 must be nonnegative"),
+        ("precoder = fft2d\nsubframes = 3\n", "subframes: subframes must be one of (1, 2, 4, 8)"),
+        ("Q = 1\nWn = -1\n", "recon_wn: reconstruction grid extent Wn = -1 must be nonnegative"),
+    ])
+    def test_error_names_the_line_of_the_bad_value(self, tmp_path, capsys, text, reason):
+        # each pair is checked together; the error names the key at fault and its line
+        cfgf = tmp_path / "two.cfg"
+        cfgf.write_text(f"{text}trials = 1\n")
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--config", str(cfgf), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"ddlf: {cfgf}:2: {reason}\n"
+        assert not out.exists()
+
     def test_negative_velocity_blames_its_own_line(self, tmp_path, capsys):
         cfgf = tmp_path / "c.cfg"
         cfgf.write_text("tau-max = 5e-7\ntrials = 1\nvelocity = -5\n")

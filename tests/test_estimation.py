@@ -36,7 +36,7 @@ from ddlf.piloting import (
     qpsk_pilot_sequence,
 )
 
-from oracles import own_box_cmd, srh_objective, valid_convolve, weighted_hessian_energy
+from oracles import box_cmd, srh_objective, valid_convolve, weighted_hessian_energy
 
 
 def full_pilot_placement(M, N):
@@ -228,8 +228,8 @@ class TestLmmse:
         pl = full_pilot_placement(16, 16)
         k0, l0 = 2, 1  # delay bin inside Wn coverage, Doppler inside Q
         tau, nu = k0 / (grid.M * grid.F), l0 / (grid.N * grid.T)
-        ch = DDChannel([tau], [nu], [1.0], tau_max=tau * 1.5, nu_max=nu * 1.5)
-        h = own_box_cmd(ch, pulse, grid)
+        ch = DDChannel([tau], [nu], [1.0])
+        h = box_cmd(ch, pulse, grid, tau * 1.5, nu * 1.5)
         cfg = self._cfg()
         out = lmmse_estimate(sample_at_pilots(h, pl), pl, cfg, operator(pl, cfg))
         assert np.abs(out.h_tilde - h).max() < 1e-6
@@ -239,8 +239,8 @@ class TestLmmse:
         grid, pulse = desk16
         pl = accordion_placement(16, 13, 3)
         tau, nu = 1 / (grid.M * grid.F), 2 / (grid.N * grid.T)
-        ch = DDChannel([tau], [nu], [0.7 - 0.2j], tau_max=tau * 1.2, nu_max=nu * 1.2)
-        h = own_box_cmd(ch, pulse, grid)
+        ch = DDChannel([tau], [nu], [0.7 - 0.2j])
+        h = box_cmd(ch, pulse, grid, tau * 1.2, nu * 1.2)
         cfg = self._cfg()
         out = lmmse_estimate(sample_at_pilots(h, pl), pl, cfg, operator(pl, cfg))
         assert np.abs(out.h_tilde - h).max() < 1e-5
@@ -316,8 +316,8 @@ class TestLmmseProperties:
         dtau, dnu = 1 / (grid.M * grid.F), 1 / (grid.N * grid.T)
         paths = [(k * dtau, l * dnu, r * np.exp(1j * phi))
                  for (k, l), (r, phi) in zip(bins, gains)]
-        ch = DDChannel(*zip(*paths), tau_max=LMMSE_GRID.Wn * dtau, nu_max=LMMSE_GRID.Q * dnu)
-        h = own_box_cmd(ch, pulse, grid)
+        ch = DDChannel(*zip(*paths))
+        h = box_cmd(ch, pulse, grid, LMMSE_GRID.Wn * dtau, LMMSE_GRID.Q * dnu)
         cfg = EstimatorConfig(variant="lmmse", sigma2=1e-12, grid_k=LMMSE_GRID)
         out = lmmse_estimate(sample_at_pilots(h, pl), pl, cfg, operator(pl, cfg))
         assert np.abs(out.h_tilde - h).max() <= 1e-6 * np.abs(h).max()

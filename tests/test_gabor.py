@@ -624,7 +624,7 @@ class TestAmbiguityTable:
     def test_rejects_a_doppler_box_that_aliases(self, monkeypatch, share):
         grid, g = tight_pulse(16, 16)
         monkeypatch.setattr(gabor, "_delays", None)  # refused before the first node
-        with pytest.raises(ValueError, match="not below fs/2 .* alias"):
+        with pytest.raises(ValueError, match="not below half the sampling rate, fs/2 .* alias"):
             ambiguity_table(g, g, grid, 1e-9, share * grid.fs)
 
     @pytest.mark.parametrize("name", sorted(TABLE_GRIDS))

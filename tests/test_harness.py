@@ -360,6 +360,16 @@ class TestSweepValidation:
         # mode-aware weights of very different size: the banded Cholesky fails
         ("estimators, tau_max, velocity", dict(m_data=16, n_data=15, pilots_per_row=1,
                                                velocity=0.05, estimators=("srh-ma",))),
+        # the channel, precoder and reconstruction-grid errors name only the keys at fault
+        ("scatterers", dict(scatterers=0)),
+        ("power_profile", dict(power_profile=-1.0)),
+        ("precoder", dict(precoder="bogus")),
+        ("subframes", dict(precoder="fft2d", subframes=3)),
+        ("m_data, n_data, subframes", dict(subframes=4)),  # 15 data columns
+        ("precoder, m_data, n_data, subframes", dict(precoder="fwht1d")),
+        ("recon_wn", dict(recon_q=1, recon_wn=-1)),
+        ("recon_q", dict(recon_q=9, estimators=("lmmse",))),  # N/2 = 8
+        ("recon_w, recon_wn", dict(recon_wn=40, estimators=("lmmse",))),
     ])
     def test_set_up_failure_names_its_keys(self, no_trials, keys, overrides):
         with pytest.raises(ValueError, match=f"^{keys}: "):

@@ -334,7 +334,7 @@ class TestWalshHadamardKinds:
         rejected = not (is_power_of_two(rows) and is_power_of_two(block_cols))
         assert set(errors) == ({"fwht1d", "fwht2d"} if rejected else set())
         for kind, message in errors.items():
-            assert message.startswith(f"{kind} needs")
+            assert message.startswith(f"kind, shape, subframes: {kind} needs")
 
 
 @st.composite
