@@ -233,7 +233,7 @@ def cmd_ambiguity(args) -> int:
     taus = np.linspace(-args.tau_span * grid.T, args.tau_span * grid.T, args.steps)
     nus = np.linspace(-args.nu_span * grid.F, args.nu_span * grid.F, args.steps)
     with harness._config_key("--tau-span"):
-        raster = gabor.cross_ambiguity(pulse, pulse, taus[:, None], nus[None, :], grid)
+        raster = gabor.cross_ambiguity(pulse, pulse, taus, nus, grid)
     cells = [(tau, nu, abs(a), a.real, a.imag)
              for tau, row in zip(taus, raster) for nu, a in zip(nus, row.tolist())]
     _write(args.out, harness.to_csv(("tau_s", "nu_hz", "abs", "re", "im"), cells))
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--out", default="pilots.csv")
     pp.set_defaults(func=cmd_place_pilots)
 
-    amb = sub.add_parser("ambiguity", help="dump |A(tau, nu)| over a raster")
+    amb = sub.add_parser("ambiguity", help="dump A(tau, nu) on a delay x Doppler raster")
     amb.add_argument("--frame", type=_flag(_parse_shape), default="16x16", help="grid MxN")
     defaults = harness.ExperimentConfig
     amb.add_argument("--tf-product", type=_flag(_finite), default=defaults.tf_product)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
+from .piloting import round_half_away
+
 
 class GridError(ValueError):
     """Inconsistent time-frequency grid parameters."""
@@ -103,16 +105,17 @@ def make_grid(M: int, N: int, tf_product: float = 1.25,
               bandwidth: float = 5.0e6) -> GaborGrid:
     """Build a grid with about the requested T*F product and fs = bandwidth.
 
-    The time shift a = round(M*tf_product) samples and the frequency shift
-    b = round(N*tf_product) bins. The M channels must tile the band
-    (M*b = a*N), as they do when M*tf_product and N*tf_product are integers;
-    a shape and product that do not tile raise GridError, as does a
-    non-positive M, N, tf_product or bandwidth, or a non-finite one.
+    The time shift a = M*tf_product samples and the frequency shift
+    b = N*tf_product bins, each rounded half away from zero
+    (piloting.round_half_away). The M channels must tile the band (M*b = a*N),
+    as they do when M*tf_product and N*tf_product are integers; a shape and
+    product that do not tile raise GridError, as does a non-positive M, N,
+    tf_product or bandwidth, or a non-finite one.
     """
     if not math.isfinite(tf_product):
         raise GridError(f"tf_product = {tf_product!r} must be finite")
-    a = round(M * tf_product)
-    b = round(N * tf_product)
+    a = round_half_away(M * tf_product)
+    b = round_half_away(N * tf_product)
     return GaborGrid(M=M, N=N, time_shift=a, freq_shift=b, fs=float(bandwidth))
 
 
@@ -277,7 +280,7 @@ def _phasors(rate: np.ndarray, L: int, signed: bool = False) -> np.ndarray:
     rate = np.asarray(rate, dtype=float)[:, None]
     coarse = np.exp(2j * np.pi * rate * (K * np.arange(-(-L // K))))
     fine = np.exp(2j * np.pi * rate * np.arange(K))
-    out = (coarse[:, :, None] * fine[:, None, :]).reshape(len(rate), -1)[:, :L]
+    out = (coarse[:, :, None] * fine[:, None, :]).reshape(len(rate), coarse.shape[1] * K)[:, :L]
     if signed:
         out[:, (L + 1) // 2:] *= np.exp(-2j * np.pi * rate * L)
     return out
@@ -299,29 +302,26 @@ def _delays(f: np.ndarray, tau: np.ndarray, fs: float, signed: bool):
         yield block, np.fft.ifft(spectrum * _phasors(-tau[block] * fs / L, L, signed))
 
 
-def cross_ambiguity(gamma: Pulse, g: Pulse, tau: float | np.ndarray, nu: float | np.ndarray,
-                    grid: GaborGrid) -> complex | np.ndarray:
+def cross_ambiguity(gamma: Pulse, g: Pulse, tau: np.ndarray, nu: np.ndarray,
+                    grid: GaborGrid) -> np.ndarray:
     """Correlation of two pulses under joint time shift tau and frequency shift nu.
 
     A(tau, nu) = sum_t g*(t) gamma(t - tau) e^{2j pi nu t}, with fractional tau
     realized in the DFT domain and t running over centered representatives.
     A(0, 0) equals the inner product <gamma, g> (= 1 for gamma = g unit-norm).
-    tau and nu broadcast against each other: scalars give a complex, arrays
-    an array of A over the broadcast shape. Each pair is one signed delay of
-    gamma (see _delays) and one dot product with its Doppler ramp times g*.
+    tau and nu are 1-D axes, and the result is the (len(tau), len(nu)) array
+    of A on their tensor grid: one signed delay of gamma per delay (see
+    _delays) times g*, then one product against the Doppler ramps.
     """
     if len(gamma.samples) != grid.L or len(g.samples) != grid.L:
         raise ValueError("pulses must share the sample grid")
-    tau, nu = np.broadcast_arrays(np.asarray(tau, dtype=float), np.asarray(nu, dtype=float))
+    tau = np.asarray(tau, dtype=float)
     if np.any(np.abs(tau) >= grid.duration):
         raise ValueError(f"|tau| = {np.abs(tau).max()} exceeds the frame duration {grid.duration}")
-    g_conj = g.samples.conj()
-    out = np.empty(tau.size, dtype=complex)
-    for block, delayed in _delays(gamma.samples, tau.ravel(), grid.fs, signed=True):
-        ramps = _phasors(nu.flat[block] / grid.fs, grid.L, signed=True) * g_conj
-        # one BLAS dot per pair, as in the scalar call
-        out[block] = [r @ d for r, d in zip(ramps, delayed)]
-    return complex(out[0]) if tau.ndim == 0 else out.reshape(tau.shape)
+    rows = np.empty((len(tau), grid.L), dtype=complex)  # g* times gamma at each delay
+    for block, delayed in _delays(gamma.samples, tau, grid.fs, signed=True):
+        np.multiply(delayed, g.samples.conj(), out=rows[block])
+    return rows @ _phasors(np.asarray(nu, dtype=float) / grid.fs, grid.L, signed=True).T
 
 
 # ambiguity_table starts from this many (delay, Doppler) nodes and doubles an
@@ -373,31 +373,22 @@ def ambiguity_table(gamma: Pulse, g: Pulse, grid: GaborGrid, tau_max: float,
 
     A is smooth on an underspread box, so a small table replaces one shift of
     gamma per evaluated pair (Trefethen, Approximation Theory and
-    Approximation Practice, ch. 8). The node values take one signed delay of
-    gamma per delay node (see _delays) and one (delay, L) @ (L, Doppler)
-    product against the Doppler-node ramps; a DCT-II matrix per axis turns
-    them into coefficients. Each axis starts at AMBIGUITY_NODES and doubles
-    until its last two coefficients are at most AMBIGUITY_TOL, or at most
-    AMBIGUITY_FLOOR and no longer halving (rounding level). An axis that
-    would pass AMBIGUITY_MAX_NODES is a ValueError. A box that the grid
+    Approximation Practice, ch. 8). Each round takes cross_ambiguity on the
+    tensor grid of its delay and Doppler nodes, and a DCT-II matrix per axis
+    turns the values into coefficients. Each axis starts at AMBIGUITY_NODES
+    and doubles until its last two coefficients are at most AMBIGUITY_TOL, or
+    at most AMBIGUITY_FLOOR and no longer halving (rounding level). An axis
+    that would pass AMBIGUITY_MAX_NODES is a ValueError. A box that the grid
     cannot hold (GaborGrid.check_box) is a GridError before the first node.
     A zero-width axis has one node.
     """
-    if len(gamma.samples) != grid.L or len(g.samples) != grid.L:
-        raise ValueError("pulses must share the sample grid")
     grid.check_box(tau_max, nu_max)
     n_tau, n_nu = (n if width > 0 else 1 for n, width in zip(AMBIGUITY_NODES, (tau_max, nu_max)))
     last = (math.inf, math.inf)  # each axis's tail in the previous round
-    rows = np.empty((0, grid.L), dtype=complex)  # g* times gamma at each delay node
     while True:
         x, tau_coef = _chebyshev(n_tau)
         y, nu_coef = _chebyshev(n_nu)
-        if len(rows) != n_tau:  # kept while only the Doppler axis doubles
-            rows = np.empty((n_tau, grid.L), dtype=complex)
-            for block, delayed in _delays(gamma.samples, tau_max / 2 * (1 + x), grid.fs,
-                                          signed=True):
-                np.multiply(delayed, g.samples.conj(), out=rows[block])
-        values = rows @ _phasors(nu_max * y / grid.fs, grid.L, signed=True).T
+        values = cross_ambiguity(gamma, g, tau_max / 2 * (1 + x), nu_max * y, grid)
         coef = tau_coef @ values @ nu_coef.T
         tail = np.abs(coef[-2:]).max(), np.abs(coef[:, -2:]).max()
         more_tau, more_nu = (n > 1 and t > AMBIGUITY_TOL and (t > AMBIGUITY_FLOOR or t <= t0 / 2)

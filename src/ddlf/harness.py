@@ -35,17 +35,20 @@ LIGHT_SPEED = 299792458.0
 ESTIMATOR_CHOICES = est.VARIANTS + ("perfect",)
 
 
+# an |snr_db| of at most this keeps the noise variance 10^(-snr/10) within
+# 1e-300 .. 1e300, so its products with pilot counts and frame energies stay
+# finite
+SNR_LIMIT_DB = 3000.0
+
+
 def _sigma2(snr_db: float) -> float:
-    """Noise variance per unit-energy symbol at snr_db; a ValueError unless it
-    is a positive finite float (an SNR of a few thousand dB is not)."""
-    try:
-        sigma2 = 10.0 ** (-float(snr_db) / 10.0)
-    except OverflowError:
-        sigma2 = math.inf
-    if not 0.0 < sigma2 < math.inf:
-        raise ValueError(f"{snr_db:g} dB gives the noise variance {sigma2!r}, "
-                         "which is not a positive finite number")
-    return sigma2
+    """Noise variance per unit-energy symbol at snr_db; a ValueError unless
+    |snr_db| <= SNR_LIMIT_DB."""
+    if not abs(float(snr_db)) <= SNR_LIMIT_DB:
+        raise ValueError(f"{snr_db:g} dB gives the noise variance 10^{-snr_db / 10:g}, which "
+                         "is not a positive finite number within 1e-300 .. 1e300 "
+                         f"(|snr| <= {SNR_LIMIT_DB:g} dB)")
+    return 10.0 ** (-float(snr_db) / 10.0)
 
 
 def _key(default, help: str | None, key: str | None = None):

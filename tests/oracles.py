@@ -8,7 +8,7 @@ import numpy as np
 
 from ddlf.channel import ChannelError, DDChannel, true_cmd
 from ddlf.estimation import hessian_kernels
-from ddlf.gabor import GaborGrid, Pulse, ambiguity_table, cross_ambiguity
+from ddlf.gabor import GaborGrid, Pulse, ambiguity_table, centered_times
 from ddlf.piloting import PilotPlacement
 
 
@@ -18,6 +18,21 @@ def fractional_shift(samples: np.ndarray, delay_samples: float) -> np.ndarray:
     L = len(samples)
     spectrum = np.fft.fft(samples)
     return np.fft.ifft(spectrum * np.exp(-2j * np.pi * np.fft.fftfreq(L) * delay_samples))
+
+
+def pair_ambiguity(gamma: Pulse, g: Pulse, tau, nu, grid: GaborGrid) -> np.ndarray:
+    """Reference A(tau, nu) at scattered pairs: tau and nu broadcast against each
+    other, and each pair is one fractional_shift of gamma and a direct sum
+    over the samples of g* times it and the Doppler exp at the centered times."""
+    if len(gamma.samples) != grid.L or len(g.samples) != grid.L:
+        raise ValueError("pulses must share the sample grid")
+    tau, nu = np.broadcast_arrays(np.asarray(tau, dtype=float), np.asarray(nu, dtype=float))
+    t = centered_times(grid)
+    out = np.empty(tau.shape, dtype=complex)
+    for i in np.ndindex(tau.shape):
+        shifted = fractional_shift(gamma.samples, tau[i] * grid.fs)
+        out[i] = np.sum(g.samples.conj() * shifted * np.exp(2j * np.pi * nu[i] * t))
+    return out
 
 
 def box_cmd(ch, pulse, grid, tau_max, nu_max):
@@ -75,7 +90,7 @@ def dd_leakage_response(tau: float, nu: float, gamma: Pulse, g: Pulse,
     (cyclic). Off-grid shifts smear over the grid following the Dirichlet
     kernels; on-grid shifts concentrate in a single bin of magnitude N*M*|A|.
     """
-    amp = cross_ambiguity(gamma, g, tau, nu, grid)
+    amp = pair_ambiguity(gamma, g, tau, nu, grid)
     lbar = np.arange(grid.N)
     kbar = np.arange(grid.M)
     d_dopp = dirichlet_kernel(grid.N, (lbar + grid.N * grid.T * nu) / grid.N)

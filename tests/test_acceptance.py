@@ -20,8 +20,8 @@ from ddlf.estimation import (
     relaxation_delta,
     srh_estimate,
 )
-from ddlf.gabor import ambiguity_table, analyze, cross_ambiguity, gaussian_prototype, \
-    make_grid, synthesize, tight_orthogonalize
+from ddlf.gabor import ambiguity_table, analyze, gaussian_prototype, make_grid, synthesize, \
+    tight_orthogonalize
 from ddlf.harness import ExperimentConfig, build_grid, build_placement, \
     rows_to_csv, run_point, run_sweep
 from ddlf.piloting import PilotPlacement, accordion_placement, \

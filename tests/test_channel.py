@@ -20,12 +20,12 @@ from ddlf.channel import (
     true_cmd,
 )
 from ddlf import gabor
-from ddlf.gabor import SHIFT_BLOCK, GridError, ambiguity_table, analyze, cross_ambiguity, \
-    centered_times, gaussian_prototype, make_grid, synthesize, tight_orthogonalize
+from ddlf.gabor import SHIFT_BLOCK, GridError, ambiguity_table, analyze, gaussian_prototype, \
+    make_grid, synthesize, tight_orthogonalize
 from ddlf.transforms import dsft2d
 
 from oracles import channel_from_csv, channel_to_csv, dd_leakage_response, dirichlet_kernel, \
-    fractional_shift, box_cmd, per_path_apply
+    box_cmd, pair_ambiguity, per_path_apply
 
 
 PATH_ARRAYS = ("tau", "nu", "eta")
@@ -46,8 +46,7 @@ def per_path_cmd(ch, gamma, g, grid):
     """Reference: one scalar cross-ambiguity and one outer product per path."""
     h = np.zeros((grid.M, grid.N), dtype=complex)
     for tau, nu, eta in zip(ch.tau, ch.nu, ch.eta):
-        shifted = fractional_shift(gamma.samples, tau * grid.fs)
-        amb = np.vdot(g.samples, shifted * np.exp(2j * np.pi * nu * centered_times(grid)))
+        amb = pair_ambiguity(gamma, g, tau, nu, grid)
         h += eta * amb * np.outer(np.exp(-2j * np.pi * grid.F * tau * np.arange(grid.M)),
                                   np.exp(2j * np.pi * grid.T * nu * np.arange(grid.N)))
     return h
@@ -288,7 +287,7 @@ class TestTrueCmd:
         tau, nu, eta = 0.31 / (grid.M * grid.F), 0.47 / (grid.N * grid.T), 0.8 + 0.2j
         ch = single_path(tau, nu, eta)
         h = box_cmd(ch, pulse, grid, 1 / (grid.M * grid.F), 1 / (grid.N * grid.T))
-        want = abs(eta * cross_ambiguity(pulse, pulse, tau, nu, grid))
+        want = abs(eta * pair_ambiguity(pulse, pulse, tau, nu, grid))
         assert np.abs(np.abs(h) - want).max() < 1e-12
 
     def test_matches_per_scatterer_sum_oracle(self, desk):
@@ -302,7 +301,7 @@ class TestTrueCmd:
         h = box_cmd(ch, pulse, grid, 1e-6, 3e3)
         oracle = np.zeros((grid.M, grid.N), dtype=complex)
         for tau, nu, eta in scats:
-            amp = eta * cross_ambiguity(pulse, pulse, tau, nu, grid)
+            amp = eta * pair_ambiguity(pulse, pulse, tau, nu, grid)
             for m in range(grid.M):
                 for n in range(grid.N):
                     oracle[m, n] += amp * np.exp(
@@ -453,7 +452,7 @@ class TestLeakage:
         assert hot.shape == (1, 2)
         # positive shifts concentrate at the mirrored cyclic bins
         assert tuple(hot[0]) == ((-l0) % grid.N, (-k0) % grid.M)
-        amp = abs(cross_ambiguity(pulse, pulse, tau, nu, grid))
+        amp = abs(pair_ambiguity(pulse, pulse, tau, nu, grid))
         assert mag.max() == pytest.approx(grid.N * grid.M * amp, rel=1e-9)
 
     def test_half_bin_doppler_spreads(self, desk):
@@ -559,7 +558,7 @@ class TestEffectiveMatrixOracle:
                         dn, dm = n - nb, m - mb
                         phi = (np.exp(2j * np.pi * (nb * grid.T * nu - m * grid.F * tau
                                                     + grid.T * grid.F * nb * dm))
-                               * cross_ambiguity(pulse, pulse, tau + dn * grid.T,
-                                                 nu + dm * grid.F, grid))
+                               * pair_ambiguity(pulse, pulse, tau + dn * grid.T,
+                                                nu + dm * grid.F, grid))
                         z[mb, nb] += x[m, n] * eta * phi
         assert np.abs(y_chain - (x * h + z)).max() < 1e-9

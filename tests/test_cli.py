@@ -225,10 +225,41 @@ class TestAmbiguity:
         pulse = gabor.tight_orthogonalize(gabor.gaussian_prototype(grid, cfg.pulse_spread), grid)
         taus = np.linspace(-2 * grid.T, 2 * grid.T, 5)
         nus = np.linspace(-2 * grid.F, 2 * grid.F, 5)
-        raster = gabor.cross_ambiguity(pulse, pulse, taus[:, None], nus[None, :], grid)
+        raster = gabor.cross_ambiguity(pulse, pulse, taus, nus, grid)
         assert out.read_text().splitlines()[1:] == [
             ",".join(format(v, ".12g") for v in (tau, nu, abs(a), a.real, a.imag))
             for tau, row in zip(taus, raster) for nu, a in zip(nus, row.tolist())]
+
+    @pytest.mark.parametrize("steps", [5, 33])
+    def test_raster_delays_each_row_once(self, tmp_path, monkeypatch, steps):
+        # a steps x steps raster takes steps delays of the pulse, not steps**2
+        delays, counted = gabor._delays, []
+
+        def counting_delays(f, tau, *args, **kw):
+            counted.append(len(tau))
+            return delays(f, tau, *args, **kw)
+
+        monkeypatch.setattr(gabor, "_delays", counting_delays)
+        out = tmp_path / "amb.csv"
+        assert main(["ambiguity", "--frame", "8x8", "--steps", str(steps),
+                     "--out", str(out)]) == 0
+        assert counted == [steps]
+        assert len(out.read_text().splitlines()) == 1 + steps**2
+
+    # M*tf_product ends in .5: 2x2 and 10x10 round half away to a = b = 3 and 13;
+    # a 2-slot frame lasts 2T, so its raster spans +-T
+    @pytest.mark.parametrize("frame, span, tf", [("2x2", 1, 1.5), ("10x10", 2, 1.3)])
+    def test_rounding_tie_frames_run(self, tmp_path, frame, span, tf):
+        out = tmp_path / "amb.csv"
+        assert main(["ambiguity", "--frame", frame, "--steps", "3", "--tau-span", str(span),
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "tau_s,nu_hz,abs,re,im" and len(lines) == 1 + 9
+        M = int(frame.split("x")[0])
+        grid = gabor.make_grid(M, M)
+        assert grid.T * grid.F == pytest.approx(tf, rel=1e-15)
+        # the first delay is -span time steps of the realised lattice
+        assert float(lines[1].split(",")[0]) == pytest.approx(-span * grid.T, rel=1e-12)
 
     @pytest.mark.parametrize("flag", ["--tf-product", "--bandwidth", "--spread",
                                       "--tau-span", "--nu-span"])
@@ -491,6 +522,22 @@ class TestConfigErrors:
         assert main(["sweep", "--config", str(cfgf), "--axis", "pilots", "--values", "20",
                      "--out", str(tmp_path / "s.csv")]) == 2
         assert capsys.readouterr().err.startswith("ddlf: pilots_per_row: ")
+
+    @pytest.mark.parametrize("snr", ["-3080", "-3000.5", "3000.5"])
+    def test_snr_past_the_limit_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                         snr):
+        # -3080 dB: a noise variance of 1e308 is finite, but srh-na's relaxation
+        # (sigma2 + sigma_z2) * P overflows and its estimate is 0/0
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: trials.append(a))
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text(f"snr = {snr}\nestimator = srh-na\ntrials = 1\n")
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--config", str(cfgf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ddlf: {cfgf}:1: snr_db: {float(snr):g} dB gives")
+        assert "|snr| <= 3000 dB" in err and err.count("\n") == 1
+        assert trials == [] and not out.exists()
 
     def test_bad_snr_value_names_the_flag_and_the_axis_once(self, tmp_path, capsys):
         cfgf = tmp_path / "run.cfg"

@@ -29,7 +29,7 @@ from ddlf.gabor import (
     tight_orthogonalize,
 )
 
-from oracles import fractional_shift, per_path_apply
+from oracles import fractional_shift, pair_ambiguity, per_path_apply
 
 
 def tight_pulse(M, N, tf=1.25, spread=1.0):
@@ -70,13 +70,6 @@ def per_residue_tight(prototype, grid):
     return out / np.linalg.norm(out)
 
 
-def scalar_ambiguity(gamma, g, tau, nu, grid):
-    """Reference: A(tau, nu) from one fractional shift and a per-sample exp ramp."""
-    shifted = fractional_shift(gamma.samples, tau * grid.fs)
-    ramp = np.exp(2j * np.pi * nu * centered_times(grid))
-    return complex(np.vdot(g.samples, shifted * ramp))
-
-
 class TestGrid:
     def test_paper_scale_parameters(self):
         grid = make_grid(64, 64, 1.25, bandwidth=5e6)
@@ -92,10 +85,13 @@ class TestGrid:
     @settings(max_examples=200)
     @example(M=16, N=20, tf=1.25, bandwidth=5e6)  # tiles: M*b = 16*25 = a*N = 20*20
     @example(M=16, N=17, tf=1.25, bandwidth=5e6)  # M*b = 16*21 < a*N = 20*17
+    @example(M=2, N=2, tf=1.25, bandwidth=5e6)  # ties: a = b = 2.5 rounds to 3, T*F = 1.5
+    @example(M=10, N=10, tf=1.25, bandwidth=5e6)  # ties: a = b = 12.5 rounds to 13
     def test_steps_are_built_from_the_integer_shifts(self, M, N, tf, bandwidth):
-        # a grid exists if and only if a >= 1, b > N and the channels tile the band
-        a = round(M * tf)
-        b = round(N * tf)
+        # a grid exists if and only if a >= 1, b > N and the channels tile the
+        # band, with M*tf and N*tf rounded half up (both are positive here)
+        a = math.floor(M * tf + 0.5)
+        b = math.floor(N * tf + 0.5)
         if a < 1 or b <= N or M * b != a * N:
             with pytest.raises(GridError):
                 make_grid(M, N, tf, bandwidth)
@@ -177,11 +173,10 @@ class TestGaussianPrototype:
 class TestTightOrthogonalize:
     def test_biorthogonality_residual(self):
         grid, g = tight_pulse(8, 8)
-        for m in range(grid.M):
-            for n in range(grid.N):
-                val = cross_ambiguity(g, g, n * grid.T, m * grid.F, grid)
-                want = 1.0 if (m, n) == (0, 0) else 0.0
-                assert abs(val - want) < 1e-9
+        gram = cross_ambiguity(g, g, np.arange(grid.N) * grid.T, np.arange(grid.M) * grid.F, grid)
+        want = np.zeros((grid.N, grid.M))
+        want[0, 0] = 1.0
+        assert np.abs(gram - want).max() < 1e-9
 
     def test_full_gram_identity(self):
         # oracle: assemble every atom and check the pairwise Gram directly
@@ -419,15 +414,16 @@ class TestFilterbankProperties:
 class TestCrossAmbiguity:
     def test_self_at_origin(self):
         grid, g = tight_pulse(8, 8)
-        assert cross_ambiguity(g, g, 0.0, 0.0, grid) == pytest.approx(1.0, abs=1e-12)
+        origin = cross_ambiguity(g, g, [0.0], [0.0], grid)
+        assert origin.shape == (1, 1)
+        assert origin[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_bounded_by_one(self):
         grid, g = tight_pulse(8, 8)
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            tau = rng.uniform(-grid.duration / 2, grid.duration / 2)
-            nu = rng.uniform(-2 * grid.F, 2 * grid.F)
-            assert abs(cross_ambiguity(g, g, tau, nu, grid)) <= 1.0 + 1e-12
+        tau = rng.uniform(-grid.duration / 2, grid.duration / 2, 50)
+        nu = rng.uniform(-2 * grid.F, 2 * grid.F, 50)
+        assert np.abs(cross_ambiguity(g, g, tau, nu, grid)).max() <= 1.0 + 1e-12
 
     def test_naive_double_loop_oracle(self):
         # integer-sample shifts: compare against an explicit double loop
@@ -442,54 +438,51 @@ class TestCrossAmbiguity:
             for k in range(L):
                 naive += (np.conj(g.samples[k]) * g.samples[(k - shift) % L]
                           * np.exp(2j * np.pi * nu * tc[k]))
-            val = cross_ambiguity(g, g, shift / fs, nu, grid)
+            val = cross_ambiguity(g, g, [shift / fs], [nu], grid)[0, 0]
             assert abs(val - naive) < 1e-10
 
     def test_origin_equals_pulse_energy(self):
         grid, g = tight_pulse(8, 8)
         naive = sum(np.conj(g.samples[k]) * g.samples[k] for k in range(grid.L))
-        assert cross_ambiguity(g, g, 0.0, 0.0, grid) == pytest.approx(naive, abs=1e-12)
+        assert cross_ambiguity(g, g, [0.0], [0.0], grid)[0, 0] == pytest.approx(naive, abs=1e-12)
 
     def test_rejects_out_of_range_delay(self):
         grid, g = tight_pulse(8, 8)
         with pytest.raises(ValueError):
-            cross_ambiguity(g, g, grid.duration * 1.5, 0.0, grid)
+            cross_ambiguity(g, g, [grid.duration * 1.5], [0.0], grid)
 
     def test_rejects_pulses_of_another_grid(self):
         grid, g = tight_pulse(8, 8)  # L = 80
         _, wide = tight_pulse(16, 16)  # L = 320
         for pair in ((g, g), (g, wide), (wide, g)):
             with pytest.raises(ValueError, match="pulses must share the sample grid"):
-                cross_ambiguity(*pair, 0.0, 0.0, make_grid(16, 16))
+                cross_ambiguity(*pair, [0.0], [0.0], make_grid(16, 16))
 
     def test_array_matches_scalar_reference(self):
         grid, g = tight_pulse(8, 8)
         gamma = Pulse(samples=np.roll(g.samples, 3))
         rng = np.random.default_rng(11)
-        shape = (3, SHIFT_BLOCK + 1)
-        tau = rng.uniform(-0.9, 0.9, shape) * grid.duration
-        nu = rng.uniform(-3, 3, shape) * grid.F
-        tau[0, 0], nu[0, 0] = 0.0, 0.0
-        tau[1, :4] = np.arange(4) * grid.T  # on-grid delays
+        tau = rng.uniform(-0.9, 0.9, SHIFT_BLOCK + 1) * grid.duration
+        nu = rng.uniform(-3, 3, 3) * grid.F
+        tau[0], nu[0] = 0.0, 0.0
+        tau[1:5] = np.arange(4) * grid.T  # on-grid delays
         got = cross_ambiguity(gamma, g, tau, nu, grid)
-        assert got.shape == shape
-        want = np.vectorize(lambda t, n: scalar_ambiguity(gamma, g, t, n, grid))(tau, nu)
-        assert np.abs(got - want).max() <= 1e-12
-        for i, j in np.ndindex(shape):
-            val = cross_ambiguity(gamma, g, tau[i, j], nu[i, j], grid)
-            assert type(val) is complex
-            assert abs(val - got[i, j]) <= 1e-14
+        assert got.shape == (SHIFT_BLOCK + 1, 3)
+        assert np.abs(got - pair_ambiguity(gamma, g, tau[:, None], nu, grid)).max() <= 1e-12
+        # each cell is the one-cell raster of its own delay and Doppler
+        for i, j in np.ndindex(got.shape):
+            val = cross_ambiguity(gamma, g, tau[i:i + 1], nu[j:j + 1], grid)
+            assert abs(val[0, 0] - got[i, j]) <= 1e-14
 
-    def test_array_broadcasts(self):
+    def test_raster_of_delays_by_dopplers(self):
         grid, g = tight_pulse(8, 8)
-        taus = np.linspace(-grid.T, grid.T, 5)
-        nus = np.linspace(-grid.F, grid.F, 4)
-        raster = cross_ambiguity(g, g, taus[:, None], nus[None, :], grid)
+        taus = np.linspace(-grid.T, grid.T, 5)  # negative, zero and positive delays
+        nus = np.linspace(-grid.F, grid.F, 4)  # both Doppler signs
+        raster = cross_ambiguity(g, g, taus, nus, grid)
         assert raster.shape == (5, 4)
-        for i, tau in enumerate(taus):
-            for j, nu in enumerate(nus):
-                assert abs(raster[i, j] - scalar_ambiguity(g, g, tau, nu, grid)) <= 1e-12
-        assert cross_ambiguity(g, g, np.zeros(0), 0.0, grid).shape == (0,)
+        assert np.abs(raster - pair_ambiguity(g, g, taus[:, None], nus, grid)).max() <= 1e-12
+        assert cross_ambiguity(g, g, np.zeros(0), nus, grid).shape == (0, 4)
+        assert cross_ambiguity(g, g, taus, np.zeros(0), grid).shape == (5, 0)
 
     def test_array_rejects_any_out_of_range_delay(self):
         grid, g = tight_pulse(8, 8)
@@ -498,27 +491,28 @@ class TestCrossAmbiguity:
             bad = tau.copy()
             bad[k] = -grid.duration
             with pytest.raises(ValueError, match="exceeds the frame duration"):
-                cross_ambiguity(g, g, bad, 0.0, grid)
+                cross_ambiguity(g, g, bad, [0.0], grid)
 
     def test_repeated_delays_match_scalar_calls(self):
         grid, g = tight_pulse(8, 8)
         gamma = Pulse(samples=np.roll(g.samples, 5))
         rng = np.random.default_rng(12)
-        # 11 distinct delays (two delay blocks), each shared by 6 to 14 pairs
+        # 11 distinct delays along a delay axis of two delay blocks and one more
         delays = rng.uniform(-0.9, 0.9, 11) * grid.duration
-        tau = rng.choice(delays, size=(6, 2 * SHIFT_BLOCK + 1))
-        nu = rng.uniform(-3, 3, tau.shape) * grid.F
+        tau = rng.choice(delays, size=2 * SHIFT_BLOCK + 1)
+        nu = rng.uniform(-3, 3, 6) * grid.F
         got = cross_ambiguity(gamma, g, tau, nu, grid)
-        for i, j in np.ndindex(tau.shape):
-            assert abs(got[i, j] - cross_ambiguity(gamma, g, tau[i, j], nu[i, j], grid)) <= 1e-12
-        assert np.abs(got - np.vectorize(
-            lambda t, n: scalar_ambiguity(gamma, g, t, n, grid))(tau, nu)).max() <= 1e-12
+        for i, j in np.ndindex(got.shape):
+            val = cross_ambiguity(gamma, g, tau[i:i + 1], nu[j:j + 1], grid)
+            assert abs(got[i, j] - val[0, 0]) <= 1e-12
+        assert np.abs(got - pair_ambiguity(gamma, g, tau[:, None], nu, grid)).max() <= 1e-12
         bad = tau.copy()
-        bad[-1, -1] = grid.duration
+        bad[-1] = grid.duration
         with pytest.raises(ValueError, match="exceeds the frame duration"):
             cross_ambiguity(gamma, g, bad, nu, grid)
 
-    @pytest.mark.parametrize("pairs", [(), (1,), (SHIFT_BLOCK + 1,), (33, 33)])
+    # the (delays, Dopplers) shape of the raster
+    @pytest.mark.parametrize("pairs", [(0, 1), (1, 1), (SHIFT_BLOCK + 1, 2), (33, 33)])
     def test_one_forward_fft_per_call(self, monkeypatch, pairs):
         grid, g = tight_pulse(8, 8)
         calls = []
@@ -530,9 +524,9 @@ class TestCrossAmbiguity:
 
         monkeypatch.setattr(np.fft, "fft", counting_fft)
         rng = np.random.default_rng(13)
-        tau = rng.uniform(-0.9, 0.9, pairs) * grid.duration
-        nu = rng.uniform(-3, 3, pairs) * grid.F
-        cross_ambiguity(g, g, tau, nu, grid)
+        tau = rng.uniform(-0.9, 0.9, pairs[0]) * grid.duration
+        nu = rng.uniform(-3, 3, pairs[1]) * grid.F
+        assert cross_ambiguity(g, g, tau, nu, grid).shape == pairs
         assert calls == [(grid.L,)]
 
 
@@ -553,7 +547,7 @@ def table_point(name):
 
 
 def assert_table_matches(table, pulse, tau, nu):
-    want = cross_ambiguity(pulse, pulse, tau, nu, table.grid)
+    want = pair_ambiguity(pulse, pulse, tau, nu, table.grid)
     assert np.all(np.abs(table(tau, nu) - want) <= 1e-12 * np.abs(want))
 
 
@@ -606,7 +600,7 @@ class TestAmbiguityTable:
         assert max(table.coef.shape) <= AMBIGUITY_MAX_NODES
         rng = np.random.default_rng(steps)
         tau, nu = rng.uniform(0, tau_max, 50), rng.uniform(-nu_max, nu_max, 50)
-        assert np.abs(table(tau, nu) - cross_ambiguity(g, g, tau, nu, grid)).max() <= 1e-12
+        assert np.abs(table(tau, nu) - pair_ambiguity(g, g, tau, nu, grid)).max() <= 1e-12
 
     def test_rejects_pulses_of_another_grid(self):
         grid, g = tight_pulse(8, 8)  # L = 80
@@ -674,7 +668,7 @@ class TestShifted:
 
 
 class TestFractionalShift:
-    """The test-local delay oracle that scalar_ambiguity and per_path_cmd use."""
+    """The test-local delay oracle that pair_ambiguity uses."""
 
     def test_integer_shift_matches_roll(self):
         rng = np.random.default_rng(7)

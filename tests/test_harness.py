@@ -87,11 +87,22 @@ class TestConfig:
                            match=f"^bandwidth: expected a positive number, got {value}"):
             quiet_cfg(bandwidth=value)
 
-    @pytest.mark.parametrize("snr", [-4000.0, 5000.0])
+    @pytest.mark.parametrize("snr", [-4000.0, 5000.0, -3080.0, -3000.5, 3000.5])
     def test_rejects_snr_without_a_positive_finite_noise_variance(self, snr):
-        # 10^400 overflows a float and 10^-500 underflows to 0
-        with pytest.raises(ValueError, match="^snr_db: .* not a positive finite number"):
+        # 10^400 overflows a float and 10^-500 underflows to 0; 10^308 is
+        # finite, but its products with the pilot count overflow
+        with pytest.raises(ValueError, match=r"^snr_db: .* not a positive finite number "
+                                             r".* \(\|snr\| <= 3000 dB\)$"):
             quiet_cfg(snr_db=(15.0, snr))
+
+    def test_snr_at_the_limit_gives_a_finite_result(self):
+        # every estimator, coded, at both edges; a RuntimeWarning is an error here
+        cfg = quiet_cfg(estimators=harness.ESTIMATOR_CHOICES, coding=True, trials=3,
+                        snr_db=(-harness.SNR_LIMIT_DB, harness.SNR_LIMIT_DB))
+        rows = simulate(cfg)
+        assert len(rows) == 2 * len(harness.ESTIMATOR_CHOICES)
+        assert all(math.isfinite(v) for row in rows for v in dataclasses.astuple(row)
+                   if isinstance(v, float))
 
     def test_list_config_runs_as_the_tuple_config(self):
         lists = quiet_cfg(estimators=["srh", "lmmse"], snr_db=[10.0, 15.0], trials=1)
@@ -129,6 +140,10 @@ class TestRunTrial:
     def test_extreme_snr_fails_before_the_trial(self):
         with pytest.raises(ValueError, match="not a positive finite number"):
             run_trial(quiet_cfg(), 5000.0, 0)
+
+    def test_snr_past_the_limit_fails_before_the_trial(self):
+        with pytest.raises(ValueError, match=r"\(\|snr\| <= 3000 dB\)"):
+            run_trial(quiet_cfg(estimators=("srh-na",)), -3080.0, 0)
 
     def test_distinct_trials_differ(self):
         cfg = quiet_cfg()
