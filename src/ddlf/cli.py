@@ -199,9 +199,11 @@ def cmd_run(args) -> int:
     with _file_line(args.config, lines):
         cfg = harness.ExperimentConfig(**fields)
     axis, values = "snr", cfg.snr_db
-    with harness._config_key("--values"):
-        if args.command == "sweep":
-            axis, values = args.axis, [_finite(v) for v in args.values.split(",")]
+    if args.command == "sweep":
+        with harness._config_key("--values"):
+            axis, values = args.axis, _parser((0.0,))(args.values)
+    # a bad value leads its error with the axis; a config it makes, with its keys
+    with harness._renamed({axis: f"--values: {axis}"}):
         configs = harness.sweep_configs(cfg, axis, values)
     # a field that the axis sets comes from --values, not from the file
     lines = {f: n for f, n in lines.items()
@@ -230,9 +232,10 @@ def cmd_ambiguity(args) -> int:
         grid = gabor.make_grid(*args.frame, args.tf_product, args.bandwidth)
     with harness._config_key("--spread"):
         pulse = gabor.tight_orthogonalize(gabor.gaussian_prototype(grid, args.spread), grid)
-    taus = np.linspace(-args.tau_span * grid.T, args.tau_span * grid.T, args.steps)
-    nus = np.linspace(-args.nu_span * grid.F, args.nu_span * grid.F, args.steps)
-    with harness._config_key("--tau-span"):
+    with np.errstate(invalid="ignore"):  # cross_ambiguity refuses a span that overflows
+        taus = np.linspace(-args.tau_span * grid.T, args.tau_span * grid.T, args.steps)
+        nus = np.linspace(-args.nu_span * grid.F, args.nu_span * grid.F, args.steps)
+    with harness._renamed({"tau": "--tau-span", "nu": "--nu-span"}):
         raster = gabor.cross_ambiguity(pulse, pulse, taus, nus, grid)
     cells = [(tau, nu, abs(a), a.real, a.imag)
              for tau, row in zip(taus, raster) for nu, a in zip(nus, row.tolist())]

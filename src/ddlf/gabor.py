@@ -311,17 +311,22 @@ def cross_ambiguity(gamma: Pulse, g: Pulse, tau: np.ndarray, nu: np.ndarray,
     A(0, 0) equals the inner product <gamma, g> (= 1 for gamma = g unit-norm).
     tau and nu are 1-D axes, and the result is the (len(tau), len(nu)) array
     of A on their tensor grid: one signed delay of gamma per delay (see
-    _delays) times g*, then one product against the Doppler ramps.
+    _delays) times g*, then one product against the Doppler ramps. A delay
+    not within +-the frame duration (NaN included) is a ValueError led by
+    "tau:", and a Doppler shift that is not finite one led by "nu:".
     """
     if len(gamma.samples) != grid.L or len(g.samples) != grid.L:
         raise ValueError("pulses must share the sample grid")
-    tau = np.asarray(tau, dtype=float)
-    if np.any(np.abs(tau) >= grid.duration):
-        raise ValueError(f"|tau| = {np.abs(tau).max()} exceeds the frame duration {grid.duration}")
+    tau, nu = np.asarray(tau, dtype=float), np.asarray(nu, dtype=float)
+    if not np.all(np.abs(tau) < grid.duration):  # a NaN delay fails it too
+        raise ValueError(f"tau: |tau| = {np.abs(tau).max()} exceeds the frame duration "
+                         f"{grid.duration}")
+    if not np.all(np.isfinite(nu)):
+        raise ValueError(f"nu: expected finite Doppler shifts, got {nu[~np.isfinite(nu)][0]}")
     rows = np.empty((len(tau), grid.L), dtype=complex)  # g* times gamma at each delay
     for block, delayed in _delays(gamma.samples, tau, grid.fs, signed=True):
         np.multiply(delayed, g.samples.conj(), out=rows[block])
-    return rows @ _phasors(np.asarray(nu, dtype=float) / grid.fs, grid.L, signed=True).T
+    return rows @ _phasors(nu / grid.fs, grid.L, signed=True).T
 
 
 # ambiguity_table starts from this many (delay, Doppler) nodes and doubles an

@@ -119,13 +119,18 @@ class ExperimentConfig:
             raise ValueError("snr_db: expected at least one SNR")
         if self.trials < 1:
             raise ValueError(f"trials: expected at least 1, got {self.trials}")
+        if self.m_data < 1 or self.n_data < 1:
+            raise ValueError("m_data, n_data: data frame dimensions must be positive, "
+                             f"got {self.m_data}x{self.n_data}")
         if self.pilots_per_row == 0 and set(self.estimators) != {"perfect"}:
             raise ValueError("pilots_per_row, estimators: a pilot-free frame supports only "
                              "the 'perfect' estimator")
+        # past the bound that the SNR limit puts on the noise variance, the
+        # SRH relaxation (sigma2 + sigma_z2) * P overflows
         if not (self.sigma_z2 is None or isinstance(self.sigma_z2, (int, float))
-                and self.sigma_z2 >= 0):
-            raise ValueError("sigma_z2: expected None (auto) or a nonnegative number, "
-                             f"got {self.sigma_z2!r}")
+                and 0 <= self.sigma_z2 <= 10 ** (SNR_LIMIT_DB / 10)):
+            raise ValueError("sigma_z2: expected None (auto) or a nonnegative number of at "
+                             f"most {10 ** (SNR_LIMIT_DB / 10):g}, got {self.sigma_z2!r}")
         for name in ("seed", "precoder_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: expected a nonnegative integer, "
@@ -211,13 +216,14 @@ def _config_key(key: str):
 @contextmanager
 def _renamed(keys: dict):
     """Rename the quantities that lead an error raised inside the block (the
-    comma list before its first ': ') to the config keys they come from; a
-    quantity that keys does not hold is a key itself."""
+    comma list before its first ': ') to the config keys they come from, each
+    key named once; a quantity that keys does not hold is a key itself."""
     try:
         yield
     except ValueError as e:
         head, sep, rest = str(e).partition(": ")
-        raise type(e)(", ".join(keys.get(q, q) for q in head.split(", ")) + sep + rest) from e
+        named = dict.fromkeys(keys.get(q, q) for q in head.split(", "))
+        raise type(e)(", ".join(named) + sep + rest) from e
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,15 +504,16 @@ def sweep_configs(cfg: ExperimentConfig, axis: str, values) -> list[ExperimentCo
             with _config_key(axis):
                 _sigma2(value)
         if axis == "pilots" and int(value) != value:
-            raise ValueError(f"pilots per row must be a whole number, got {value:g}")
+            raise ValueError(f"pilots: pilots per row must be a whole number, got {value:g}")
     if axis == "snr":
         return [dataclasses.replace(cfg, snr_db=tuple(map(float, values)))]
     if axis == "velocity":
         return [dataclasses.replace(cfg, velocity=float(v), nu_max=None) for v in values]
-    if axis == "pilots":
+    if axis == "pilots":  # a value that leaves no data column names pilots_per_row
         frame_n = cfg.n_data + cfg.pilots_per_row
-        return [dataclasses.replace(cfg, pilots_per_row=int(v), n_data=frame_n - int(v))
-                for v in values]
+        with _renamed(dict.fromkeys(("m_data", "n_data"), "pilots_per_row")):
+            return [dataclasses.replace(cfg, pilots_per_row=int(v), n_data=frame_n - int(v))
+                    for v in values]
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 

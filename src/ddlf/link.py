@@ -73,36 +73,30 @@ def mmse_equalize(y: np.ndarray, h_tilde: np.ndarray, sigma2: float) -> np.ndarr
     return np.conj(h_tilde) * y / denom
 
 
-def _branch_distances():
-    """Hamming distance from each received 3-bit symbol r to every trellis
-    branch output, indexed [r, lsb, bit, j]: the branch that leaves state
-    2j + lsb on input bit and enters state bit * 32 + j."""
-    lsb, bit, j = np.ix_((0, 1), (0, 1), np.arange(_N_STATES // 2))
-    reg = (bit << (CONV_K - 1)) | (2 * j + lsb)  # input bit on top of the state
-    out = np.zeros(reg.shape, dtype=np.int64)
-    for g in CONV_GENERATORS:
-        parity = np.zeros_like(out)
-        for shift in range(CONV_K):
-            parity ^= ((reg & g) >> shift) & 1
-        out = (out << 1) | parity
-    pop = np.array([bin(i).count("1") for i in range(8)], dtype=np.int32)
-    return pop[np.arange(8)[:, None, None, None] ^ out]
-
-
-_BRANCH_DIST = _branch_distances()
+# the output symbol of each encoder register, the input bit on top of the
+# state: one parity bit per generator, the first generator in the top bit
+_SYMBOL = np.array([int("".join(str(bin(reg & g).count("1") % 2) for g in CONV_GENERATORS), 2)
+                    for reg in range(2 * _N_STATES)])
+# Hamming distance from each received 3-bit symbol r to every trellis branch
+# output, indexed [r, lsb, bit, j]: the branch that leaves state 2j + lsb on
+# input bit and enters state bit * 32 + j; C-contiguous, so that each trellis
+# step adds one contiguous [lsb, bit, j] block
+_BRANCH_DIST = np.array([bin(i).count("1") for i in range(8)], dtype=np.int32)[
+    np.arange(8)[:, None, None, None] ^ _SYMBOL.reshape(2, -1, 2).transpose(2, 0, 1).copy()]
 _ACS_CHUNK = 16  # trellis steps whose branch distances are looked up at once
 
 
 def conv_code_encode(bits: np.ndarray) -> np.ndarray:
-    """Rate-1/3 encoding with a K-1 zero tail driving the encoder back to state 0."""
-    bits = np.asarray(bits).astype(np.int8).reshape(-1)
+    """Rate-1/3 encoding with a K-1 zero tail driving the encoder back to state 0.
+
+    Each step's register (the input bit on top of the K-1 before it) is one
+    convolution of the bits with the powers of two, and its symbol in _SYMBOL
+    gives the step's 3 coded bits, top bit first.
+    """
+    bits = np.asarray(bits).astype(np.int8).reshape(-1) & 1
     padded = np.concatenate([bits, np.zeros(CONV_K - 1, dtype=np.int8)])
-    coded = np.empty(3 * len(padded), dtype=np.int8)
-    for i, g in enumerate(CONV_GENERATORS):
-        taps = np.array([(g >> (CONV_K - 1 - d)) & 1 for d in range(CONV_K)], dtype=np.int8)
-        stream = np.convolve(padded, taps) % 2
-        coded[i::3] = stream[:len(padded)]
-    return coded
+    reg = np.convolve(padded, 1 << np.arange(CONV_K - 1, -1, -1))[:len(padded)]
+    return ((_SYMBOL[reg][:, None] >> np.arange(2, -1, -1)) & 1).astype(np.int8).reshape(-1)
 
 
 def conv_info_bits(n_bits: int) -> int:

@@ -52,6 +52,28 @@ def per_path_apply(f, ch, grid):
     return out
 
 
+def shift_register_step(previous: list, bit: int, generators, k: int) -> tuple[list, list]:
+    """One step of a bit-serial convolutional encoder. previous holds the k-1
+    earlier input bits, newest first; the window is bit followed by them, and
+    each output bit is the parity of the window's bits under the taps of one
+    generator, its binary digits with the top one on the newest bit. Returns
+    the output bits, one per generator in order, and the next previous."""
+    window = [bit] + list(previous)
+    out = [sum(w * int(tap) for w, tap in zip(window, format(g, f"0{k}b"))) % 2
+           for g in generators]
+    return out, window[:-1]
+
+
+def shift_register_encode(bits, generators, k: int) -> np.ndarray:
+    """Reference zero-tail encoder: shift_register_step from the all-zero
+    register over bits and then k-1 zeros, the output bits in step order."""
+    previous, coded = [0] * (k - 1), []
+    for bit in [int(b) for b in bits] + [0] * (k - 1):
+        out, previous = shift_register_step(previous, bit, generators, k)
+        coded += out
+    return np.array(coded, dtype=np.int8)
+
+
 def channel_to_csv(ch: DDChannel) -> str:
     """Path dump (columns r, tau_s, nu_hz, eta_re, eta_im) for fixtures."""
     lines = ["r,tau_s,nu_hz,eta_re,eta_im"]

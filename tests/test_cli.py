@@ -261,6 +261,16 @@ class TestAmbiguity:
         # the first delay is -span time steps of the realised lattice
         assert float(lines[1].split(",")[0]) == pytest.approx(-span * grid.T, rel=1e-12)
 
+    def test_overflowing_doppler_span_exits_2_naming_it(self, tmp_path, capsys):
+        # 1e306 F overflows to inf, and the raster's Doppler axis holds no finite shift
+        out = tmp_path / "amb.csv"
+        assert main(["ambiguity", "--nu-span", "1e306", "--steps", "3",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ddlf: --nu-span: expected finite Doppler shifts")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--tf-product", "--bandwidth", "--spread",
                                       "--tau-span", "--nu-span"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -538,6 +548,41 @@ class TestConfigErrors:
         assert err.startswith(f"ddlf: {cfgf}:1: snr_db: {float(snr):g} dB gives")
         assert "|snr| <= 3000 dB" in err and err.count("\n") == 1
         assert trials == [] and not out.exists()
+
+    def test_sigma_z2_past_the_limit_exits_2_before_any_trial(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # 2e307: srh-na's relaxation (sigma2 + sigma_z2) * P overflows and its
+        # estimate is 0/0
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: trials.append(a))
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("trials = 2\nsigma-z2 = 2e307\n"
+                        f"estimator = {', '.join(ESTIMATOR_CHOICES)}\n")
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--config", str(cfgf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ddlf: {cfgf}:2: sigma_z2: ") and "1e+300" in err
+        assert err.count("\n") == 1
+        assert trials == [] and not out.exists()
+
+    @pytest.mark.parametrize("values", ["1,,2", "", "1,", " , 2"])
+    def test_empty_sweep_value_is_an_empty_list_item(self, tmp_path, capsys, values):
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("trials = 1\nsnr = 15\nestimator = srh\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfgf), "--axis", "velocity",
+                     "--values", values, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ddlf: --values: expected a comma list without empty items")
+        assert not out.exists()
+
+    def test_fractional_pilots_value_names_the_flag_and_the_axis(self, tmp_path, capsys):
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("trials = 1\nsnr = 15\nestimator = srh\n")
+        assert main(["sweep", "--config", str(cfgf), "--axis", "pilots", "--values", "1,1.5",
+                     "--out", str(tmp_path / "sweep.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ddlf: --values: pilots: pilots per row must be a whole number")
 
     def test_bad_snr_value_names_the_flag_and_the_axis_once(self, tmp_path, capsys):
         cfgf = tmp_path / "run.cfg"

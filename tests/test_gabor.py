@@ -451,6 +451,15 @@ class TestCrossAmbiguity:
         with pytest.raises(ValueError):
             cross_ambiguity(g, g, [grid.duration * 1.5], [0.0], grid)
 
+    @pytest.mark.parametrize("tau, nu, lead", [
+        ([np.nan], [0.0], "tau"), ([0.0, np.nan], [0.0], "tau"), ([np.inf], [0.0], "tau"),
+        ([0.0], [np.inf], "nu"), ([0.0], [0.0, -np.inf], "nu"), ([0.0], [np.nan], "nu"),
+    ])
+    def test_rejects_a_non_finite_axis(self, tau, nu, lead):
+        grid, g = tight_pulse(8, 8)
+        with pytest.raises(ValueError, match=f"^{lead}: "):
+            cross_ambiguity(g, g, tau, nu, grid)
+
     def test_rejects_pulses_of_another_grid(self):
         grid, g = tight_pulse(8, 8)  # L = 80
         _, wide = tight_pulse(16, 16)  # L = 320

@@ -68,6 +68,34 @@ class TestConfig:
         with pytest.raises(ValueError, match="^sigma_z2: "):
             quiet_cfg(sigma_z2=value)
 
+    @pytest.mark.parametrize("value", [1.0000001e300, 2e307, 1e308, 10**301],
+                             ids=["1.0000001e300", "2e307", "1e308", "int 10**301"])
+    def test_rejects_sigma_z2_past_the_noise_limit(self, value):
+        # the bound the SNR limit puts on sigma2; past it (sigma2 + sigma_z2) * P
+        # overflows in srh-na's relaxation
+        with pytest.raises(ValueError, match=r"^sigma_z2: .* at most 1e\+300, got "):
+            quiet_cfg(sigma_z2=value)
+
+    def test_sigma_z2_at_the_limit_gives_a_finite_result(self):
+        # every estimator, coded, at both SNR edges; a RuntimeWarning is an error here
+        cfg = quiet_cfg(estimators=harness.ESTIMATOR_CHOICES, coding=True, trials=2,
+                        sigma_z2=1e300, snr_db=(-harness.SNR_LIMIT_DB, harness.SNR_LIMIT_DB))
+        assert cfg.sigma_z2 == 10 ** (harness.SNR_LIMIT_DB / 10)
+        rows = simulate(cfg)
+        assert len(rows) == 2 * len(harness.ESTIMATOR_CHOICES)
+        assert all(math.isfinite(v) for row in rows for v in dataclasses.astuple(row)
+                   if isinstance(v, float))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(m_data=0),
+        dict(n_data=0),
+        dict(m_data=-2, n_data=5),
+        dict(n_data=0, pilots_per_row=0, estimators=("perfect",)),
+    ])
+    def test_rejects_a_non_positive_data_shape(self, overrides):
+        with pytest.raises(ValueError, match="^m_data, n_data: data frame dimensions must be positive"):
+            quiet_cfg(**overrides)
+
     @pytest.mark.parametrize("field", ["seed", "precoder_seed"])
     def test_rejects_a_negative_seed(self, field):
         with pytest.raises(ValueError, match=f"^{field}: expected a nonnegative integer"):
@@ -254,6 +282,16 @@ class TestSweep:
     def test_pilots_value_must_be_whole(self):
         with pytest.raises(ValueError, match="whole number, got 1.5"):
             run_sweep(quiet_cfg(), "pilots", [1, 1.5])
+
+    def test_pilots_value_error_leads_with_the_axis(self):
+        with pytest.raises(ValueError, match="^pilots: pilots per row must be a whole number"):
+            harness.sweep_configs(quiet_cfg(), "pilots", [2, 0.5])
+
+    def test_pilots_value_that_leaves_no_data_column_names_pilots_per_row(self):
+        # the default 16x16 frame: 16 pilots per row leave a 16x0 data frame
+        with pytest.raises(ValueError, match="^pilots_per_row: data frame dimensions must be "
+                                             "positive, got 16x0$"):
+            harness.sweep_configs(quiet_cfg(), "pilots", [1, 16])
 
     @pytest.mark.parametrize("axis", ["snr", "velocity", "pilots"])
     def test_non_finite_value_rejected(self, axis):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddlf import link
 from ddlf.link import (
     CONV_GENERATORS,
     CONV_K,
@@ -18,6 +19,8 @@ from ddlf.link import (
     mmse_equalize,
     modulate,
 )
+
+from oracles import shift_register_encode, shift_register_step
 
 
 def scalar_viterbi(coded):
@@ -217,6 +220,53 @@ class TestConvCode:
         assert got.shape == (n_cw, payload)
         for row, cw in zip(got, coded):
             assert np.array_equal(row, scalar_viterbi(cw))
+
+
+class TestConvCodeTable:
+    @pytest.mark.parametrize("length", [1, 2, 5, 154])
+    def test_encode_matches_shift_register_oracle(self, length):
+        rng = np.random.default_rng(length)
+        for bits in (np.zeros(length), np.ones(length), *rng.integers(0, 2, (8, length))):
+            expected = shift_register_encode(bits, CONV_GENERATORS, CONV_K)
+            assert np.array_equal(conv_code_encode(bits.astype(np.int8)), expected)
+
+    @settings(max_examples=60)
+    @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=300))
+    def test_random_payloads_match_shift_register_oracle(self, bits):
+        got = conv_code_encode(np.array(bits, dtype=np.int8))
+        assert got.dtype == np.int8
+        assert np.array_equal(got, shift_register_encode(bits, CONV_GENERATORS, CONV_K))
+
+    def test_integer_input_is_taken_mod_2(self):
+        x = np.array([-3, 2, 255, 128, 7, -128, 300, 1, 0, 41])
+        assert np.array_equal(conv_code_encode(x), conv_code_encode(x % 2))
+        assert np.array_equal(conv_code_encode(x),
+                              shift_register_encode(x % 2, CONV_GENERATORS, CONV_K))
+
+    def test_branch_distances_match_shift_register_oracle(self):
+        # state s holds the K-1 previous input bits, the newest in its top bit;
+        # the branch [., s % 2, bit, s // 2] leaves s on bit for bit * 32 + s // 2
+        half = 1 << (CONV_K - 2)
+        for state in range(2 * half):
+            previous = [state >> (CONV_K - 2 - i) & 1 for i in range(CONV_K - 1)]
+            for bit in (0, 1):
+                out, nxt = shift_register_step(previous, bit, CONV_GENERATORS, CONV_K)
+                assert int("".join(map(str, nxt)), 2) == bit * half + state // 2
+                sym = int("".join(map(str, out)), 2)
+                for r in range(8):
+                    assert link._BRANCH_DIST[r, state % 2, bit, state // 2] == \
+                        bin(r ^ sym).count("1"), (r, state, bit)
+
+    def test_every_codeword_step_is_the_symbol_of_its_register(self):
+        rng = np.random.default_rng(9)
+        bits = rng.integers(0, 2, 154)
+        coded = conv_code_encode(bits).reshape(-1, 3)
+        reg = 0
+        for t, bit in enumerate([*bits, *[0] * (CONV_K - 1)]):
+            reg = bit << (CONV_K - 1) | reg >> 1  # the input bit on top of the state
+            sym = link._SYMBOL[reg]
+            assert coded[t].tolist() == [sym >> 2 & 1, sym >> 1 & 1, sym & 1], t
+        assert link._SYMBOL.shape == (1 << CONV_K,)
 
 
 class TestMetrics:
