@@ -12,6 +12,8 @@ the paths lie inside the box of the ambiguity table it reads.
 
 The channel acts on one frame with a block cyclic prefix: delays wrap
 cyclically while the per-path Doppler ramp runs over absolute frame time.
+Like gabor, the module has no physical scale: delays are in samples, Doppler
+shifts in cycles per sample and the delay-decay rate per sample.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ class ChannelError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DDChannel:
-    """R paths, each a delay tau (s), Doppler nu (Hz) and complex gain eta,
-    as three length-R arrays."""
+    """R paths, each a delay tau (samples), Doppler nu (cycles per sample) and
+    complex gain eta, as three length-R arrays."""
 
     tau: np.ndarray
     nu: np.ndarray
@@ -43,10 +45,6 @@ class DDChannel:
         if not (self.tau.ndim == 1 and self.tau.shape == self.nu.shape == self.eta.shape):
             raise ChannelError(f"path arrays tau, nu, eta of shapes {self.tau.shape}, "
                                f"{self.nu.shape}, {self.eta.shape} are not one length")
-
-    @property
-    def total_power(self) -> float:
-        return float(np.sum(np.abs(self.eta) ** 2))
 
 
 def default_power_profile(tau_max: float) -> float:
@@ -60,10 +58,14 @@ def default_power_profile(tau_max: float) -> float:
 class ChannelConfig:
     """Synthetic WSSUS generator settings.
 
-    R paths in the box [0, tau_max] x [-nu_max, nu_max], which must be
-    underspread (2*tau_max*nu_max < 0.1). fractional=True draws off-grid
-    delay/Doppler shifts; otherwise the shifts snap to the 1/(M F) delay grid
-    and 1/(N T) Doppler grid. A ChannelError leads with the fields it rests on.
+    R paths in the box [0, tau_max] x [-nu_max, nu_max], tau_max in samples
+    and nu_max in cycles per sample, which must be underspread
+    (2*tau_max*nu_max < 0.1, the same number in any units). power_profile is
+    the delay-decay rate per sample, or None for default_power_profile.
+    fractional=True draws off-grid delay/Doppler shifts; otherwise the shifts
+    snap to the delay grid of whole samples (1/(M F)) and the Doppler grid of
+    1/L cycles per sample (1/(N T)). A ChannelError leads with the fields it
+    rests on.
     """
 
     R: int
@@ -75,8 +77,9 @@ class ChannelConfig:
     def __post_init__(self):
         if (spread := 2.0 * self.tau_max * self.nu_max) >= 0.1:
             raise ChannelError(f"tau_max, nu_max: 2*tau_max*nu_max = {spread:.3g} >= 0.1 "
-                               f"(tau_max = {self.tau_max:.6g} s, nu_max = {self.nu_max:.6g} "
-                               "Hz); the channel is not underspread")
+                               f"(tau_max = {self.tau_max:.6g} samples, nu_max = "
+                               f"{self.nu_max:.6g} cycles per sample); the channel is not "
+                               "underspread")
         if self.R < 1:
             raise ChannelError(f"R: scatterer count R must be >= 1, got {self.R}")
         if self.power_profile is not None and self.power_profile < 0:
@@ -98,10 +101,8 @@ def generate_channel(cfg: ChannelConfig, grid: GaborGrid, seed: int) -> DDChanne
     taus = rng.uniform(0.0, cfg.tau_max, size=cfg.R)
     nus = rng.uniform(-cfg.nu_max, cfg.nu_max, size=cfg.R)
     if not cfg.fractional:
-        d_tau = 1.0 / (grid.M * grid.F)
-        d_nu = 1.0 / (grid.N * grid.T)
-        taus = np.clip(np.round(taus / d_tau) * d_tau, 0.0, cfg.tau_max)
-        nus = np.clip(np.round(nus / d_nu) * d_nu, -cfg.nu_max, cfg.nu_max)
+        taus = np.clip(np.round(taus), 0.0, cfg.tau_max)
+        nus = np.clip(np.round(nus * grid.L) / grid.L, -cfg.nu_max, cfg.nu_max)
     # relative to the earliest delay, so a steep profile cannot underflow every
     # weight to 0; the common factor cancels in the normalization
     var = np.exp(-(taus - taus.min()) * rate)
@@ -113,28 +114,29 @@ def generate_channel(cfg: ChannelConfig, grid: GaborGrid, seed: int) -> DDChanne
 def apply_channel(f: np.ndarray, ch: DDChannel, grid: GaborGrid) -> np.ndarray:
     """Time-varying cyclic convolution: sum_r eta_r f(t - tau_r) e^{2j pi nu_r t}.
 
+    t counts samples, tau_r is in samples and nu_r in cycles per sample.
     Fractional delays are band-limited cyclic shifts (the block cyclic prefix
     makes delays circular); the Doppler ramp runs over absolute frame time.
-    The transmit band occupies [0, fs), so the delay phase ramp runs over the
-    one-sided DFT bins: subcarrier m is rotated by exactly e^{-2j pi m F tau}.
-    The paths go through gabor._delays in blocks, and each block's
-    gain-weighted sum of its Doppler-ramped delays is added in. A path the
-    grid cannot carry is a ChannelError: a delay outside [0, duration), or a
-    Doppler of at least fs/2 in magnitude, whose sampled ramp would alias.
+    The transmit band occupies the DFT bins [0, L), so the delay phase ramp
+    runs over the one-sided bins: subcarrier m is rotated by exactly
+    e^{-2j pi m (b/L) tau}. The paths go through gabor._delays in blocks, and
+    each block's gain-weighted sum of its Doppler-ramped delays is added in. A
+    path the grid cannot carry is a ChannelError: a delay outside [0, L), or
+    a Doppler of at least 1/2 in magnitude, whose sampled ramp would alias.
     """
     f = np.asarray(f)
     if f.shape != (grid.L,):
         raise ValueError(f"signal length {f.shape} does not match grid L = {grid.L}")
-    late = ~((0.0 <= ch.tau) & (ch.tau < grid.duration))
+    late = ~((0.0 <= ch.tau) & (ch.tau < grid.L))
     if late.any():
-        raise ChannelError(f"delay {ch.tau[late][0]} is negative or exceeds the frame duration "
-                           f"{grid.duration}")
-    fast = np.abs(ch.nu) >= grid.fs / 2
+        raise ChannelError(f"delay {ch.tau[late][0]} samples is negative or exceeds the frame "
+                           f"duration {grid.L}")
+    fast = np.abs(ch.nu) >= 0.5
     if fast.any():
-        raise ChannelError(f"Doppler {ch.nu[fast][0]} Hz is not below fs/2 = {grid.fs / 2} Hz")
+        raise ChannelError(f"Doppler {ch.nu[fast][0]} cycles per sample is not below 1/2")
     out = np.zeros(grid.L, dtype=complex)
-    for block, delayed in _delays(f, ch.tau, grid.fs, signed=False):
-        out += ch.eta[block] @ (delayed * _phasors(ch.nu[block] / grid.fs, grid.L))
+    for block, delayed in _delays(f, ch.tau, signed=False):
+        out += ch.eta[block] @ (delayed * _phasors(ch.nu[block], grid.L))
     return out
 
 
@@ -156,9 +158,10 @@ def add_noise(f: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndar
 def true_cmd(ch: DDChannel, table: AmbiguityTable) -> np.ndarray:
     """Ground-truth channel main diagonal on the M x N TF grid of table.grid.
 
-    h[m, n] = sum_r eta_r e^{2j pi (n T nu_r - m F tau_r)} A(tau_r, nu_r),
-    the superposition of one low-frequency 2D complex exponential per path
-    weighted by the pulse cross-ambiguity at the path's shift. A comes from
+    h[m, n] = sum_r eta_r e^{2j pi (n a nu_r - m (b/L) tau_r)} A(tau_r, nu_r),
+    with tau_r in samples and nu_r in cycles per sample: the superposition of
+    one low-frequency 2D complex exponential per path weighted by the pulse
+    cross-ambiguity at the path's shift. A comes from
     table, the gabor.ambiguity_table of the pulses on a box that holds every
     path of ch (the box ch was drawn in, or a larger one), which one
     evaluation reads for every path. A path outside the table's box is a
@@ -177,8 +180,8 @@ def true_cmd(ch: DDChannel, table: AmbiguityTable) -> np.ndarray:
                            "the box of the ambiguity table")
     grid = table.grid
     amp = ch.eta * table(ch.tau, ch.nu)
-    delay = np.exp(-2j * np.pi * grid.F * ch.tau * np.arange(grid.M)[:, None])
-    doppler = np.exp(2j * np.pi * grid.T * ch.nu[:, None] * np.arange(grid.N))
+    delay = np.exp(-2j * np.pi * grid.freq_shift / grid.L * ch.tau * np.arange(grid.M)[:, None])
+    doppler = np.exp(2j * np.pi * grid.time_shift * ch.nu[:, None] * np.arange(grid.N))
     return (delay * amp) @ doppler
 
 

@@ -228,15 +228,21 @@ def cmd_place_pilots(args) -> int:
 
 
 def cmd_ambiguity(args) -> int:
+    """Write A(tau, nu) of the tight pulse on a raster in seconds and hertz:
+    --tau-span and --nu-span time steps T = a/bandwidth and frequency steps
+    F = b*bandwidth/L either side of 0, converted to samples and cycles per
+    sample for gabor.cross_ambiguity."""
     with harness._config_key("--frame, --tf-product"):
-        grid = gabor.make_grid(*args.frame, args.tf_product, args.bandwidth)
+        grid = gabor.make_grid(*args.frame, args.tf_product)
     with harness._config_key("--spread"):
         pulse = gabor.tight_orthogonalize(gabor.gaussian_prototype(grid, args.spread), grid)
+    T, F = grid.time_shift / args.bandwidth, grid.freq_shift * args.bandwidth / grid.L
     with np.errstate(invalid="ignore"):  # cross_ambiguity refuses a span that overflows
-        taus = np.linspace(-args.tau_span * grid.T, args.tau_span * grid.T, args.steps)
-        nus = np.linspace(-args.nu_span * grid.F, args.nu_span * grid.F, args.steps)
+        taus = np.linspace(-args.tau_span * T, args.tau_span * T, args.steps)
+        nus = np.linspace(-args.nu_span * F, args.nu_span * F, args.steps)
     with harness._renamed({"tau": "--tau-span", "nu": "--nu-span"}):
-        raster = gabor.cross_ambiguity(pulse, pulse, taus, nus, grid)
+        raster = gabor.cross_ambiguity(pulse, pulse, taus * args.bandwidth,
+                                       nus / args.bandwidth, grid)
     cells = [(tau, nu, abs(a), a.real, a.imag)
              for tau, row in zip(taus, raster) for nu, a in zip(nus, row.tolist())]
     _write(args.out, harness.to_csv(("tau_s", "nu_hz", "abs", "re", "im"), cells))

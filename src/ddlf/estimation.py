@@ -43,8 +43,8 @@ class ReconstructionGrid:
     """Delay-Doppler support for the LMMSE fit.
 
     Doppler bins run -Q..Q; delay bins run -Wn..W (cyclic). With the symplectic
-    kernel used here a scatterer at positive delay k0/(M F) concentrates at
-    delay bin -k0, so Wn must cover the delay spread while W guards the
+    kernel used here a scatterer at a positive delay of k0 samples (k0 delay
+    bins) concentrates at delay bin -k0, so Wn must cover the delay spread while W guards the
     smearing tail on the opposite side. A ValueError leads with the extents
     it rests on.
     """

@@ -4,11 +4,14 @@ Pulse generation, tight orthogonalization, synthesis/analysis filterbanks, the
 delay-Doppler shift kernel, the cross-ambiguity function and its Chebyshev
 table on a delay-Doppler box, all on a cyclic sample grid of length L.
 
-Conventions: pulses are unit-norm length-L vectors centered at sample 0 (tails
-wrap around). Fractional time shifts are realized as DFT-domain phase ramps
-(band-limited interpolation). Frequency shifts in the ambiguity function use
-centered time representatives so that a centered pulse sees a continuous ramp
-across its full support.
+Conventions: the module has no physical scale. Delays are counted in samples
+and Doppler shifts in cycles per sample; seconds and hertz are the caller's,
+one sampling rate away. Pulses are unit-norm length-L vectors centered at
+sample 0 (tails wrap around). Fractional time shifts are realized as
+DFT-domain phase ramps (band-limited interpolation). Frequency shifts in the
+ambiguity function run over the centered sample indices (k folded to
+[-L/2, L/2)), so that a centered pulse sees a continuous ramp across its full
+support.
 """
 
 from __future__ import annotations
@@ -32,20 +35,19 @@ class FrameError(ValueError):
 
 @dataclass(frozen=True)
 class GaborGrid:
-    """Time-frequency lattice on a cyclic grid of L = a*N samples at rate fs.
+    """Time-frequency lattice on a cyclic grid of L = a*N samples.
 
-    The lattice is fixed by integers: M frequency steps of b = freq_shift DFT
+    The lattice is its four integers: M frequency steps of b = freq_shift DFT
     bins and N time steps of a = time_shift samples, and the M channels tile
-    the sampled band exactly (M*b = L). The steps T = a/fs and F = b*fs/L
-    follow from them, so T*F = b/N = a/M, and only the undersampled regime
-    T*F > 1 (b > N) is supported.
+    the sampled band exactly (M*b = L). The time step of a samples times the
+    frequency step of b/L cycles per sample is T*F = b/N = a/M, and only the
+    undersampled regime T*F > 1 (b > N) is supported.
     """
 
     M: int
     N: int
     time_shift: int
     freq_shift: int
-    fs: float
 
     def __post_init__(self):
         if not all(isinstance(v, int) and v > 0
@@ -53,8 +55,6 @@ class GaborGrid:
             raise GridError("M, N and the time and frequency shifts must be positive "
                             f"integers, got {self.M}, {self.N}, {self.time_shift}, "
                             f"{self.freq_shift}")
-        if not 0 < self.fs < math.inf:
-            raise GridError(f"sampling rate fs = {self.fs:g} must be positive and finite")
         if self.M * self.freq_shift != self.L:
             raise GridError("the M frequency channels must tile the sampled band exactly "
                             f"(M*b = L), got M*b = {self.M * self.freq_shift}, L = {self.L}")
@@ -67,56 +67,44 @@ class GaborGrid:
         """Samples per frame (a*N)."""
         return self.time_shift * self.N
 
-    @property
-    def T(self) -> float:
-        """Time step in seconds (a/fs)."""
-        return self.time_shift / self.fs
-
-    @property
-    def F(self) -> float:
-        """Frequency step in hertz (b*fs/L)."""
-        return self.freq_shift * self.fs / self.L
-
-    @property
-    def duration(self) -> float:
-        return self.N * self.T
-
     def check_box(self, tau_max: float, nu_max: float):
-        """Refuse a delay-Doppler box [0, tau_max] x [-nu_max, nu_max] that the
-        grid cannot hold: a negative (or NaN) spread, a Doppler spread of at
-        least fs/2 or a delay spread of at least the frame duration. The
-        GridError leads with the quantities it rests on (tau_max, nu_max, fs)."""
+        """Refuse a delay-Doppler box [0, tau_max] x [-nu_max, nu_max], tau_max
+        in samples and nu_max in cycles per sample, that the grid cannot hold:
+        a negative (or NaN) spread, a Doppler spread of at least 1/2 or a delay
+        spread of at least the frame (L samples). The GridError leads with the
+        quantities it rests on (tau_max, nu_max, sampling rate)."""
         if not tau_max >= 0:
-            raise GridError(f"tau_max: the delay spread must be nonnegative, got {tau_max:.6g} s")
+            raise GridError(f"tau_max: the delay spread must be nonnegative, "
+                            f"got {tau_max:.6g} samples")
         if not nu_max >= 0:
             raise GridError(f"nu_max: the Doppler spread must be nonnegative "
-                            f"(nu_max = {nu_max:.6g} Hz)")
-        # a sampled Doppler ramp at nu and at nu - fs are the same samples
-        if nu_max >= self.fs / 2:
-            raise GridError(f"nu_max, fs: nu_max = {nu_max:.6g} Hz is not below half the sampling "
-                            f"rate, fs/2 = {self.fs / 2:.6g} Hz; the Doppler shifts alias")
+                            f"(nu_max = {nu_max:.6g} cycles per sample)")
+        # a sampled Doppler ramp at nu and at nu - 1 are the same samples
+        if nu_max >= 0.5:
+            raise GridError(f"nu_max, sampling rate: nu_max = {nu_max:.6g} cycles per sample is "
+                            "not below half the sampling rate, 1/2 cycle per sample; the "
+                            "Doppler shifts alias")
         # a delay wraps cyclically within one frame
-        if tau_max >= self.duration:
-            raise GridError(f"tau_max: {tau_max:.6g} s is not below the frame duration "
-                            f"{self.duration:.6g} s")
+        if tau_max >= self.L:
+            raise GridError(f"tau_max: {tau_max:.6g} samples is not below the frame duration "
+                            f"{self.L} samples")
 
 
-def make_grid(M: int, N: int, tf_product: float = 1.25,
-              bandwidth: float = 5.0e6) -> GaborGrid:
-    """Build a grid with about the requested T*F product and fs = bandwidth.
+def make_grid(M: int, N: int, tf_product: float = 1.25) -> GaborGrid:
+    """Build a grid with about the requested T*F product.
 
     The time shift a = M*tf_product samples and the frequency shift
     b = N*tf_product bins, each rounded half away from zero
     (piloting.round_half_away). The M channels must tile the band (M*b = a*N),
     as they do when M*tf_product and N*tf_product are integers; a shape and
-    product that do not tile raise GridError, as does a non-positive M, N,
-    tf_product or bandwidth, or a non-finite one.
+    product that do not tile raise GridError, as does a non-positive M, N or
+    tf_product, or a non-finite tf_product.
     """
     if not math.isfinite(tf_product):
         raise GridError(f"tf_product = {tf_product!r} must be finite")
     a = round_half_away(M * tf_product)
     b = round_half_away(N * tf_product)
-    return GaborGrid(M=M, N=N, time_shift=a, freq_shift=b, fs=float(bandwidth))
+    return GaborGrid(M=M, N=N, time_shift=a, freq_shift=b)
 
 
 @dataclass(frozen=True)
@@ -131,26 +119,21 @@ class Pulse:
             raise ValueError(f"pulse must have unit energy, got ||.||_2 = {n}")
 
 
-def centered_times(grid: GaborGrid) -> np.ndarray:
-    """Sample times folded to [-L/2, L/2) / fs, matching the centered pulse."""
-    L = grid.L
-    return (((np.arange(L) + L // 2) % L) - L // 2) / grid.fs
-
-
 def gaussian_prototype(grid: GaborGrid, spread: float = 1.0) -> Pulse:
     """Periodized Gaussian centered at sample 0, proportioned to the grid.
 
-    The time width is spread * sqrt(T/F), which balances time and frequency
-    localization relative to the lattice steps.
+    The width is spread * sqrt(a*L/b) samples, the geometric mean of the time
+    step a and the inverse frequency step L/b, which balances time and
+    frequency localization relative to the lattice steps.
     """
     if spread <= 0:
         raise ValueError("spread must be positive")
-    sigma_t = spread * np.sqrt(grid.T / grid.F)
-    t = centered_times(grid)
-    period = grid.L / grid.fs
-    vals = np.zeros(grid.L)
+    L = grid.L
+    sigma = spread * np.sqrt(grid.time_shift * L / grid.freq_shift)
+    k = ((np.arange(L) + L // 2) % L) - L // 2
+    vals = np.zeros(L)
     for j in range(-3, 4):
-        vals += np.exp(-np.pi * (t - j * period) ** 2 / sigma_t**2)
+        vals += np.exp(-np.pi * (k - j * L) ** 2 / sigma**2)
     vals /= np.linalg.norm(vals)
     return Pulse(samples=vals.astype(complex))
 
@@ -273,7 +256,7 @@ def _phasors(rate: np.ndarray, L: int, signed: bool = False) -> np.ndarray:
     """Rows e^{2j pi rate_i k} for the sample indices k = 0 .. L-1, shape (len(rate), L).
 
     signed=True uses the centered index k - L for k >= ceil(L/2), the order of
-    np.fft.fftfreq(L) * L and of centered_times. Each row is the outer product
+    np.fft.fftfreq(L) * L. Each row is the outer product
     of a coarse and a fine table of about sqrt(L) exponentials.
     """
     K = math.isqrt(L - 1) + 1
@@ -286,47 +269,48 @@ def _phasors(rate: np.ndarray, L: int, signed: bool = False) -> np.ndarray:
     return out
 
 
-def _delays(f: np.ndarray, tau: np.ndarray, fs: float, signed: bool):
-    """The length-L signal f delayed by each of tau (seconds), SHIFT_BLOCK at a time.
+def _delays(f: np.ndarray, tau: np.ndarray, signed: bool):
+    """The length-L signal f delayed by each of tau (samples), SHIFT_BLOCK at a time.
 
     Yields (block, delayed) for consecutive slices block of tau: row i of
     delayed is f delayed by tau[block][i] through a DFT phase ramp over the
     two-sided bins (signed=True) or the one-sided bins (signed=False). One
     forward FFT of f serves every delay; each block costs one batched inverse
-    FFT. The callers add their own Doppler ramps (_phasors of nu / fs).
+    FFT. The callers add their own Doppler ramps (_phasors of nu).
     """
     L = len(f)
     spectrum = np.fft.fft(f)
     for i in range(0, len(tau), SHIFT_BLOCK):
         block = slice(i, i + SHIFT_BLOCK)
-        yield block, np.fft.ifft(spectrum * _phasors(-tau[block] * fs / L, L, signed))
+        yield block, np.fft.ifft(spectrum * _phasors(-tau[block] / L, L, signed))
 
 
 def cross_ambiguity(gamma: Pulse, g: Pulse, tau: np.ndarray, nu: np.ndarray,
                     grid: GaborGrid) -> np.ndarray:
     """Correlation of two pulses under joint time shift tau and frequency shift nu.
 
-    A(tau, nu) = sum_t g*(t) gamma(t - tau) e^{2j pi nu t}, with fractional tau
-    realized in the DFT domain and t running over centered representatives.
+    A(tau, nu) = sum_k g*(k) gamma(k - tau) e^{2j pi nu k}, with the delay tau
+    in samples (fractional tau realized in the DFT domain), the Doppler nu in
+    cycles per sample and k running over the centered sample indices.
     A(0, 0) equals the inner product <gamma, g> (= 1 for gamma = g unit-norm).
     tau and nu are 1-D axes, and the result is the (len(tau), len(nu)) array
     of A on their tensor grid: one signed delay of gamma per delay (see
     _delays) times g*, then one product against the Doppler ramps. A delay
-    not within +-the frame duration (NaN included) is a ValueError led by
+    not within +-L samples, the frame duration (NaN included), is a ValueError led by
     "tau:", and a Doppler shift that is not finite one led by "nu:".
     """
     if len(gamma.samples) != grid.L or len(g.samples) != grid.L:
         raise ValueError("pulses must share the sample grid")
     tau, nu = np.asarray(tau, dtype=float), np.asarray(nu, dtype=float)
-    if not np.all(np.abs(tau) < grid.duration):  # a NaN delay fails it too
-        raise ValueError(f"tau: |tau| = {np.abs(tau).max()} exceeds the frame duration "
-                         f"{grid.duration}")
+    if not np.all(np.abs(tau) < grid.L):  # a NaN delay fails it too
+        raise ValueError(f"tau: |tau| = {np.abs(tau).max()} samples exceeds the frame duration "
+                         f"{grid.L}")
     if not np.all(np.isfinite(nu)):
         raise ValueError(f"nu: expected finite Doppler shifts, got {nu[~np.isfinite(nu)][0]}")
     rows = np.empty((len(tau), grid.L), dtype=complex)  # g* times gamma at each delay
-    for block, delayed in _delays(gamma.samples, tau, grid.fs, signed=True):
+    for block, delayed in _delays(gamma.samples, tau, signed=True):
         np.multiply(delayed, g.samples.conj(), out=rows[block])
-    return rows @ _phasors(nu / grid.fs, grid.L, signed=True).T
+    return rows @ _phasors(nu, grid.L, signed=True).T
 
 
 # ambiguity_table starts from this many (delay, Doppler) nodes and doubles an
@@ -353,7 +337,8 @@ def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class AmbiguityTable:
     """cross_ambiguity of the pulses it was built from, on grid and the box
-    [0, tau_max] x [-nu_max, nu_max], as a tensor Chebyshev series: coef[i, j]
+    [0, tau_max] x [-nu_max, nu_max] (delays in samples, Dopplers in cycles
+    per sample), as a tensor Chebyshev series: coef[i, j]
     multiplies T_i(2 tau / tau_max - 1) T_j(nu / nu_max). Built by
     ambiguity_table."""
 
@@ -402,5 +387,6 @@ def ambiguity_table(gamma: Pulse, g: Pulse, grid: GaborGrid, tau_max: float,
             return AmbiguityTable(grid, float(tau_max), float(nu_max), coef)
         n_tau, n_nu, last = n_tau * (1 + more_tau), n_nu * (1 + more_nu), tail
         if max(n_tau, n_nu) > AMBIGUITY_MAX_NODES:
-            raise ValueError(f"the box tau_max = {tau_max:.6g} s, nu_max = {nu_max:.6g} Hz needs "
-                             f"more than {AMBIGUITY_MAX_NODES} Chebyshev nodes on an axis")
+            raise ValueError(f"the box tau_max = {tau_max:.6g} samples, nu_max = {nu_max:.6g} "
+                             f"cycles per sample needs more than {AMBIGUITY_MAX_NODES} "
+                             "Chebyshev nodes on an axis")

@@ -63,8 +63,10 @@ class ExperimentConfig:
 
     The transmit frame is m_data x (n_data + pilots_per_row); pilots_per_row=0
     runs a pilot-free frame (only the "perfect" estimator is then valid).
-    tau_max / nu_max default to 4.5 delay bins and 0.7 Doppler bins of the
-    frame grid; a velocity (km/h) overrides nu_max via the 5.9 GHz carrier.
+    Its spreads are in seconds and hertz, and bandwidth is the sampling rate
+    that resolve_spreads and validate_point convert them with: tau_max /
+    nu_max default to 4.5 delay bins and 0.7 Doppler bins of the frame grid,
+    and a velocity (km/h) overrides nu_max via the 5.9 GHz carrier.
     sigma_z2 = None (auto) measures the self-interference power in each trial
     that runs a noise-aware variant.
     """
@@ -138,6 +140,10 @@ class ExperimentConfig:
         for name in ("bandwidth", "pulse_spread"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: expected a positive number, got {getattr(self, name)}")
+        # in 1/s, before validate_point converts it to a rate per sample
+        if self.power_profile is not None and self.power_profile < 0:
+            raise ValueError(f"power_profile: delay-decay rate power_profile = "
+                             f"{self.power_profile:g} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -183,18 +189,21 @@ def build_placement(cfg: ExperimentConfig) -> piloting.PilotPlacement:
 
 
 def build_grid(cfg: ExperimentConfig, pl: piloting.PilotPlacement) -> gabor.GaborGrid:
-    return gabor.make_grid(pl.M, pl.N, cfg.tf_product, cfg.bandwidth)
+    return gabor.make_grid(pl.M, pl.N, cfg.tf_product)
 
 
 def resolve_spreads(cfg: ExperimentConfig, grid: gabor.GaborGrid) -> tuple[float, float]:
-    """Channel delay/Doppler bounds in seconds and hertz."""
-    tau_max = cfg.tau_max if cfg.tau_max is not None else 4.5 / (grid.M * grid.F)
+    """Channel delay/Doppler bounds in samples and cycles per sample: the
+    config's seconds times bandwidth and hertz over bandwidth. The defaults
+    are 4.5 delay bins (4.5 samples) and 0.7 Doppler bins (0.7/L cycles per
+    sample) of the grid."""
+    tau_max = cfg.tau_max * cfg.bandwidth if cfg.tau_max is not None else 4.5
     if cfg.velocity is not None:
-        nu_max = velocity_to_nu_max(cfg.velocity)
+        nu_max = velocity_to_nu_max(cfg.velocity) / cfg.bandwidth
     elif cfg.nu_max is not None:
-        nu_max = cfg.nu_max
+        nu_max = cfg.nu_max / cfg.bandwidth
     else:
-        nu_max = 0.7 / (grid.N * grid.T)
+        nu_max = 0.7 / grid.L
     return tau_max, nu_max
 
 
@@ -251,20 +260,22 @@ class Point:
 def validate_point(cfg: ExperimentConfig) -> Point:
     """Check a sweep point and build everything its trials share, before any
     trial runs, and return it as a Point: the placement and its index arrays,
-    grid, spreads, tight pulse, precoder (without the random kind's QR),
-    reconstruction grid, channel config, every estimator's config and its
-    operator (one SRH operator per (alpha, beta), the LMMSE operator), and,
-    when the trials read the true CMD, the gabor.ambiguity_table of the pulse
-    on the channel's (tau_max, nu_max) box. Each part uses its own checks,
-    and an error names the offending key. The grid's box check
+    grid, spreads and decay rate (converted by bandwidth to samples, cycles
+    per sample and a rate per sample; see resolve_spreads), tight pulse,
+    precoder (without the random kind's QR), reconstruction grid, channel
+    config, every estimator's config and its operator (one SRH operator per
+    (alpha, beta), the LMMSE operator), and, when the trials read the true
+    CMD, the gabor.ambiguity_table of the pulse on the channel's (tau_max,
+    nu_max) box. Each part uses its own checks, and an error names the
+    offending key. The grid's box check
     (GaborGrid.check_box: a negative spread, a Doppler spread of at least
     half the sampling rate, where the Doppler shifts alias, or a delay
     spread of at least the frame duration), the channel config (the
-    underspread rule, the scatterer count, the decay rate), the precoder
-    and the reconstruction grid lead their errors with the quantities they
-    rest on, which _renamed turns into config keys. A failed operator build
-    names estimators and, for the mode-aware variants, the spread keys that
-    alpha and beta come from; a table past its node cap names the spread
+    underspread rule, the scatterer count), the precoder and the
+    reconstruction grid lead their errors with the quantities they rest on,
+    which _renamed turns into config keys. A failed operator build names
+    estimators and, for the mode-aware variants, the spread keys that alpha
+    and beta come from; a table past its node cap names the spread
     keys. It also rejects SRH variants on pilot cells of one line and, with
     coding, a data frame too small for a codeword, and warns, naming the
     keys, when the LMMSE reconstruction grid has more cells than there are
@@ -283,11 +294,11 @@ def validate_point(cfg: ExperimentConfig) -> Point:
         grid = build_grid(cfg, pl)
     tau_max, nu_max = resolve_spreads(cfg, grid)
     doppler_key = _doppler_key(cfg)
-    with _renamed({"R": "scatterers", "nu_max": doppler_key, "fs": "bandwidth"}):
+    with _renamed({"R": "scatterers", "nu_max": doppler_key, "sampling rate": "bandwidth"}):
         grid.check_box(tau_max, nu_max)
+        profile = None if cfg.power_profile is None else cfg.power_profile / cfg.bandwidth
         channel = chan.ChannelConfig(R=cfg.scatterers, tau_max=tau_max, nu_max=nu_max,
-                                     power_profile=cfg.power_profile,
-                                     fractional=cfg.fractional)
+                                     power_profile=profile, fractional=cfg.fractional)
     with _config_key("pulse_spread"):
         pulse = _tight_pulse(grid, cfg.pulse_spread)
     with _renamed({"kind": "precoder", "shape": "m_data, n_data"}):
@@ -306,10 +317,11 @@ def validate_point(cfg: ExperimentConfig) -> Point:
                       "on the ridge term", stacklevel=2)
     # mode weights in grid-step units so the three curvature channels balance,
     # ratio-normalized so the omega default keeps its meaning across channels
-    scale = np.sqrt(nu_max * grid.T * tau_max * grid.F)
+    nu_steps, tau_steps = grid.time_shift * nu_max, grid.freq_shift / grid.L * tau_max
+    scale = np.sqrt(nu_steps * tau_steps)
     if scale > 0:
-        alpha = nu_max * grid.T / scale
-        beta = tau_max * grid.F / scale
+        alpha = nu_steps / scale
+        beta = tau_steps / scale
     else:
         alpha = beta = 1.0
     with _config_key("omega"):

@@ -8,7 +8,7 @@ import numpy as np
 
 from ddlf.channel import ChannelError, DDChannel, true_cmd
 from ddlf.estimation import hessian_kernels
-from ddlf.gabor import GaborGrid, Pulse, ambiguity_table, centered_times
+from ddlf.gabor import GaborGrid, Pulse, ambiguity_table
 from ddlf.piloting import PilotPlacement
 
 
@@ -20,18 +20,29 @@ def fractional_shift(samples: np.ndarray, delay_samples: float) -> np.ndarray:
     return np.fft.ifft(spectrum * np.exp(-2j * np.pi * np.fft.fftfreq(L) * delay_samples))
 
 
+def total_power(ch: DDChannel) -> float:
+    """sum |eta_r|^2 over the paths of ch."""
+    return float(np.sum(np.abs(ch.eta) ** 2))
+
+
+def centered_samples(L: int) -> np.ndarray:
+    """The sample indices 0 .. L-1 folded to [-L/2, L/2), matching the centered pulse."""
+    return ((np.arange(L) + L // 2) % L) - L // 2
+
+
 def pair_ambiguity(gamma: Pulse, g: Pulse, tau, nu, grid: GaborGrid) -> np.ndarray:
-    """Reference A(tau, nu) at scattered pairs: tau and nu broadcast against each
-    other, and each pair is one fractional_shift of gamma and a direct sum
-    over the samples of g* times it and the Doppler exp at the centered times."""
+    """Reference A(tau, nu) at scattered pairs (tau in samples, nu in cycles per
+    sample): tau and nu broadcast against each other, and each pair is one
+    fractional_shift of gamma and a direct sum over the samples of g* times it
+    and the Doppler exp at the centered sample indices."""
     if len(gamma.samples) != grid.L or len(g.samples) != grid.L:
         raise ValueError("pulses must share the sample grid")
     tau, nu = np.broadcast_arrays(np.asarray(tau, dtype=float), np.asarray(nu, dtype=float))
-    t = centered_times(grid)
+    k = centered_samples(grid.L)
     out = np.empty(tau.shape, dtype=complex)
     for i in np.ndindex(tau.shape):
-        shifted = fractional_shift(gamma.samples, tau[i] * grid.fs)
-        out[i] = np.sum(g.samples.conj() * shifted * np.exp(2j * np.pi * nu[i] * t))
+        shifted = fractional_shift(gamma.samples, tau[i])
+        out[i] = np.sum(g.samples.conj() * shifted * np.exp(2j * np.pi * nu[i] * k))
     return out
 
 
@@ -44,11 +55,11 @@ def box_cmd(ch, pulse, grid, tau_max, nu_max):
 def per_path_apply(f, ch, grid):
     """Reference: one FFT pair and two length-L exp ramps per path."""
     L = grid.L
-    t = np.arange(L) / grid.fs
+    k = np.arange(L)
     out = np.zeros(L, dtype=complex)
     for tau, nu, eta in zip(ch.tau, ch.nu, ch.eta):
-        ramp = np.exp(-2j * np.pi * np.arange(L) * (tau * grid.fs) / L)
-        out += eta * np.fft.ifft(np.fft.fft(f) * ramp) * np.exp(2j * np.pi * nu * t)
+        ramp = np.exp(-2j * np.pi * k * tau / L)
+        out += eta * np.fft.ifft(np.fft.fft(f) * ramp) * np.exp(2j * np.pi * nu * k)
     return out
 
 
@@ -75,8 +86,9 @@ def shift_register_encode(bits, generators, k: int) -> np.ndarray:
 
 
 def channel_to_csv(ch: DDChannel) -> str:
-    """Path dump (columns r, tau_s, nu_hz, eta_re, eta_im) for fixtures."""
-    lines = ["r,tau_s,nu_hz,eta_re,eta_im"]
+    """Path dump (columns r, tau, nu, eta_re, eta_im; tau in samples, nu in
+    cycles per sample) for fixtures."""
+    lines = ["r,tau,nu,eta_re,eta_im"]
     for r, (tau, nu, eta) in enumerate(zip(ch.tau, ch.nu, ch.eta)):
         lines.append(f"{r},{tau:.17g},{nu:.17g},{eta.real:.17g},{eta.imag:.17g}")
     return "\n".join(lines) + "\n"
@@ -85,7 +97,7 @@ def channel_to_csv(ch: DDChannel) -> str:
 def channel_from_csv(text: str) -> DDChannel:
     """Rebuild a channel from its channel_to_csv dump."""
     rows = [ln for ln in text.splitlines() if ln.strip()]
-    if not rows or rows[0] != "r,tau_s,nu_hz,eta_re,eta_im":
+    if not rows or rows[0] != "r,tau,nu,eta_re,eta_im":
         raise ChannelError("not a channel dump (bad header)")
     _, tau, nu, re, im = np.array([ln.split(",") for ln in rows[1:]],
                                   dtype=float).reshape(-1, 5).T
@@ -107,16 +119,17 @@ def dd_leakage_response(tau: float, nu: float, gamma: Pulse, g: Pulse,
                         grid: GaborGrid) -> np.ndarray:
     """Response of a unit scatterer on the discrete delay-Doppler grid.
 
-    Returns the N x M array H[l, k] = A(tau, nu) * D_N((l + N T nu)/N)
-    * D_M((-k - M F tau)/M): rows index Doppler bins l, columns delay bins k
-    (cyclic). Off-grid shifts smear over the grid following the Dirichlet
+    tau is in samples and nu in cycles per sample. Returns the N x M array
+    H[l, k] = A(tau, nu) * D_N((l + L nu)/N) * D_M((-k - tau)/M), since
+    N T nu = L nu and M F tau = tau: rows index Doppler bins l, columns delay
+    bins k (cyclic). Off-grid shifts smear over the grid following the Dirichlet
     kernels; on-grid shifts concentrate in a single bin of magnitude N*M*|A|.
     """
     amp = pair_ambiguity(gamma, g, tau, nu, grid)
     lbar = np.arange(grid.N)
     kbar = np.arange(grid.M)
-    d_dopp = dirichlet_kernel(grid.N, (lbar + grid.N * grid.T * nu) / grid.N)
-    d_delay = dirichlet_kernel(grid.M, (-kbar - grid.M * grid.F * tau) / grid.M)
+    d_dopp = dirichlet_kernel(grid.N, (lbar + grid.L * nu) / grid.N)
+    d_delay = dirichlet_kernel(grid.M, (-kbar - tau) / grid.M)
     return amp * np.outer(d_dopp, d_delay)
 
 

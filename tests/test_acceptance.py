@@ -107,16 +107,17 @@ def test_03_perfect_reconstruction(desk_pulse_cache):
 
 def test_04_leakage_oracle(desk_pulse_cache):
     grid, pulse = desk_pulse_cache[(16, 16)]
-    # on-grid shift: single hot bin
-    tau_on = 2 / (grid.M * grid.F)
-    nu_on = 1 / (grid.N * grid.T)
+    # on-grid shift: single hot bin (a delay bin is one sample, a Doppler bin
+    # 1/L cycles per sample)
+    tau_on = 2.0
+    nu_on = 1 / grid.L
     H_on = np.abs(dd_leakage_response(tau_on, nu_on, pulse, pulse, grid))
     hot = int(np.sum(H_on > 1e-6 * H_on.max()))
     # half-bin Doppler: spread over many bins
-    H_half = np.abs(dd_leakage_response(0.0, 1 / (2 * grid.N * grid.T), pulse, pulse, grid))
+    H_half = np.abs(dd_leakage_response(0.0, 1 / (2 * grid.L), pulse, pulse, grid))
     spread = int(np.sum(H_half > 0.01 * H_half.max()))
     # closed form matches the transform of the numerically computed response
-    tau_f, nu_f = 0.37 / (grid.M * grid.F), 0.53 / (grid.N * grid.T)
+    tau_f, nu_f = 0.37, 0.53 / grid.L
     ch = DDChannel([tau_f], [nu_f], [1.0])
     h = true_cmd(ch, ambiguity_table(pulse, pulse, grid, tau_f * 1.3, nu_f * 1.3))
     err = float(np.abs(np.sqrt(grid.N * grid.M) * dsft2d(h)
@@ -133,8 +134,9 @@ def test_05_estimator_exact_recovery(desk_pulse_cache):
     pl_full = PilotPlacement(M=16, N=16, M_data=0, N_data=0,
                              pilot_indices=cells16)
     fr, fc = pl_full.pilot_array_indices()
-    # on-grid scatterer inside the reconstruction grid
-    tau, nu = 1 / (grid.M * grid.F), 2 / (grid.N * grid.T)
+    # on-grid scatterer inside the reconstruction grid: 1 delay bin (sample)
+    # and 2 Doppler bins (of 1/L cycles per sample)
+    tau, nu = 1.0, 2 / grid.L
     ch = DDChannel([tau], [nu], [0.8 - 0.4j])
     h = true_cmd(ch, ambiguity_table(pulse, pulse, grid, tau * 1.2, nu * 1.2))
     cfg = EstimatorConfig(variant="lmmse", sigma2=1e-12,
@@ -194,7 +196,7 @@ def test_07_estimator_ordering_trend():
         estimators=("lmmse", "srh", "srh-ma", "srh-mna", "perfect"),
         trials=200, snr_db=(15.0,), seed=1)
     grid = build_grid(cfg, build_placement(cfg))
-    spread_area = 2 * (4.5 / (grid.M * grid.F)) * (0.7 / (grid.N * grid.T))
+    spread_area = 2 * 4.5 * (0.7 / grid.L)  # 4.5 delay bins by 0.7 Doppler bins
     assert abs(spread_area - 0.02) < 0.005  # desk channel as advertised
     ber = ber_arrays(run_point(cfg, 15.0))
 
@@ -232,8 +234,9 @@ def test_09_precoding_diversity():
                             estimators=("perfect",), trials=200, snr_db=(15.0,),
                             scatterers=8, fractional=False, seed=1)
     grid = build_grid(base, build_placement(base))
-    base = dataclasses.replace(base, tau_max=4.5 / (grid.M * grid.F),
-                               nu_max=2.0 / (grid.N * grid.T))
+    # 4.5 delay bins (samples) and 2 Doppler bins (of 1/L cycles per sample)
+    base = dataclasses.replace(base, tau_max=4.5 / base.bandwidth,
+                               nu_max=2.0 * base.bandwidth / grid.L)
     kinds = ("none", "dsft2d", "fft1d", "fft2d", "fwht1d", "fwht2d", "random")
     mse, nmsed, ber = {}, {}, {}
     for kind in kinds:

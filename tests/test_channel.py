@@ -25,10 +25,14 @@ from ddlf.gabor import SHIFT_BLOCK, GridError, ambiguity_table, analyze, gaussia
 from ddlf.transforms import dsft2d
 
 from oracles import channel_from_csv, channel_to_csv, dd_leakage_response, dirichlet_kernel, \
-    box_cmd, pair_ambiguity, per_path_apply
+    box_cmd, pair_ambiguity, per_path_apply, total_power
 
 
 PATH_ARRAYS = ("tau", "nu", "eta")
+
+# the channel takes delays in samples and Dopplers in cycles per sample; the
+# seconds and hertz written below are read at this sampling rate
+FS = 5.0e6
 
 
 @pytest.fixture(scope="module")
@@ -47,22 +51,25 @@ def per_path_cmd(ch, gamma, g, grid):
     h = np.zeros((grid.M, grid.N), dtype=complex)
     for tau, nu, eta in zip(ch.tau, ch.nu, ch.eta):
         amb = pair_ambiguity(gamma, g, tau, nu, grid)
-        h += eta * amb * np.outer(np.exp(-2j * np.pi * grid.F * tau * np.arange(grid.M)),
-                                  np.exp(2j * np.pi * grid.T * nu * np.arange(grid.N)))
+        h += eta * amb * np.outer(
+            np.exp(-2j * np.pi * grid.freq_shift / grid.L * tau * np.arange(grid.M)),
+            np.exp(2j * np.pi * grid.time_shift * nu * np.arange(grid.N)))
     return h
 
 
 # the box of two_paths()
-TWO_PATHS_BOX = (1e-6, 1e3)
+TWO_PATHS_BOX = (1e-6 * FS, 1e3 / FS)
 
 
 def two_paths():
-    return DDChannel([0.3e-6, 0.1e-6], [500.0, -800.0], [0.8, 0.2j])
+    return DDChannel(np.array([0.3e-6, 0.1e-6]) * FS, np.array([500.0, -800.0]) / FS,
+                     [0.8, 0.2j])
 
 
 def mixed_box(grid):
-    """The box of mixed_channel on grid: 4 delay bins and 2 Doppler bins."""
-    return 4 / (grid.M * grid.F), 2 / (grid.N * grid.T)
+    """The box of mixed_channel on grid: 4 delay bins (samples) and 2 Doppler
+    bins (of 1/L cycles per sample)."""
+    return 4.0, 2 / grid.L
 
 
 def mixed_channel(R, grid, seed):
@@ -86,47 +93,47 @@ def same_paths(a, b):
 class TestGenerateChannel:
     def test_snapping_on_grid(self, desk):
         grid, _ = desk
-        cfg = ChannelConfig(R=1, tau_max=2 / (grid.M * grid.F),
-                            nu_max=1 / (grid.N * grid.T), fractional=False)
+        # a delay bin is one sample and a Doppler bin 1/L cycles per sample
+        cfg = ChannelConfig(R=1, tau_max=2.0, nu_max=1 / grid.L, fractional=False)
         ch = generate_channel(cfg, grid, seed=11)
         tau, nu = ch.tau[0], ch.nu[0]
-        assert tau * grid.M * grid.F == pytest.approx(round(tau * grid.M * grid.F), abs=1e-9)
-        assert nu * grid.N * grid.T == pytest.approx(round(nu * grid.N * grid.T), abs=1e-9)
+        assert tau == pytest.approx(round(tau), abs=1e-9)
+        assert nu * grid.L == pytest.approx(round(nu * grid.L), abs=1e-9)
 
     def test_unit_total_power(self, desk):
         grid, _ = desk
         for seed in range(5):
-            cfg = ChannelConfig(R=6, tau_max=1e-6, nu_max=2e3)
+            cfg = ChannelConfig(R=6, tau_max=1e-6 * FS, nu_max=2e3 / FS)
             ch = generate_channel(cfg, grid, seed)
-            assert ch.total_power == pytest.approx(1.0, abs=1e-12)
+            assert total_power(ch) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("fractional", [True, False])
     def test_steep_profile_puts_the_power_on_the_earliest_path(self, desk, fractional):
         grid, _ = desk
-        cfg = ChannelConfig(R=8, tau_max=1e-6, nu_max=2e3, power_profile=1e12,
+        cfg = ChannelConfig(R=8, tau_max=1e-6 * FS, nu_max=2e3 / FS, power_profile=1e12 / FS,
                             fractional=fractional)
         ch = generate_channel(cfg, grid, seed=3)
         taus = ch.tau
         power = np.abs(ch.eta) ** 2
         assert np.all(np.isfinite(power))
-        assert ch.total_power == pytest.approx(1.0, abs=1e-12)
+        assert total_power(ch) == pytest.approx(1.0, abs=1e-12)
         assert power[taus == taus.min()].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic(self, desk):
         grid, _ = desk
-        cfg = ChannelConfig(R=4, tau_max=1e-6, nu_max=2e3)
+        cfg = ChannelConfig(R=4, tau_max=1e-6 * FS, nu_max=2e3 / FS)
         assert same_paths(generate_channel(cfg, grid, 99), generate_channel(cfg, grid, 99))
 
     def test_underspread_enforced(self):
         # the draw's settings refuse an overspread box when they are built
         with pytest.raises(ChannelError, match="^tau_max, nu_max: .* not underspread"):
-            ChannelConfig(R=1, tau_max=1e-5, nu_max=6e3)
+            ChannelConfig(R=1, tau_max=1e-5 * FS, nu_max=6e3 / FS)
         with pytest.raises(ChannelError, match="not underspread"):
-            ChannelConfig(R=1, tau_max=1e-3, nu_max=1e3)
+            ChannelConfig(R=1, tau_max=1e-3 * FS, nu_max=1e3 / FS)
 
     def test_bad_scatterer_count(self):
         with pytest.raises(ChannelError):
-            ChannelConfig(R=0, tau_max=1e-6, nu_max=1e3)
+            ChannelConfig(R=0, tau_max=1e-6 * FS, nu_max=1e3 / FS)
 
     @pytest.mark.parametrize("tau, nu, what", [
         (-1e-8, 0.0, "delay"), (2e-6, 0.0, "delay"),
@@ -135,12 +142,13 @@ class TestGenerateChannel:
     def test_scatterer_outside_its_box(self, desk, tau, nu, what):
         # a path outside the (1e-6 s, 1 kHz) box of the table that the true CMD reads
         grid, pulse = desk
-        table = ambiguity_table(pulse, pulse, grid, 1e-6, 1e3)
+        table = ambiguity_table(pulse, pulse, grid, 1e-6 * FS, 1e3 / FS)
+        path = single_path(tau * FS, nu / FS, 1.0)
         with pytest.raises(ChannelError, match=f"scatterer {what} .* outside"):
-            true_cmd(single_path(tau, nu, 1.0), table)
+            true_cmd(path, table)
         if tau < 0:  # nor can the channel apply a negative delay
             with pytest.raises(ChannelError, match="negative"):
-                apply_channel(np.zeros(grid.L, dtype=complex), single_path(tau, nu, 1.0), grid)
+                apply_channel(np.zeros(grid.L, dtype=complex), path, grid)
 
     @pytest.mark.parametrize("lengths", [(2, 1, 1), (1, 2, 1), (1, 1, 0)])
     def test_path_arrays_of_unequal_lengths(self, lengths):
@@ -152,9 +160,9 @@ class TestGenerateChannel:
         (0.0, 0.5, "alias"), (0.0, 0.6, "alias"), (1.0, 0.0, "frame duration")])
     def test_box_the_grid_cannot_hold_refused_before_any_draw(self, desk, monkeypatch,
                                                               tau_share, nu_share, match):
-        grid, _ = desk  # the shares are of the frame duration and of fs
+        grid, _ = desk  # the shares are of the frame (L samples) and of one cycle per sample
         monkeypatch.setattr(np.random, "default_rng", None)  # a draw would fail otherwise
-        cfg = ChannelConfig(R=3, tau_max=tau_share * grid.duration, nu_max=nu_share * grid.fs)
+        cfg = ChannelConfig(R=3, tau_max=tau_share * grid.L, nu_max=nu_share)
         with pytest.raises(GridError, match=match):
             generate_channel(cfg, grid, 0)
 
@@ -177,8 +185,8 @@ class TestApplyChannel:
         grid, _ = desk
         rng = np.random.default_rng(12)
         f = rng.standard_normal(grid.L) + 1j * rng.standard_normal(grid.L)
-        s1 = (0.3e-6, 800.0, 0.6 + 0.1j)
-        s2 = (0.1e-6, -1500.0, 0.2 - 0.7j)
+        s1 = (0.3e-6 * FS, 800.0 / FS, 0.6 + 0.1j)
+        s2 = (0.1e-6 * FS, -1500.0 / FS, 0.2 - 0.7j)
         both = DDChannel(*zip(s1, s2))
         one = DDChannel(*zip(s1))
         two = DDChannel(*zip(s2))
@@ -191,14 +199,14 @@ class TestApplyChannel:
         rng = np.random.default_rng(13)
         f = rng.standard_normal(grid.L) + 1j * rng.standard_normal(grid.L)
         g = rng.standard_normal(grid.L) + 1j * rng.standard_normal(grid.L)
-        ch = DDChannel([0.3e-6], [800.0], [0.6 + 0.1j])
+        ch = DDChannel([0.3e-6 * FS], [800.0 / FS], [0.6 + 0.1j])
         lhs = apply_channel(2.5j * f + g, ch, grid)
         rhs = 2.5j * apply_channel(f, ch, grid) + apply_channel(g, ch, grid)
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_delay_beyond_frame_rejected(self, desk):
         grid, _ = desk
-        ch = DDChannel([grid.duration * 1.01], [0.0], [1.0])
+        ch = DDChannel([grid.L * 1.01], [0.0], [1.0])
         with pytest.raises(ChannelError):
             apply_channel(np.zeros(grid.L, dtype=complex), ch, grid)
 
@@ -219,16 +227,16 @@ class TestApplyChannel:
 
     @pytest.mark.parametrize("share", [0.5, 0.6, -0.5, -0.6])
     def test_doppler_the_grid_cannot_sample_rejected(self, share):
-        # 0.6*fs used to pass and give exactly the output of -0.4*fs: the
-        # sampled ramps of nu and nu - fs are the same samples
+        # 0.6 cycles per sample used to pass and give exactly the output of
+        # -0.4: the sampled ramps of nu and nu - 1 are the same samples
         grid = make_grid(16, 16)
-        ch = single_path(0.0, share * grid.fs, 1.0)
-        with pytest.raises(ChannelError, match="Doppler .* not below fs/2"):
+        ch = single_path(0.0, share, 1.0)
+        with pytest.raises(ChannelError, match="Doppler .* not below 1/2"):
             apply_channel(np.ones(grid.L, dtype=complex), ch, grid)
 
     def test_doppler_just_below_half_the_sampling_rate_applies(self):
         grid = make_grid(16, 16)
-        ch = single_path(0.0, 0.5 * grid.fs * (1 - 1e-9), 1.0)
+        ch = single_path(0.0, 0.5 * (1 - 1e-9), 1.0)
         out = apply_channel(np.ones(grid.L, dtype=complex), ch, grid)
         assert np.abs(out).max() == pytest.approx(1.0, abs=1e-12)
 
@@ -236,7 +244,7 @@ class TestApplyChannel:
         grid, _ = desk
         for k in (0, SHIFT_BLOCK, SHIFT_BLOCK + 2):
             tau = np.zeros(SHIFT_BLOCK + 3)
-            tau[k] = grid.duration
+            tau[k] = grid.L
             ch = DDChannel(tau, np.zeros_like(tau), np.ones_like(tau))
             with pytest.raises(ChannelError, match="exceeds the frame duration"):
                 apply_channel(np.zeros(grid.L, dtype=complex), ch, grid)
@@ -279,14 +287,14 @@ class TestTrueCmd:
     def test_identity_channel_all_ones(self, desk):
         grid, pulse = desk
         ch = single_path(0.0, 0.0, 1.0)
-        h = box_cmd(ch, pulse, grid, 1e-6, 1e3)
+        h = box_cmd(ch, pulse, grid, 1e-6 * FS, 1e3 / FS)
         assert np.abs(h - 1.0).max() < 1e-9
 
     def test_constant_magnitude_single_path(self, desk):
         grid, pulse = desk
-        tau, nu, eta = 0.31 / (grid.M * grid.F), 0.47 / (grid.N * grid.T), 0.8 + 0.2j
+        tau, nu, eta = 0.31, 0.47 / grid.L, 0.8 + 0.2j  # 0.31 delay and 0.47 Doppler bins
         ch = single_path(tau, nu, eta)
-        h = box_cmd(ch, pulse, grid, 1 / (grid.M * grid.F), 1 / (grid.N * grid.T))
+        h = box_cmd(ch, pulse, grid, 1.0, 1 / grid.L)
         want = abs(eta * pair_ambiguity(pulse, pulse, tau, nu, grid))
         assert np.abs(np.abs(h) - want).max() < 1e-12
 
@@ -294,18 +302,19 @@ class TestTrueCmd:
         grid, pulse = desk
         rng = np.random.default_rng(31)
         scats = tuple(
-            (float(rng.uniform(0, 0.8e-6)), float(rng.uniform(-2e3, 2e3)),
+            (float(rng.uniform(0, 0.8e-6)) * FS, float(rng.uniform(-2e3, 2e3)) / FS,
              complex(rng.normal(), rng.normal()))
             for _ in range(3))
         ch = DDChannel(*zip(*scats))
-        h = box_cmd(ch, pulse, grid, 1e-6, 3e3)
+        h = box_cmd(ch, pulse, grid, 1e-6 * FS, 3e3 / FS)
         oracle = np.zeros((grid.M, grid.N), dtype=complex)
         for tau, nu, eta in scats:
             amp = eta * pair_ambiguity(pulse, pulse, tau, nu, grid)
             for m in range(grid.M):
                 for n in range(grid.N):
                     oracle[m, n] += amp * np.exp(
-                        2j * np.pi * (n * grid.T * nu - m * grid.F * tau))
+                        2j * np.pi * (n * grid.time_shift * nu
+                                      - m * grid.freq_shift / grid.L * tau))
         assert np.abs(h - oracle).max() < 1e-12
 
     @pytest.mark.parametrize("R", [1, SHIFT_BLOCK, SHIFT_BLOCK + 1, 58])
@@ -320,7 +329,7 @@ class TestTrueCmd:
 
     def test_paths_on_the_box_edge_with_slack(self, desk):
         grid, pulse = desk
-        tau_max, nu_max, slack = 4.5 / (grid.M * grid.F), 0.7 / (grid.N * grid.T), 1 + 1e-9
+        tau_max, nu_max, slack = 4.5, 0.7 / grid.L, 1 + 1e-9
         ch = DDChannel([tau_max * slack, tau_max * slack, 0.0],
                        [nu_max * slack, -nu_max * slack, -nu_max * slack],
                        [0.6 + 0.1j, -0.3j, 0.5])
@@ -332,7 +341,7 @@ class TestTrueCmd:
     def test_delay_spread_of_half_the_frame_or_more(self, steps):
         grid = make_grid(16, 16)
         pulse = tight_orthogonalize(gaussian_prototype(grid), grid)
-        cfg = ChannelConfig(R=8, tau_max=steps * grid.T, nu_max=100.0)
+        cfg = ChannelConfig(R=8, tau_max=steps * grid.time_shift, nu_max=100.0 / FS)
         ch = generate_channel(cfg, grid, seed=steps)
         want = per_path_cmd(ch, pulse, pulse, grid)
         # |A| is small at most of these delays; the channel has unit total power
@@ -360,8 +369,8 @@ class TestTrueCmd:
     def test_refuses_a_mismatched_table(self, desk):
         # two_paths reaches 0.3 us and 800 Hz: a table short of either cannot serve
         grid, pulse = desk
-        for box in ((0.2e-6, 1e3), (1e-6, 600.0)):
-            table = ambiguity_table(pulse, pulse, grid, *box)
+        for tau_max, nu_max in ((0.2e-6, 1e3), (1e-6, 600.0)):
+            table = ambiguity_table(pulse, pulse, grid, tau_max * FS, nu_max / FS)
             with pytest.raises(ValueError, match="ambiguity table"):
                 true_cmd(two_paths(), table)
 
@@ -391,7 +400,8 @@ def refusal(call):
     return None
 
 
-# (delay, Doppler) shares of the frame duration and of fs, one spread at a
+# (delay, Doppler) shares of the frame (L samples) and of one cycle per
+# sample, one spread at a
 # time with the other at 0, so that the underspread rule never fires first:
 # negative, zero, inside, just below the edge, at the edge and past it
 BOX_SHARES = st.one_of(
@@ -409,16 +419,16 @@ class TestOneBoxRule:
     @example(shape=(8, 16), shares=(0.0, 0.5))
     def test_three_callers_refuse_the_same_boxes(self, shape, shares):
         grid, pulse = box_grid(*shape)
-        tau_max, nu_max = shares[0] * grid.duration, shares[1] * grid.fs
+        tau_max, nu_max = shares[0] * grid.L, shares[1]
         cfg = ChannelConfig(R=3, tau_max=tau_max, nu_max=nu_max)
         with mock.patch.object(gabor, "_delays", reach), \
                 mock.patch.object(np.random, "default_rng", reach):
             want = refusal(lambda: grid.check_box(tau_max, nu_max))
             assert refusal(lambda: ambiguity_table(pulse, pulse, grid, tau_max, nu_max)) == want
             assert refusal(lambda: generate_channel(cfg, grid, 0)) == want
-        if not (0 <= tau_max < grid.duration and 0 <= nu_max < grid.fs / 2):
+        if not (0 <= tau_max < grid.L and 0 <= nu_max < 0.5):
             lead = ("tau_max" if tau_max != 0 else
-                    "nu_max" if nu_max < 0 else "nu_max, fs")
+                    "nu_max" if nu_max < 0 else "nu_max, sampling rate")
             assert want.split(": ")[0] == lead
         else:
             assert want is None
@@ -445,7 +455,7 @@ class TestLeakage:
     def test_on_grid_single_bin(self, desk):
         grid, pulse = desk
         k0, l0 = 2, 3
-        tau, nu = k0 / (grid.M * grid.F), l0 / (grid.N * grid.T)
+        tau, nu = float(k0), l0 / grid.L
         H = dd_leakage_response(tau, nu, pulse, pulse, grid)
         mag = np.abs(H)
         hot = np.argwhere(mag > 1e-6 * mag.max())
@@ -457,7 +467,7 @@ class TestLeakage:
 
     def test_half_bin_doppler_spreads(self, desk):
         grid, pulse = desk
-        nu = 1.0 / (2 * grid.N * grid.T)
+        nu = 1.0 / (2 * grid.L)
         H = dd_leakage_response(0.0, nu, pulse, pulse, grid)
         mag = np.abs(H)
         assert np.sum(mag > 0.01 * mag.max()) > 1
@@ -469,9 +479,9 @@ class TestLeakage:
 
     def test_matches_dsft_of_cmd(self, desk):
         grid, pulse = desk
-        tau, nu = 0.3 / (grid.M * grid.F), 0.4 / (grid.N * grid.T)
+        tau, nu = 0.3, 0.4 / grid.L
         ch = single_path(tau, nu, 1.0)
-        h = box_cmd(ch, pulse, grid, 1 / (grid.M * grid.F), 1 / (grid.N * grid.T))
+        h = box_cmd(ch, pulse, grid, 1.0, 1 / grid.L)
         H_num = np.sqrt(grid.N * grid.M) * dsft2d(h)
         H_cf = dd_leakage_response(tau, nu, pulse, pulse, grid)
         assert np.abs(H_num - H_cf).max() < 1e-9
@@ -480,10 +490,10 @@ class TestLeakage:
 class TestChannelDump:
     def test_roundtrip(self, desk):
         grid, _ = desk
-        cfg = ChannelConfig(R=5, tau_max=0.8e-6, nu_max=2e3)
+        cfg = ChannelConfig(R=5, tau_max=0.8e-6 * FS, nu_max=2e3 / FS)
         ch = generate_channel(cfg, grid, seed=7)
         text = channel_to_csv(ch)
-        assert text.splitlines()[0] == "r,tau_s,nu_hz,eta_re,eta_im"
+        assert text.splitlines()[0] == "r,tau,nu,eta_re,eta_im"
         back = channel_from_csv(text)
         assert same_paths(back, ch)
 
@@ -508,12 +518,12 @@ class TestSelfInterference:
         rng = np.random.default_rng(17)
         x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         ch = single_path(0.0, 0.0, 1.0)
-        assert si_power(x, ch, pulse, grid, 1e-6, 1e3) < 1e-12
+        assert si_power(x, ch, pulse, grid, 1e-6 * FS, 1e3 / FS) < 1e-12
 
     def test_zero_frame(self, desk):
         grid, pulse = desk
-        ch = single_path(0.1e-6, 500.0, 1.0)
-        assert si_power(np.zeros((8, 8)), ch, pulse, grid, 1e-6, 1e3) == 0.0
+        ch = single_path(0.1e-6 * FS, 500.0 / FS, 1.0)
+        assert si_power(np.zeros((8, 8)), ch, pulse, grid, 1e-6 * FS, 1e3 / FS) == 0.0
 
     def test_grows_with_doppler_spread(self, desk):
         grid, pulse = desk
@@ -521,11 +531,10 @@ class TestSelfInterference:
         x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         levels = []
         for frac in (0.1, 0.25, 0.5):
-            nu_max = frac / (grid.N * grid.T)
+            nu_max = frac / grid.L
             acc = 0.0
             for seed in range(20):
-                cfg = ChannelConfig(R=4, tau_max=0.5 / (grid.M * grid.F),
-                                    nu_max=nu_max)
+                cfg = ChannelConfig(R=4, tau_max=0.5, nu_max=nu_max)
                 acc += si_power(x, generate_channel(cfg, grid, seed), pulse, grid,
                                 cfg.tau_max, cfg.nu_max)
             levels.append(acc / 20)
@@ -539,14 +548,15 @@ class TestEffectiveMatrixOracle:
         closed-form per-pair response."""
         grid, pulse = desk
         M, N = grid.M, grid.N
-        tau, nu, eta = 2 / (M * grid.F), 1 / (N * grid.T), 0.9 - 0.3j
+        a, F = grid.time_shift, grid.freq_shift / grid.L  # steps in samples, cycles per sample
+        tau, nu, eta = 2.0, 1 / grid.L, 0.9 - 0.3j
         ch = single_path(tau, nu, eta)
         rng = np.random.default_rng(21)
         x = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
 
         y_chain = analyze(apply_channel(synthesize(x, pulse, grid), ch, grid),
                           pulse, grid)
-        h = box_cmd(ch, pulse, grid, 2.5 / (M * grid.F), 1.5 / (N * grid.T))
+        h = box_cmd(ch, pulse, grid, 2.5, 1.5 / grid.L)
 
         z = np.zeros((M, N), dtype=complex)
         for mb in range(M):
@@ -556,9 +566,7 @@ class TestEffectiveMatrixOracle:
                         if (m, n) == (mb, nb):
                             continue
                         dn, dm = n - nb, m - mb
-                        phi = (np.exp(2j * np.pi * (nb * grid.T * nu - m * grid.F * tau
-                                                    + grid.T * grid.F * nb * dm))
-                               * pair_ambiguity(pulse, pulse, tau + dn * grid.T,
-                                                nu + dm * grid.F, grid))
+                        phi = (np.exp(2j * np.pi * (nb * a * nu - m * F * tau + a * F * nb * dm))
+                               * pair_ambiguity(pulse, pulse, tau + dn * a, nu + dm * F, grid))
                         z[mb, nb] += x[m, n] * eta * phi
         assert np.abs(y_chain - (x * h + z)).max() < 1e-9

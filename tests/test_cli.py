@@ -221,11 +221,15 @@ class TestAmbiguity:
         out = tmp_path / "amb.csv"
         assert main(["ambiguity", "--frame", "8x8", "--steps", "5", "--out", str(out)]) == 0
         cfg = ExperimentConfig()
-        grid = gabor.make_grid(8, 8, cfg.tf_product, cfg.bandwidth)
+        grid = gabor.make_grid(8, 8, cfg.tf_product)
         pulse = gabor.tight_orthogonalize(gabor.gaussian_prototype(grid, cfg.pulse_spread), grid)
-        taus = np.linspace(-2 * grid.T, 2 * grid.T, 5)
-        nus = np.linspace(-2 * grid.F, 2 * grid.F, 5)
-        raster = gabor.cross_ambiguity(pulse, pulse, taus, nus, grid)
+        # the axes in seconds and hertz, T = a/fs and F = b*fs/L, and the
+        # raster of their samples and cycles per sample
+        fs = cfg.bandwidth
+        T, F = grid.time_shift / fs, grid.freq_shift * fs / grid.L
+        taus = np.linspace(-2 * T, 2 * T, 5)
+        nus = np.linspace(-2 * F, 2 * F, 5)
+        raster = gabor.cross_ambiguity(pulse, pulse, taus * fs, nus / fs, grid)
         assert out.read_text().splitlines()[1:] == [
             ",".join(format(v, ".12g") for v in (tau, nu, abs(a), a.real, a.imag))
             for tau, row in zip(taus, raster) for nu, a in zip(nus, row.tolist())]
@@ -257,9 +261,27 @@ class TestAmbiguity:
         assert lines[0] == "tau_s,nu_hz,abs,re,im" and len(lines) == 1 + 9
         M = int(frame.split("x")[0])
         grid = gabor.make_grid(M, M)
-        assert grid.T * grid.F == pytest.approx(tf, rel=1e-15)
-        # the first delay is -span time steps of the realised lattice
-        assert float(lines[1].split(",")[0]) == pytest.approx(-span * grid.T, rel=1e-12)
+        assert grid.time_shift * grid.freq_shift / grid.L == pytest.approx(tf, rel=1e-15)
+        # the first delay is -span time steps T = a/fs of the realised lattice
+        T = grid.time_shift / ExperimentConfig.bandwidth
+        assert float(lines[1].split(",")[0]) == pytest.approx(-span * T, rel=1e-12)
+
+    def test_any_bandwidth_gives_finite_cells(self, tmp_path):
+        # at 1e-160 Hz the prototype's squared times in seconds used to
+        # overflow, and the command exited 2 blaming --spread
+        rasters = []
+        for bandwidth in ("1e-160", "5e6", "1e160"):
+            out = tmp_path / f"amb-{bandwidth}.csv"
+            assert main(["ambiguity", "--bandwidth", bandwidth, "--steps", "3",
+                         "--out", str(out)]) == 0
+            cells = np.array([[float(v) for v in line.split(",")]
+                              for line in out.read_text().splitlines()[1:]])
+            assert cells.shape == (9, 5) and np.all(np.isfinite(cells))
+            # the axes are seconds and hertz, -2T = -2a/bandwidth with a = 20 on
+            # the 16x16 grid; A itself does not depend on them
+            assert cells[0, 0] == pytest.approx(-2 * 20 / float(bandwidth), rel=1e-12)
+            rasters.append(cells[:, 2:])
+        assert np.array_equal(rasters[0], rasters[1]) and np.array_equal(rasters[1], rasters[2])
 
     def test_overflowing_doppler_span_exits_2_naming_it(self, tmp_path, capsys):
         # 1e306 F overflows to inf, and the raster's Doppler axis holds no finite shift
@@ -461,7 +483,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize("line, key, reason", [
         ("omega = -1", "omega", "omega: omega must be positive when given"),
         # the 16x16 desk frame lasts 64 us
-        ("tau-max = 64e-6", "tau_max", "tau_max: 6.4e-05 s is not below the frame duration"),
+        ("tau-max = 64e-6", "tau_max", "tau_max: 320 samples is not below the frame duration"),
         ("velocity = 20000", "velocity", "tau_max, velocity: 2*tau_max*nu_max = 0.197 >= 0.1"),
         ("pulse-spread = -1", "pulse_spread", "pulse_spread: expected a positive number, got -1.0"),
         ("bandwidth = 0", "bandwidth", "bandwidth: expected a positive number, got 0.0"),

@@ -227,7 +227,7 @@ class TestLmmse:
         grid, pulse = desk16
         pl = full_pilot_placement(16, 16)
         k0, l0 = 2, 1  # delay bin inside Wn coverage, Doppler inside Q
-        tau, nu = k0 / (grid.M * grid.F), l0 / (grid.N * grid.T)
+        tau, nu = float(k0), l0 / grid.L  # in samples and cycles per sample
         ch = DDChannel([tau], [nu], [1.0])
         h = box_cmd(ch, pulse, grid, tau * 1.5, nu * 1.5)
         cfg = self._cfg()
@@ -238,7 +238,7 @@ class TestLmmse:
         # three pilots per row keep the restricted atom matrix well conditioned
         grid, pulse = desk16
         pl = accordion_placement(16, 13, 3)
-        tau, nu = 1 / (grid.M * grid.F), 2 / (grid.N * grid.T)
+        tau, nu = 1.0, 2 / grid.L  # 1 delay bin and 2 Doppler bins
         ch = DDChannel([tau], [nu], [0.7 - 0.2j])
         h = box_cmd(ch, pulse, grid, tau * 1.2, nu * 1.2)
         cfg = self._cfg()
@@ -313,7 +313,7 @@ class TestLmmseProperties:
     def test_exact_on_grid_channels(self, pl, bins, gains):
         # delay bin k and Doppler bin l land on grid cell (-l, -k), inside Q and Wn
         grid, pulse = tight_pulse(pl.M, pl.N)
-        dtau, dnu = 1 / (grid.M * grid.F), 1 / (grid.N * grid.T)
+        dtau, dnu = 1.0, 1 / grid.L  # a sample and 1/L cycles per sample
         paths = [(k * dtau, l * dnu, r * np.exp(1j * phi))
                  for (k, l), (r, phi) in zip(bins, gains)]
         ch = DDChannel(*zip(*paths))

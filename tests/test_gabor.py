@@ -21,7 +21,6 @@ from ddlf.gabor import (
     Pulse,
     ambiguity_table,
     analyze,
-    centered_times,
     cross_ambiguity,
     gaussian_prototype,
     make_grid,
@@ -29,7 +28,7 @@ from ddlf.gabor import (
     tight_orthogonalize,
 )
 
-from oracles import fractional_shift, pair_ambiguity, per_path_apply
+from oracles import centered_samples, fractional_shift, pair_ambiguity, per_path_apply
 
 
 def tight_pulse(M, N, tf=1.25, spread=1.0):
@@ -72,48 +71,46 @@ def per_residue_tight(prototype, grid):
 
 class TestGrid:
     def test_paper_scale_parameters(self):
-        grid = make_grid(64, 64, 1.25, bandwidth=5e6)
+        # at 5 MHz the steps are T = a/fs = 16 us and F = b*fs/L = 78.125 kHz
+        grid = make_grid(64, 64, 1.25)
         assert grid.L == 5120
         assert grid.time_shift == 80
         assert grid.freq_shift == 80
-        assert grid.T == pytest.approx(16e-6)
-        assert grid.F == pytest.approx(78125.0)
-        assert grid.T * grid.F == pytest.approx(1.25)
+        assert grid.time_shift / 5e6 == pytest.approx(16e-6)
+        assert grid.freq_shift * 5e6 / grid.L == pytest.approx(78125.0)
+        assert grid.time_shift * grid.freq_shift / grid.L == pytest.approx(1.25)
 
-    @given(M=st.integers(1, 64), N=st.integers(1, 64), tf=st.floats(0.5, 4.0),
-           bandwidth=st.floats(1e3, 1e9))
+    @given(M=st.integers(1, 64), N=st.integers(1, 64), tf=st.floats(0.5, 4.0))
     @settings(max_examples=200)
-    @example(M=16, N=20, tf=1.25, bandwidth=5e6)  # tiles: M*b = 16*25 = a*N = 20*20
-    @example(M=16, N=17, tf=1.25, bandwidth=5e6)  # M*b = 16*21 < a*N = 20*17
-    @example(M=2, N=2, tf=1.25, bandwidth=5e6)  # ties: a = b = 2.5 rounds to 3, T*F = 1.5
-    @example(M=10, N=10, tf=1.25, bandwidth=5e6)  # ties: a = b = 12.5 rounds to 13
-    def test_steps_are_built_from_the_integer_shifts(self, M, N, tf, bandwidth):
+    @example(M=16, N=20, tf=1.25)  # tiles: M*b = 16*25 = a*N = 20*20
+    @example(M=16, N=17, tf=1.25)  # M*b = 16*21 < a*N = 20*17
+    @example(M=2, N=2, tf=1.25)  # ties: a = b = 2.5 rounds to 3, T*F = 1.5
+    @example(M=10, N=10, tf=1.25)  # ties: a = b = 12.5 rounds to 13
+    def test_steps_are_built_from_the_integer_shifts(self, M, N, tf):
         # a grid exists if and only if a >= 1, b > N and the channels tile the
         # band, with M*tf and N*tf rounded half up (both are positive here)
         a = math.floor(M * tf + 0.5)
         b = math.floor(N * tf + 0.5)
         if a < 1 or b <= N or M * b != a * N:
             with pytest.raises(GridError):
-                make_grid(M, N, tf, bandwidth)
+                make_grid(M, N, tf)
             return
-        grid = make_grid(M, N, tf, bandwidth)
-        assert (grid.time_shift, grid.freq_shift, grid.fs) == (a, b, bandwidth)
-        assert grid.T == a / bandwidth
-        assert grid.F == b * bandwidth / (a * N)
+        grid = make_grid(M, N, tf)
+        assert (grid.time_shift, grid.freq_shift) == (a, b)
         assert grid.L == a * N == M * b
-        assert grid.duration == N * (a / bandwidth)
 
     def test_fields_are_the_integer_lattice(self):
         assert [f.name for f in dataclasses.fields(GaborGrid)] == [
-            "M", "N", "time_shift", "freq_shift", "fs"]
+            "M", "N", "time_shift", "freq_shift"]
 
     @given(value=st.floats(-1e9, 0.0))
     @settings(max_examples=30)
     def test_rejects_non_positive_tf_product_and_bandwidth(self, value):
+        # the grid has no bandwidth: the config, where it enters, refuses it
         with pytest.raises(GridError):
             make_grid(16, 16, tf_product=value)
-        with pytest.raises(GridError):
-            make_grid(16, 16, bandwidth=value)
+        with pytest.raises(ValueError, match="^bandwidth: expected a positive number"):
+            harness.ExperimentConfig(bandwidth=value)
 
     def test_rejects_critical_sampling(self):
         with pytest.raises(GridError):
@@ -131,13 +128,13 @@ class TestGrid:
 
     def test_rejects_inconsistent_shifts(self):
         with pytest.raises(GridError):
-            GaborGrid(M=8, N=8, time_shift=7.5, freq_shift=10, fs=5e6)
+            GaborGrid(M=8, N=8, time_shift=7.5, freq_shift=10)
 
     def test_rejects_channels_past_the_band(self):
         # L = 8*10 = 80 samples, M*b = 8*11 = 88 bins
         with pytest.raises(GridError, match=r"must tile the sampled band exactly \(M\*b = L\), "
                                             r"got M\*b = 88, L = 80"):
-            GaborGrid(M=8, N=8, time_shift=10, freq_shift=11, fs=5e6)
+            GaborGrid(M=8, N=8, time_shift=10, freq_shift=11)
 
     def test_partial_band_rejected(self):
         # N*tf not an integer: a = 20 and b = 21, so M*b = 336 leaves a gap below L = 340
@@ -173,7 +170,8 @@ class TestGaussianPrototype:
 class TestTightOrthogonalize:
     def test_biorthogonality_residual(self):
         grid, g = tight_pulse(8, 8)
-        gram = cross_ambiguity(g, g, np.arange(grid.N) * grid.T, np.arange(grid.M) * grid.F, grid)
+        gram = cross_ambiguity(g, g, np.arange(grid.N) * grid.time_shift,
+                               np.arange(grid.M) * grid.freq_shift / grid.L, grid)
         want = np.zeros((grid.N, grid.M))
         want[0, 0] = 1.0
         assert np.abs(gram - want).max() < 1e-9
@@ -283,7 +281,7 @@ class TestTightOrthogonalize:
         # k > gcd(M, N) makes b = k*N/g > N, and M*b = a*N = L tiles the band
         g = math.gcd(M, N)
         k = g + extra
-        grid = GaborGrid(M=M, N=N, time_shift=k * M // g, freq_shift=k * N // g, fs=5e6)
+        grid = GaborGrid(M=M, N=N, time_shift=k * M // g, freq_shift=k * N // g)
         atoms = dense_atoms(tight_orthogonalize(gaussian_prototype(grid, spread), grid), grid)
         assert np.abs(atoms.conj().T @ atoms - np.eye(M * N)).max() <= 1e-9
 
@@ -420,25 +418,27 @@ class TestCrossAmbiguity:
 
     def test_bounded_by_one(self):
         grid, g = tight_pulse(8, 8)
+        F = grid.freq_shift / grid.L  # the frequency step, cycles per sample
         rng = np.random.default_rng(5)
-        tau = rng.uniform(-grid.duration / 2, grid.duration / 2, 50)
-        nu = rng.uniform(-2 * grid.F, 2 * grid.F, 50)
+        tau = rng.uniform(-grid.L / 2, grid.L / 2, 50)
+        nu = rng.uniform(-2 * F, 2 * F, 50)
         assert np.abs(cross_ambiguity(g, g, tau, nu, grid)).max() <= 1.0 + 1e-12
 
     def test_naive_double_loop_oracle(self):
         # integer-sample shifts: compare against an explicit double loop
         grid, g = tight_pulse(8, 8)
-        L, fs = grid.L, grid.fs
-        tc = centered_times(grid)
+        F = grid.freq_shift / grid.L  # the frequency step, cycles per sample
+        L = grid.L
+        kc = centered_samples(L)
         rng = np.random.default_rng(6)
         for _ in range(5):
             shift = int(rng.integers(-L // 4, L // 4))
-            nu = float(rng.uniform(-grid.F, grid.F))
+            nu = float(rng.uniform(-F, F))
             naive = 0.0 + 0j
             for k in range(L):
                 naive += (np.conj(g.samples[k]) * g.samples[(k - shift) % L]
-                          * np.exp(2j * np.pi * nu * tc[k]))
-            val = cross_ambiguity(g, g, [shift / fs], [nu], grid)[0, 0]
+                          * np.exp(2j * np.pi * nu * kc[k]))
+            val = cross_ambiguity(g, g, [shift], [nu], grid)[0, 0]
             assert abs(val - naive) < 1e-10
 
     def test_origin_equals_pulse_energy(self):
@@ -449,7 +449,7 @@ class TestCrossAmbiguity:
     def test_rejects_out_of_range_delay(self):
         grid, g = tight_pulse(8, 8)
         with pytest.raises(ValueError):
-            cross_ambiguity(g, g, [grid.duration * 1.5], [0.0], grid)
+            cross_ambiguity(g, g, [grid.L * 1.5], [0.0], grid)
 
     @pytest.mark.parametrize("tau, nu, lead", [
         ([np.nan], [0.0], "tau"), ([0.0, np.nan], [0.0], "tau"), ([np.inf], [0.0], "tau"),
@@ -469,12 +469,13 @@ class TestCrossAmbiguity:
 
     def test_array_matches_scalar_reference(self):
         grid, g = tight_pulse(8, 8)
+        F = grid.freq_shift / grid.L  # the frequency step, cycles per sample
         gamma = Pulse(samples=np.roll(g.samples, 3))
         rng = np.random.default_rng(11)
-        tau = rng.uniform(-0.9, 0.9, SHIFT_BLOCK + 1) * grid.duration
-        nu = rng.uniform(-3, 3, 3) * grid.F
+        tau = rng.uniform(-0.9, 0.9, SHIFT_BLOCK + 1) * grid.L
+        nu = rng.uniform(-3, 3, 3) * F
         tau[0], nu[0] = 0.0, 0.0
-        tau[1:5] = np.arange(4) * grid.T  # on-grid delays
+        tau[1:5] = np.arange(4) * grid.time_shift  # on-grid delays
         got = cross_ambiguity(gamma, g, tau, nu, grid)
         assert got.shape == (SHIFT_BLOCK + 1, 3)
         assert np.abs(got - pair_ambiguity(gamma, g, tau[:, None], nu, grid)).max() <= 1e-12
@@ -485,8 +486,9 @@ class TestCrossAmbiguity:
 
     def test_raster_of_delays_by_dopplers(self):
         grid, g = tight_pulse(8, 8)
-        taus = np.linspace(-grid.T, grid.T, 5)  # negative, zero and positive delays
-        nus = np.linspace(-grid.F, grid.F, 4)  # both Doppler signs
+        F = grid.freq_shift / grid.L  # the frequency step, cycles per sample
+        taus = np.linspace(-grid.time_shift, grid.time_shift, 5)  # negative, zero, positive
+        nus = np.linspace(-F, F, 4)  # both Doppler signs
         raster = cross_ambiguity(g, g, taus, nus, grid)
         assert raster.shape == (5, 4)
         assert np.abs(raster - pair_ambiguity(g, g, taus[:, None], nus, grid)).max() <= 1e-12
@@ -498,25 +500,26 @@ class TestCrossAmbiguity:
         tau = np.zeros(2 * SHIFT_BLOCK + 3)
         for k in (0, SHIFT_BLOCK + 1, len(tau) - 1):
             bad = tau.copy()
-            bad[k] = -grid.duration
+            bad[k] = -grid.L
             with pytest.raises(ValueError, match="exceeds the frame duration"):
                 cross_ambiguity(g, g, bad, [0.0], grid)
 
     def test_repeated_delays_match_scalar_calls(self):
         grid, g = tight_pulse(8, 8)
+        F = grid.freq_shift / grid.L  # the frequency step, cycles per sample
         gamma = Pulse(samples=np.roll(g.samples, 5))
         rng = np.random.default_rng(12)
         # 11 distinct delays along a delay axis of two delay blocks and one more
-        delays = rng.uniform(-0.9, 0.9, 11) * grid.duration
+        delays = rng.uniform(-0.9, 0.9, 11) * grid.L
         tau = rng.choice(delays, size=2 * SHIFT_BLOCK + 1)
-        nu = rng.uniform(-3, 3, 6) * grid.F
+        nu = rng.uniform(-3, 3, 6) * F
         got = cross_ambiguity(gamma, g, tau, nu, grid)
         for i, j in np.ndindex(got.shape):
             val = cross_ambiguity(gamma, g, tau[i:i + 1], nu[j:j + 1], grid)
             assert abs(got[i, j] - val[0, 0]) <= 1e-12
         assert np.abs(got - pair_ambiguity(gamma, g, tau[:, None], nu, grid)).max() <= 1e-12
         bad = tau.copy()
-        bad[-1] = grid.duration
+        bad[-1] = grid.L
         with pytest.raises(ValueError, match="exceeds the frame duration"):
             cross_ambiguity(gamma, g, bad, nu, grid)
 
@@ -524,6 +527,7 @@ class TestCrossAmbiguity:
     @pytest.mark.parametrize("pairs", [(0, 1), (1, 1), (SHIFT_BLOCK + 1, 2), (33, 33)])
     def test_one_forward_fft_per_call(self, monkeypatch, pairs):
         grid, g = tight_pulse(8, 8)
+        F = grid.freq_shift / grid.L  # the frequency step, cycles per sample
         calls = []
         fft = np.fft.fft
 
@@ -533,8 +537,8 @@ class TestCrossAmbiguity:
 
         monkeypatch.setattr(np.fft, "fft", counting_fft)
         rng = np.random.default_rng(13)
-        tau = rng.uniform(-0.9, 0.9, pairs[0]) * grid.duration
-        nu = rng.uniform(-3, 3, pairs[1]) * grid.F
+        tau = rng.uniform(-0.9, 0.9, pairs[0]) * grid.L
+        nu = rng.uniform(-3, 3, pairs[1]) * F
         assert cross_ambiguity(g, g, tau, nu, grid).shape == pairs
         assert calls == [(grid.L,)]
 
@@ -579,7 +583,7 @@ class TestAmbiguityTable:
     @pytest.mark.parametrize("tau_bins, nu_bins", [(0.0, 0.7), (4.5, 0.0), (0.0, 0.0)])
     def test_degenerate_box(self, tau_bins, nu_bins):
         grid, g = tight_pulse(16, 16)
-        tau_max, nu_max = tau_bins / (grid.M * grid.F), nu_bins / (grid.N * grid.T)
+        tau_max, nu_max = tau_bins, nu_bins / grid.L  # a delay bin is one sample
         table = ambiguity_table(g, g, grid, tau_max, nu_max)
         assert (table.coef.shape[0] == 1) == (tau_max == 0)
         assert (table.coef.shape[1] == 1) == (nu_max == 0)
@@ -596,7 +600,7 @@ class TestAmbiguityTable:
 
     def test_rejects_a_box_beyond_the_frame(self):
         grid, g = tight_pulse(8, 8)
-        for tau_max, nu_max in ((grid.duration, 0.0), (-1e-9, 0.0), (0.0, -1.0)):
+        for tau_max, nu_max in ((grid.L, 0.0), (-1e-9, 0.0), (0.0, -1.0)):
             with pytest.raises(ValueError):
                 ambiguity_table(g, g, grid, tau_max, nu_max)
 
@@ -604,7 +608,7 @@ class TestAmbiguityTable:
     def test_delay_spread_of_half_the_frame_or_more(self, steps):
         # the tail levels off at rounding level above AMBIGUITY_TOL here
         grid, g = tight_pulse(16, 16)
-        tau_max, nu_max = steps * grid.T, 100.0
+        tau_max, nu_max = steps * grid.time_shift, 100.0 / 5e6  # 100 Hz at 5 MHz
         table = ambiguity_table(g, g, grid, tau_max, nu_max)
         assert max(table.coef.shape) <= AMBIGUITY_MAX_NODES
         rng = np.random.default_rng(steps)
@@ -619,16 +623,16 @@ class TestAmbiguityTable:
                 ambiguity_table(*pair, grid, 0.0, 0.0)
 
     def test_rejects_a_box_past_the_node_cap(self):
-        grid, g = tight_pulse(64, 64)  # 2.4 MHz is below fs/2 = 2.5 MHz
+        grid, g = tight_pulse(64, 64)  # 0.48 cycles per sample is below 1/2
         with pytest.raises(ValueError, match=f"more than {AMBIGUITY_MAX_NODES} Chebyshev nodes"):
-            ambiguity_table(g, g, grid, 1e-9, 2.4e6)
+            ambiguity_table(g, g, grid, 1e-9 * 5e6, 2.4e6 / 5e6)
 
     @pytest.mark.parametrize("share", [0.5, 1.0])
     def test_rejects_a_doppler_box_that_aliases(self, monkeypatch, share):
         grid, g = tight_pulse(16, 16)
         monkeypatch.setattr(gabor, "_delays", None)  # refused before the first node
-        with pytest.raises(ValueError, match="not below half the sampling rate, fs/2 .* alias"):
-            ambiguity_table(g, g, grid, 1e-9, share * grid.fs)
+        with pytest.raises(ValueError, match="not below half the sampling rate, 1/2 .* alias"):
+            ambiguity_table(g, g, grid, 1e-9 * 5e6, share)
 
     @pytest.mark.parametrize("name", sorted(TABLE_GRIDS))
     def test_one_phasor_call_per_delay_block_and_doppler_set(self, monkeypatch, name):
@@ -659,17 +663,17 @@ class TestShifted:
         grid = make_grid(16, 16)
         rng = np.random.default_rng(80 + R)
         f = rng.standard_normal(grid.L) + 1j * rng.standard_normal(grid.L)
-        tau = rng.uniform(-0.9 if signed else 0.0, 0.9, R) * grid.duration
-        nu = rng.uniform(-3, 3, R) * grid.F
+        tau = rng.uniform(-0.9 if signed else 0.0, 0.9, R) * grid.L
+        nu = rng.uniform(-3, 3, R) * grid.freq_shift / grid.L
         covered = []
-        for block, delayed in gabor._delays(f, tau, grid.fs, signed):
+        for block, delayed in gabor._delays(f, tau, signed):
             covered += range(R)[block]
             assert len(delayed) == len(range(R)[block]) <= SHIFT_BLOCK
-            ramps = gabor._phasors(nu[block] / grid.fs, grid.L, signed)
+            ramps = gabor._phasors(nu[block], grid.L, signed)
             for t, n, got in zip(tau[block], nu[block], delayed * ramps):
-                if signed:  # two-sided delay ramp, Doppler over centered times
-                    want = (fractional_shift(f, t * grid.fs)
-                            * np.exp(2j * np.pi * n * centered_times(grid)))
+                if signed:  # two-sided delay ramp, Doppler over centered samples
+                    want = (fractional_shift(f, t)
+                            * np.exp(2j * np.pi * n * centered_samples(grid.L)))
                 else:  # one-sided delay ramp, Doppler over absolute frame time
                     want = per_path_apply(f, SimpleNamespace(tau=[t], nu=[n], eta=[1.0]), grid)
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

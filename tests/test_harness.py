@@ -446,7 +446,7 @@ class TestSweepValidation:
 
     def test_doppler_spread_below_half_the_sampling_rate_runs(self):
         point = harness.validate_point(quiet_cfg(tau_max=1e-9, nu_max=2.4e6))
-        assert point.channel.nu_max < point.grid.fs / 2
+        assert point.channel.nu_max < 0.5  # cycles per sample
 
     def test_collinear_pilots_only_stop_srh(self):
         # the LMMSE fit and the true CMD do not depend on the pilot geometry
@@ -463,9 +463,11 @@ class TestSweepValidation:
         cfg = quiet_cfg(**overrides)
         point = harness.validate_point(cfg)
         tau_max, nu_max = harness.resolve_spreads(cfg, point.grid)
+        # the decay rate per sample, as the spreads are in samples and cycles per sample
+        profile = None if cfg.power_profile is None else cfg.power_profile / cfg.bandwidth
         assert point.channel == channel.ChannelConfig(
             R=cfg.scatterers, tau_max=tau_max, nu_max=nu_max,
-            power_profile=cfg.power_profile, fractional=cfg.fractional)
+            power_profile=profile, fractional=cfg.fractional)
         assert not hasattr(point.channel, "seed")  # each trial passes its own channel seed
 
     def test_random_precoder_validated_without_its_qr(self, monkeypatch):
@@ -628,7 +630,9 @@ class TestSweepPool:
         monkeypatch.setenv("DDLF_THREADS", "2")
         run_sweep(quiet_cfg(estimators=("srh-na", "perfect"), trials=3),
                   "velocity", [50.0, 100.0, 150.0])
-        assert [nu_max for _, nu_max in built] == [velocity_to_nu_max(v) for v in (50, 100, 150)]
+        fs = quiet_cfg().bandwidth  # the table's box is in cycles per sample
+        assert [nu_max for _, nu_max in built] == [velocity_to_nu_max(v) / fs
+                                                   for v in (50, 100, 150)]
 
     @pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
                         reason="no forkserver start method")
@@ -739,6 +743,39 @@ class TestDeterminism:
             m = run_trial(cfg, 15.0, t)["perfect"]
             fprints.add(round(m.rel_symbol_mse_db, 9))
         assert len(fprints) == 8
+
+
+class TestUnits:
+    """Seconds and hertz enter at the config and leave as samples and cycles
+    per sample, so the bandwidth sets no scale inside."""
+
+    def test_any_bandwidth_builds_the_same_point(self):
+        # at 1e-300 Hz the prototype's squared times in seconds used to
+        # overflow, and the error blamed pulse_spread
+        tiny, huge = (harness.validate_point(quiet_cfg(bandwidth=bw)) for bw in (1e-300, 1e300))
+        assert tiny.channel == huge.channel
+        assert (tiny.channel.tau_max, tiny.channel.nu_max) == (4.5, 0.7 / tiny.grid.L)
+        assert tiny.grid == huge.grid
+        assert np.array_equal(tiny.pulse.samples, huge.pulse.samples)
+
+    @pytest.mark.filterwarnings("ignore:reconstruction grid has:UserWarning")
+    @pytest.mark.parametrize("k", [-900, 0, 900])
+    def test_rows_do_not_depend_on_the_bandwidth(self, k):
+        # the bandwidth times 2^k, and every physical quantity rescaled with it:
+        # times by 2^-k and rates by 2^k, all exact in binary
+        def rows(scale):
+            cfg = quiet_cfg(bandwidth=5e6 * scale, tau_max=0.6e-6 / scale, nu_max=1.5e3 * scale,
+                            power_profile=4e6 * scale, estimators=harness.ESTIMATOR_CHOICES,
+                            coding=True, snr_db=(10.0, 20.0))
+            return rows_to_csv(simulate(cfg))
+
+        assert rows(2.0**k) == rows(1.0)
+
+    def test_decay_rate_checked_in_its_own_units(self):
+        # per sample, -1/s at 1e300 Hz would print as -1e-300
+        with pytest.raises(ValueError, match="^power_profile: delay-decay rate "
+                                             "power_profile = -1 must be nonnegative$"):
+            quiet_cfg(bandwidth=1e300, power_profile=-1.0)
 
 
 class TestAggregation:
