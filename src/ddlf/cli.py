@@ -228,23 +228,35 @@ def cmd_place_pilots(args) -> int:
 
 
 def cmd_ambiguity(args) -> int:
-    """Write A(tau, nu) of the tight pulse on a raster in seconds and hertz:
-    --tau-span and --nu-span time steps T = a/bandwidth and frequency steps
-    F = b*bandwidth/L either side of 0, converted to samples and cycles per
-    sample for gabor.cross_ambiguity."""
+    """Write A(tau, nu) of the tight pulse on a raster of --tau-span time steps
+    a and --nu-span frequency steps b/L either side of 0, formed in samples
+    and cycles per sample as gabor.cross_ambiguity takes them. Only the CSV's
+    columns are in seconds and hertz, tau / bandwidth and nu * bandwidth, so
+    a bandwidth whose sample period 1/bandwidth or frame duration L/bandwidth
+    is not a normal float is refused first, and so is a Doppler axis that
+    overflows in hertz."""
     with harness._config_key("--frame, --tf-product"):
         grid = gabor.make_grid(*args.frame, args.tf_product)
+    fs = np.float64(args.bandwidth)
+    with np.errstate(over="ignore"):
+        period, duration = 1 / fs, grid.L / fs
+    if not (np.finfo(float).tiny <= period and duration < math.inf):
+        raise ValueError(f"--bandwidth: at {fs:g} Hz a sample lasts {period:g} s and the frame "
+                         f"{duration:g} s; both must be normal floating-point numbers")
     with harness._config_key("--spread"):
         pulse = gabor.tight_orthogonalize(gabor.gaussian_prototype(grid, args.spread), grid)
-    T, F = grid.time_shift / args.bandwidth, grid.freq_shift * args.bandwidth / grid.L
-    with np.errstate(invalid="ignore"):  # cross_ambiguity refuses a span that overflows
-        taus = np.linspace(-args.tau_span * T, args.tau_span * T, args.steps)
-        nus = np.linspace(-args.nu_span * F, args.nu_span * F, args.steps)
+    t_step, f_step = grid.time_shift, grid.freq_shift / grid.L
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        taus = np.linspace(-args.tau_span * t_step, args.tau_span * t_step, args.steps)
+        nus = np.linspace(-args.nu_span * f_step, args.nu_span * f_step, args.steps)
+        nu_hz = nus * fs
     with harness._renamed({"tau": "--tau-span", "nu": "--nu-span"}):
-        raster = gabor.cross_ambiguity(pulse, pulse, taus * args.bandwidth,
-                                       nus / args.bandwidth, grid)
+        if not np.all(np.isfinite(nu_hz)):
+            raise ValueError(f"nu: expected finite Doppler shifts in hertz, "
+                             f"got {nu_hz[~np.isfinite(nu_hz)][0]}")
+        raster = gabor.cross_ambiguity(pulse, pulse, taus, nus, grid)
     cells = [(tau, nu, abs(a), a.real, a.imag)
-             for tau, row in zip(taus, raster) for nu, a in zip(nus, row.tolist())]
+             for tau, row in zip(taus / fs, raster) for nu, a in zip(nu_hz, row.tolist())]
     _write(args.out, harness.to_csv(("tau_s", "nu_hz", "abs", "re", "im"), cells))
     print(f"{args.steps}x{args.steps} ambiguity raster -> {args.out}")
     return 0

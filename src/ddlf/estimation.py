@@ -20,7 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import blas, lapack
 
 from .piloting import PilotPlacement
 
@@ -207,13 +208,9 @@ def affine_rank(pl: PilotPlacement) -> int:
     return 3 if np.any(d[:, 0] * d[0, 1] - d[:, 1] * d[0, 0]) else 2
 
 
-# pilot columns per forward solve on the trailing band of U
-_BLOCK = 16
-
-
 @lru_cache(maxsize=4)
 def _srh_operator(pl: PilotPlacement, alpha: float, beta: float):
-    """The SRH minimizer as a linear map of the pilot samples: (U, Z, pvar, V, lam).
+    """The SRH minimizer as a linear map of the pilot samples: (U, A_fp, pvar, V, lam).
 
     For fixed pilot cells and curvature weights, eliminating the free cells
     leaves the P x P Schur complement S = V diag(lam) V^T of the Hessian
@@ -226,14 +223,19 @@ def _srh_operator(pl: PilotPlacement, alpha: float, beta: float):
     out - s with s = i (N+2) + j, so each tap pair of a kernel adds one
     diagonal of A within half-bandwidth u = 2(N+2) + 2. It is assembled in
     LAPACK upper band storage, band[u + r - c, c] = A[r, c]. The pilot columns
-    move to a dense right-hand side, and the pilots and unreached cells get a
-    unit diagonal, so one banded Cholesky A_ff = U^T U covers the free cells
-    in place, with pvar the pilot cells' indices. One forward solve
-    Z = U^-T A_fp gives S = A_pp - Z^T Z, and a call finishes with one
-    backward solve U^-1 (Z h_p). Column j of A_fp, and so of Z, is zero above
-    row pvar_j - u; the columns are taken in order of that row, _BLOCK at a
-    time, each block solved on the trailing band U[:, s:] below its first row
-    s, which skips about half of the full solve.
+    leave the band: their pilot rows are A_pp, and their nonzero free rows
+    are A_fp, kept as (rows, cols, vals) triplets with cols indexing pvar, the
+    pilot cells. The pilots and unreached cells get a unit diagonal, so one
+    banded Cholesky A_ff = U^T U covers the free cells in place.
+
+    S = A_pp - Z^T Z with Z = U^-T A_fp is summed over block rows of u rows,
+    and only the previous block of Z is held (block banded Cholesky, Golub &
+    Van Loan, Matrix Computations, 4th ed., sections 4.3 and 4.5). Row r of
+    L = U^T is band column r, so block k of L is read in place through a
+    skewed view of U's buffer: its upper-triangular strip L_k,k-1 and its
+    lower-triangular diagonal block L_kk give Z_k = L_kk^-1 (A_fp,k -
+    L_k,k-1 Z_k-1). Column j of Z is zero above row pvar_j - u, so with the
+    columns taken in order of pvar the live columns of a block are a prefix.
     """
     M, N = pl.M, pl.N
     w = N + 2
@@ -259,28 +261,53 @@ def _srh_operator(pl: PilotPlacement, alpha: float, beta: float):
     rows, cols = rows[inside], cols[inside]
     c = pvar[cols]
     at = (u - np.abs(rows - c), np.maximum(rows, c))  # A[r, c] = A[c, r] sits here
-    Z = np.zeros((nvar, P), order="F")
-    Z[rows, cols] = band[at]
+    vals = band[at]
     band[at] = 0.0
     band[u, band[u] == 0.0] = 1.0  # pilots and unreached border cells
-    S = Z[pvar]  # A_pp; the rest of Z is A_fp until it is solved in place
-    Z[pvar] = 0.0
     U = sla.cholesky_banded(band, overwrite_ab=True, check_finite=False)
+
+    # S and the block columns in order of pvar: rank[j] is pilot j's place
     order = np.argsort(pvar, kind="stable")
-    for b in range(0, P, _BLOCK):
-        blk = order[b:b + _BLOCK]
-        s = max(pvar[blk[0]] - u, 0)
-        Z[s:, blk], info = lapack.dtbtrs(U[:, s:], Z[s:, blk], trans="T", overwrite_b=True)
-        if info:
-            raise np.linalg.LinAlgError(f"banded triangular solve failed (info {info})")
-    S -= Z.T @ Z
+    rank = np.empty(P, dtype=int)
+    rank[order] = np.arange(P)
+    slot = np.full(nvar, -1)
+    slot[pvar] = rank
+    pilot_row = slot[rows] >= 0
+    S = np.zeros((P, P))
+    S[slot[rows[pilot_row]], rank[cols[pilot_row]]] = vals[pilot_row]  # A_pp
+    free = np.flatnonzero(~pilot_row & (vals != 0.0))
+    free = free[np.argsort(rows[free], kind="stable")]  # A_fp in row order
+    rows, cols, vals = rows[free], cols[free], vals[free]
+    starts = np.arange(0, nvar, u)
+    cut = np.searchsorted(rows, np.append(starts, nvar))
+    live = np.searchsorted(pvar[order], np.minimum(starts + u, nvar) + u)
+    flat = U.ravel(order="F")  # U is Fortran-ordered, so this is a view
+    strip = np.empty((u, u), order="F")
+    Z = None  # the previous block of Z; none while no column is live
+    for k in np.flatnonzero(live):
+        s, n = starts[k], live[k]
+        m = min(u, nvar - s)
+        # W[a, b] = L[s + a, s - u + b], ending at the last entry of band column s + m - 1
+        W = as_strided(flat[s * (u + 1):], (m, u + m), (u * flat.itemsize, flat.itemsize))
+        B = np.zeros((m, n), order="F")
+        t = slice(cut[k], cut[k + 1])
+        B[rows[t] - s, rank[cols[t]]] = vals[t]
+        if Z is not None:
+            # the rows past m of the last block's strip are not read into its rows
+            strip[:m] = W[:, :u]
+            B[:, :Z.shape[1]] -= blas.dtrmm(1.0, strip, Z, overwrite_b=True)[:m]
+        Z = blas.dtrsm(1.0, W[:, u:], B, lower=True, overwrite_b=True)
+        S[:n, :n] -= Z.T @ Z
+    S = S[np.ix_(rank, rank)]
     # S is PSD, and its null space is the affine fields at the pilots. eigh
     # gives their eigenvalues at rounding level, not 0, and then omega /
     # (lam + omega) falls below 1 on them for a small omega, so they are set
     # to 0 (the eigenvalues come in ascending order)
     lam, V = np.linalg.eigh(0.5 * (S + S.T))
     lam[:affine_rank(pl)] = 0.0
-    return _read_only(U, Z, pvar, V, np.maximum(lam, 0.0))
+    lam = np.maximum(lam, 0.0)
+    _read_only(U, rows, cols, vals, pvar, V, lam)
+    return U, (rows, cols, vals), pvar, V, lam
 
 
 def srh_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
@@ -298,10 +325,10 @@ def srh_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
     The minimizer is linear in h_pilot. Its operator is factored once per
     (placement, alpha, beta) and reused for any omega. A call works on the
     real and imaginary parts as the two columns of one real right-hand side:
-    two P x P products give the pilot values h_p, then h_free = -U^-1 (Z h_p)
-    is one (M+2)(N+2) x P product and one backward banded solve of
-    half-bandwidth 2(N+2) + 2, so it costs O(P^2 + (M+2)(N+2)(P + N)).
-    op is operator(pl, cfg), built beforehand.
+    two P x P products give the pilot values h_p, then h_free = -A_ff^-1 A_fp h_p
+    is one sum over the nonzero entries of A_fp (at most 12 per pilot) and one
+    forward and one backward banded solve of half-bandwidth 2(N+2) + 2, so it
+    costs O(P^2 + (M+2)(N+2) N). op is operator(pl, cfg), built beforehand.
     """
     h_pilot = np.asarray(h_pilot, dtype=complex)
     if h_pilot.shape != (pl.P,):
@@ -312,13 +339,17 @@ def srh_estimate(h_pilot: np.ndarray, pl: PilotPlacement,
     else:
         omega = cfg.omega if cfg.omega is not None else 1.0 / max(pl.P, 1)
     M, N = pl.M, pl.N
-    U, Z, pvar, V, lam = op
+    U, (rows, cols, vals), pvar, V, lam = op
     h2 = np.stack([h_pilot.real, h_pilot.imag], axis=-1)
     h_p = V @ ((omega / (lam + omega))[:, None] * (V.T @ h2))
-    # (-h_p^T Z^T)^T is -Z h_p as a Fortran-ordered (nvar, 2) array, solved in place
-    x, info = lapack.dtbtrs(U, (-h_p.T @ Z.T).T, overwrite_b=True)
+    # -A_fp h_p, the real part in bins rows and the imaginary part in bins
+    # nvar + rows, which is a Fortran-ordered (nvar, 2) array solved in place
+    nvar = U.shape[1]
+    rhs = np.bincount((rows + np.array([[0], [nvar]])).ravel(),
+                      weights=(-vals * h_p[cols].T).ravel(), minlength=2 * nvar)
+    x, info = lapack.dpbtrs(U, rhs.reshape(2, nvar).T, overwrite_b=True)
     if info:
-        raise np.linalg.LinAlgError(f"banded triangular solve failed (info {info})")
+        raise np.linalg.LinAlgError(f"banded Cholesky solve failed (info {info})")
     x[pvar] = h_p
     h_ex = (x[:, 0] + 1j * x[:, 1]).reshape(M + 2, N + 2)
     residual = float(np.sum((h2 - h_p) ** 2))

@@ -132,8 +132,12 @@ def gaussian_prototype(grid: GaborGrid, spread: float = 1.0) -> Pulse:
     sigma = spread * np.sqrt(grid.time_shift * L / grid.freq_shift)
     k = ((np.arange(L) + L // 2) % L) - L // 2
     vals = np.zeros(L)
-    for j in range(-3, 4):
-        vals += np.exp(-np.pi * (k - j * L) ** 2 / sigma**2)
+    # a pulse narrower than a sample leaves only k = j L, where x = 0; past
+    # the float range x * x is inf, and exp(-inf) is the 0 it stands for
+    with np.errstate(over="ignore"):
+        for j in range(-3, 4):
+            x = (k - j * L) / sigma
+            vals += np.exp(-np.pi * x * x)
     vals /= np.linalg.norm(vals)
     return Pulse(samples=vals.astype(complex))
 

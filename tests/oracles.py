@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from ddlf.channel import ChannelError, DDChannel, true_cmd
-from ddlf.estimation import hessian_kernels
+from ddlf.estimation import affine_rank, hessian_kernels
 from ddlf.gabor import GaborGrid, Pulse, ambiguity_table
 from ddlf.piloting import PilotPlacement
 
@@ -169,6 +171,64 @@ def srh_objective(h_ex: np.ndarray, h_pilot: np.ndarray, pl: PilotPlacement,
     pr, pc = pl.pilot_array_indices()
     fid = np.sum(np.abs(np.asarray(h_pilot) - h_ex[pr + 1, pc + 1]) ** 2)
     return weighted_hessian_energy(h_ex, alpha, beta) + omega * float(fid)
+
+
+def hessian_matrix(M: int, N: int, alpha: float, beta: float) -> np.ndarray:
+    """Dense A = sum_k w_k D_k^T D_k on the row-major (M+2)(N+2) extension:
+    row m N + n of D_k is output [m, n] of valid_convolve with kernel k, and
+    the weights are alpha^4, beta^4 and 2 alpha^2 beta^2 (ff, tt, tf)."""
+    nvar = (M + 2) * (N + 2)
+    m, n = np.indices((M, N)).reshape(2, -1)
+    phi_tt, phi_ff, phi_tf = hessian_kernels()
+    A = np.zeros((nvar, nvar))
+    for kern, wk in ((phi_ff, alpha**4), (phi_tt, beta**4), (phi_tf, 2 * alpha**2 * beta**2)):
+        D = np.zeros((M * N, nvar))
+        for i, j in zip(*np.nonzero(kern)):
+            D[m * N + n, (m + 2 - i) * (N + 2) + n + 2 - j] = kern[i, j]
+        A += wk * D.T @ D
+    return A
+
+
+def dense_z_srh_operator(pl: PilotPlacement, alpha: float, beta: float):
+    """Reference SRH operator (U, Z, pvar, V, lam) that holds Z = U^-T A_fp
+    whole: A from hessian_matrix, the pilot rows and columns replaced by a unit
+    diagonal (as are the cells no stencil reaches), one banded Cholesky of
+    the rest, and one banded triangular solve over every pilot column of A_fp
+    on the full band. S = A_pp - Z^T Z, and its affine_rank smallest
+    eigenvalues are set to 0."""
+    M, N = pl.M, pl.N
+    u = 2 * (N + 2) + 2
+    A = hessian_matrix(M, N, alpha, beta)
+    pr, pc = pl.pilot_array_indices()
+    pvar = (pr + 1) * (N + 2) + (pc + 1)
+    A_pp = A[np.ix_(pvar, pvar)]
+    A_fp = A[:, pvar].copy(order="F")
+    A_fp[pvar] = 0.0
+    A[pvar], A[:, pvar] = 0.0, 0.0
+    A[np.diag_indices_from(A)] = np.where(np.diag(A) == 0.0, 1.0, np.diag(A))
+    band = np.zeros((u + 1, len(A)), order="F")
+    for d in range(u + 1):  # band[u + r - c, c] = A[r, c]
+        band[u - d, d:] = np.diagonal(A, d)
+    U = sla.cholesky_banded(band)
+    Z, info = lapack.dtbtrs(U, A_fp, trans="T")
+    assert info == 0
+    S = A_pp - Z.T @ Z
+    lam, V = np.linalg.eigh(0.5 * (S + S.T))
+    lam[:affine_rank(pl)] = 0.0
+    return U, Z, pvar, V, np.maximum(lam, 0.0)
+
+
+def dense_z_srh_estimate(h_pilot: np.ndarray, pl: PilotPlacement, omega: float, op):
+    """The extended SRH estimate from dense_z_srh_operator's op: the pilot
+    values h_p = V diag(omega / (lam + omega)) V^T h_pilot and the free cells
+    -U^-1 (Z h_p), on the real and imaginary parts as two columns."""
+    U, Z, pvar, V, lam = op
+    h2 = np.stack([h_pilot.real, h_pilot.imag], axis=-1)
+    h_p = V @ ((omega / (lam + omega))[:, None] * (V.T @ h2))
+    x, info = lapack.dtbtrs(U, -Z @ h_p)
+    assert info == 0
+    x[pvar] = h_p
+    return (x[:, 0] + 1j * x[:, 1]).reshape(pl.M + 2, pl.N + 2)
 
 
 def bracketed_min_distance_sq(lam: int, mu: int) -> int:

@@ -223,16 +223,16 @@ class TestAmbiguity:
         cfg = ExperimentConfig()
         grid = gabor.make_grid(8, 8, cfg.tf_product)
         pulse = gabor.tight_orthogonalize(gabor.gaussian_prototype(grid, cfg.pulse_spread), grid)
-        # the axes in seconds and hertz, T = a/fs and F = b*fs/L, and the
-        # raster of their samples and cycles per sample
+        # the raster in samples and cycles per sample, two time steps a and two
+        # frequency steps b/L either side of 0, and its axes in seconds and hertz
         fs = cfg.bandwidth
-        T, F = grid.time_shift / fs, grid.freq_shift * fs / grid.L
-        taus = np.linspace(-2 * T, 2 * T, 5)
-        nus = np.linspace(-2 * F, 2 * F, 5)
-        raster = gabor.cross_ambiguity(pulse, pulse, taus * fs, nus / fs, grid)
+        t_step, f_step = grid.time_shift, grid.freq_shift / grid.L
+        taus = np.linspace(-2 * t_step, 2 * t_step, 5)
+        nus = np.linspace(-2 * f_step, 2 * f_step, 5)
+        raster = gabor.cross_ambiguity(pulse, pulse, taus, nus, grid)
         assert out.read_text().splitlines()[1:] == [
             ",".join(format(v, ".12g") for v in (tau, nu, abs(a), a.real, a.imag))
-            for tau, row in zip(taus, raster) for nu, a in zip(nus, row.tolist())]
+            for tau, row in zip(taus / fs, raster) for nu, a in zip(nus * fs, row.tolist())]
 
     @pytest.mark.parametrize("steps", [5, 33])
     def test_raster_delays_each_row_once(self, tmp_path, monkeypatch, steps):
@@ -291,6 +291,22 @@ class TestAmbiguity:
         err = capsys.readouterr().err
         assert err.startswith("ddlf: --nu-span: expected finite Doppler shifts")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    # at 1e-308 Hz the 80-sample frame lasts 8e309 s, and at 1e308 Hz a sample
+    # lasts 1e-308 s, below the normal floats; the raster used to overflow
+    # and blame --tau-span (NaN) and --nu-span (inf)
+    @pytest.mark.parametrize("bandwidth, lasts", [("1e-308", "1e+308 s and the frame inf s"),
+                                                  ("1e308", "1e-308 s and the frame 8e-307 s")])
+    def test_bandwidth_past_the_float_range_exits_2_naming_it(self, tmp_path, capsys,
+                                                               monkeypatch, bandwidth, lasts):
+        monkeypatch.setattr(gabor, "cross_ambiguity", None)  # refused before any evaluation
+        out = tmp_path / "amb.csv"
+        assert main(["ambiguity", "--frame", "8x8", "--steps", "3", "--bandwidth", bandwidth,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ddlf: --bandwidth: at {float(bandwidth):g} Hz a sample lasts {lasts}; " \
+            "both must be normal floating-point numbers\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--tf-product", "--bandwidth", "--spread",
@@ -510,6 +526,18 @@ class TestConfigErrors:
         out = tmp_path / "r.csv"
         assert main(["simulate", "--config", str(cfgf), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"ddlf: {cfgf}:2: {reason}\n"
+        assert not out.exists()
+
+    def test_pulse_narrower_than_a_sample_is_no_frame(self, tmp_path, capsys):
+        # the prototype's squares used to divide 0 by an underflowed sigma**2,
+        # which printed two numpy warnings before the refusal
+        cfgf = tmp_path / "narrow.cfg"
+        cfgf.write_text("trials = 1\nsnr = 10\npulse-spread = 1e-200\n")
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--config", str(cfgf), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"ddlf: {cfgf}:3: pulse_spread: frame operator not positive definite; "
+            "prototype does not generate a frame on this grid\n")
         assert not out.exists()
 
     def test_negative_velocity_blames_its_own_line(self, tmp_path, capsys):

@@ -36,7 +36,14 @@ from ddlf.piloting import (
     qpsk_pilot_sequence,
 )
 
-from oracles import box_cmd, srh_objective, valid_convolve, weighted_hessian_energy
+from oracles import (
+    box_cmd,
+    dense_z_srh_estimate,
+    dense_z_srh_operator,
+    srh_objective,
+    valid_convolve,
+    weighted_hessian_energy,
+)
 
 
 def full_pilot_placement(M, N):
@@ -572,6 +579,44 @@ class TestAffineRank:
         rank = affine_rank(pl)
         assert np.all(lam[:rank] == 0.0)
         assert np.all(lam[rank:] > 1e-6 * lam.max())
+
+
+# u = 2(N+2) + 2 rows per block of the build, nvar = (M+2)(N+2) cells
+BLOCK_PLACEMENTS = {
+    # 12 x 20: u = 46 > P = 36, nvar = 308 leaves a last block of 32 rows
+    "12x20": accordion_placement(12, 17, 3),
+    # 20 x 12: P = 80 > u = 30, nvar = 308 leaves a last block of 8 rows
+    "20x12": accordion_placement(20, 8, 4),
+    # 14 x 5: nvar = 112 is 7 blocks of u = 16
+    "14x5": accordion_placement(14, 4, 1),
+    # pilots in only the first and last frame rows
+    "first-last-rows": pilots_at(9, 7, [(0, 1), (0, 5), (8, 0), (8, 3), (8, 6)]),
+    # no pilot in the first four rows: the first block of Z is zero
+    "late-rows": pilots_at(12, 6, [(4, 1), (6, 4), (8, 0), (9, 5), (11, 2)]),
+}
+
+
+class TestSrhOperator:
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.394, 2.535)])
+    @pytest.mark.parametrize("name", BLOCK_PLACEMENTS)
+    def test_matches_the_dense_z_reference(self, name, alpha, beta):
+        pl = BLOCK_PLACEMENTS[name]
+        op = _srh_operator(pl, alpha, beta)
+        ref = dense_z_srh_operator(pl, alpha, beta)
+        h_pilot = complex_normal(np.random.default_rng(5), pl.P)
+        for omega in (1.0 / pl.P, 1.0, 1e6):
+            cfg = EstimatorConfig(variant="srh-ma", alpha=alpha, beta=beta, omega=omega)
+            got = srh_estimate(h_pilot, pl, cfg, op).h_extended
+            want = dense_z_srh_estimate(h_pilot, pl, omega, ref)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_holds_no_dense_z_at_paper_scale(self):
+        pl = accordion_placement(64, 62, 2)
+        U, A_fp, pvar, V, lam = _srh_operator(pl, 1.0, 1.0)
+        u, nvar, P = 2 * (pl.N + 2) + 2, (pl.M + 2) * (pl.N + 2), pl.P
+        arrays = [U, *A_fp, pvar, V, lam]
+        assert all(a.size != nvar * P for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= (u + 1) * nvar * 8 + 4 * P * P + 2**20
 
 
 class TestEstimatorConfig:
